@@ -18,7 +18,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .hybrid import FleetConfig, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
-from .netmodel import (ChannelConfig, check_requirements, default_models,
+from .netmodel import (MODEL_TAG, ChannelConfig, check_requirements, default_models,
                        run_cam_traffic, write_net_results_csv,
                        write_net_summary_csv)
 from .rng import mix
@@ -174,7 +174,7 @@ def _dispatch(args) -> int:
         stats_list = []
         for name in wanted:
             stats = run_cam_traffic(trace, sc, models[name], ChannelConfig(),
-                                    seed=mix(args.seed, 3, _tag(name)))
+                                    seed=mix(args.seed, 3, MODEL_TAG[name]))
             stats_list.append(stats)
             if stats.sent:
                 for line in check_requirements(stats).lines():
@@ -196,10 +196,6 @@ def _dispatch(args) -> int:
         return _report(args.in_dir)
 
     raise ConfigError(f"unknown command {args.command!r}")
-
-
-def _tag(name: str) -> int:
-    return {"centralized": 0, "csma": 1, "sps": 2}[name]
 
 
 def _pick_set(sets, index: int):

@@ -20,8 +20,9 @@ from .hybrid import FleetConfig, plan_hybrid
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
-from .netmodel import (Centralized, ChannelConfig, Csma, Sps, check_requirements,
-                       run_cam_traffic, write_net_results_csv, write_net_summary_csv)
+from .netmodel import (MODEL_TAG, Centralized, ChannelConfig, Csma, Sps,
+                       check_requirements, run_cam_traffic, write_net_results_csv,
+                       write_net_summary_csv)
 from .rng import mix
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import save_trace, simulate
@@ -245,7 +246,7 @@ def _run_net(cfg: ExperimentConfig, scenario, dsets) -> list[str]:
     lines = []
     for model_name in cfg.net_models:
         mac = _MODEL_FACTORIES[model_name]()
-        seed = mix(cfg.base_seed, _STREAM_NET, _model_tag(model_name))
+        seed = mix(cfg.base_seed, _STREAM_NET, MODEL_TAG[model_name])
         stats = run_cam_traffic(trace, scenario, mac, channel, seed=seed)
         stats_list.append(stats)
         if stats.sent:
@@ -255,7 +256,3 @@ def _run_net(cfg: ExperimentConfig, scenario, dsets) -> list[str]:
     write_net_results_csv(stats_list, os.path.join(cfg.out_dir, "net_results.csv"))
     write_net_summary_csv(stats_list, os.path.join(cfg.out_dir, "net_summary.csv"))
     return lines
-
-
-def _model_tag(name: str) -> int:
-    return {"centralized": 0, "csma": 1, "sps": 2}[name]

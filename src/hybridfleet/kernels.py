@@ -1,10 +1,12 @@
 """Hot numerical kernels.
 
-Every function here is compiled with numba's ``@njit`` unless the environment
-variable ``HYBRIDFLEET_NO_JIT`` is set to 1/true/yes, in which case the same
-code runs as plain Python/numpy. Both paths execute the identical statements,
-so results are bit-identical; only speed differs. ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+The LOS test (``los_blocked_batch``) and the geometric predicates under it
+are numpy-vectorized over segments and run the same way everywhere. The
+planner and TSP kernels are scalar loops compiled with numba's ``@njit``
+when numba is installed (the optional ``jit`` extra); without numba, or with
+the environment variable ``HYBRIDFLEET_NO_JIT`` set to 1/true/yes, the same
+source runs as plain Python. Both paths execute the identical statements, so
+results are bit-identical; only speed differs.
 
 Kernels operate on primitive numpy arrays only; the domain modules own all
 object <-> array conversion.
@@ -21,7 +23,7 @@ JIT_ENABLED = os.environ.get("HYBRIDFLEET_NO_JIT", "0").lower() not in ("1", "tr
 if JIT_ENABLED:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is optional
         JIT_ENABLED = False
 
 if not JIT_ENABLED:
@@ -60,121 +62,116 @@ def pairwise_distances(x, y):
     return out
 
 
-@_jit
-def _point_in_poly(px, py, vx, vy, lo, hi):
-    # even-odd rule over vertices vx[lo:hi], vy[lo:hi]
-    inside = False
-    j = hi - 1
-    for i in range(lo, hi):
-        yi = vy[i]
-        yj = vy[j]
-        if (yi > py) != (yj > py):
-            xcross = vx[i] + (py - yi) / (yj - yi) * (vx[j] - vx[i])
-            if px < xcross:
-                inside = not inside
+def _min(a, b):
+    """Elementwise min(a, b) as Python computes it: a unless b < a (NaN too)."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """Elementwise max(a, b) as Python computes it: a unless b > a (NaN too)."""
+    return np.where(b > a, b, a)
+
+
+def _ray_crossings(px, py, x1, y1, x2, y2):
+    """Edge (x1, y1)-(x2, y2) crosses the ray from p towards +x (even-odd rule)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the crossing is used only where the edge straddles py, so y2 != y1
+        xcross = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+    return ((y1 > py) != (y2 > py)) & (px < xcross)
+
+
+def _point_in_poly(px, py, vx, vy):
+    """Even-odd rule: per point, True iff it lies inside polygon (vx, vy)."""
+    inside = np.zeros(np.broadcast(px, py).shape, np.bool_)
+    j = vx.shape[0] - 1
+    for i in range(vx.shape[0]):
+        inside ^= _ray_crossings(px, py, vx[i], vy[i], vx[j], vy[j])
         j = i
     return inside
 
 
-@_jit
 def _orient(ax, ay, bx, by, cx, cy):
+    """Sign (+1, -1, 0) of the turn a->b->c; NaN counts as collinear."""
     v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+    return (v > 0.0) * 1 - (v < 0.0) * 1
 
 
-@_jit
 def _on_segment(ax, ay, bx, by, px, py):
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-    )
+    """p lies in the bounding box of segment a-b."""
+    return ((_min(ax, bx) <= px) & (px <= _max(ax, bx))
+            & (_min(ay, by) <= py) & (py <= _max(ay, by)))
 
 
-@_jit
 def _segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+    """Closed segments a-b and c-d share a point (touching counts)."""
     o1 = _orient(ax, ay, bx, by, cx, cy)
     o2 = _orient(ax, ay, bx, by, dx, dy)
     o3 = _orient(cx, cy, dx, dy, ax, ay)
     o4 = _orient(cx, cy, dx, dy, bx, by)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(ax, ay, bx, by, cx, cy):
-        return True
-    if o2 == 0 and _on_segment(ax, ay, bx, by, dx, dy):
-        return True
-    if o3 == 0 and _on_segment(cx, cy, dx, dy, ax, ay):
-        return True
-    if o4 == 0 and _on_segment(cx, cy, dx, dy, bx, by):
-        return True
-    return False
+    return (((o1 != o2) & (o3 != o4))
+            | ((o1 == 0) & _on_segment(ax, ay, bx, by, cx, cy))
+            | ((o2 == 0) & _on_segment(ax, ay, bx, by, dx, dy))
+            | ((o3 == 0) & _on_segment(cx, cy, dx, dy, ax, ay))
+            | ((o4 == 0) & _on_segment(cx, cy, dx, dy, bx, by)))
 
 
-@_jit
-def _segment_hits_volume(ax, ay, az, bx, by, bz, vx, vy, lo, hi, height):
-    # Clip the segment's parameter range to altitudes [0, height], then test
-    # the clipped 2D projection against the footprint polygon.
-    t0 = 0.0
-    t1 = 1.0
-    dz = bz - az
-    if dz != 0.0:
-        ta = (0.0 - az) / dz
-        tb = (height - az) / dz
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t0:
-            t0 = ta
-        if tb < t1:
-            t1 = tb
-        if t0 > t1:
-            return False
-    else:
-        if az < 0.0 or az > height:
-            return False
-    p0x = ax + (bx - ax) * t0
-    p0y = ay + (by - ay) * t0
-    p1x = ax + (bx - ax) * t1
-    p1y = ay + (by - ay) * t1
-    if _point_in_poly(p0x, p0y, vx, vy, lo, hi):
-        return True
-    if _point_in_poly(p1x, p1y, vx, vy, lo, hi):
-        return True
-    j = hi - 1
-    for i in range(lo, hi):
-        if _segments_intersect(p0x, p0y, p1x, p1y, vx[j], vy[j], vx[i], vy[i]):
-            return True
-        j = i
-    return False
-
-
-@_jit
 def los_blocked_batch(ax, ay, az, bx, by, bz,
                       vert_x, vert_y, offsets, heights,
                       bb_minx, bb_maxx, bb_miny, bb_maxy):
-    """True per segment iff it pierces any extruded building footprint."""
-    n = ax.shape[0]
-    nb = offsets.shape[0] - 1
-    out = np.zeros(n, np.bool_)
-    for k in range(n):
-        sminx = min(ax[k], bx[k])
-        smaxx = max(ax[k], bx[k])
-        sminy = min(ay[k], by[k])
-        smaxy = max(ay[k], by[k])
-        for b in range(nb):
-            if smaxx < bb_minx[b] or sminx > bb_maxx[b]:
-                continue
-            if smaxy < bb_miny[b] or sminy > bb_maxy[b]:
-                continue
-            if min(az[k], bz[k]) > heights[b]:
-                continue
-            if _segment_hits_volume(ax[k], ay[k], az[k], bx[k], by[k], bz[k],
-                                    vert_x, vert_y, offsets[b], offsets[b + 1],
-                                    heights[b]):
-                out[k] = True
-                break
+    """True per segment iff it pierces any extruded building footprint.
+
+    Loops over buildings and tests all segments at once. Against building b,
+    only candidates are tested: segments that are not yet blocked, overlap its
+    bounding box and do not pass wholly above its roof. A candidate's
+    parameter range is clipped to altitudes [0, height]; it is blocked if
+    either clipped endpoint lies inside the footprint or the clipped 2D
+    projection crosses a footprint edge.
+    """
+    out = np.zeros(ax.shape[0], np.bool_)
+    sminx = _min(ax, bx)
+    smaxx = _max(ax, bx)
+    sminy = _min(ay, by)
+    smaxy = _max(ay, by)
+    szmin = _min(az, bz)
+    for b in range(offsets.shape[0] - 1):
+        height = heights[b]
+        k = np.flatnonzero(~(out | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
+                             | (smaxy < bb_miny[b]) | (sminy > bb_maxy[b])
+                             | (szmin > height)))
+        if k.size == 0:
+            continue
+        kaz = az[k]
+        dz = bz[k] - kaz
+        flat = dz == 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ta = (0.0 - kaz) / dz
+            tb = (height - kaz) / dz
+        swap = ta > tb
+        lo_t = np.where(swap, tb, ta)
+        hi_t = np.where(swap, ta, tb)
+        t0 = np.where(flat, 0.0, np.where(lo_t > 0.0, lo_t, 0.0))
+        t1 = np.where(flat, 1.0, np.where(hi_t < 1.0, hi_t, 1.0))
+        # a flat segment spans the volume's altitudes only if its z does
+        keep = ~((t0 > t1) | (flat & ((kaz < 0.0) | (kaz > height))))
+        k = k[keep]
+        t0 = t0[keep]
+        t1 = t1[keep]
+        kax = ax[k]
+        kay = ay[k]
+        ex = bx[k] - kax
+        ey = by[k] - kay
+        p0x = kax + ex * t0
+        p0y = kay + ey * t0
+        p1x = kax + ex * t1
+        p1y = kay + ey * t1
+        vx = vert_x[offsets[b]:offsets[b + 1]]
+        vy = vert_y[offsets[b]:offsets[b + 1]]
+        hit = _point_in_poly(p0x, p0y, vx, vy) | _point_in_poly(p1x, p1y, vx, vy)
+        j = vx.shape[0] - 1
+        for i in range(vx.shape[0]):
+            hit |= _segments_intersect(p0x, p0y, p1x, p1y, vx[j], vy[j], vx[i], vy[i])
+            j = i
+        out[k] = hit
     return out
 
 

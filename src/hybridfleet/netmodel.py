@@ -27,7 +27,9 @@ from .rng import generator
 from .scenario import Point, Scenario, los_blocked_many
 from .simcore import DeliveryTrace
 
-_MODEL_TAG = {"centralized": 0, "csma": 1, "sps": 2}
+# Per-model seed tag: selects each model's own random stream inside
+# run_cam_traffic and, in callers, the per-model seed mix(seed, stream, tag).
+MODEL_TAG = {"centralized": 0, "csma": 1, "sps": 2}
 
 # Seed substreams. For one seed, Centralized and Csma share the per-sender
 # generation phases, and all three models share the per-(sender, period)
@@ -276,6 +278,33 @@ def _phase_gen_times(windows, phase: float, period_s: float) -> np.ndarray:
     return np.array(out, np.float64)
 
 
+def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
+                   period_s: float):
+    """Beacons generated at each sender's phase: (gen, sidx, spos) or None.
+
+    gen holds the generation instants inside each sender's airborne windows,
+    sidx the sender index of each, spos the sender position at that instant;
+    all are ordered by (time, sender). None when no beacon is generated.
+    """
+    phases = _sender_phases(seed, len(senders), period_s)
+    gen, sidx = [], []
+    for i, s in enumerate(senders):
+        ts = _phase_gen_times(windows[s], phases[i], period_s)
+        gen.append(ts)
+        sidx.append(np.full(ts.size, i, np.int64))
+    if sum(t.size for t in gen) == 0:
+        return None
+    gen = np.concatenate(gen)
+    sidx = np.concatenate(sidx)
+    order = np.lexsort((sidx, gen))
+    gen, sidx = gen[order], sidx[order]
+    spos = np.empty((gen.size, 3))
+    for i, s in enumerate(senders):
+        m = sidx == i
+        spos[m] = _interp_positions(trace, s, gen[m])
+    return gen, sidx, spos
+
+
 def _in_window(windows, t: float) -> bool:
     return any(lo <= t < hi for lo, hi in windows)
 
@@ -309,26 +338,13 @@ def _empty_stats(name: str) -> NetStats:
 
 def _run_centralized(trace, scenario, mac: Centralized, cfg, period_ms,
                      size_bytes, seed, windows, senders) -> NetStats:
-    rng = generator(seed, _MODEL_TAG["centralized"])
+    rng = generator(seed, MODEL_TAG["centralized"])
     period_s = period_ms / 1000.0
-    phases = _sender_phases(seed, len(senders), period_s)
-    gen, sidx = [], []
-    for i, s in enumerate(senders):
-        ts = _phase_gen_times(windows[s], phases[i], period_s)
-        gen.append(ts)
-        sidx.append(np.full(ts.size, i, np.int64))
-    if not gen or sum(t.size for t in gen) == 0:
+    beacons = _phase_beacons(trace, windows, senders, seed, period_s)
+    if beacons is None:
         return _empty_stats(mac.name)
-    gen = np.concatenate(gen)
-    sidx = np.concatenate(sidx)
-    order = np.lexsort((sidx, gen))
-    gen, sidx = gen[order], sidx[order]
-
+    gen, sidx, spos = beacons
     n = gen.size
-    spos = np.empty((n, 3))
-    for i, s in enumerate(senders):
-        m = sidx == i
-        spos[m] = _interp_positions(trace, s, gen[m])
     rxpos = _interp_positions(trace, "truck", gen)
     bs = scenario.base_station
     bspos = np.tile([bs.x, bs.y, bs.z], (n, 1))
@@ -351,31 +367,17 @@ def _run_centralized(trace, scenario, mac: Centralized, cfg, period_ms,
 
 def _run_csma(trace, scenario, mac: Csma, cfg, period_ms, size_bytes, seed,
               windows, senders) -> NetStats:
-    rng = generator(seed, _MODEL_TAG["csma"])
+    rng = generator(seed, MODEL_TAG["csma"])
     period_s = period_ms / 1000.0
     slot_s = mac.slot_us * 1e-6
     aifs_s = mac.aifs_us * 1e-6
     air_s = mac.airtime_ms * 1e-3
 
-    phases = _sender_phases(seed, len(senders), period_s)
-    gen, sidx = [], []
-    for i, s in enumerate(senders):
-        ts = _phase_gen_times(windows[s], phases[i], period_s)
-        gen.append(ts)
-        sidx.append(np.full(ts.size, i, np.int64))
-    if not gen or sum(t.size for t in gen) == 0:
+    beacons = _phase_beacons(trace, windows, senders, seed, period_s)
+    if beacons is None:
         return _empty_stats(mac.name)
-    gen = np.concatenate(gen)
-    sidx = np.concatenate(sidx)
-    order = np.lexsort((sidx, gen))
-    gen, sidx = gen[order], sidx[order]
+    gen, sidx, spos = beacons
     n = gen.size
-
-    spos = np.empty((n, 3))
-    for i, s in enumerate(senders):
-        m = sidx == i
-        spos[m] = _interp_positions(trace, s, gen[m])
-
     backoffs = rng.integers(0, mac.cw_slots + 1, n)
 
     # listen-before-talk: AIFS plus backoff counted during idle air as sensed
@@ -460,7 +462,7 @@ def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
 
 def _run_sps(trace, scenario, mac: Sps, cfg, period_ms, size_bytes, seed,
              windows, senders) -> NetStats:
-    rng = generator(seed, _MODEL_TAG["sps"])
+    rng = generator(seed, MODEL_TAG["sps"])
     period_s = period_ms / 1000.0
     slot_s = mac.slot_ms / 1000.0
     end = trace.end_time

@@ -255,18 +255,43 @@ def los_blocked_many(scenario: Scenario, a_xyz: np.ndarray, b_xyz: np.ndarray) -
 # validation
 
 
-def _polygon_is_simple(pts: list[Point]) -> bool:
-    n = len(pts)
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if kernels._segments_intersect(a1.x, a1.y, a2.x, a2.y,
-                                           b1.x, b1.y, b2.x, b2.y):
-                return False
-    return True
+def _footprint_checks(buildings: list[Building], depot: Point
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per building: (footprint is a simple polygon, footprint holds depot).
+
+    Runs each kernel predicate once over all footprints: the segment test on
+    every pair of non-adjacent edges, and the even-odd crossing test of the
+    depot on every edge (vertex i to vertex i-1, as _point_in_poly walks it).
+    """
+    xs, ys, owner, prev, nxt, pair_a, pair_b, pair_owner = ([] for _ in range(8))
+    for k, bld in enumerate(buildings):
+        base = len(xs)
+        n = len(bld.footprint)
+        for i, p in enumerate(bld.footprint):
+            xs.append(p.x)
+            ys.append(p.y)
+            owner.append(k)
+            prev.append(base + (i - 1) % n)
+            nxt.append(base + (i + 1) % n)
+            # edge i and edge j share no vertex
+            for j in range(i + 2, n if i else n - 1):
+                pair_a.append(base + i)
+                pair_b.append(base + j)
+                pair_owner.append(k)
+    x = np.array(xs, np.float64)
+    y = np.array(ys, np.float64)
+    nxt = np.array(nxt, np.int64)
+    prev = np.array(prev, np.int64)
+    ea = np.array(pair_a, np.int64)
+    eb = np.array(pair_b, np.int64)
+    touch = kernels._segments_intersect(x[ea], y[ea], x[nxt[ea]], y[nxt[ea]],
+                                        x[eb], y[eb], x[nxt[eb]], y[nxt[eb]])
+    simple = np.bincount(np.array(pair_owner, np.int64)[touch],
+                         minlength=len(buildings)) == 0
+    crossings = kernels._ray_crossings(depot.x, depot.y, x, y, x[prev], y[prev])
+    holds = np.bincount(np.array(owner, np.int64)[crossings],
+                        minlength=len(buildings)) % 2 == 1
+    return simple, holds
 
 
 def _signed_area(pts: list[Point]) -> float:
@@ -315,26 +340,21 @@ def validate_scenario(sc: Scenario) -> None:
     if sc.base_station.z <= 0:
         raise InvariantViolation("base station antenna height must be positive")
     seen_ids = set()
-    depot_p = g.nodes[sc.depot]
-    for b in sc.buildings:
+    simple, holds_depot = _footprint_checks(sc.buildings, g.nodes[sc.depot])
+    for k, b in enumerate(sc.buildings):
         if b.id in seen_ids:
             raise InvariantViolation("duplicate building id", str(b.id))
         seen_ids.add(b.id)
         if len(b.footprint) < 3:
             raise InvariantViolation("footprint needs >= 3 vertices", f"building {b.id}")
-        if not _polygon_is_simple(b.footprint):
+        if not simple[k]:
             raise InvariantViolation("footprint not a simple polygon", f"building {b.id}")
         if b.height <= 0:
             raise InvariantViolation("building height must be positive", f"building {b.id}")
         if b.access_point.dist2d(b.centroid()) > ACCESS_CENTROID_LIMIT_M:
             raise InvariantViolation("access point too far from footprint centroid",
                                      f"building {b.id}")
-        geom_ok = not kernels._point_in_poly(
-            depot_p.x, depot_p.y,
-            np.array([p.x for p in b.footprint]),
-            np.array([p.y for p in b.footprint]),
-            0, len(b.footprint))
-        if not geom_ok:
+        if holds_depot[k]:
             raise InvariantViolation("building contains the depot node", f"building {b.id}")
 
 

@@ -24,7 +24,7 @@ from hybridfleet.experiment import (ExperimentConfig, build_scenario, build_sets
 from hybridfleet.hybrid import check_plan, plan_hybrid
 from hybridfleet.jobs import ipd_distribution, ks_statistic
 from hybridfleet.metrics import summarize_sweep
-from hybridfleet.netmodel import (ChannelConfig, Csma, Sps, check_requirements,
+from hybridfleet.netmodel import (MODEL_TAG, ChannelConfig, Csma, Sps, check_requirements,
                                   default_models, run_cam_traffic)
 from hybridfleet.rng import generator, mix
 from hybridfleet.routing import tsp_exact, tsp_heuristic
@@ -119,7 +119,7 @@ def test_acceptance_4_network_ordering(default_world):
                           max(DEFAULT.drone_counts), DEFAULT.net_trace_prioritized)
 
     def run(mac, channel):
-        seed = mix(DEFAULT.base_seed, 3, {"centralized": 0, "csma": 1, "sps": 2}[mac.name])
+        seed = mix(DEFAULT.base_seed, 3, MODEL_TAG[mac.name])
         return run_cam_traffic(trace, scenario, mac, channel, seed=seed)
 
     channel = ChannelConfig(**DEFAULT.channel)

@@ -1,15 +1,21 @@
-"""JIT/pure-Python equivalence and kernel-level behavior.
+"""Kernel-level behavior and equivalence with reference implementations.
 
-Every kernel must produce identical results whether it runs through numba or
-as plain Python (the HYBRIDFLEET_NO_JIT=1 fallback executes the same source).
+Every jitted kernel must produce identical results whether it runs through
+numba or as plain Python (the HYBRIDFLEET_NO_JIT=1 fallback executes the same
+source). The numpy LOS kernel must match, element for element, the scalar
+per-segment x per-building loop kept below as its oracle.
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridfleet import kernels
+from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_grid_scenario,
+                                 los_blocked_many, scenario_from_dict)
 
 
 def py(fn):
@@ -77,22 +83,6 @@ def test_sortie_scan_jit_matches_python():
         assert kernels.best_sortie(*args) == py(kernels.best_sortie)(*args)
 
 
-@needs_jit
-def test_los_batch_jit_matches_python():
-    rng = np.random.default_rng(5)
-    vert_x = np.array([40.0, 60.0, 60.0, 40.0])
-    vert_y = np.array([-10.0, -10.0, 10.0, 10.0])
-    offsets = np.array([0, 4], np.int64)
-    heights = np.array([12.0])
-    bb = (np.array([40.0]), np.array([60.0]), np.array([-10.0]), np.array([10.0]))
-    a = rng.uniform(-20, 120, (50, 3))
-    b = rng.uniform(-20, 120, (50, 3))
-    args = (a[:, 0], a[:, 1], np.abs(a[:, 2]), b[:, 0], b[:, 1], np.abs(b[:, 2]),
-            vert_x, vert_y, offsets, heights, *bb)
-    np.testing.assert_array_equal(kernels.los_blocked_batch(*args),
-                                  py(kernels.los_blocked_batch)(*args))
-
-
 def test_two_opt_reaches_local_optimum():
     rng = np.random.default_rng(6)
     for closed in (True, False):
@@ -155,3 +145,290 @@ def test_sortie_from_launch_statuses():
     no_node = kernels.sortie_from_launch(px, py_, arrive, depart, 2, 50.0, 10.0,
                                          20.0, 0.0, 1e9)
     assert no_node[0] == kernels.SORTIE_NO_NODE
+
+
+# ---------------------------------------------------------------------------
+# LOS: numpy kernel against the scalar per-segment x per-building loop
+
+
+def _oracle_point_in_poly(px, py, vx, vy, lo, hi):
+    inside = False
+    j = hi - 1
+    for i in range(lo, hi):
+        yi = vy[i]
+        yj = vy[j]
+        if (yi > py) != (yj > py):
+            xcross = vx[i] + (py - yi) / (yj - yi) * (vx[j] - vx[i])
+            if px < xcross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def _oracle_orient(ax, ay, bx, by, cx, cy):
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def _oracle_on_segment(ax, ay, bx, by, px, py):
+    return (
+        min(ax, bx) <= px <= max(ax, bx)
+        and min(ay, by) <= py <= max(ay, by)
+    )
+
+
+def _oracle_segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+    o1 = _oracle_orient(ax, ay, bx, by, cx, cy)
+    o2 = _oracle_orient(ax, ay, bx, by, dx, dy)
+    o3 = _oracle_orient(cx, cy, dx, dy, ax, ay)
+    o4 = _oracle_orient(cx, cy, dx, dy, bx, by)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _oracle_on_segment(ax, ay, bx, by, cx, cy):
+        return True
+    if o2 == 0 and _oracle_on_segment(ax, ay, bx, by, dx, dy):
+        return True
+    if o3 == 0 and _oracle_on_segment(cx, cy, dx, dy, ax, ay):
+        return True
+    if o4 == 0 and _oracle_on_segment(cx, cy, dx, dy, bx, by):
+        return True
+    return False
+
+
+def _oracle_segment_hits_volume(ax, ay, az, bx, by, bz, vx, vy, lo, hi, height):
+    t0 = 0.0
+    t1 = 1.0
+    dz = bz - az
+    if dz != 0.0:
+        ta = (0.0 - az) / dz
+        tb = (height - az) / dz
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+        if t0 > t1:
+            return False
+    else:
+        if az < 0.0 or az > height:
+            return False
+    p0x = ax + (bx - ax) * t0
+    p0y = ay + (by - ay) * t0
+    p1x = ax + (bx - ax) * t1
+    p1y = ay + (by - ay) * t1
+    if _oracle_point_in_poly(p0x, p0y, vx, vy, lo, hi):
+        return True
+    if _oracle_point_in_poly(p1x, p1y, vx, vy, lo, hi):
+        return True
+    j = hi - 1
+    for i in range(lo, hi):
+        if _oracle_segments_intersect(p0x, p0y, p1x, p1y, vx[j], vy[j], vx[i], vy[i]):
+            return True
+        j = i
+    return False
+
+
+def _oracle_los_blocked_batch(ax, ay, az, bx, by, bz,
+                              vert_x, vert_y, offsets, heights,
+                              bb_minx, bb_maxx, bb_miny, bb_maxy):
+    n = ax.shape[0]
+    nb = offsets.shape[0] - 1
+    out = np.zeros(n, np.bool_)
+    for k in range(n):
+        sminx = min(ax[k], bx[k])
+        smaxx = max(ax[k], bx[k])
+        sminy = min(ay[k], by[k])
+        smaxy = max(ay[k], by[k])
+        for b in range(nb):
+            if smaxx < bb_minx[b] or sminx > bb_maxx[b]:
+                continue
+            if smaxy < bb_miny[b] or sminy > bb_maxy[b]:
+                continue
+            if min(az[k], bz[k]) > heights[b]:
+                continue
+            if _oracle_segment_hits_volume(ax[k], ay[k], az[k], bx[k], by[k], bz[k],
+                                           vert_x, vert_y, offsets[b], offsets[b + 1],
+                                           heights[b]):
+                out[k] = True
+                break
+    return out
+
+
+def _oracle_polygon_is_simple(pts):
+    n = len(pts)
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or j == (i + 1) % n:
+                continue
+            b1, b2 = pts[j], pts[(j + 1) % n]
+            if _oracle_segments_intersect(a1.x, a1.y, a2.x, a2.y,
+                                          b1.x, b1.y, b2.x, b2.y):
+                return False
+    return True
+
+
+# Integer vertices make exact vertex, edge and collinear cases reachable.
+# The L footprint is listed clockwise to exercise the loader's normalization.
+_FOOTPRINTS = [
+    ([(0, 0), (20, 0), (20, 20), (0, 20)], 12.0),
+    ([(40, 0), (40, 30), (50, 30), (50, 10), (70, 10), (70, 0)], 20.0),
+    ([(0, 40), (30, 40), (30, 70), (22, 70), (22, 50), (8, 50), (8, 70), (0, 70)], 8.0),
+    ([(50, 45), (80, 45), (65, 75)], 15.5),
+]
+_INTERIOR = [(10.0, 10.0), (45.0, 20.0), (60.0, 5.0), (4.0, 60.0), (26.0, 60.0),
+             (65.0, 55.0)]
+
+
+def _world(footprints):
+    buildings = []
+    for i, (fp, h) in enumerate(footprints):
+        cx = sum(x for x, _ in fp) / len(fp)
+        cy = sum(y for _, y in fp) / len(fp)
+        buildings.append({"id": i, "footprint": [list(p) for p in fp],
+                          "height_m": h, "access": [cx, cy]})
+    return scenario_from_dict({
+        "nodes": [{"id": 0, "x": -100.0, "y": -100.0}, {"id": 1, "x": -100.0, "y": 100.0}],
+        "edges": [{"a": 0, "b": 1, "length_m": 200.0, "speed_mps": 8.0}],
+        "buildings": buildings, "depot": 0, "base_station": [35.0, 35.0, 30.0]})
+
+
+def _geometry_args(sc):
+    g = sc.geometry()
+    return (g.vert_x, g.vert_y, g.offsets, g.heights,
+            g.bb_minx, g.bb_maxx, g.bb_miny, g.bb_maxy)
+
+
+def _assert_matches_oracle(sc, a_xyz, b_xyz):
+    cols = (a_xyz[:, 0], a_xyz[:, 1], a_xyz[:, 2], b_xyz[:, 0], b_xyz[:, 1], b_xyz[:, 2])
+    cols = tuple(np.ascontiguousarray(c) for c in cols)
+    got = kernels.los_blocked_batch(*cols, *_geometry_args(sc))
+    with np.errstate(over="ignore"):  # a tiny dz overflows the clip bounds to inf
+        want = _oracle_los_blocked_batch(*cols, *_geometry_args(sc))
+    assert got.dtype == np.bool_ and got.shape == (len(a_xyz),)
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+_CONCAVE_WORLD = _world(_FOOTPRINTS)
+_VERTICES = sorted({(p.x, p.y) for b in _CONCAVE_WORLD.buildings for p in b.footprint})
+_EDGES = [(b.footprint[i - 1], b.footprint[i])
+          for b in _CONCAVE_WORLD.buildings for i in range(len(b.footprint))]
+
+_on_edge = st.tuples(st.sampled_from(_EDGES), st.sampled_from([0.25, 0.5, 1 / 3])).map(
+    lambda e: (e[0][0].x + (e[0][1].x - e[0][0].x) * e[1],
+               e[0][0].y + (e[0][1].y - e[0][0].y) * e[1]))
+_xy = st.one_of(
+    st.tuples(st.floats(-20.0, 100.0), st.floats(-20.0, 100.0)),
+    st.tuples(st.integers(-20, 100), st.integers(-20, 100)).map(
+        lambda p: (float(p[0]), float(p[1]))),
+    st.sampled_from(_VERTICES),
+    st.sampled_from(_INTERIOR),
+    _on_edge,
+    st.sampled_from([(math.nan, 10.0), (10.0, math.nan)]),
+)
+_z = st.one_of(st.floats(-5.0, 30.0),
+               st.sampled_from([-1.0, 0.0, 1.5, 8.0, 12.0, 15.5, 20.0, 25.0, math.nan]))
+
+
+@st.composite
+def _segment(draw):
+    ax, ay = draw(_xy)
+    az = draw(_z)
+    kind = draw(st.sampled_from(["free", "flat", "zero"]))
+    if kind == "zero":
+        return (ax, ay, az), (ax, ay, az)
+    bx, by = draw(_xy)
+    return (ax, ay, az), (bx, by, az if kind == "flat" else draw(_z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_segment(), max_size=40))
+def test_los_batch_matches_scalar_oracle(segs):
+    a = np.array([s[0] for s in segs], np.float64).reshape(-1, 3)
+    b = np.array([s[1] for s in segs], np.float64).reshape(-1, 3)
+    _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_xy, _xy), min_size=1, max_size=30))
+def test_geometric_predicates_match_scalar_oracle(pairs):
+    # validate_scenario calls these predicates on scalars, LOS on arrays
+    p = np.array([a for a, _ in pairs])
+    q = np.array([b for _, b in pairs])
+    for b in _CONCAVE_WORLD.buildings:
+        vx = np.array([v.x for v in b.footprint])
+        vy = np.array([v.y for v in b.footprint])
+        want = [_oracle_point_in_poly(x, y, vx, vy, 0, len(vx)) for x, y in p]
+        assert kernels._point_in_poly(p[:, 0], p[:, 1], vx, vy).tolist() == want
+        assert bool(kernels._point_in_poly(float(p[0, 0]), float(p[0, 1]), vx, vy)) == want[0]
+    for c, d in _EDGES:
+        want = [_oracle_segments_intersect(a[0], a[1], e[0], e[1], c.x, c.y, d.x, d.y)
+                for a, e in zip(p, q)]
+        got = kernels._segments_intersect(p[:, 0], p[:, 1], q[:, 0], q[:, 1],
+                                          c.x, c.y, d.x, d.y)
+        assert got.tolist() == want
+        assert bool(kernels._segments_intersect(*map(float, (*p[0], *q[0])),
+                                                c.x, c.y, d.x, d.y)) == want[0]
+
+
+def test_los_batch_oracle_cases_are_reached():
+    # the hand-picked cases of the property test block and clear both ways
+    a = np.array([[10.0, 10.0, 5.0], [45.0, 20.0, 25.0], [0.0, 0.0, 0.0],
+                  [-10.0, 15.0, 8.0], [60.0, 20.0, 1.0], [22.0, 60.0, 5.0]])
+    b = np.array([[10.0, 10.0, 5.0], [45.0, 20.0, 21.0], [20.0, 0.0, 0.0],
+                  [30.0, 15.0, 8.0], [60.0, 20.0, 1.0], [8.0, 60.0, 5.0]])
+    got = _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+    # inside; above the roof; along a ground edge; through at flat z; in the
+    # L's notch; along the U's open gap (touches the inner edges' endpoints)
+    assert got.tolist() == [True, False, True, True, False, True]
+
+
+def test_los_batch_matches_oracle_on_generated_world():
+    sc = generate_grid_scenario(4, 4, 100.0, 2, seed=11)
+    rng = np.random.default_rng(12)
+    a = np.column_stack([rng.uniform(-50, 350, (2000, 2)), rng.uniform(0, 60, 2000)])
+    b = np.column_stack([rng.uniform(-50, 350, (2000, 2)), rng.uniform(0, 3, 2000)])
+    got = _assert_matches_oracle(sc, a, b)
+    assert 0 < got.sum() < got.size
+
+
+def test_los_batch_empty_segment_array():
+    empty = np.empty((0, 3))
+    got = _assert_matches_oracle(_CONCAVE_WORLD, empty, empty)
+    assert got.shape == (0,)
+    assert los_blocked_many(_CONCAVE_WORLD, empty, empty).shape == (0,)
+
+
+def test_los_batch_without_buildings():
+    sc = generate_grid_scenario(3, 3, 100.0, 0, seed=1)
+    rng = np.random.default_rng(13)
+    a = rng.uniform(-10, 210, (50, 3))
+    b = rng.uniform(-10, 210, (50, 3))
+    got = _assert_matches_oracle(sc, a, b)
+    assert not got.any()
+    assert not los_blocked_many(sc, a, b).any()
+
+
+_grid_coord = st.sampled_from([float(v) for v in range(-4, 5)] + [math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(_grid_coord, _grid_coord), min_size=3, max_size=7),
+                max_size=5),
+       st.tuples(_grid_coord, _grid_coord))
+def test_footprint_checks_match_scalar_oracle(polygons, depot):
+    # small integer polygons: many touching, collinear and self-crossing ones
+    buildings = [Building(k, [Point(x, y) for x, y in poly], 1.0, Point(0.0, 0.0))
+                 for k, poly in enumerate(polygons)]
+    simple, holds = _footprint_checks(buildings, Point(*depot))
+    for k, b in enumerate(buildings):
+        vx = np.array([p.x for p in b.footprint])
+        vy = np.array([p.y for p in b.footprint])
+        assert simple[k] == _oracle_polygon_is_simple(b.footprint)
+        assert holds[k] == _oracle_point_in_poly(depot[0], depot[1], vx, vy, 0, len(vx))

@@ -124,6 +124,34 @@ def test_los_symmetric():
         assert los_blocked(sc, a, b) == los_blocked(sc, b, a)
 
 
+@pytest.mark.parametrize("footprint,invariant", [
+    ([[20, 20], [40, 40], [40, 20], [20, 40]], "footprint not a simple polygon"),
+    ([[-10, -10], [10, -10], [10, 10], [-10, 10]], "building contains the depot node"),
+    ([[-10, -10], [10, -10], [10, 5], [40, 5], [40, 15], [-10, 15]],
+     "building contains the depot node"),
+])
+def test_load_bad_footprint_names_invariant(tmp_path, footprint, invariant):
+    data = scenario_to_dict(generate_grid_scenario(2, 2, 100.0, 0, seed=1))
+    xs = [x for x, _ in footprint]
+    ys = [y for _, y in footprint]
+    data["buildings"] = [{"id": 0, "footprint": footprint, "height_m": 10.0,
+                          "access": [sum(xs) / len(xs), sum(ys) / len(ys)]}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvariantViolation, match=invariant):
+        load_scenario(path)
+
+
+def test_load_concave_footprint_accepted(tmp_path):
+    data = scenario_to_dict(generate_grid_scenario(2, 2, 100.0, 0, seed=1))
+    data["buildings"] = [{"id": 0, "height_m": 10.0, "access": [30.0, 30.0],
+                          "footprint": [[20, 20], [50, 20], [50, 30], [30, 30],
+                                        [30, 50], [20, 50]]}]
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(data))
+    assert len(load_scenario(path).buildings) == 1
+
+
 def test_save_load_round_trip(tmp_path):
     sc = generate_grid_scenario(3, 3, 100.0, 1, seed=7)
     path = tmp_path / "scenario.json"
