@@ -22,7 +22,8 @@ import numpy as np
 from . import kernels
 from .errors import ParameterError, ParseError, SortieInfeasible
 from .jobs import Category, DeliverySet
-from .routing import Solver, Tour, dijkstra_times, job_nodes, plain_schedule, priority_schedule
+from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
+                      routing_cache)
 from .scenario import Scenario, nearest_node
 
 _EPS = 1e-9
@@ -126,30 +127,53 @@ def compute_sortie(timetable: TruckTimetable, launch_node: int, job,
     nodes = timetable.nodes
     xs = np.array([scenario.graph.nodes[n].x for n in nodes], np.float64)
     ys = np.array([scenario.graph.nodes[n].y for n in nodes], np.float64)
-    li = -1
-    for i in range(len(nodes) - 1):
-        if nodes[i] == launch_node and timetable.depart[i] >= drone_free_at:
-            li = i
-            break
-    if li < 0:
+    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive, timetable.depart,
+                             launch_node, drone_free_at, -1, job.id,
+                             job.target.x, job.target.y, fleet)
+    if status == _NO_LAUNCH:
         raise ParameterError(
             f"launch node {launch_node} has no truck pass at or after t={drone_free_at}")
-    status, r, t_deliver, t_arr, t_rdv = kernels.sortie_from_launch(
-        xs, ys, timetable.arrive, timetable.depart, li,
-        job.target.x, job.target.y,
-        fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
     if status == kernels.SORTIE_NO_NODE:
         raise SortieInfeasible("no rendezvous node")
     if status == kernels.SORTIE_ENDURANCE:
         raise SortieInfeasible("endurance exceeded")
-    t0 = timetable.depart[li]
-    return Sortie(
-        drone_id=-1, job_id=job.id, launch_node=launch_node, launch_time=float(t0),
-        rendezvous_node=nodes[r], rendezvous_time=float(t_rdv),
+    return sortie
+
+
+_NO_LAUNCH = -1  # _fly status: the truck passes the launch node too early or never
+
+
+def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
+         free_at: float, drone_id: int, job_id: int, tx: float, ty: float,
+         fleet: FleetConfig) -> tuple[int, int, Sortie | None]:
+    """Sortie launched at the first truck pass over launch_node (the path's
+    last position excluded) that departs at or after free_at.
+
+    Returns (status, rendezvous position, sortie): status is a
+    ``kernels.SORTIE_*`` code, or _NO_LAUNCH when there is no such pass; the
+    sortie is None unless the status is SORTIE_OK.
+    """
+    li = -1
+    try:
+        while True:
+            li = path.index(launch_node, li + 1, len(path) - 1)
+            if depart[li] >= free_at:
+                break
+    except ValueError:
+        return _NO_LAUNCH, -1, None
+    status, r, t_deliver, t_arr, t_rdv = kernels.sortie_from_launch(
+        path_x, path_y, arrive, depart, li, tx, ty,
+        fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+    if status != kernels.SORTIE_OK:
+        return status, r, None
+    t0 = depart[li]
+    return status, r, Sortie(
+        drone_id=drone_id, job_id=job_id, launch_node=launch_node, launch_time=float(t0),
+        rendezvous_node=path[r], rendezvous_time=float(t_rdv),
         leg_out_m=(t_deliver - t0) * fleet.drone_speed,
         leg_back_m=(t_arr - t_deliver - fleet.drone_service) * fleet.drone_speed,
         hover_wait=float(t_rdv - t_arr), deliver_time=float(t_deliver),
-        target_x=job.target.x, target_y=job.target.y)
+        target_x=tx, target_y=ty)
 
 
 def plan_timeline(plan: HybridPlan) -> dict[int, float]:
@@ -162,149 +186,165 @@ def plan_timeline(plan: HybridPlan) -> dict[int, float]:
 # plan construction
 
 
-class _PlanContext:
-    """Per-(scenario, set, fleet) caches used by the greedy improvement loop."""
-
-    def __init__(self, scenario: Scenario, dset: DeliverySet, fleet: FleetConfig):
-        self.scenario = scenario
-        self.dset = dset
-        self.fleet = fleet
-        self.geom = scenario.geometry()
-        self.nodes_of = job_nodes(scenario, dset)
-        self.target_xy = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
-        self.depot = scenario.depot
-        relevant = {self.depot} | set(self.nodes_of.values())
-        self._dist_maps = {n: dijkstra_times(scenario.graph, n) for n in relevant}
-        adj = scenario.graph.adjacency()
-        self._adj_sorted = {u: sorted(vs) for u, vs in adj.items()}
-        self._seg_cache: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
-        self.n_compact = len(self.geom.node_ids)
-
-    def _segment(self, u: int, v: int) -> tuple[list[int], np.ndarray]:
-        """Lex-smallest fastest node path u -> v plus per-edge truck times."""
-        key = (u, v)
-        cached = self._seg_cache.get(key)
-        if cached is not None:
-            return cached
-        dist_v = self._dist_maps[v]
-        path = [u]
-        steps = []
-        cur = u
-        truck_speed = self.fleet.truck_speed
-        while cur != v:
-            nxt = None
-            length = speed = 0.0
-            for w, ln, sp in self._adj_sorted[cur]:
-                if w in dist_v and dist_v[w] + ln / sp == dist_v[cur]:
-                    nxt, length, speed = w, ln, sp
-                    break
-            if nxt is None:
-                for w, ln, sp in self._adj_sorted[cur]:
-                    if w in dist_v and abs(dist_v[w] + ln / sp - dist_v[cur]) <= _EPS:
-                        nxt, length, speed = w, ln, sp
-                        break
-            if nxt is None:
-                raise ParameterError(f"no route from {u} to {v}")
-            steps.append(length / min(truck_speed, speed))
-            path.append(nxt)
-            cur = nxt
-        out = (path, np.array(steps, np.float64))
-        self._seg_cache[key] = out
-        return out
-
-    def build(self, truck_order: list[int], assignments: dict[int, list[tuple[int, int]]]):
-        """Assemble the full plan state for a truck stop order plus committed
-        drone assignments; None when a committed sortie no longer fits."""
-        fleet = self.fleet
-        path = [self.depot]
-        steps: list[float] = []
-        stop_pos: dict[int, int] = {}
-        for j in truck_order:
-            v = self.nodes_of[j]
-            u = path[-1]
-            if v == u:
-                path.append(v)
-                steps.append(0.0)
-            else:
-                seg, seg_steps = self._segment(u, v)
-                path.extend(seg[1:])
-                steps.extend(seg_steps.tolist())
-            stop_pos[j] = len(path) - 1
-        if path[-1] != self.depot:
-            seg, seg_steps = self._segment(path[-1], self.depot)
-            path.extend(seg[1:])
-            steps.extend(seg_steps.tolist())
-
-        n = len(path)
-        services = np.zeros(n, np.float64)
-        for pos in stop_pos.values():
-            services[pos] = fleet.truck_service
-        step_arr = np.array(steps, np.float64)
-        arrive, depart = kernels.build_timetable(step_arr, services)
-
-        path_x = self.geom.node_x[[self.geom.node_index[p] for p in path]]
-        path_y = self.geom.node_y[[self.geom.node_index[p] for p in path]]
-        path_cidx = np.array([self.geom.node_index[p] for p in path], np.int64)
-        path_node = np.array(path, np.int64)
-
-        completion = {j: float(depart[pos]) for j, pos in stop_pos.items()}
-        truck_sum = math.fsum(completion.values())
-
-        sorties: list[Sortie] = []
-        free = {}
-        drone_sum = 0.0
-        for d in sorted(assignments):
-            t_free = 0.0
-            for job, lnode in assignments[d]:
-                li = -1
-                for i in range(n - 1):
-                    if path[i] == lnode and depart[i] >= t_free:
-                        li = i
-                        break
-                if li < 0:
-                    return None
-                tx, ty = self.target_xy[job]
-                status, r, t_deliver, t_arr, t_rdv = kernels.sortie_from_launch(
-                    path_x, path_y, arrive, depart, li, tx, ty,
-                    fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
-                if status != kernels.SORTIE_OK:
-                    return None
-                t0 = float(depart[li])
-                sorties.append(Sortie(
-                    d, job, lnode, t0, path[r], float(t_rdv),
-                    leg_out_m=(t_deliver - t0) * fleet.drone_speed,
-                    leg_back_m=(t_arr - t_deliver - fleet.drone_service) * fleet.drone_speed,
-                    hover_wait=float(t_rdv - t_arr), deliver_time=float(t_deliver),
-                    target_x=tx, target_y=ty))
-                comp = float(t_deliver) + fleet.drone_service
-                completion[job] = comp
-                drone_sum += comp
-                t_free = float(t_rdv) + fleet.turnaround
-            free[d] = t_free
-
-        return _Built(path, path_node, path_cidx, path_x, path_y, arrive, depart,
-                      stop_pos, completion, sorties, free, truck_sum, drone_sum)
-
-
 @dataclass
 class _Built:
-    path: list[int]
-    path_node: np.ndarray
-    path_cidx: np.ndarray
+    """One assembled plan state: truck path and timetable plus the sorties."""
+    stop_pos: list[int]          # path position of each truck stop, in stop order
+    path: list[int]              # node id per path position
+    path_cidx: np.ndarray        # compact node index per path position
     path_x: np.ndarray
     path_y: np.ndarray
+    steps: np.ndarray            # truck time from each position to the next
+    services: np.ndarray         # truck stop time at each position
     arrive: np.ndarray
     depart: np.ndarray
-    stop_pos: dict[int, int]
-    completion: dict[int, float]
-    sorties: list[Sortie]
-    free: dict[int, float]
+    flights: list[tuple[Sortie, int, float]]  # (sortie, rendezvous position,
+                                              #  drone free time before it)
+    free: dict[int, float]       # drone -> free time after its last sortie
     truck_sum: float
     drone_sum: float
 
     @property
     def total(self) -> float:
         return self.truck_sum + self.drone_sum
+
+    @property
+    def sorties(self) -> list[Sortie]:
+        return [f[0] for f in self.flights]
+
+
+_Segment = tuple[list[int], np.ndarray, np.ndarray, np.ndarray]
+
+
+class _PlanContext:
+    """Per-(scenario, set, fleet) state of the greedy improvement loop."""
+
+    def __init__(self, scenario: Scenario, dset: DeliverySet, fleet: FleetConfig):
+        self.fleet = fleet
+        self.routes = routing_cache(scenario)
+        geom = scenario.geometry()
+        self.node_x = geom.node_x
+        self.node_y = geom.node_y
+        self.node_index = geom.node_index
+        self.n_compact = len(geom.node_ids)
+        self.nodes_of = job_nodes(scenario, dset)
+        if len(self.nodes_of) != len(dset.jobs):
+            raise ParameterError(f"delivery set {dset.id} repeats a job id")
+        self.target_xy = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
+        self.depot = scenario.depot
+        self._seg_cache: dict[tuple[int, int], _Segment] = {}
+        cidx = np.array([self.node_index[self.depot]], np.int64)
+        self._origin = _Built([], [self.depot], cidx, self.node_x[cidx], self.node_y[cidx],
+                              np.zeros(0), np.zeros(1), np.zeros(1), np.zeros(1),
+                              [], {}, 0.0, 0.0)
+
+    def _segment(self, u: int, v: int) -> _Segment:
+        """The path positions that driving from u to a stop at v appends:
+        node ids, compact indices, the truck time of each step and the stop
+        times (the truck's service at v, else zero). A stop at the node the
+        truck is on appends that node again with a zero step."""
+        key = (u, v)
+        seg = self._seg_cache.get(key)
+        if seg is None:
+            if u == v:
+                nodes, steps = [v], [0.0]
+            else:
+                path, edges = self.routes.walk(u, v)
+                nodes = path[1:]
+                truck_speed = self.fleet.truck_speed
+                steps = [length / min(truck_speed, speed) for length, speed in edges]
+            services = np.zeros(len(nodes), np.float64)
+            services[-1] = self.fleet.truck_service
+            seg = (nodes, np.array([self.node_index[n] for n in nodes], np.int64),
+                   np.array(steps, np.float64), services)
+            self._seg_cache[key] = seg
+        return seg
+
+    def assemble(self, assignments: dict[int, list[tuple[int, int]]], route: list[int],
+                 base: _Built | None = None, keep: int = 0,
+                 resume: int | None = None) -> _Built | None:
+        """The plan state for a truck stop order plus the committed drone
+        assignments; None when a committed sortie no longer fits.
+
+        The stops are base's first ``keep`` stops, then the jobs of
+        ``route``, and then, when ``resume`` is given, base's stops after its
+        stop ``resume``, which must be route's last job. Without a base the
+        state is built from the depot. A base must have been assembled for
+        the same assignments. Of it, these parts are reused as they are,
+        because the same float operations would give them again: the path
+        and timetable up to the position p of its last kept stop (the depot
+        when keep is 0), the path after its stop ``resume``, and each sortie
+        that meets the truck by p and starts from the same drone free time.
+        Only the route's segments are spliced in, the timetable is resumed
+        from base's arrival at p, and the other sorties are flown anew, in
+        the order a build from the depot would take.
+        """
+        fleet = self.fleet
+        if base is None:
+            base = self._origin
+        p = base.stop_pos[keep - 1] if keep else 0
+        path = base.path[:p + 1]
+        stop_pos = base.stop_pos[:keep]
+        cidx_parts = [base.path_cidx[:p + 1]]
+        step_parts = [base.steps[:p]]
+        service_parts = [base.services[:p + 1]]
+        u = path[p]
+        for j in route:
+            u = self.nodes_of[j]
+            seg_nodes, seg_cidx, seg_steps, seg_services = self._segment(path[-1], u)
+            path += seg_nodes
+            stop_pos.append(len(path) - 1)
+            cidx_parts.append(seg_cidx)
+            step_parts.append(seg_steps)
+            service_parts.append(seg_services)
+        if resume is not None:
+            q = base.stop_pos[resume]
+            shift = len(path) - 1 - q
+            path += base.path[q + 1:]
+            stop_pos += [pos + shift for pos in base.stop_pos[resume + 1:]]
+            cidx_parts.append(base.path_cidx[q + 1:])
+            step_parts.append(base.steps[q:])
+            service_parts.append(base.services[q + 1:])
+        elif u != self.depot:
+            seg_nodes, seg_cidx, seg_steps, _ = self._segment(u, self.depot)
+            path += seg_nodes
+            cidx_parts.append(seg_cidx)
+            step_parts.append(seg_steps)
+            service_parts.append(np.zeros(len(seg_nodes), np.float64))
+
+        path_cidx = np.concatenate(cidx_parts)
+        steps = np.concatenate(step_parts)
+        services = np.concatenate(service_parts)
+        arrive_p, depart_p = kernels.build_timetable(steps[p:], services[p:], base.arrive[p])
+        arrive = np.concatenate((base.arrive[:p], arrive_p))
+        depart = np.concatenate((base.depart[:p], depart_p))
+        path_x = self.node_x[path_cidx]
+        path_y = self.node_y[path_cidx]
+        truck_sum = math.fsum(depart[stop_pos].tolist())
+
+        reusable = iter(base.flights)
+        flights: list[tuple[Sortie, int, float]] = []
+        free = {}
+        drone_sum = 0.0
+        for d in sorted(assignments):
+            t_free = 0.0
+            for job, lnode in assignments[d]:
+                old = next(reusable, None)
+                if old is not None and old[1] <= p and old[2] == t_free:
+                    sortie, r = old[0], old[1]
+                else:
+                    tx, ty = self.target_xy[job]
+                    _, r, sortie = _fly(path, path_x, path_y, arrive, depart, lnode,
+                                        t_free, d, job, tx, ty, fleet)
+                    if sortie is None:
+                        return None
+                flights.append((sortie, r, t_free))
+                drone_sum += sortie.deliver_time + fleet.drone_service
+                t_free = sortie.rendezvous_time + fleet.turnaround
+            free[d] = t_free
+
+        return _Built(stop_pos, path, path_cidx, path_x, path_y, steps, services,
+                      arrive, depart, flights, free, truck_sum, drone_sum)
 
 
 def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
@@ -323,19 +363,28 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                   else plain_schedule(scenario, dset, solver))
     truck_jobs = list(base.stops)
     assignments: dict[int, list[tuple[int, int]]] = {d: [] for d in range(fleet.drone_count)}
-    current = ctx.build(truck_jobs, assignments)
+    current = ctx.assemble(assignments, truck_jobs)
 
     if fleet.drone_count > 0:
         while True:
             best = None  # (reduction, job, drone, launch_node)
             for j in sorted(truck_jobs):
-                order2 = [x for x in truck_jobs if x != j]
-                built = ctx.build(order2, assignments)
+                # the tour without stop k: splice stop k-1 to stop k+1
+                k = truck_jobs.index(j)
+                after = truck_jobs[k + 1:k + 2]
+                built = ctx.assemble(assignments, after, current, k,
+                                     k + 1 if after else None)
                 if built is None:
                     continue
                 partial = built.truck_sum + built.drone_sum
                 tx, ty = ctx.target_xy[j]
+                # Drones free at the same time get the same best sortie, and
+                # the lower drone id keeps a tie, so one scan serves them all.
+                scanned = set()
                 for d in range(fleet.drone_count):
+                    if built.free[d] in scanned:
+                        continue
+                    scanned.add(built.free[d])
                     li, r, comp, _, _, _ = kernels.best_sortie(
                         built.path_x, built.path_y, built.path_cidx,
                         built.arrive, built.depart, ctx.n_compact,
@@ -351,21 +400,23 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
             _, j, d, lnode = best
             truck_jobs.remove(j)
             assignments[d].append((j, lnode))
-            current = ctx.build(truck_jobs, assignments)
+            current = ctx.assemble(assignments, truck_jobs)
             if current is None:  # cannot happen: the candidate was just built
                 raise RuntimeError("committed candidate failed to rebuild")
 
+    completion = {j: float(current.depart[pos]) for j, pos in zip(truck_jobs, current.stop_pos)}
+    for s in current.sorties:
+        completion[s.job_id] = s.deliver_time + fleet.drone_service
     sorties = sorted(current.sorties, key=lambda s: (s.drone_id, s.launch_time))
-    makespan = float(current.arrive[-1]) if len(current.arrive) else 0.0
     return HybridPlan(
         truck_stops=list(truck_jobs),
-        stop_positions=dict(current.stop_pos),
-        timetable=TruckTimetable(list(current.path), current.arrive, current.depart),
+        stop_positions=dict(zip(truck_jobs, current.stop_pos)),
+        timetable=TruckTimetable(current.path, current.arrive, current.depart),
         sorties=sorties,
-        completion=dict(current.completion),
+        completion=completion,
         prioritized=prioritize,
         objective=current.total,
-        makespan=makespan)
+        makespan=float(current.arrive[-1]))
 
 
 # ---------------------------------------------------------------------------

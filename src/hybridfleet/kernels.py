@@ -1,10 +1,11 @@
 """Hot numerical kernels.
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
-are numpy-vectorized over segments and run the same way everywhere. The
-planner and TSP kernels are scalar loops compiled with numba's ``@njit``
-when numba is installed (the optional ``jit`` extra); without numba, or with
-the environment variable ``HYBRIDFLEET_NO_JIT`` set to 1/true/yes, the same
+are numpy-vectorized over segments, and the truck timetable is a numpy
+prefix sum; both run the same way everywhere. The sortie, TSP and distance
+kernels are scalar loops compiled with numba's ``@njit`` when numba is
+installed (the optional ``jit`` extra); without numba, or with the
+environment variable ``HYBRIDFLEET_NO_JIT`` set to 1/true/yes, the same
 source runs as plain Python. Both paths execute the identical statements, so
 results are bit-identical; only speed differs.
 
@@ -384,20 +385,22 @@ def best_sortie(path_x, path_y, path_node, arrive, depart, n_graph_nodes,
     return b_li, b_r, best_completion, b_deliver, b_arr, b_rdv
 
 
-@_jit
-def build_timetable(step_times, services):
+def build_timetable(step_times, services, start=0.0):
     """Arrive/depart times along a path from per-step travel and service times.
 
     step_times[i] is the travel time from position i to i+1; services[i] is
-    the stop time spent at position i. The recurrence matches the simulator's
-    event arithmetic exactly.
+    the stop time spent at position i; the truck arrives at position 0 at
+    ``start``. The times are one left fold over
+    [start, services[0], step_times[0], services[1], ...]: ``np.add.accumulate``
+    adds strictly in sequence, so every time matches the simulator's event
+    arithmetic exactly, and a fold resumed from arrive[p] of an earlier
+    timetable continues it bit for bit. The two arrays returned are strided
+    views of one buffer.
     """
     n = services.shape[0]
-    arrive = np.empty(n, np.float64)
-    depart = np.empty(n, np.float64)
-    arrive[0] = 0.0
-    for i in range(n):
-        depart[i] = arrive[i] + services[i]
-        if i + 1 < n:
-            arrive[i + 1] = depart[i] + step_times[i]
-    return arrive, depart
+    seq = np.empty(2 * n, np.float64)
+    seq[0] = start
+    seq[1::2] = services
+    seq[2::2] = step_times
+    times = np.add.accumulate(seq)
+    return times[0::2], times[1::2]

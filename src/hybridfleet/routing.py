@@ -6,6 +6,8 @@ limit). All tie-breaking is lexicographic so results are deterministic.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,19 +36,6 @@ class Tour:
     closed: bool = True
 
 
-def _edge_maps(graph: RoadGraph):
-    adj = graph.adjacency()
-    time_of = {}
-    length_of = {}
-    for e in graph.edges:
-        t = e.length / e.speed_limit
-        time_of[(e.a, e.b)] = t
-        time_of[(e.b, e.a)] = t
-        length_of[(e.a, e.b)] = e.length
-        length_of[(e.b, e.a)] = e.length
-    return adj, time_of, length_of
-
-
 def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
     """Travel time (s) from source to every reachable node."""
     adj = graph.adjacency()
@@ -68,57 +57,112 @@ def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
     return dist
 
 
-def shortest_path(graph: RoadGraph, a: int, b: int) -> RoutedPath:
-    """Minimal-travel-time path a -> b, lexicographically smallest on ties.
+class RoutingCache:
+    """Shortest-path data of one road graph, filled on first use.
 
-    The walk follows the shortest-path DAG induced by distances from b,
-    always taking the smallest eligible neighbor; eligibility re-evaluates
-    the exact float sums Dijkstra minimized, so ties resolve exactly.
+    It holds the adjacency sorted by neighbour id, built once; the
+    ``dijkstra_times`` map of every node queried so far, stored as a flat
+    float64 array over the compact node index (sorted node ids; inf where
+    unreachable); and the lexicographically smallest shortest-path walk over
+    them. The road graph, and so the scenario that holds the cache, must stay
+    unchanged after the first query: nothing is ever invalidated. Memory is
+    bounded by (distinct nodes queried) x nodes x 8 B; planning queries only
+    job nodes and the depot, so on a scenario it is at most
+    (distinct job nodes + 1) x nodes x 8 B.
     """
-    if a not in graph.nodes or b not in graph.nodes:
-        raise RoutingError(f"unknown endpoint {a if a not in graph.nodes else b}")
-    if a == b:
-        return RoutedPath([a], 0.0, 0.0)
-    dist_b = dijkstra_times(graph, b)
-    if a not in dist_b:
-        raise RoutingError(f"node {b} unreachable from {a}")
-    adj, time_of, length_of = _edge_maps(graph)
-    path = [a]
-    total_len = 0.0
-    u = a
-    while u != b:
-        nxt = None
-        for v, length, speed in sorted(adj[u]):
-            if v in dist_b and dist_b[v] + length / speed == dist_b[u]:
-                nxt = v
-                break
-        if nxt is None:  # float-noise fallback, tolerate 1e-9
-            for v, length, speed in sorted(adj[u]):
-                if v in dist_b and abs(dist_b[v] + length / speed - dist_b[u]) <= 1e-9:
-                    nxt = v
+
+    def __init__(self, graph: RoadGraph):
+        self.graph = graph
+        self.index = {nid: i for i, nid in enumerate(sorted(graph.nodes))}
+        index = self.index
+        # (neighbour, its compact index, length, speed, travel time), by neighbour
+        self._adj = {u: [(v, index[v], length, speed, length / speed)
+                         for v, length, speed in sorted(vs)]
+                     for u, vs in graph.adjacency().items()}
+        self._times: dict[int, array] = {}
+
+    def _compact(self, node: int) -> int:
+        try:
+            return self.index[node]
+        except KeyError:
+            raise RoutingError(f"unknown node {node}") from None
+
+    def times(self, node: int) -> array:
+        """Dijkstra's travel times from node, by compact index. Roads are
+        two-way, so the walk reads them as the times to node."""
+        cached = self._times.get(node)
+        if cached is None:
+            dist = dijkstra_times(self.graph, node)
+            cached = array("d", [math.inf]) * len(self.index)
+            for v, t in dist.items():
+                cached[self.index[v]] = t
+            self._times[node] = cached
+        return cached
+
+    def time(self, a: int, b: int) -> float:
+        """Travel time a -> b as Dijkstra from a computes it."""
+        t = self.times(a)[self._compact(b)]
+        if t == math.inf:
+            raise RoutingError(f"node {b} unreachable from {a}")
+        return t
+
+    def walk(self, a: int, b: int) -> tuple[list[int], list[tuple[float, float]]]:
+        """Fastest path a -> b, lexicographically smallest on ties: its nodes
+        and the (length, speed limit) of each edge on it.
+
+        The walk follows the shortest-path DAG induced by the times to b,
+        always taking the smallest eligible neighbour; eligibility re-evaluates
+        the exact float sums Dijkstra minimized, so ties resolve exactly.
+        """
+        dist = self.times(b)
+        du = dist[self._compact(a)]
+        if du == math.inf:
+            raise RoutingError(f"node {b} unreachable from {a}")
+        path = [a]
+        edges = []
+        u = a
+        while u != b:
+            for step in self._adj[u]:
+                if dist[step[1]] + step[4] == du:
                     break
-        if nxt is None:
-            raise RoutingError(f"no shortest-path successor at node {u}")
-        total_len += length_of[(u, nxt)]
-        path.append(nxt)
-        u = nxt
-    return RoutedPath(path, total_len, dist_b[a])
+            else:  # float-noise fallback, tolerate 1e-9
+                for step in self._adj[u]:
+                    if abs(dist[step[1]] + step[4] - du) <= 1e-9:
+                        break
+                else:
+                    raise RoutingError(f"no shortest-path successor at node {u}")
+            u, iu, length, speed, _ = step
+            du = dist[iu]
+            path.append(u)
+            edges.append((length, speed))
+        return path, edges
+
+
+def routing_cache(scenario: Scenario) -> RoutingCache:
+    """The scenario's routing cache, built on first use and kept on it."""
+    if scenario._routes is None:
+        scenario._routes = RoutingCache(scenario.graph)
+    return scenario._routes
+
+
+def shortest_path(graph: RoadGraph, a: int, b: int) -> RoutedPath:
+    """Minimal-travel-time path a -> b, lexicographically smallest on ties
+    (see ``RoutingCache.walk``)."""
+    routes = RoutingCache(graph)
+    path, edges = routes.walk(a, b)
+    return RoutedPath(path, sum((length for length, _ in edges), 0.0), routes.time(b, a))
 
 
 def travel_time_matrix(scenario: Scenario, stops: list[int]) -> np.ndarray:
     """Symmetric matrix of shortest-path travel times between stop nodes."""
-    g = scenario.graph
+    routes = routing_cache(scenario)
     n = len(stops)
+    for s in stops:
+        routes._compact(s)
     mat = np.zeros((n, n), np.float64)
-    dists = {}
-    for s in set(stops):
-        dists[s] = dijkstra_times(g, s)
     for i in range(n):
         for j in range(i + 1, n):
-            try:
-                t = dists[stops[i]][stops[j]]
-            except KeyError:
-                raise RoutingError(f"node {stops[j]} unreachable from {stops[i]}") from None
+            t = routes.time(stops[i], stops[j])
             mat[i, j] = t
             mat[j, i] = t
     return mat

@@ -2,19 +2,24 @@
 
 Coordinates are local planar meters (x east, y north, z up). The world is
 immutable after construction and safe to share across parallel runs; the
-derived geometry arrays used by the kernels are built lazily and cached.
+derived geometry arrays used by the kernels and the routing cache
+(``routing.routing_cache``) are built lazily and kept on the scenario.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .errors import InvariantViolation, ParameterError, ParseError
 from .rng import generator
+
+if TYPE_CHECKING:
+    from .routing import RoutingCache
 
 DEFAULT_SPEED_MPS = 8.33          # urban road limit, ~30 km/h
 BUILDING_HEIGHT_RANGE = (6.0, 24.0)
@@ -91,6 +96,7 @@ class Scenario:
     depot: int                  # node id
     base_station: Point         # z = antenna height
     _geom: "_Geometry | None" = field(default=None, repr=False, compare=False)
+    _routes: "RoutingCache | None" = field(default=None, repr=False, compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):
@@ -315,6 +321,9 @@ def validate_scenario(sc: Scenario) -> None:
             raise InvariantViolation("self-loop edge", f"node {e.a}")
         if e.a not in g.nodes or e.b not in g.nodes:
             raise InvariantViolation("edge references unknown node", f"{e.a}-{e.b}")
+        if not (math.isfinite(e.length) and math.isfinite(e.speed_limit)):
+            raise InvariantViolation("non-finite edge length or speed limit",
+                                     f"edge {e.a}-{e.b}")
         if e.speed_limit <= 0:
             raise InvariantViolation("non-positive speed limit", f"edge {e.a}-{e.b}")
         straight = g.nodes[e.a].dist2d(g.nodes[e.b])
@@ -337,8 +346,18 @@ def validate_scenario(sc: Scenario) -> None:
                                  f"{len(g.nodes) - len(seen)} unreachable nodes")
     if sc.depot not in g.nodes:
         raise InvariantViolation("depot not in graph", f"node {sc.depot}")
+    bs = sc.base_station
+    if not (math.isfinite(bs.x) and math.isfinite(bs.y) and math.isfinite(bs.z)):
+        raise InvariantViolation("non-finite base station coordinates")
     if sc.base_station.z <= 0:
         raise InvariantViolation("base station antenna height must be positive")
+    for b in sc.buildings:
+        if not all(math.isfinite(c) for pt in (*b.footprint, b.access_point)
+                   for c in (pt.x, pt.y)):
+            raise InvariantViolation("non-finite footprint or access coordinates",
+                                     f"building {b.id}")
+        if not math.isfinite(b.height):
+            raise InvariantViolation("non-finite building height", f"building {b.id}")
     seen_ids = set()
     simple, holds_depot = _footprint_checks(sc.buildings, g.nodes[sc.depot])
     for k, b in enumerate(sc.buildings):

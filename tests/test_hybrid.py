@@ -1,16 +1,20 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
+from hybridfleet import kernels
 from hybridfleet.errors import ParameterError, SortieInfeasible
-from hybridfleet.hybrid import (FleetConfig, check_plan, compute_sortie, drone_eligible,
-                                load_plan, plan_hybrid, plan_timeline, plan_to_dict,
-                                save_plan)
+from hybridfleet.hybrid import (FleetConfig, HybridPlan, Sortie, TruckTimetable, _PlanContext,
+                                check_plan, compute_sortie, drone_eligible, load_plan,
+                                plan_hybrid, plan_timeline, plan_to_dict, save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
-from hybridfleet.routing import plain_schedule
+from hybridfleet.routing import dijkstra_times, job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
 from conftest import job_at, line_scenario, line_timetable, random_world
+from test_kernels import _oracle_build_timetable
 
 
 def test_drone_eligible_offroad_target():
@@ -200,3 +204,285 @@ def test_fleet_validation():
     with pytest.raises(ParameterError):
         plan_hybrid(generate_grid_scenario(2, 2, 50.0, 1, seed=1),
                     DeliverySet(0, []), FleetConfig(drone_count=-1), False)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the planner before prefix-reusing candidate
+# builds: a full rebuild per candidate, fresh Dijkstra maps per plan, and the
+# scalar timetable recurrence
+
+
+class _OraclePlanContext:
+    def __init__(self, scenario, dset, fleet):
+        self.fleet = fleet
+        self.geom = scenario.geometry()
+        self.nodes_of = job_nodes(scenario, dset)
+        self.target_xy = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
+        self.depot = scenario.depot
+        relevant = {self.depot} | set(self.nodes_of.values())
+        self._dist_maps = {n: dijkstra_times(scenario.graph, n) for n in relevant}
+        adj = scenario.graph.adjacency()
+        self._adj_sorted = {u: sorted(vs) for u, vs in adj.items()}
+        self._seg_cache = {}
+        self.n_compact = len(self.geom.node_ids)
+
+    def _segment(self, u, v):
+        key = (u, v)
+        cached = self._seg_cache.get(key)
+        if cached is not None:
+            return cached
+        dist_v = self._dist_maps[v]
+        path = [u]
+        steps = []
+        cur = u
+        truck_speed = self.fleet.truck_speed
+        while cur != v:
+            nxt = None
+            length = speed = 0.0
+            for w, ln, sp in self._adj_sorted[cur]:
+                if w in dist_v and dist_v[w] + ln / sp == dist_v[cur]:
+                    nxt, length, speed = w, ln, sp
+                    break
+            if nxt is None:
+                for w, ln, sp in self._adj_sorted[cur]:
+                    if w in dist_v and abs(dist_v[w] + ln / sp - dist_v[cur]) <= 1e-9:
+                        nxt, length, speed = w, ln, sp
+                        break
+            steps.append(length / min(truck_speed, speed))
+            path.append(nxt)
+            cur = nxt
+        out = (path, np.array(steps, np.float64))
+        self._seg_cache[key] = out
+        return out
+
+    def build(self, truck_order, assignments):
+        fleet = self.fleet
+        path = [self.depot]
+        steps = []
+        stop_pos = {}
+        for j in truck_order:
+            v = self.nodes_of[j]
+            u = path[-1]
+            if v == u:
+                path.append(v)
+                steps.append(0.0)
+            else:
+                seg, seg_steps = self._segment(u, v)
+                path.extend(seg[1:])
+                steps.extend(seg_steps.tolist())
+            stop_pos[j] = len(path) - 1
+        if path[-1] != self.depot:
+            seg, seg_steps = self._segment(path[-1], self.depot)
+            path.extend(seg[1:])
+            steps.extend(seg_steps.tolist())
+        n = len(path)
+        services = np.zeros(n, np.float64)
+        for pos in stop_pos.values():
+            services[pos] = fleet.truck_service
+        arrive, depart = _oracle_build_timetable(np.array(steps, np.float64), services)
+        path_x = self.geom.node_x[[self.geom.node_index[p] for p in path]]
+        path_y = self.geom.node_y[[self.geom.node_index[p] for p in path]]
+        path_cidx = np.array([self.geom.node_index[p] for p in path], np.int64)
+        completion = {j: float(depart[pos]) for j, pos in stop_pos.items()}
+        truck_sum = math.fsum(completion.values())
+        sorties = []
+        free = {}
+        drone_sum = 0.0
+        for d in sorted(assignments):
+            t_free = 0.0
+            for job, lnode in assignments[d]:
+                li = -1
+                for i in range(n - 1):
+                    if path[i] == lnode and depart[i] >= t_free:
+                        li = i
+                        break
+                if li < 0:
+                    return None
+                tx, ty = self.target_xy[job]
+                status, r, t_deliver, t_arr, t_rdv = kernels.sortie_from_launch(
+                    path_x, path_y, arrive, depart, li, tx, ty,
+                    fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+                if status != kernels.SORTIE_OK:
+                    return None
+                t0 = float(depart[li])
+                sorties.append(Sortie(
+                    d, job, lnode, t0, path[r], float(t_rdv),
+                    leg_out_m=(t_deliver - t0) * fleet.drone_speed,
+                    leg_back_m=(t_arr - t_deliver - fleet.drone_service) * fleet.drone_speed,
+                    hover_wait=float(t_rdv - t_arr), deliver_time=float(t_deliver),
+                    target_x=tx, target_y=ty))
+                comp = float(t_deliver) + fleet.drone_service
+                completion[job] = comp
+                drone_sum += comp
+                t_free = float(t_rdv) + fleet.turnaround
+            free[d] = t_free
+        return dict(path=path, path_cidx=path_cidx, path_x=path_x, path_y=path_y,
+                    arrive=arrive, depart=depart, stop_pos=stop_pos,
+                    completion=completion, sorties=sorties, free=free,
+                    total=truck_sum + drone_sum, partial=truck_sum + drone_sum)
+
+
+def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
+    ctx = _OraclePlanContext(scenario, dset, fleet)
+    base = (priority_schedule(scenario, dset, solver) if prioritize
+            else plain_schedule(scenario, dset, solver))
+    truck_jobs = list(base.stops)
+    assignments = {d: [] for d in range(fleet.drone_count)}
+    current = ctx.build(truck_jobs, assignments)
+    if fleet.drone_count > 0:
+        while True:
+            best = None
+            for j in sorted(truck_jobs):
+                built = ctx.build([x for x in truck_jobs if x != j], assignments)
+                if built is None:
+                    continue
+                tx, ty = ctx.target_xy[j]
+                for d in range(fleet.drone_count):
+                    li, r, comp, _, _, _ = kernels.best_sortie(
+                        built["path_x"], built["path_y"], built["path_cidx"],
+                        built["arrive"], built["depart"], ctx.n_compact,
+                        built["free"][d], tx, ty,
+                        fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+                    if li < 0:
+                        continue
+                    reduction = current["total"] - (built["partial"] + comp)
+                    if reduction > 1e-9 and (best is None or reduction > best[0]):
+                        best = (reduction, j, d, built["path"][li])
+            if best is None:
+                break
+            _, j, d, lnode = best
+            truck_jobs.remove(j)
+            assignments[d].append((j, lnode))
+            current = ctx.build(truck_jobs, assignments)
+    return HybridPlan(
+        truck_stops=list(truck_jobs), stop_positions=dict(current["stop_pos"]),
+        timetable=TruckTimetable(list(current["path"]), current["arrive"], current["depart"]),
+        sorties=sorted(current["sorties"], key=lambda s: (s.drone_id, s.launch_time)),
+        completion=dict(current["completion"]), prioritized=prioritize,
+        objective=current["total"], makespan=float(current["arrive"][-1]))
+
+
+def _assert_plans_identical(sc, dset, fleet, prioritize, solver="heuristic"):
+    got = plan_hybrid(sc, dset, fleet, prioritize, solver)
+    want = _oracle_plan(sc, dset, fleet, prioritize, solver)
+    assert json.dumps(plan_to_dict(got, fleet)) == json.dumps(plan_to_dict(want, fleet))
+    assert list(got.completion) == list(want.completion)
+    return got
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_plans_match_full_rebuild_oracle(block):
+    for case in range(100 * block, 100 * block + 100):
+        sc, dset, fleet, prioritize = random_world(case)
+        _assert_plans_identical(sc, dset, fleet, prioritize)
+
+
+def _splices_match_full_builds(sc, dset, fleet, prioritize):
+    """Every candidate the greedy loop splices equals a build from the depot."""
+    ctx = _PlanContext(sc, dset, fleet)
+    plan = plan_hybrid(sc, dset, fleet, prioritize)
+    assignments = {d: [] for d in range(fleet.drone_count)}
+    for s in plan.sorties:
+        assignments[s.drone_id].append((s.job_id, s.launch_node))
+    stops = plan.truck_stops
+    current = ctx.assemble(assignments, stops)
+    for k in range(len(stops)):
+        after = stops[k + 1:k + 2]
+        spliced = ctx.assemble(assignments, after, current, k, k + 1 if after else None)
+        full = ctx.assemble(assignments, stops[:k] + stops[k + 1:])
+        assert (spliced is None) == (full is None)
+        if full is None:
+            continue
+        assert spliced.path == full.path and spliced.stop_pos == full.stop_pos
+        for name in ("path_cidx", "path_x", "path_y", "steps", "services", "arrive",
+                     "depart"):
+            assert getattr(spliced, name).tobytes() == getattr(full, name).tobytes(), name
+        assert spliced.sorties == full.sorties
+        assert [f[1:] for f in spliced.flights] == [f[1:] for f in full.flights]
+        assert (spliced.free, spliced.truck_sum, spliced.drone_sum) == \
+            (full.free, full.truck_sum, full.drone_sum)
+    return plan
+
+
+def _road(n_nodes, depot=0):
+    nodes = {i: Point(i * 100.0, 0.0) for i in range(n_nodes)}
+    edges = [Edge(i, i + 1, 100.0, 10.0) for i in range(n_nodes - 1)]
+    return Scenario(RoadGraph(nodes, edges), [], depot=depot,
+                    base_station=Point(100.0, 0.0, 30.0))
+
+
+def _jobs(*specs):
+    return DeliverySet(0, [DeliveryJob(i, 0, Point(x, y), cat)
+                           for i, (x, y, cat) in enumerate(specs)])
+
+
+S, M = Category.STANDARD, Category.MEDICAL
+
+
+@pytest.mark.parametrize("drones", [0, 1, 2])
+def test_two_jobs_on_one_node(drones):
+    sc = _road(8)
+    dset = _jobs((500.0, 40.0, S), (500.0, -40.0, S), (700.0, 30.0, S), (200.0, 50.0, S))
+    fleet = FleetConfig(drone_count=drones, truck_speed=10.0)
+    plan = _assert_plans_identical(sc, dset, fleet, False)
+    _splices_match_full_builds(sc, dset, fleet, False)
+    if drones == 0:
+        path = plan.timetable.nodes
+        assert any(a == b for a, b in zip(path, path[1:]))  # the zero step
+
+
+@pytest.mark.parametrize("drones", [0, 1, 3])
+def test_job_on_depot_node(drones):
+    sc = _road(8, depot=3)
+    dset = _jobs((300.0, 20.0, S), (700.0, 50.0, S), (0.0, 60.0, S), (500.0, -30.0, M))
+    fleet = FleetConfig(drone_count=drones, truck_speed=10.0)
+    for prioritize in (False, True):
+        plan = _assert_plans_identical(sc, dset, fleet, prioritize)
+        _splices_match_full_builds(sc, dset, fleet, prioritize)
+        if 0 in plan.stop_positions:
+            assert plan.timetable.nodes[plan.stop_positions[0]] == 3
+
+
+def test_remove_last_stop_after_depot_stop():
+    # medical job 0 sits on the depot node and is served first; removing the
+    # last stop leaves a tour that ends on the depot with no return segment
+    sc = _road(8)
+    dset = _jobs((0.0, 10.0, M), (600.0, 40.0, S))
+    fleet = FleetConfig(drone_count=1, truck_speed=10.0)
+    ctx = _PlanContext(sc, dset, fleet)
+    assignments = {0: []}
+    current = ctx.assemble(assignments, [0, 1])
+    spliced = ctx.assemble(assignments, [], current, 1)
+    assert spliced.path == [0, 0]
+    assert spliced.depart.tolist() == [0.0, fleet.truck_service]
+    _assert_plans_identical(sc, dset, fleet, True)
+    _splices_match_full_builds(sc, dset, fleet, True)
+
+
+def test_eight_drones_with_equal_free_times(grid8, grid8_set):
+    fleet = FleetConfig(drone_count=8)
+    for prioritize in (False, True):
+        plan = _assert_plans_identical(grid8, grid8_set, fleet, prioritize)
+        assert plan.sorties
+        _splices_match_full_builds(grid8, grid8_set, fleet, prioritize)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_exact_solver_plans_match_oracle(case):
+    sc, dset, fleet, prioritize = random_world(case, max_jobs=11)
+    fleet.drone_count = max(fleet.drone_count, 1)
+    _assert_plans_identical(sc, dset, fleet, prioritize, "exact")
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_candidate_splices_match_full_builds(case):
+    sc, dset, fleet, prioritize = random_world(case, max_drones=4)
+    _splices_match_full_builds(sc, dset, fleet, prioritize)
+
+
+def test_repeated_job_id_rejected():
+    sc = _road(4)
+    dset = DeliverySet(0, [DeliveryJob(1, 0, Point(100.0, 10.0), S),
+                           DeliveryJob(1, 0, Point(300.0, 10.0), S)])
+    with pytest.raises(ParameterError, match="repeats a job id"):
+        plan_hybrid(sc, dset, FleetConfig(drone_count=1), False)

@@ -3,7 +3,8 @@
 Every jitted kernel must produce identical results whether it runs through
 numba or as plain Python (the HYBRIDFLEET_NO_JIT=1 fallback executes the same
 source). The numpy LOS kernel must match, element for element, the scalar
-per-segment x per-building loop kept below as its oracle.
+per-segment x per-building loop kept below as its oracle, and the numpy
+timetable must match the scalar recurrence kept below bit for bit.
 """
 import itertools
 import math
@@ -122,6 +123,45 @@ def test_held_karp_vs_enumeration():
                 c += m[seq[-1], seq[0]]
             best = min(best, c)
         assert cost == pytest.approx(best)
+
+
+def _oracle_build_timetable(step_times, services, start=0.0):
+    """The scalar recurrence the numpy timetable replaced (with a start time)."""
+    n = services.shape[0]
+    arrive = np.empty(n, np.float64)
+    depart = np.empty(n, np.float64)
+    arrive[0] = start
+    for i in range(n):
+        depart[i] = arrive[i] + services[i]
+        if i + 1 < n:
+            arrive[i + 1] = depart[i] + step_times[i]
+    return arrive, depart
+
+
+def test_build_timetable_matches_scalar_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(2000):
+        n = 1 if trial < 20 else int(rng.integers(1, 120))
+        steps = rng.uniform(0.0, 300.0, n - 1) * rng.integers(0, 2, n - 1)
+        services = rng.uniform(0.0, 90.0, n) * rng.integers(0, 2, n)
+        start = float(rng.uniform(0.0, 5000.0)) if trial % 2 else 0.0
+        got = kernels.build_timetable(steps, services, start)
+        want = _oracle_build_timetable(steps, services, start)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), trial
+
+
+def test_build_timetable_resumes_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        steps = rng.uniform(0.0, 300.0, n - 1)
+        services = rng.uniform(0.0, 90.0, n) * rng.integers(0, 2, n)
+        arrive, depart = kernels.build_timetable(steps, services)
+        p = int(rng.integers(0, n))
+        tail_arrive, tail_depart = kernels.build_timetable(steps[p:], services[p:], arrive[p])
+        assert tail_arrive.tobytes() == arrive[p:].tobytes()
+        assert tail_depart.tobytes() == depart[p:].tobytes()
 
 
 def test_build_timetable_recurrence():

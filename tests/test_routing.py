@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hybridfleet import routing
 from hybridfleet.errors import RoutingError, TspSizeError
+from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import generate_delivery_sets
-from hybridfleet.routing import (priority_schedule, plain_schedule, shortest_path,
+from hybridfleet.routing import (RoutingCache, dijkstra_times, job_nodes, priority_schedule,
+                                 plain_schedule, routing_cache, shortest_path,
                                  travel_time_matrix, tsp_exact, tsp_heuristic)
 from hybridfleet.scenario import DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
@@ -108,6 +111,105 @@ def test_matrix_triangle_inequality_vs_pairwise_dijkstra():
                 shortest_path(sc.graph, a, b).travel_time, abs=1e-9)
             for k in range(len(stops)):
                 assert m[i, j] <= m[i, k] + m[k, j] + 1e-9
+
+
+def _oracle_shortest_path(graph, a, b):
+    """The walk shortest_path made before the routing cache: a fresh Dijkstra
+    map from b, and sorted(adjacency) scanned on every step."""
+    if a == b:
+        return [a], 0.0, 0.0
+    dist_b = dijkstra_times(graph, b)
+    adj = graph.adjacency()
+    length_of = {}
+    for e in graph.edges:
+        length_of[(e.a, e.b)] = length_of[(e.b, e.a)] = e.length
+    path = [a]
+    total_len = 0.0
+    u = a
+    while u != b:
+        nxt = None
+        for v, length, speed in sorted(adj[u]):
+            if v in dist_b and dist_b[v] + length / speed == dist_b[u]:
+                nxt = v
+                break
+        if nxt is None:
+            for v, length, speed in sorted(adj[u]):
+                if v in dist_b and abs(dist_b[v] + length / speed - dist_b[u]) <= 1e-9:
+                    nxt = v
+                    break
+        total_len += length_of[(u, nxt)]
+        path.append(nxt)
+        u = nxt
+    return path, total_len, dist_b[a]
+
+
+def _random_speed_world(seed):
+    """Generated grid whose edges get random speed limits, some repeated so
+    that fastest paths tie."""
+    sc = generate_grid_scenario(5, 6, 70.0, 0, seed=seed)
+    rng = np.random.default_rng(seed)
+    speeds = rng.choice([5.0, 7.5, 8.33, 11.0, 13.9], len(sc.graph.edges))
+    edges = [Edge(e.a, e.b, e.length, float(v)) for e, v in zip(sc.graph.edges, speeds)]
+    return Scenario(RoadGraph(sc.graph.nodes, edges), [], sc.depot, sc.base_station)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_routing_cache_matches_old_walk_and_maps(seed):
+    for sc in (_random_speed_world(seed), generate_grid_scenario(4, 5, 90.0, 0, seed=seed)):
+        nodes = sorted(sc.graph.nodes)
+        for a in nodes:
+            for b in nodes:
+                sp = shortest_path(sc.graph, a, b)
+                assert (sp.nodes, sp.total_length, sp.travel_time) == \
+                    _oracle_shortest_path(sc.graph, a, b)
+        stops = [nodes[i] for i in np.random.default_rng(seed).choice(len(nodes), 9)]
+        maps = {s: dijkstra_times(sc.graph, s) for s in stops}
+        want = [[0.0 if i == j else maps[stops[min(i, j)]][stops[max(i, j)]]
+                 for j in range(len(stops))] for i in range(len(stops))]
+        assert travel_time_matrix(sc, stops).tolist() == want
+
+
+def test_routing_cache_one_dijkstra_per_node(monkeypatch):
+    sc = generate_grid_scenario(6, 6, 100.0, 2, seed=4)
+    dsets = generate_delivery_sets(sc, 3, 12, 4, seed=8)
+    calls = []
+    original = routing.dijkstra_times
+    monkeypatch.setattr(routing, "dijkstra_times",
+                        lambda graph, source: calls.append(source) or original(graph, source))
+    fleet = FleetConfig(drone_count=2)
+    for dset in dsets:
+        plan_hybrid(sc, dset, fleet, True)
+    assert len(calls) == len(set(calls))
+    nodes = {sc.depot} | {n for d in dsets for n in job_nodes(sc, d).values()}
+    assert set(calls) <= nodes
+    calls.clear()
+    plan_hybrid(sc, dsets[0], fleet, False)
+    assert calls == []  # a second plan on the scenario reuses every map
+    cache = routing_cache(sc)
+    assert cache is routing_cache(sc)
+    assert all(m.typecode == "d" and len(m) == len(sc.graph.nodes)
+               for m in cache._times.values())
+
+
+def test_routing_cache_unknown_and_unreachable_nodes():
+    g = RoadGraph({0: Point(0, 0), 1: Point(1, 0), 2: Point(5, 0), 3: Point(6, 0)},
+                  [Edge(0, 1, 1.0, 1.0), Edge(2, 3, 1.0, 1.0)])
+    cache = RoutingCache(g)
+    assert cache.walk(0, 1) == ([0, 1], [(1.0, 1.0)])
+    assert cache.time(1, 0) == 1.0
+    with pytest.raises(RoutingError, match="unreachable"):
+        cache.walk(0, 3)
+    with pytest.raises(RoutingError, match="unreachable"):
+        cache.time(0, 3)
+    with pytest.raises(RoutingError, match="unknown node 7"):
+        cache.time(0, 7)
+    with pytest.raises(RoutingError, match="unknown node 7"):
+        cache.walk(7, 0)
+    sc = Scenario(g, [], depot=0, base_station=Point(0, 0, 30.0))
+    with pytest.raises(RoutingError, match="unknown node 7"):
+        travel_time_matrix(sc, [7])
+    with pytest.raises(RoutingError, match="unreachable"):
+        travel_time_matrix(sc, [0, 2])
 
 
 def test_tsp_exact_square_perimeter():

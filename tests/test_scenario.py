@@ -7,8 +7,8 @@ import pytest
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
 from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario,
                                   generate_grid_scenario, load_scenario, los_blocked,
-                                  nearest_node, save_scenario, scenario_to_dict,
-                                  validate_scenario)
+                                  nearest_node, save_scenario, scenario_from_dict,
+                                  scenario_to_dict, validate_scenario)
 
 
 def test_grid_2x2_no_buildings():
@@ -193,3 +193,44 @@ def test_load_missing_field_is_named(tmp_path):
                                 "base_station": [0, 0, 30]}))
     with pytest.raises(ParseError, match="'y'"):
         load_scenario(path)
+
+
+def _set_footprint_vertex(data, value):
+    data["buildings"][0]["footprint"][0][0] = value
+
+
+def _set_access(data, value):
+    data["buildings"][0]["access"][1] = value
+
+
+def _set_height(data, value):
+    data["buildings"][0]["height_m"] = value
+
+
+def _set_edge_length(data, value):
+    data["edges"][0]["length_m"] = value
+
+
+def _set_edge_speed(data, value):
+    data["edges"][0]["speed_mps"] = value
+
+
+def _set_base_station(data, value):
+    data["base_station"][0] = value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field,invariant", [
+    (_set_footprint_vertex, "non-finite footprint or access coordinates"),
+    (_set_access, "non-finite footprint or access coordinates"),
+    (_set_height, "non-finite building height"),
+    (_set_edge_length, "non-finite edge length or speed limit"),
+    (_set_edge_speed, "non-finite edge length or speed limit"),
+    (_set_base_station, "non-finite base station coordinates"),
+])
+def test_non_finite_world_value_rejected(field, invariant, value):
+    data = scenario_to_dict(generate_grid_scenario(3, 3, 100.0, 1, seed=7))
+    scenario_from_dict(data)  # the unmodified world loads
+    field(data, value)
+    with pytest.raises(InvariantViolation, match=invariant):
+        scenario_from_dict(data)
