@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -109,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "scenario":
         if args.subcommand == "gen":
+            if not math.isfinite(args.spacing):
+                raise ConfigError(f"--spacing must be finite, got {args.spacing}")
             sc = generate_grid_scenario(args.rows, args.cols, args.spacing,
                                         args.buildings_per_cell, args.seed)
             save_scenario(sc, args.out)

@@ -9,14 +9,15 @@ written next to the results echoes the fully resolved configuration.
 from __future__ import annotations
 
 import json
+import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .errors import ConfigError
-from .hybrid import FleetConfig, plan_hybrid
+from .errors import ConfigError, ParameterError
+from .hybrid import FleetConfig, plan_hybrid, validate_fleet
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
@@ -61,6 +62,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]  # accept a manifest as a config source
         known = {f for f in cls.__dataclass_fields__}
@@ -72,6 +75,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        self._check_types()
         if self.n_sets < 1 or self.per_set < 1:
             raise ConfigError("need n_sets >= 1 and per_set >= 1")
         if self.medical_per_set > self.per_set or self.medical_per_set < 0:
@@ -89,14 +93,60 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.scenario_path is None and (self.grid_rows < 2 or self.grid_cols < 2):
             raise ConfigError("grid needs rows >= 2 and cols >= 2")
+        if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
+            raise ConfigError(f"grid_spacing must be positive and finite, got "
+                              f"{self.grid_spacing!r}")
+        if "drone_count" in self.fleet:
+            raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
         try:
-            FleetConfig(**self.fleet)
+            fleet = FleetConfig(**self.fleet)
         except TypeError as exc:
             raise ConfigError(f"bad fleet overrides: {exc}") from exc
+        _check_numbers("fleet", self.fleet, allow_inf=False)
         try:
-            ChannelConfig(**self.channel)
+            validate_fleet(fleet)
+        except ParameterError as exc:
+            raise ConfigError(f"bad fleet overrides: {exc}") from exc
+        try:
+            channel = ChannelConfig(**self.channel)
         except TypeError as exc:
             raise ConfigError(f"bad channel overrides: {exc}") from exc
+        _check_numbers("channel", self.channel, allow_inf=True)
+        try:
+            channel.validate()
+        except ParameterError as exc:
+            raise ConfigError(f"bad channel overrides: {exc}") from exc
+
+    def _check_types(self) -> None:
+        """JSON gives any value any type; reject those the pipeline cannot use."""
+        for name in ("grid_rows", "grid_cols", "buildings_per_cell", "n_sets", "per_set",
+                     "medical_per_set", "net_trace_set", "base_seed", "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.net_trace_drones is not None and not _is_int(self.net_trace_drones):
+            raise ConfigError(f"net_trace_drones must be an integer or null, got "
+                              f"{self.net_trace_drones!r}")
+        if not isinstance(self.net_trace_prioritized, bool):
+            raise ConfigError(f"net_trace_prioritized must be true or false, got "
+                              f"{self.net_trace_prioritized!r}")
+        for name, kind, ok in (("drone_counts", "integers", _is_int),
+                               ("prioritize_flags", "booleans",
+                                lambda v: isinstance(v, bool)),
+                               ("net_models", "strings", lambda v: isinstance(v, str))):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(ok(v) for v in value):
+                raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
+        if not _is_number(self.grid_spacing):
+            raise ConfigError(f"grid_spacing must be a number, got {self.grid_spacing!r}")
+        for name in ("out_dir", "solver"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.scenario_path is not None and not isinstance(self.scenario_path, str):
+            raise ConfigError(f"scenario_path must be a string or null, got "
+                              f"{self.scenario_path!r}")
+        for name in ("fleet", "channel"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object, got {getattr(self, name)!r}")
 
     def fleet_for(self, drone_count: int) -> FleetConfig:
         return FleetConfig(drone_count=drone_count, **self.fleet)
@@ -105,6 +155,21 @@ class ExperimentConfig:
         """Deterministic enumeration of (drone_count, prioritized) pairs."""
         return [(d, p) for d in sorted(self.drone_counts)
                 for p in sorted(self.prioritize_flags)]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_numbers(section: str, overrides: dict, allow_inf: bool) -> None:
+    for key, v in overrides.items():
+        if not _is_number(v) or math.isnan(v) or (math.isinf(v) and not allow_inf):
+            raise ConfigError(f"{section}.{key} must be a "
+                              f"{'non-NaN' if allow_inf else 'finite'} number, got {v!r}")
 
 
 def build_scenario(cfg: ExperimentConfig):
@@ -123,6 +188,10 @@ def build_sets(cfg: ExperimentConfig, scenario):
 
 # worker-side cache so parallel executors build the world once per process
 _WORLD_CACHE: dict[str, tuple] = {}
+
+
+def _config_json(cfg: ExperimentConfig) -> str:
+    return json.dumps(asdict(cfg), sort_keys=True)
 
 
 def _world(cfg_json: str):
@@ -172,7 +241,7 @@ def _run_set(cfg_json: str, set_idx: int):
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict], list[dict]]:
     """All (set, drone count, prioritized) runs; deterministic merge order."""
-    cfg_json = json.dumps(asdict(cfg), sort_keys=True)
+    cfg_json = _config_json(cfg)
     set_indices = list(range(cfg.n_sets))
     results = []
     if cfg.workers <= 1:
@@ -197,8 +266,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Full pipeline; writes artifacts into cfg.out_dir. Returns exit status
     (0 ok, 1 when any run failed)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    scenario = build_scenario(cfg)
-    dsets = build_sets(cfg, scenario)
+    # the sweep's own runs (workers=1) and the net phase share this world and
+    # its routing cache
+    _, scenario, dsets = _world(_config_json(cfg))
     save_scenario(scenario, os.path.join(cfg.out_dir, "scenario.json"))
     save_sets(dsets, os.path.join(cfg.out_dir, "jobs.json"))
 

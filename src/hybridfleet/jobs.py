@@ -117,6 +117,7 @@ def sets_from_dict(data, scenario: Scenario) -> list[DeliverySet]:
     out = []
     for i, sd in enumerate(data):
         jobs = []
+        ids = set()
         for k, jd in enumerate(sd.get("jobs", [])):
             where = f"sets[{i}].jobs[{k}]"
             if "building" not in jd:
@@ -128,8 +129,11 @@ def sets_from_dict(data, scenario: Scenario) -> list[DeliverySet]:
                 cat = Category(jd.get("category", "standard"))
             except ValueError:
                 raise ParseError(f"{where}: bad category {jd.get('category')!r}") from None
-            jobs.append(DeliveryJob(int(jd.get("id", k)), bid,
-                                    by_id[bid].access_point, cat))
+            jid = int(jd.get("id", k))
+            if jid in ids:
+                raise ParseError(f"{where}: repeated job id {jid}")
+            ids.add(jid)
+            jobs.append(DeliveryJob(jid, bid, by_id[bid].access_point, cat))
         out.append(DeliverySet(int(sd.get("id", i)), jobs))
     return out
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +44,6 @@ MODEL_TAG = {"centralized": 0, "csma": 1, "sps": 2}
 _STREAM_PHASE = 10
 _STREAM_CHANNEL = 11
 _STREAM_CHANNEL2 = 12
-
-
-@dataclass(frozen=True)
-class CamMessage:
-    seq: int
-    sender: str
-    generated_at: float        # s
-    size: int                  # bytes
-    delivered: bool
-    latency_ms: float          # valid when delivered
-    los: bool                  # line of sight on the sender's first radio hop
 
 
 @dataclass
@@ -113,13 +104,33 @@ def default_models() -> list[MacModel]:
 
 @dataclass
 class NetStats:
+    """One model's beacons as columns, one row per beacon, ordered by
+    (generation time, sender index); the totals are derived from them."""
     model: str
-    sent: int
-    delivered: int
-    latencies_ms: np.ndarray          # delivered messages only
-    pdr: float
-    per_link: dict[str, dict]
-    messages: list[CamMessage]
+    senders: list[str]                # sender names; msg_sender indexes them
+    msg_sender: np.ndarray            # int64
+    msg_seq: np.ndarray               # int64, per-sender sequence number
+    msg_gen_s: np.ndarray             # generation instant
+    msg_delivered: np.ndarray         # bool
+    msg_latency_ms: np.ndarray        # valid where delivered
+    msg_los: np.ndarray               # bool, LOS on the sender's first radio hop
+    size_bytes: int = 190
+    sent: int = field(init=False)
+    delivered: int = field(init=False)
+    pdr: float = field(init=False)
+    latencies_ms: np.ndarray = field(init=False)   # delivered only, ascending
+    per_link: dict[str, dict] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.sent = int(self.msg_sender.size)
+        self.delivered = int(np.count_nonzero(self.msg_delivered))
+        self.pdr = self.delivered / self.sent if self.sent else 1.0
+        self.latencies_ms = np.sort(self.msg_latency_ms[self.msg_delivered])
+        n = len(self.senders)
+        sent = np.bincount(self.msg_sender, minlength=n).tolist()
+        dlv = np.bincount(self.msg_sender[self.msg_delivered], minlength=n).tolist()
+        self.per_link = {s: {"sent": a, "delivered": b, "pdr": b / a if a else 1.0}
+                         for s, a, b in zip(self.senders, sent, dlv)}
 
     def latency_percentile(self, q: float) -> float:
         if self.latencies_ms.size == 0:
@@ -215,6 +226,8 @@ def run_cam_traffic(trace: DeliveryTrace, scenario: Scenario, mac: MacModel,
 
     Sender and receiver positions are sampled from the trace at transmission
     instants; stowed drones do not transmit. Deterministic for a fixed seed.
+    Each MAC model supplies its schedule and collision rule; the channel
+    stage and the result columns are shared.
     """
     if not trace.events:
         raise ParameterError("trace is empty")
@@ -224,15 +237,45 @@ def run_cam_traffic(trace: DeliveryTrace, scenario: Scenario, mac: MacModel,
     if isinstance(mac, Sps):
         if abs(mac.n_slots * mac.slot_ms - period_ms) > 1e-9:
             raise ParameterError("Sps slot grid must span exactly one CAM period")
-        return _run_sps(trace, scenario, mac, cfg, period_ms, size_bytes, seed,
-                        windows, senders)
-    if isinstance(mac, Csma):
-        return _run_csma(trace, scenario, mac, cfg, period_ms, size_bytes, seed,
-                         windows, senders)
-    if isinstance(mac, Centralized):
-        return _run_centralized(trace, scenario, mac, cfg, period_ms, size_bytes,
-                                seed, windows, senders)
-    raise ParameterError(f"unknown MAC model {mac!r}")
+        schedule = _sps_schedule
+    elif isinstance(mac, Csma):
+        schedule = _csma_schedule
+    elif isinstance(mac, Centralized):
+        schedule = _centralized_schedule
+    else:
+        raise ParameterError(f"unknown MAC model {mac!r}")
+    period_s = period_ms / 1000.0
+    sched = schedule(trace, scenario, mac, cfg, seed, windows, senders, period_s)
+    if sched is None:
+        return _empty_stats(mac.name, size_bytes)
+    return _evaluate(mac.name, trace, scenario, cfg, seed, senders, period_s,
+                     size_bytes, sched)
+
+
+class _Schedule(NamedTuple):
+    """What a MAC model decides for each beacon, before the channel."""
+    gen: np.ndarray                  # generation instants
+    sidx: np.ndarray                 # sender index
+    period: np.ndarray               # CAM period of the channel draws (unclipped)
+    hops: list[tuple[np.ndarray, np.ndarray]]   # (tx, rx) positions per radio hop
+    ok: np.ndarray                   # survived medium access
+    latency_ms: np.ndarray
+
+
+def _evaluate(name, trace, scenario, cfg, seed, senders, period_s, size_bytes,
+              sched: _Schedule) -> NetStats:
+    """Shared tail: LOS, success probability and the (sender, period) channel
+    draw of every hop, then the result columns. Hop h uses channel stream h."""
+    n_periods = _n_periods(trace, period_s)
+    k = np.clip(sched.period, 0, n_periods - 1)
+    los = [~los_blocked_many(scenario, a, b) for a, b in sched.hops]
+    delivered = sched.ok
+    for stream, (a, b), hop_los in zip((_STREAM_CHANNEL, _STREAM_CHANNEL2), sched.hops,
+                                       los):
+        u = _channel_uniforms(seed, stream, len(senders), n_periods)
+        delivered = delivered & (u[sched.sidx, k] <= _success_probs(cfg, a, b, hop_los))
+    return _collect(name, senders, sched.sidx, sched.gen, delivered,
+                    sched.latency_ms, los[0], size_bytes)
 
 
 def _interp_positions(trace: DeliveryTrace, vehicle: str, times: np.ndarray) -> np.ndarray:
@@ -240,6 +283,19 @@ def _interp_positions(trace: DeliveryTrace, vehicle: str, times: np.ndarray) -> 
     return np.column_stack([np.interp(times, tr.times, tr.x),
                             np.interp(times, tr.times, tr.y),
                             np.interp(times, tr.times, tr.z)])
+
+
+def _sender_positions(trace: DeliveryTrace, senders, sidx: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    pos = np.empty((times.size, 3))
+    for i, s in enumerate(senders):
+        m = sidx == i
+        pos[m] = _interp_positions(trace, s, times[m])
+    return pos
+
+
+def _in_range(a_xyz: np.ndarray, b_xyz: np.ndarray, cs2: float) -> np.ndarray:
+    return np.sum((a_xyz - b_xyz) ** 2, axis=1) <= cs2
 
 
 def _sender_phases(seed: int, n_senders: int, period_s: float) -> list[float]:
@@ -256,9 +312,8 @@ def _channel_uniforms(seed: int, stream: int, n_senders: int,
     return out
 
 
-def _period_index(times: np.ndarray, period_s: float, n_periods: int) -> np.ndarray:
-    k = np.floor(times / period_s + 1e-12).astype(np.int64)
-    return np.clip(k, 0, n_periods - 1)
+def _gen_period(times: np.ndarray, period_s: float) -> np.ndarray:
+    return np.floor(times / period_s + 1e-12).astype(np.int64)
 
 
 def _n_periods(trace: DeliveryTrace, period_s: float) -> int:
@@ -298,132 +353,134 @@ def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
     sidx = np.concatenate(sidx)
     order = np.lexsort((sidx, gen))
     gen, sidx = gen[order], sidx[order]
-    spos = np.empty((gen.size, 3))
-    for i, s in enumerate(senders):
-        m = sidx == i
-        spos[m] = _interp_positions(trace, s, gen[m])
-    return gen, sidx, spos
+    return gen, sidx, _sender_positions(trace, senders, sidx, gen)
 
 
 def _in_window(windows, t: float) -> bool:
     return any(lo <= t < hi for lo, hi in windows)
 
 
-def _collect(model_name, senders, msg_sender_idx, gen_times, delivered,
-             latency_ms, los, size_bytes) -> NetStats:
-    order = np.lexsort((msg_sender_idx, gen_times))
-    messages = []
-    seq_per = {s: 0 for s in senders}
-    per_link = {s: {"sent": 0, "delivered": 0} for s in senders}
-    for i in order.tolist():
-        s = senders[msg_sender_idx[i]]
-        messages.append(CamMessage(seq_per[s], s, float(gen_times[i]), size_bytes,
-                                   bool(delivered[i]), float(latency_ms[i]),
-                                   bool(los[i])))
-        seq_per[s] += 1
-        per_link[s]["sent"] += 1
-        per_link[s]["delivered"] += int(delivered[i])
-    for s, rec in per_link.items():
-        rec["pdr"] = rec["delivered"] / rec["sent"] if rec["sent"] else 1.0
-    sent = len(messages)
-    ndel = int(np.sum(delivered))
-    lats = np.sort(latency_ms[delivered.astype(bool)]) if sent else np.empty(0)
-    return NetStats(model_name, sent, ndel, lats,
-                    (ndel / sent) if sent else 1.0, per_link, messages)
+def _collect(model_name, senders, sidx, gen, delivered, latency_ms, los,
+             size_bytes) -> NetStats:
+    """Result columns in (generation time, sender) order, with per-sender
+    sequence numbers."""
+    order = np.lexsort((sidx, gen))
+    sidx = sidx[order]
+    counts = np.bincount(sidx, minlength=len(senders))
+    seq = np.empty(sidx.size, np.int64)
+    seq[np.argsort(sidx, kind="stable")] = (
+        np.arange(sidx.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    return NetStats(model_name, senders, sidx, seq, gen[order], delivered[order],
+                    latency_ms[order], los[order], size_bytes)
 
 
-def _empty_stats(name: str) -> NetStats:
-    return NetStats(name, 0, 0, np.empty(0), 1.0, {}, [])
+def _empty_stats(name: str, size_bytes: int) -> NetStats:
+    return NetStats(name, [], np.empty(0, np.int64), np.empty(0, np.int64),
+                    np.empty(0), np.empty(0, bool), np.empty(0), np.empty(0, bool),
+                    size_bytes)
 
 
-def _run_centralized(trace, scenario, mac: Centralized, cfg, period_ms,
-                     size_bytes, seed, windows, senders) -> NetStats:
-    rng = generator(seed, MODEL_TAG["centralized"])
-    period_s = period_ms / 1000.0
+def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, windows,
+                          senders, period_s) -> _Schedule | None:
+    """Granted uplink: no contention; sender -> base station -> truck."""
     beacons = _phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
-        return _empty_stats(mac.name)
+        return None
     gen, sidx, spos = beacons
     n = gen.size
     rxpos = _interp_positions(trace, "truck", gen)
     bs = scenario.base_station
     bspos = np.tile([bs.x, bs.y, bs.z], (n, 1))
-
-    los1 = ~los_blocked_many(scenario, spos, bspos)
-    los2 = ~los_blocked_many(scenario, bspos, rxpos)
-    p1 = _success_probs(cfg, spos, bspos, los1)
-    p2 = _success_probs(cfg, bspos, rxpos, los2)
-
-    n_periods = _n_periods(trace, period_s)
-    u1 = _channel_uniforms(seed, _STREAM_CHANNEL, len(senders), n_periods)
-    u2 = _channel_uniforms(seed, _STREAM_CHANNEL2, len(senders), n_periods)
-    k = _period_index(gen, period_s, n_periods)
-    grant = rng.uniform(0.0, mac.grant_period_ms, n)
-    delivered = (u1[sidx, k] <= p1) & (u2[sidx, k] <= p2)
+    grant = generator(seed, MODEL_TAG["centralized"]).uniform(0.0, mac.grant_period_ms, n)
     latency = grant + 2.0 * mac.processing_ms + mac.backhaul_ms + 2.0 * mac.airtime_ms
-    return _collect(mac.name, senders, sidx, gen, delivered, latency, los1,
-                    size_bytes)
+    return _Schedule(gen, sidx, _gen_period(gen, period_s),
+                     [(spos, bspos), (bspos, rxpos)], np.ones(n, bool), latency)
 
 
-def _run_csma(trace, scenario, mac: Csma, cfg, period_ms, size_bytes, seed,
-              windows, senders) -> NetStats:
-    rng = generator(seed, MODEL_TAG["csma"])
-    period_s = period_ms / 1000.0
-    slot_s = mac.slot_us * 1e-6
-    aifs_s = mac.aifs_us * 1e-6
-    air_s = mac.airtime_ms * 1e-3
-
+def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, windows, senders,
+                   period_s) -> _Schedule | None:
     beacons = _phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
-        return _empty_stats(mac.name)
+        return None
     gen, sidx, spos = beacons
-    n = gen.size
-    backoffs = rng.integers(0, mac.cw_slots + 1, n)
-
-    # listen-before-talk: AIFS plus backoff counted during idle air as sensed
-    # by the sender; busy intervals re-arm the AIFS and freeze the backoff.
-    tx_start = np.empty(n)
-    committed: list[tuple[float, float, int]] = []  # (start, end, msg index)
+    air_s = mac.airtime_ms * 1e-3
     cs2 = cfg.carrier_sense_m ** 2
-    for i in range(n):
-        busy = []
-        for k in range(len(committed) - 1, -1, -1):
-            st, en, j = committed[k]
-            if en < gen[i] - 0.25:  # transmissions this old cannot interfere
-                break
-            dx = spos[j, 0] - spos[i, 0]
-            dy = spos[j, 1] - spos[i, 1]
-            dz = spos[j, 2] - spos[i, 2]
-            if dx * dx + dy * dy + dz * dz <= cs2:
-                busy.append((st, en))
-        busy.sort()
-        tx_start[i] = _defer(gen[i], aifs_s, float(backoffs[i]), slot_s, busy)
-        committed.append((tx_start[i], tx_start[i] + air_s, i))
-
-    # collision rule: overlapping transmissions within carrier-sense range of
-    # the receiver are all lost
+    backoffs = generator(seed, MODEL_TAG["csma"]).integers(0, mac.cw_slots + 1, gen.size)
+    tx_start = _listen_before_talk(gen, spos, backoffs, mac.aifs_us * 1e-6,
+                                   mac.slot_us * 1e-6, air_s, cs2)
     rxpos = _interp_positions(trace, "truck", tx_start)
-    in_rx_range = (np.sum((spos - rxpos) ** 2, axis=1) <= cs2)
-    collided = np.zeros(n, bool)
-    by_start = np.argsort(tx_start, kind="stable")
-    open_tx: list[int] = []
-    for i in by_start.tolist():
-        open_tx = [j for j in open_tx if tx_start[j] + air_s > tx_start[i]]
-        for j in open_tx:
-            if in_rx_range[i] and in_rx_range[j]:
-                collided[i] = True
-                collided[j] = True
-        open_tx.append(i)
+    collided = _overlap_collisions(tx_start, air_s, _in_range(spos, rxpos, cs2))
+    return _Schedule(gen, sidx, _gen_period(gen, period_s), [(spos, rxpos)],
+                     ~collided, (tx_start + air_s - gen) * 1000.0)
 
-    los = ~los_blocked_many(scenario, spos, rxpos)
-    p = _success_probs(cfg, spos, rxpos, los)
-    n_periods = _n_periods(trace, period_s)
-    u = _channel_uniforms(seed, _STREAM_CHANNEL, len(senders), n_periods)
-    k = _period_index(gen, period_s, n_periods)
-    delivered = (~collided) & (u[sidx, k] <= p)
-    latency = (tx_start + air_s - gen) * 1000.0
-    return _collect(mac.name, senders, sidx, gen, delivered, latency, los,
-                    size_bytes)
+
+def _listen_before_talk(gen: np.ndarray, spos: np.ndarray, backoffs: np.ndarray,
+                        aifs_s: float, slot_s: float, air_s: float,
+                        cs2: float) -> np.ndarray:
+    """Transmission starts: AIFS plus backoff counted during idle air as
+    sensed by the sender; busy intervals re-arm the AIFS and freeze the backoff.
+
+    Beacons are committed in generation order. A transmission that ended at
+    or before gen[i] cannot delay beacon i, because _defer skips every busy
+    interval ending at or before its start time, gen[i]. So while nothing
+    committed earlier is still on air at gen[i], the start is _defer's result
+    on an idle channel: the same two float operations, done here up front.
+    The other beacons scan back over transmissions ending within 0.25 s and
+    defer behind those in carrier-sense range.
+    """
+    idle = (gen + aifs_s if aifs_s > 0.0 else gen) + backoffs * slot_s
+    gen_l, idle_l, pos = gen.tolist(), idle.tolist(), spos.tolist()
+    starts: list[float] = []
+    ends: list[float] = []
+    on_air_until = -math.inf
+    for i, g in enumerate(gen_l):
+        if on_air_until <= g:
+            st = idle_l[i]
+        else:
+            x, y, z = pos[i]
+            horizon = g - 0.25  # transmissions this old cannot interfere
+            busy = []
+            for j in range(i - 1, -1, -1):
+                if ends[j] < horizon:
+                    break
+                xj, yj, zj = pos[j]
+                dx, dy, dz = xj - x, yj - y, zj - z
+                if dx * dx + dy * dy + dz * dz <= cs2:
+                    busy.append((starts[j], ends[j]))
+            busy.sort()
+            st = _defer(g, aifs_s, float(backoffs[i]), slot_s, busy)
+        en = st + air_s
+        starts.append(st)
+        ends.append(en)
+        if en > on_air_until:
+            on_air_until = en
+    return np.array(starts, np.float64)
+
+
+def _overlap_collisions(tx_start: np.ndarray, air_s: float,
+                        in_rx_range: np.ndarray) -> np.ndarray:
+    """Overlapping transmissions within carrier-sense range of the receiver
+    are all lost.
+
+    In start order (stable), transmission q overlaps an earlier p when
+    p's end exceeds q's start. The airtime is constant, so ends are sorted
+    too: the earlier overlapping ones are a run [lo, q) and the later ones a
+    run (p, hi), both counted from a cumulative sum of the in-range flags.
+    """
+    n = tx_start.size
+    order = np.argsort(tx_start, kind="stable")
+    start = tx_start[order]
+    end = start + air_s
+    in_rx = in_rx_range[order]
+    before = np.concatenate(([0], np.cumsum(in_rx)))  # in range among [0, i)
+    pos = np.arange(n)
+    # an empty run (lo > q or hi < p + 1) counts <= 0 since before is monotone
+    lo = np.searchsorted(end, start, side="right")
+    hi = np.searchsorted(start, end, side="left")
+    hit = in_rx & ((before[pos] > before[lo]) | (before[hi] > before[pos + 1]))
+    collided = np.empty(n, bool)
+    collided[order] = hit
+    return collided
 
 
 def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
@@ -460,53 +517,56 @@ def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
         t = idle_end
 
 
-def _run_sps(trace, scenario, mac: Sps, cfg, period_ms, size_bytes, seed,
-             windows, senders) -> NetStats:
-    rng = generator(seed, MODEL_TAG["sps"])
-    period_s = period_ms / 1000.0
-    slot_s = mac.slot_ms / 1000.0
-    end = trace.end_time
+def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, windows, senders,
+                  period_s) -> _Schedule | None:
     n_senders = len(senders)
     if n_senders == 0:
-        return _empty_stats(mac.name)
+        return None
+    rng = generator(seed, MODEL_TAG["sps"])
+    slot_s = mac.slot_ms / 1000.0
     cs2 = cfg.carrier_sense_m ** 2
+    tracks = [trace.trajectories[s] for s in senders]
+    wins = [windows[s] for s in senders]
+
+    # airborne[k][si]: sender si is airborne at the start of period k
+    n_periods = int(math.ceil(trace.end_time / period_s)) + 1
+    t_period = np.arange(n_periods) * period_s
+    airborne = np.zeros((n_periods, n_senders), bool)
+    for si, ws in enumerate(wins):
+        for lo, hi in ws:
+            airborne[:, si] |= (lo <= t_period) & (t_period < hi)
 
     slot = [-1] * n_senders
     keep = [0] * n_senders
 
-    def positions_at(t):
-        return [(_interp_positions(trace, s, np.array([t]))[0]) for s in senders]
-
     def select_slot(si, t):
-        pos = positions_at(t)
+        holders = [sj for sj in range(n_senders) if sj != si and slot[sj] >= 0]
         occupied = set()
-        for sj in range(n_senders):
-            if sj != si and slot[sj] >= 0:
-                d2 = float(np.sum((pos[sj] - pos[si]) ** 2))
-                if d2 <= cs2:
-                    occupied.add(slot[sj])
+        if holders:
+            pos = np.array([[np.interp(t, tr.times, tr.x), np.interp(t, tr.times, tr.y),
+                             np.interp(t, tr.times, tr.z)]
+                            for tr in [tracks[si]] + [tracks[sj] for sj in holders]])
+            d2 = np.sum((pos[1:] - pos[0]) ** 2, axis=1).tolist()
+            occupied = {slot[sj] for sj, d in zip(holders, d2) if d <= cs2}
         free = [sl for sl in range(mac.n_slots) if sl not in occupied]
         if not free:
             free = list(range(mac.n_slots))
         return free[int(rng.integers(0, len(free)))]
 
     msg_t, msg_sidx, msg_slot, msg_period = [], [], [], []
-    n_periods = int(math.ceil(end / period_s)) + 1
-    for k in range(n_periods):
-        t_p = k * period_s
-        for si, s in enumerate(senders):
-            airborne = _in_window(windows[s], t_p)
+    for k, (t_p, row) in enumerate(zip(t_period.tolist(), airborne.tolist())):
+        for si in range(n_senders):
             if slot[si] < 0:
-                if airborne:
+                if row[si]:
                     slot[si] = select_slot(si, t_p)
                     keep[si] = int(rng.integers(mac.keep_min, mac.keep_max + 1))
-            elif not airborne:
+            elif not row[si]:
                 slot[si] = -1  # landed: reservation released
-        for si, s in enumerate(senders):
+        for si in range(n_senders):
             if slot[si] < 0:
                 continue
             t_tx = t_p + slot[si] * slot_s
-            if not _in_window(windows[s], t_tx):
+            if not _in_window(wins[si], t_tx):
                 continue
             msg_t.append(t_tx)
             msg_sidx.append(si)
@@ -519,38 +579,21 @@ def _run_sps(trace, scenario, mac: Sps, cfg, period_ms, size_bytes, seed,
                 keep[si] = int(rng.integers(mac.keep_min, mac.keep_max + 1))
 
     if not msg_t:
-        return _empty_stats(mac.name)
+        return None
     gen = np.array(msg_t)
     sidx = np.array(msg_sidx, np.int64)
-    n = gen.size
-    spos = np.empty((n, 3))
-    for i, s in enumerate(senders):
-        m = sidx == i
-        if np.any(m):
-            spos[m] = _interp_positions(trace, s, gen[m])
+    period = np.array(msg_period, np.int64)
+    spos = _sender_positions(trace, senders, sidx, gen)
     rxpos = _interp_positions(trace, "truck", gen)
-    in_rx_range = (np.sum((spos - rxpos) ** 2, axis=1) <= cs2)
+    in_rx = _in_range(spos, rxpos, cs2)
 
-    collided = np.zeros(n, bool)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        groups.setdefault((msg_period[i], msg_slot[i]), []).append(i)
-    for members in groups.values():
-        in_range = [i for i in members if in_rx_range[i]]
-        if len(in_range) >= 2:
-            for i in in_range:
-                collided[i] = True
-
-    los = ~los_blocked_many(scenario, spos, rxpos)
-    p = _success_probs(cfg, spos, rxpos, los)
-    n_periods = _n_periods(trace, period_s)
-    u = _channel_uniforms(seed, _STREAM_CHANNEL, len(senders), n_periods)
-    k = np.array(msg_period, np.int64)
-    k = np.clip(k, 0, n_periods - 1)
-    delivered = (~collided) & (u[sidx, k] <= p)
-    latency = np.full(n, mac.airtime_ms)
-    return _collect(mac.name, senders, sidx, gen, delivered, latency, los,
-                    size_bytes)
+    # two or more in-range senders on one (period, slot) all lose the message
+    key = (period * mac.n_slots + np.array(msg_slot, np.int64))[in_rx]
+    _, group, size = np.unique(key, return_inverse=True, return_counts=True)
+    collided = np.zeros(gen.size, bool)
+    collided[in_rx] = size[group] >= 2
+    return _Schedule(gen, sidx, period, [(spos, rxpos)], ~collided,
+                     np.full(gen.size, mac.airtime_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +606,15 @@ def write_net_results_csv(stats_list: list[NetStats], path) -> None:
         w.writerow(["model", "sender", "seq", "gen_time_s", "delivered",
                     "latency_ms", "los"])
         for st in stats_list:
-            for m in st.messages:
-                w.writerow([st.model, m.sender, m.seq, repr(m.generated_at),
-                            int(m.delivered),
-                            repr(m.latency_ms) if m.delivered else "",
-                            int(m.los)])
+            # tolist() yields Python floats, which csv writes as their repr()
+            delivered = st.msg_delivered.tolist()
+            latency = [x if d else "" for x, d in
+                       zip(st.msg_latency_ms.tolist(), delivered)]
+            w.writerows(zip(repeat(st.model),
+                            [st.senders[i] for i in st.msg_sender.tolist()],
+                            st.msg_seq.tolist(), st.msg_gen_s.tolist(),
+                            st.msg_delivered.view(np.uint8).tolist(), latency,
+                            st.msg_los.view(np.uint8).tolist()))
 
 
 def write_net_summary_csv(stats_list: list[NetStats], path) -> None:

@@ -99,6 +99,65 @@ def test_config_error_exit_code(workdir, capsys):
     assert run("scenario", "validate", missing) == 2
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"n_sets": "2"}, "n_sets must be an integer"),
+    ({"n_sets": True}, "n_sets must be an integer"),
+    ({"drone_counts": "0,1"}, "drone_counts must be a list of integers"),
+    ({"prioritize_flags": [1]}, "prioritize_flags must be a list of booleans"),
+    ({"net_models": [["csma"]]}, "net_models must be a list of strings"),
+    ({"grid_spacing": "NaN"}, "grid_spacing must be a number"),
+    ({"grid_spacing": float("nan")}, "grid_spacing must be positive and finite"),
+    ({"fleet": {"drone_speed": -5}}, "fleet.drone_speed must be positive"),
+    ({"fleet": {"drone_speed": "fast"}}, "fleet.drone_speed must be a finite number"),
+    ({"fleet": {"drone_count": 2}}, "cannot set drone_count"),
+    ({"channel": {"logistic_width_db": 0}}, "logistic width must be positive"),
+    ([1, 2], "config must be a JSON object"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_nonfinite_spacing_exit_2(tmp_path, capsys):
+    for spacing in ("nan", "inf"):
+        assert run("scenario", "gen", "--spacing", spacing, "--out", tmp_path / "s.json") == 2
+        assert "--spacing must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_plan_repeated_job_id_exit_2(workdir, capsys):
+    data = json.loads((workdir / "jobs.json").read_text())
+    data[0]["jobs"][1]["id"] = data[0]["jobs"][0]["id"]
+    bad = workdir / "dup_jobs.json"
+    bad.write_text(json.dumps(data))
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", bad,
+               "--drones", 1, "--out", workdir / "dup_plan.json") == 2
+    assert "repeated job id" in capsys.readouterr().err
+
+
+def test_sweep_builds_the_world_once(tmp_path, monkeypatch):
+    """The sweep's runs and the net phase plan on the world that was saved."""
+    from hybridfleet import experiment
+    calls = []
+    real = experiment.generate_grid_scenario
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "generate_grid_scenario", counting)
+    monkeypatch.setattr(experiment, "_WORLD_CACHE", {})
+    cfg = experiment.ExperimentConfig(grid_rows=4, grid_cols=4, n_sets=2, per_set=4,
+                                      medical_per_set=1, drone_counts=[0, 1],
+                                      net_models=["csma"], out_dir=str(tmp_path / "o"))
+    assert experiment.run_experiment(cfg) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "o" / "net_results.csv").exists()
+
+
 def test_bad_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from hybridfleet.errors import ParameterError
+from hybridfleet.errors import ParameterError, ParseError
 from hybridfleet.jobs import (Category, generate_delivery_sets, ipd_distribution,
-                              ks_statistic, load_sets, save_sets, sets_to_dict)
+                              ks_statistic, load_sets, save_sets, sets_from_dict,
+                              sets_to_dict)
 from hybridfleet.scenario import Point, generate_grid_scenario
 
 
@@ -81,6 +82,13 @@ def test_sets_file_round_trip(world, tmp_path):
     save_sets(sets, path)
     loaded = load_sets(path, world)
     assert sets_to_dict(loaded) == sets_to_dict(sets)
+
+
+def test_repeated_job_id_rejected(world):
+    data = sets_to_dict(generate_delivery_sets(world, 1, 3, 1, seed=8))
+    data[0]["jobs"][2]["id"] = data[0]["jobs"][0]["id"]
+    with pytest.raises(ParseError, match=r"sets\[0\]\.jobs\[2\]: repeated job id 0"):
+        sets_from_dict(data, world)
 
 
 # --- ipd_distribution -------------------------------------------------------
