@@ -93,6 +93,13 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.scenario_path is None and (self.grid_rows < 2 or self.grid_cols < 2):
             raise ConfigError("grid needs rows >= 2 and cols >= 2")
+        if self.buildings_per_cell < 0:
+            raise ConfigError("buildings_per_cell must be >= 0")
+        if self.net_models and not 0 <= self.net_trace_set < self.n_sets:
+            raise ConfigError(f"net_trace_set {self.net_trace_set} out of range "
+                              f"(0..{self.n_sets - 1})")
+        if self.net_trace_drones is not None and self.net_trace_drones < 0:
+            raise ConfigError("net_trace_drones must be >= 0")
         if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
             raise ConfigError(f"grid_spacing must be positive and finite, got "
                               f"{self.grid_spacing!r}")

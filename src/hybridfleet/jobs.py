@@ -116,26 +116,37 @@ def sets_from_dict(data, scenario: Scenario) -> list[DeliverySet]:
     by_id = {b.id: b for b in scenario.buildings}
     out = []
     for i, sd in enumerate(data):
+        if not isinstance(sd, dict) or not isinstance(sd.get("jobs", []), list):
+            raise ParseError(f"sets[{i}]: must be an object with a list of jobs")
         jobs = []
         ids = set()
         for k, jd in enumerate(sd.get("jobs", [])):
             where = f"sets[{i}].jobs[{k}]"
+            if not isinstance(jd, dict):
+                raise ParseError(f"{where}: must be an object")
             if "building" not in jd:
                 raise ParseError(f"{where}: missing field 'building'")
-            bid = int(jd["building"])
+            bid = _int_field(jd["building"], f"{where}.building")
             if bid not in by_id:
                 raise ParseError(f"{where}: unknown building {bid}")
             try:
                 cat = Category(jd.get("category", "standard"))
             except ValueError:
                 raise ParseError(f"{where}: bad category {jd.get('category')!r}") from None
-            jid = int(jd.get("id", k))
+            jid = _int_field(jd.get("id", k), f"{where}.id")
             if jid in ids:
                 raise ParseError(f"{where}: repeated job id {jid}")
             ids.add(jid)
             jobs.append(DeliveryJob(jid, bid, by_id[bid].access_point, cat))
-        out.append(DeliverySet(int(sd.get("id", i)), jobs))
+        out.append(DeliverySet(_int_field(sd.get("id", i), f"sets[{i}].id"), jobs))
     return out
+
+
+def _int_field(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: not an integer: {value!r}") from None
 
 
 def save_sets(sets: list[DeliverySet], path) -> None:

@@ -553,6 +553,8 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, windows, senders,
             free = list(range(mac.n_slots))
         return free[int(rng.integers(0, len(free)))]
 
+    # Sequential by design: slot choices and lifetimes draw from one stream in
+    # (period, sender) order, and that order fixes every slot.
     msg_t, msg_sidx, msg_slot, msg_period = [], [], [], []
     for k, (t_p, row) in enumerate(zip(t_period.tolist(), airborne.tolist())):
         for si in range(n_senders):

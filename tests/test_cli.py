@@ -107,6 +107,9 @@ def test_config_error_exit_code(workdir, capsys):
     ({"net_models": [["csma"]]}, "net_models must be a list of strings"),
     ({"grid_spacing": "NaN"}, "grid_spacing must be a number"),
     ({"grid_spacing": float("nan")}, "grid_spacing must be positive and finite"),
+    ({"buildings_per_cell": -1}, "buildings_per_cell must be >= 0"),
+    ({"net_trace_set": 2, "n_sets": 2}, "net_trace_set 2 out of range"),
+    ({"net_trace_drones": -1}, "net_trace_drones must be >= 0"),
     ({"fleet": {"drone_speed": -5}}, "fleet.drone_speed must be positive"),
     ({"fleet": {"drone_speed": "fast"}}, "fleet.drone_speed must be a finite number"),
     ({"fleet": {"drone_count": 2}}, "cannot set drone_count"),

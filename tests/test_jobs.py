@@ -84,6 +84,19 @@ def test_sets_file_round_trip(world, tmp_path):
     assert sets_to_dict(loaded) == sets_to_dict(sets)
 
 
+@pytest.mark.parametrize("data,message", [
+    ([5], r"sets\[0\]: must be an object"),
+    ([{"jobs": 3}], r"sets\[0\]: must be an object with a list of jobs"),
+    ([{"jobs": [7]}], r"sets\[0\]\.jobs\[0\]: must be an object"),
+    ([{"jobs": [{"building": "x"}]}], r"sets\[0\]\.jobs\[0\]\.building: not an integer"),
+    ([{"jobs": [{"building": 0, "id": None}]}], r"jobs\[0\]\.id: not an integer"),
+    ([{"id": [], "jobs": []}], r"sets\[0\]\.id: not an integer"),
+])
+def test_malformed_sets_rejected(world, data, message):
+    with pytest.raises(ParseError, match=message):
+        sets_from_dict(data, world)
+
+
 def test_repeated_job_id_rejected(world):
     data = sets_to_dict(generate_delivery_sets(world, 1, 3, 1, seed=8))
     data[0]["jobs"][2]["id"] = data[0]["jobs"][0]["id"]
