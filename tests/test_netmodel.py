@@ -1,19 +1,25 @@
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridfleet import netmodel as nm
 from hybridfleet.errors import ParameterError
-from hybridfleet.hybrid import FleetConfig, compute_sortie
+from hybridfleet.hybrid import FleetConfig, compute_sortie, plan_hybrid
 from hybridfleet.netmodel import (Centralized, ChannelConfig, Csma,
                                   NetStats, RequirementsProfile, Sps,
                                   check_requirements, link_success_probability,
                                   run_cam_traffic, write_net_results_csv,
                                   write_net_summary_csv)
-from hybridfleet.scenario import Point
+from hybridfleet.rng import generator
+from hybridfleet.scenario import Point, los_blocked_many
 from hybridfleet.simcore import simulate
 
-from conftest import job_at, line_scenario, line_timetable, sortie_plan
+from conftest import job_at, line_scenario, line_timetable, random_world, sortie_plan
 
 IDEAL = ChannelConfig(loss_threshold_db=math.inf)
 
@@ -242,17 +248,6 @@ def test_csv_outputs(tmp_path):
 # the SPS period loop, CamMessage records and their CSV writer), kept as the
 # oracle for the columnar pipeline. Columns and CSV bytes must be equal.
 
-from dataclasses import dataclass  # noqa: E402
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from hybridfleet import netmodel as nm  # noqa: E402
-from hybridfleet.rng import generator  # noqa: E402
-from hybridfleet.scenario import los_blocked_many  # noqa: E402
-
-from conftest import random_world  # noqa: E402
-
 
 @dataclass(frozen=True)
 class _Msg:
@@ -452,7 +447,6 @@ def _oracle_run(trace, scenario, mac, cfg, period_ms, seed):
 
 
 def _oracle_results_csv(model, messages, path):
-    import csv
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["model", "sender", "seq", "gen_time_s", "delivered",
@@ -525,7 +519,6 @@ def test_saturated_csma_matches_oracle(tmp_path, n_drones, airtime_ms, cw_slots,
 @pytest.mark.parametrize("case", [0, 3, 5, 8])
 def test_planned_worlds_match_oracle(tmp_path, case):
     """Traces planned on grid worlds with buildings, so LOS varies."""
-    from hybridfleet.hybrid import plan_hybrid
     sc, dset, fleet, prioritize = random_world(case, max_drones=4)
     fleet.drone_count = max(fleet.drone_count, 2)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
