@@ -2,7 +2,7 @@
 
 Subcommands: scenario gen|validate, jobs gen, plan, simulate, netsim, sweep,
 report. Batch-oriented: outputs are files. Exit codes: 0 success, 1 run
-failure, 2 configuration/input error.
+failure, 2 configuration/input error (a bad file, config value or flag).
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, HybridFleetError, InvariantViolation, ParseError
+from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
+                     ParseError)
 from .experiment import ExperimentConfig, run_experiment
 from .hybrid import FleetConfig, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
@@ -99,7 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ParseError, InvariantViolation, FileNotFoundError) as exc:
+    except (ConfigError, ParameterError, ParseError, InvariantViolation,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HybridFleetError as exc:

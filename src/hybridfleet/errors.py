@@ -30,17 +30,6 @@ class TspSizeError(HybridFleetError):
     """Instance too large for the exact solver."""
 
 
-class SortieInfeasible(HybridFleetError):
-    """No valid drone sortie exists for the requested launch.
-
-    ``reason`` is one of ``"no rendezvous node"`` or ``"endurance exceeded"``.
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
 class PlanConsistencyError(HybridFleetError):
     """A plan does not match the scenario/fleet it is executed against."""
 

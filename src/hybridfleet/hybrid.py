@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ParameterError, ParseError, SortieInfeasible
+from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
 from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
                       routing_cache)
-from .scenario import Scenario, nearest_node
+from .scenario import Scenario
 
 _EPS = 1e-9
 
@@ -42,15 +42,16 @@ class FleetConfig:
 
 
 def validate_fleet(fleet: FleetConfig) -> None:
+    # negated comparisons, so that NaN fails them too
     for name in ("truck_speed", "drone_speed", "drone_endurance", "turnaround",
                  "drone_altitude"):
-        if getattr(fleet, name) <= 0:
+        if not getattr(fleet, name) > 0:
             raise ParameterError(f"fleet.{name} must be positive")
     for name in ("truck_service", "drone_service"):
-        if getattr(fleet, name) < 0:
+        if not getattr(fleet, name) >= 0:
             raise ParameterError(f"fleet.{name} must be non-negative")
-    if fleet.drone_count < 0:
-        raise ParameterError("fleet.drone_count must be >= 0")
+    if not isinstance(fleet.drone_count, int) or fleet.drone_count < 0:
+        raise ParameterError("fleet.drone_count must be an integer >= 0")
 
 
 @dataclass
@@ -91,10 +92,6 @@ class HybridPlan:
     objective: float                   # sum of completions
     makespan: float                    # truck's depot-return time
 
-    @property
-    def node_path(self) -> list[int]:
-        return self.timetable.nodes
-
     def drone_jobs(self) -> dict[int, list[Sortie]]:
         out: dict[int, list[Sortie]] = {}
         for s in self.sorties:
@@ -103,41 +100,7 @@ class HybridPlan:
 
 
 # ---------------------------------------------------------------------------
-# public operations
-
-
-def drone_eligible(job, fleet: FleetConfig, scenario: Scenario) -> bool:
-    """Sufficient battery check: out-and-back to the nearest road node fits
-    into the endurance budget."""
-    node = scenario.graph.nodes[nearest_node(scenario, job.target)]
-    d = node.dist2d(job.target)
-    return 2.0 * d / fleet.drone_speed + fleet.drone_service <= fleet.drone_endurance
-
-
-def compute_sortie(timetable: TruckTimetable, launch_node: int, job,
-                   drone_free_at: float, fleet: FleetConfig,
-                   scenario: Scenario) -> Sortie:
-    """Sortie launched at the truck's pass over launch_node.
-
-    The drone leaves at the truck's departure instant, serves the target, and
-    is recovered at the earliest later path node it can reach before the
-    truck leaves it. Raises SortieInfeasible with reason 'no rendezvous node'
-    or 'endurance exceeded'.
-    """
-    nodes = timetable.nodes
-    xs = np.array([scenario.graph.nodes[n].x for n in nodes], np.float64)
-    ys = np.array([scenario.graph.nodes[n].y for n in nodes], np.float64)
-    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive, timetable.depart,
-                             launch_node, drone_free_at, -1, job.id,
-                             job.target.x, job.target.y, fleet)
-    if status == _NO_LAUNCH:
-        raise ParameterError(
-            f"launch node {launch_node} has no truck pass at or after t={drone_free_at}")
-    if status == kernels.SORTIE_NO_NODE:
-        raise SortieInfeasible("no rendezvous node")
-    if status == kernels.SORTIE_ENDURANCE:
-        raise SortieInfeasible("endurance exceeded")
-    return sortie
+# drone sorties
 
 
 _NO_LAUNCH = -1  # _fly status: the truck passes the launch node too early or never
@@ -174,12 +137,6 @@ def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
         leg_back_m=(t_arr - t_deliver - fleet.drone_service) * fleet.drone_speed,
         hover_wait=float(t_rdv - t_arr), deliver_time=float(t_deliver),
         target_x=tx, target_y=ty)
-
-
-def plan_timeline(plan: HybridPlan) -> dict[int, float]:
-    """job id -> predicted completion: truck arrival + truck service for truck
-    stops, target arrival + drone service for sorties."""
-    return dict(plan.completion)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +316,8 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     """
     validate_fleet(fleet)
     ctx = _PlanContext(scenario, dset, fleet)
-    base: Tour = (priority_schedule(scenario, dset, solver) if prioritize
-                  else plain_schedule(scenario, dset, solver))
+    base: Tour = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
+                  else plain_schedule(scenario, dset, ctx.nodes_of, solver))
     truck_jobs = list(base.stops)
     assignments: dict[int, list[tuple[int, int]]] = {d: [] for d in range(fleet.drone_count)}
     current = ctx.assemble(assignments, truck_jobs)
@@ -503,6 +460,9 @@ def plan_from_dict(data: dict) -> tuple[HybridPlan, FleetConfig | None]:
         nodes = [int(n) for n in truck["node_path"]]
         arrive = np.array([row[0] for row in truck["timetable"]], np.float64)
         depart = np.array([row[1] for row in truck["timetable"]], np.float64)
+        if not nodes or len(arrive) != len(nodes):
+            raise ParseError(f"plan file: timetable has {len(arrive)} rows for a "
+                             f"node_path of {len(nodes)} nodes (at least 1)")
         sorties = [Sortie(**{k: (int(v) if k in ("drone_id", "job_id", "launch_node",
                                                  "rendezvous_node") else float(v))
                              for k, v in s.items()}) for s in data.get("sorties", [])]
@@ -510,10 +470,13 @@ def plan_from_dict(data: dict) -> tuple[HybridPlan, FleetConfig | None]:
         plan = HybridPlan(stops, stop_positions, TruckTimetable(nodes, arrive, depart),
                           sorties, completion, bool(data.get("prioritized", False)),
                           float(data.get("objective", sum(completion.values()))),
-                          float(data.get("makespan", arrive[-1] if len(arrive) else 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+                          float(data.get("makespan", arrive[-1])))
+        fleet = None
+        if "fleet" in data:
+            fleet = FleetConfig(**data["fleet"])
+            validate_fleet(fleet)
+    except (KeyError, IndexError, TypeError, ValueError, ParameterError) as exc:
         raise ParseError(f"plan file: {exc!r}") from exc
-    fleet = FleetConfig(**data["fleet"]) if "fleet" in data else None
     return plan, fleet
 
 

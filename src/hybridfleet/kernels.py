@@ -2,12 +2,8 @@
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
 are numpy-vectorized over segments, and the truck timetable is a numpy
-prefix sum; both run the same way everywhere. The sortie, TSP and distance
-kernels are scalar loops compiled with numba's ``@njit`` when numba is
-installed (the optional ``jit`` extra); without numba, or with the
-environment variable ``HYBRIDFLEET_NO_JIT`` set to 1/true/yes, the same
-source runs as plain Python. Both paths execute the identical statements, so
-results are bit-identical; only speed differs.
+prefix sum. The sortie, TSP and distance kernels are scalar loops over numpy
+arrays, run as plain Python.
 
 Kernels operate on primitive numpy arrays only; the domain modules own all
 object <-> array conversion.
@@ -15,40 +11,17 @@ object <-> array conversion.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-JIT_ENABLED = os.environ.get("HYBRIDFLEET_NO_JIT", "0").lower() not in ("1", "true", "yes")
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # numba is optional
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _jit(func):
-    if JIT_ENABLED:
-        return njit(cache=True)(func)
-    return func
+# Always False: the kernels run as plain Python. perfbench's machine stamp reads it.
+JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # geometry
 
 
-@_jit
 def pairwise_distances(x, y):
     """Condensed upper-triangle Euclidean distances of a 2D point set."""
     n = x.shape[0]
@@ -180,7 +153,6 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
 # TSP
 
 
-@_jit
 def tour_cost(matrix, order, closed):
     c = 0.0
     for i in range(order.shape[0] - 1):
@@ -190,7 +162,6 @@ def tour_cost(matrix, order, closed):
     return c
 
 
-@_jit
 def nearest_neighbor_order(matrix, start):
     n = matrix.shape[0]
     order = np.empty(n, np.int64)
@@ -211,7 +182,6 @@ def nearest_neighbor_order(matrix, start):
     return order
 
 
-@_jit
 def two_opt(matrix, order, closed):
     """First-improvement 2-opt sweeps until no move improves.
 
@@ -251,7 +221,6 @@ def two_opt(matrix, order, closed):
     return tour_cost(matrix, order, closed)
 
 
-@_jit
 def held_karp(matrix, closed):
     """Exact TSP from city 0 by subset DP; lexicographically smallest optimum.
 
@@ -313,7 +282,6 @@ SORTIE_NO_NODE = 1
 SORTIE_ENDURANCE = 2
 
 
-@_jit
 def sortie_from_launch(path_x, path_y, arrive, depart, launch_idx,
                        tx, ty, speed, service, endurance):
     """Earliest feasible rendezvous for a launch at path position launch_idx.
@@ -342,7 +310,6 @@ def sortie_from_launch(path_x, path_y, arrive, depart, launch_idx,
     return SORTIE_NO_NODE, -1, t_deliver, 0.0, 0.0
 
 
-@_jit
 def best_sortie(path_x, path_y, path_node, arrive, depart, n_graph_nodes,
                 free_time, tx, ty, speed, service, endurance):
     """Completion-minimizing sortie over all candidate launch nodes.

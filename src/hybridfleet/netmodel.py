@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import generator
-from .scenario import Point, Scenario, los_blocked_many
+from .scenario import Scenario, los_blocked_many
 from .simcore import DeliveryTrace
 
 # Per-model seed tag: selects each model's own random stream inside
@@ -192,19 +192,10 @@ def check_requirements(stats: NetStats,
 # link model
 
 
-def link_success_probability(cfg: ChannelConfig, a: Point, b: Point,
-                             los: bool) -> float:
-    """Log-distance path loss pushed through a logistic reception curve."""
-    d = math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-    if d == 0.0:
-        return 1.0  # collocated
-    n = cfg.pl_exp_los if los else cfg.pl_exp_nlos
-    pl = cfg.ref_loss_db + 10.0 * n * math.log10(d)
-    return 1.0 / (1.0 + math.exp((pl - cfg.loss_threshold_db) / cfg.logistic_width_db))
-
-
 def _success_probs(cfg: ChannelConfig, a_xyz: np.ndarray, b_xyz: np.ndarray,
                    los: np.ndarray) -> np.ndarray:
+    """Per segment: log-distance path loss pushed through a logistic
+    reception curve; 1 for collocated endpoints."""
     d = np.sqrt(np.sum((a_xyz - b_xyz) ** 2, axis=1))
     n_exp = np.where(los, cfg.pl_exp_los, cfg.pl_exp_nlos)
     with np.errstate(divide="ignore"):

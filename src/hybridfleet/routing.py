@@ -23,13 +23,6 @@ Solver = Literal["exact", "heuristic"]
 
 
 @dataclass
-class RoutedPath:
-    nodes: list[int]
-    total_length: float    # meters
-    travel_time: float     # seconds
-
-
-@dataclass
 class Tour:
     start: int             # depot node id
     stops: list[int]       # job ids in service order
@@ -145,14 +138,6 @@ def routing_cache(scenario: Scenario) -> RoutingCache:
     return scenario._routes
 
 
-def shortest_path(graph: RoadGraph, a: int, b: int) -> RoutedPath:
-    """Minimal-travel-time path a -> b, lexicographically smallest on ties
-    (see ``RoutingCache.walk``)."""
-    routes = RoutingCache(graph)
-    path, edges = routes.walk(a, b)
-    return RoutedPath(path, sum((length for length, _ in edges), 0.0), routes.time(b, a))
-
-
 def travel_time_matrix(scenario: Scenario, stops: list[int]) -> np.ndarray:
     """Symmetric matrix of shortest-path travel times between stop nodes."""
     routes = routing_cache(scenario)
@@ -214,14 +199,14 @@ def job_nodes(scenario: Scenario, dset: DeliverySet) -> dict[int, int]:
     return {j.id: nearest_node(scenario, j.target) for j in dset.jobs}
 
 
-def priority_schedule(scenario: Scenario, dset: DeliverySet,
+def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
                       solver: Solver = "heuristic") -> Tour:
     """Medical-first tour: open TSP over medical jobs from the depot, then an
     open TSP over standard jobs starting at the last medical stop, closed by
     the return to the depot. Falls back to a plain closed TSP when either
-    category is empty.
+    category is empty. nodes_of maps each job id to its road node, as
+    ``job_nodes`` gives it.
     """
-    nodes_of = job_nodes(scenario, dset)
     medical = [j.id for j in dset.medical()]
     std = [j.id for j in dset.standard()]
     depot = scenario.depot
@@ -246,10 +231,10 @@ def priority_schedule(scenario: Scenario, dset: DeliverySet,
     return Tour(depot, med_seq + std_seq, True)
 
 
-def plain_schedule(scenario: Scenario, dset: DeliverySet,
+def plain_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
                    solver: Solver = "heuristic") -> Tour:
-    """Closed TSP over all jobs from the depot, ignoring categories."""
-    nodes_of = job_nodes(scenario, dset)
+    """Closed TSP over all jobs from the depot, ignoring categories; nodes_of
+    as for ``priority_schedule``."""
     jobs = [j.id for j in dset.jobs]
     if not jobs:
         return Tour(scenario.depot, [], True)

@@ -227,25 +227,13 @@ def nearest_node(scenario: Scenario, p: Point) -> int:
     return int(geom.node_ids[int(np.argmin(d2))])
 
 
-def los_blocked(scenario: Scenario, a: Point, b: Point) -> bool:
-    """True iff the 3D segment a-b intersects any building volume.
-
-    Footprints are extruded from the ground to their height; endpoints inside
-    a volume count as blocked.
-    """
-    if not scenario.buildings:
-        return False
-    geom = scenario.geometry()
-    out = kernels.los_blocked_batch(
-        np.array([a.x]), np.array([a.y]), np.array([a.z]),
-        np.array([b.x]), np.array([b.y]), np.array([b.z]),
-        geom.vert_x, geom.vert_y, geom.offsets, geom.heights,
-        geom.bb_minx, geom.bb_maxx, geom.bb_miny, geom.bb_maxy)
-    return bool(out[0])
-
-
 def los_blocked_many(scenario: Scenario, a_xyz: np.ndarray, b_xyz: np.ndarray) -> np.ndarray:
-    """Vectorized los_blocked over N segment endpoint pairs (N x 3 arrays)."""
+    """Per segment: True iff the 3D segment intersects a building volume.
+
+    a_xyz and b_xyz are the N x 3 endpoint arrays. Footprints are extruded
+    from the ground to their height; an endpoint inside a volume counts as
+    blocked.
+    """
     if not scenario.buildings:
         return np.zeros(len(a_xyz), bool)
     geom = scenario.geometry()

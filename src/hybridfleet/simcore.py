@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, PlanConsistencyError
+from .errors import ParseError, PlanConsistencyError
 from .hybrid import FleetConfig, HybridPlan, Sortie, validate_fleet
 from .scenario import Scenario
 
@@ -60,11 +60,6 @@ class Trajectory:
     y: np.ndarray
     z: np.ndarray
 
-    def at(self, t: float) -> tuple[float, float, float]:
-        return (float(np.interp(t, self.times, self.x)),
-                float(np.interp(t, self.times, self.y)),
-                float(np.interp(t, self.times, self.z)))
-
 
 @dataclass
 class DeliveryTrace:
@@ -86,17 +81,6 @@ class DeliveryTrace:
             elif ev.kind == KIND_DRONE_RENDEZVOUS and ev.vehicle in open_at:
                 out.setdefault(ev.vehicle, []).append((open_at.pop(ev.vehicle), ev.time))
         return out
-
-
-def position_at(trace: DeliveryTrace, vehicle: str, t: float) -> tuple[float, float, float]:
-    """Linear interpolation on the vehicle's trajectory."""
-    if vehicle not in trace.trajectories:
-        raise ParameterError(f"unknown vehicle {vehicle!r}")
-    traj = trace.trajectories[vehicle]
-    if t < traj.times[0] - _SLACK or t > traj.times[-1] + _SLACK:
-        raise ParameterError(f"t={t} outside trajectory range "
-                             f"[{traj.times[0]}, {traj.times[-1]}]")
-    return traj.at(t)
 
 
 def _validate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> None:

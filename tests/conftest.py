@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable
+from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.rng import generator
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
@@ -28,6 +28,18 @@ def line_timetable(scenario: Scenario, truck_speed=10.0) -> TruckTimetable:
 
 def job_at(x, y, job_id=0, category=Category.STANDARD) -> DeliveryJob:
     return DeliveryJob(job_id, building_id=0, target=Point(x, y), category=category)
+
+
+def fly(scenario, timetable, launch_node, job, fleet, free_at=0.0, drone_id=0):
+    """(status, sortie) of the planner's sortie constructor for job, launched
+    at the truck's first pass over launch_node departing at or after free_at."""
+    nodes = timetable.nodes
+    xs = np.array([scenario.graph.nodes[n].x for n in nodes], np.float64)
+    ys = np.array([scenario.graph.nodes[n].y for n in nodes], np.float64)
+    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive, timetable.depart,
+                             launch_node, free_at, drone_id, job.id,
+                             job.target.x, job.target.y, fleet)
+    return status, sortie
 
 
 def sortie_plan(scenario, timetable, sorties, fleet) -> HybridPlan:

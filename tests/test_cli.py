@@ -141,6 +141,54 @@ def test_plan_repeated_job_id_exit_2(workdir, capsys):
     assert "repeated job id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda p: p.update(fleet={"bogus": 1}), "bogus", id="unknown-fleet-key"),
+    pytest.param(lambda p: p["fleet"].update(drone_count="2"),
+                 "drone_count must be an integer", id="string-drone-count"),
+    pytest.param(lambda p: p["fleet"].update(drone_count=1.5),
+                 "drone_count must be an integer", id="fractional-drone-count"),
+    pytest.param(lambda p: p["fleet"].update(drone_speed=-5), "drone_speed must be positive",
+                 id="negative-speed"),
+    pytest.param(lambda p: p["fleet"].update(drone_speed=float("nan")),
+                 "drone_speed must be positive", id="nan-speed"),
+    pytest.param(lambda p: p.update(fleet=None), "TypeError", id="null-fleet"),
+    pytest.param(lambda p: p["truck"].update(timetable=[]), "timetable has 0 rows",
+                 id="empty-timetable"),
+    pytest.param(lambda p: p["truck"].update(node_path=[], timetable=[]),
+                 "timetable has 0 rows", id="empty-path"),
+    pytest.param(lambda p: p["truck"]["timetable"].__setitem__(0, [0.0]), "IndexError",
+                 id="short-timetable-row"),
+])
+def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message):
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--drones", 1, "--out", tmp_path / "plan.json") == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    edit(plan)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run("simulate", "--scenario", workdir / "scen.json", "--plan", tmp_path / "plan.json",
+               "--out", tmp_path / "trace.csv") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/jobs.json",
+                  "--drones", -1, "--out", "{t}/plan.json"],
+                 "drone_count must be an integer >= 0", id="plan-negative-drones"),
+    pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--medical", 5,
+                  "--per-set", 3, "--out", "{t}/jobs.json"],
+                 "medical_per_set cannot exceed per_set", id="jobs-medical-above-per-set"),
+    pytest.param(["scenario", "gen", "--rows", 1, "--out", "{t}/scen.json"],
+                 "grid needs rows >= 2", id="scenario-one-row"),
+])
+def test_flag_precondition_exit_2(workdir, tmp_path, capsys, argv, message):
+    argv = [str(a).format(d=workdir, t=tmp_path) for a in argv]
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_builds_the_world_once(tmp_path, monkeypatch):
     """The sweep's runs and the net phase plan on the world that was saved."""
     from hybridfleet import experiment

@@ -5,38 +5,16 @@ import numpy as np
 import pytest
 
 from hybridfleet import kernels
-from hybridfleet.errors import ParameterError, SortieInfeasible
-from hybridfleet.hybrid import (FleetConfig, HybridPlan, Sortie, TruckTimetable, _PlanContext,
-                                check_plan, compute_sortie, drone_eligible, load_plan,
-                                plan_hybrid, plan_timeline, plan_to_dict, save_plan)
+from hybridfleet.errors import ParameterError
+from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, TruckTimetable,
+                                _PlanContext, check_plan, load_plan, plan_hybrid,
+                                plan_to_dict, save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.routing import dijkstra_times, job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
-from conftest import job_at, line_scenario, line_timetable, random_world
+from conftest import fly, job_at, line_scenario, line_timetable, random_world
 from test_kernels import _oracle_build_timetable
-
-
-def test_drone_eligible_offroad_target():
-    sc = line_scenario(3, 200.0, 10.0)
-    fleet = FleetConfig(drone_count=1, drone_speed=12.0, drone_service=30.0,
-                        drone_endurance=1200.0)
-    job = job_at(0.0, 100.0)  # 100 m from the nearest node
-    assert drone_eligible(job, fleet, sc)  # 2*100/12 + 30 = 46.7 s
-
-
-def test_drone_eligible_short_endurance():
-    sc = line_scenario(3, 200.0, 10.0)
-    fleet = FleetConfig(drone_count=1, drone_speed=12.0, drone_service=30.0,
-                        drone_endurance=10.0)
-    assert not drone_eligible(job_at(0.0, 100.0), fleet, sc)
-
-
-def test_drone_eligible_boundary_service_equals_endurance():
-    sc = line_scenario(3, 200.0, 10.0)
-    fleet = FleetConfig(drone_count=1, drone_speed=12.0, drone_service=30.0,
-                        drone_endurance=30.0)
-    assert drone_eligible(job_at(0.0, 0.0), fleet, sc)  # target on a road node
 
 
 def sortie_oracle(node_xs, truck_speed, target, drone_speed, service):
@@ -56,10 +34,10 @@ def test_compute_sortie_derived_example():
     tt = line_timetable(sc, truck_speed=10.0)
     fleet = FleetConfig(drone_count=1, truck_speed=10.0, drone_speed=20.0,
                         drone_service=0.0, drone_endurance=1e9)
-    job = job_at(0.0, 300.0)
-    sortie = compute_sortie(tt, 0, job, 0.0, fleet, sc)
+    status, sortie = fly(sc, tt, 0, job_at(0.0, 300.0), fleet)
     oracle = sortie_oracle([i * 100 for i in range(11)], 10.0, (0.0, 300.0), 20.0, 0.0)
     assert oracle == (400, 40.0)
+    assert status == kernels.SORTIE_OK
     assert sortie.launch_time == 0.0
     assert sortie.rendezvous_node == 4  # node at x = 400
     assert sortie.rendezvous_time == 40.0
@@ -73,9 +51,7 @@ def test_compute_sortie_endurance_exceeded():
     tt = line_timetable(sc, truck_speed=10.0)
     fleet = FleetConfig(drone_count=1, truck_speed=10.0, drone_speed=20.0,
                         drone_service=0.0, drone_endurance=30.0)
-    with pytest.raises(SortieInfeasible) as exc:
-        compute_sortie(tt, 0, job_at(0.0, 300.0), 0.0, fleet, sc)
-    assert exc.value.reason == "endurance exceeded"
+    assert fly(sc, tt, 0, job_at(0.0, 300.0), fleet) == (kernels.SORTIE_ENDURANCE, None)
 
 
 def test_compute_sortie_no_rendezvous_node():
@@ -83,9 +59,7 @@ def test_compute_sortie_no_rendezvous_node():
     tt = line_timetable(sc, truck_speed=100.0)  # truck outruns the drone
     fleet = FleetConfig(drone_count=1, truck_speed=100.0, drone_speed=1.0,
                         drone_service=0.0, drone_endurance=1e9)
-    with pytest.raises(SortieInfeasible) as exc:
-        compute_sortie(tt, 0, job_at(0.0, 300.0), 0.0, fleet, sc)
-    assert exc.value.reason == "no rendezvous node"
+    assert fly(sc, tt, 0, job_at(0.0, 300.0), fleet) == (kernels.SORTIE_NO_NODE, None)
 
 
 def test_compute_sortie_target_on_path_node():
@@ -93,7 +67,8 @@ def test_compute_sortie_target_on_path_node():
     tt = line_timetable(sc, truck_speed=10.0)
     fleet = FleetConfig(drone_count=1, truck_speed=10.0, drone_speed=20.0,
                         drone_service=0.0, drone_endurance=1e9)
-    sortie = compute_sortie(tt, 0, job_at(0.0, 0.0), 0.0, fleet, sc)
+    status, sortie = fly(sc, tt, 0, job_at(0.0, 0.0), fleet)
+    assert status == kernels.SORTIE_OK
     assert sortie.rendezvous_node > 0
     assert sortie.hover_wait >= 0.0
 
@@ -102,10 +77,9 @@ def test_compute_sortie_launch_precondition():
     sc = line_scenario(5, 100.0, 10.0)
     tt = line_timetable(sc, truck_speed=10.0)
     fleet = FleetConfig(drone_count=1)
-    with pytest.raises(ParameterError):
-        compute_sortie(tt, 4, job_at(0, 0), 0.0, fleet, sc)  # last node
-    with pytest.raises(ParameterError):
-        compute_sortie(tt, 0, job_at(0, 0), 1e6, fleet, sc)  # free after pass
+    # a launch from the last node, and a drone free only after the truck's pass
+    assert fly(sc, tt, 4, job_at(0, 0), fleet) == (_NO_LAUNCH, None)
+    assert fly(sc, tt, 0, job_at(0, 0), fleet, free_at=1e6) == (_NO_LAUNCH, None)
 
 
 def test_plan_zero_drones_is_pure_truck_tour():
@@ -114,7 +88,7 @@ def test_plan_zero_drones_is_pure_truck_tour():
     fleet = FleetConfig(drone_count=0)
     plan = plan_hybrid(sc, dset, fleet, prioritize=False)
     assert plan.sorties == []
-    assert plan.truck_stops == plain_schedule(sc, dset).stops
+    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset)).stops
     tt = plan.timetable
     for j, pos in plan.stop_positions.items():
         assert plan.completion[j] == pytest.approx(tt.depart[pos])
@@ -175,7 +149,8 @@ def test_prioritized_truck_stops_keep_medical_first():
 def test_plan_timeline_matches_completion():
     sc, dset, fleet, prioritize = random_world(7)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
-    assert plan_timeline(plan) == plan.completion
+    for j in plan.truck_stops:
+        assert plan.completion[j] == plan.timetable.depart[plan.stop_positions[j]]
     for s in plan.sorties:
         assert plan.completion[s.job_id] == pytest.approx(
             s.deliver_time + fleet.drone_service)
@@ -324,8 +299,8 @@ class _OraclePlanContext:
 
 def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
     ctx = _OraclePlanContext(scenario, dset, fleet)
-    base = (priority_schedule(scenario, dset, solver) if prioritize
-            else plain_schedule(scenario, dset, solver))
+    base = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
+            else plain_schedule(scenario, dset, ctx.nodes_of, solver))
     truck_jobs = list(base.stops)
     assignments = {d: [] for d in range(fleet.drone_count)}
     current = ctx.build(truck_jobs, assignments)

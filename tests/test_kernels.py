@@ -1,10 +1,10 @@
 """Kernel-level behavior and equivalence with reference implementations.
 
-Every jitted kernel must produce identical results whether it runs through
-numba or as plain Python (the HYBRIDFLEET_NO_JIT=1 fallback executes the same
-source). The numpy LOS kernel must match, element for element, the scalar
-per-segment x per-building loop kept below as its oracle, and the numpy
-timetable must match the scalar recurrence kept below bit for bit.
+The TSP kernels are checked against exhaustive enumeration and the 2-opt
+local-optimum property. The numpy LOS kernel must match, element for
+element, the scalar per-segment x per-building loop kept below as its
+oracle, and the numpy timetable must match the scalar recurrence kept below
+bit for bit.
 """
 import itertools
 import math
@@ -19,69 +19,11 @@ from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_g
                                  los_blocked_many, scenario_from_dict)
 
 
-def py(fn):
-    return fn.py_func if hasattr(fn, "py_func") else fn
-
-
-needs_jit = pytest.mark.skipif(not kernels.JIT_ENABLED,
-                               reason="JIT disabled; single path only")
-
-
 def random_matrix(rng, n):
     m = rng.uniform(1, 100, (n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 0)
     return m
-
-
-@needs_jit
-def test_pairwise_distances_jit_matches_python():
-    rng = np.random.default_rng(1)
-    x, y = rng.uniform(0, 100, (2, 30))
-    np.testing.assert_array_equal(kernels.pairwise_distances(x, y),
-                                  py(kernels.pairwise_distances)(x, y))
-
-
-@needs_jit
-@pytest.mark.parametrize("closed", [True, False])
-def test_two_opt_jit_matches_python(closed):
-    rng = np.random.default_rng(2)
-    for n in (3, 8, 20):
-        m = random_matrix(rng, n)
-        a = np.arange(n)
-        b = np.arange(n)
-        ca = kernels.two_opt(m, a, closed)
-        cb = py(kernels.two_opt)(m, b, closed)
-        assert ca == cb
-        np.testing.assert_array_equal(a, b)
-
-
-@needs_jit
-@pytest.mark.parametrize("closed", [True, False])
-def test_held_karp_jit_matches_python(closed):
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 9):
-        m = random_matrix(rng, n)
-        oa, ca = kernels.held_karp(m, closed)
-        ob, cb = py(kernels.held_karp)(m, closed)
-        assert ca == cb
-        np.testing.assert_array_equal(oa, ob)
-
-
-@needs_jit
-def test_sortie_scan_jit_matches_python():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        n = 12
-        px = np.cumsum(rng.uniform(20, 120, n))
-        py_ = np.zeros(n)
-        steps = np.diff(px) / 8.0
-        arrive, depart = kernels.build_timetable(steps, np.zeros(n))
-        node = np.arange(n)
-        args = (px, py_, node, arrive, depart, n, 0.0,
-                float(rng.uniform(0, 300)), float(rng.uniform(-200, 200)),
-                12.0, 30.0, 600.0)
-        assert kernels.best_sortie(*args) == py(kernels.best_sortie)(*args)
 
 
 def test_two_opt_reaches_local_optimum():

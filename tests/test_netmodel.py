@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from hybridfleet import netmodel as nm
 from hybridfleet.errors import ParameterError
-from hybridfleet.hybrid import FleetConfig, compute_sortie, plan_hybrid
+from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.netmodel import (Centralized, ChannelConfig, Csma,
                                   NetStats, RequirementsProfile, Sps,
-                                  check_requirements, link_success_probability,
-                                  run_cam_traffic, write_net_results_csv,
-                                  write_net_summary_csv)
+                                  check_requirements, run_cam_traffic,
+                                  write_net_results_csv, write_net_summary_csv)
 from hybridfleet.rng import generator
-from hybridfleet.scenario import Point, los_blocked_many
+from hybridfleet.scenario import los_blocked_many
 from hybridfleet.simcore import simulate
 
-from conftest import job_at, line_scenario, line_timetable, random_world, sortie_plan
+from conftest import fly, job_at, line_scenario, line_timetable, random_world, sortie_plan
 
 IDEAL = ChannelConfig(loss_threshold_db=math.inf)
 
@@ -32,38 +31,42 @@ def make_trace(n_drones=1, service=30.0, n_nodes=25, stagger=0.0):
     tt = line_timetable(sc, truck_speed=10.0)
     sorties = []
     for d in range(n_drones):
-        s = compute_sortie(tt, d * int(stagger) if stagger else 0,
-                           job_at(0.0, 300.0 + 40.0 * d, job_id=d), 0.0, fleet, sc)
-        s.drone_id = d
+        _, s = fly(sc, tt, d * int(stagger) if stagger else 0,
+                   job_at(0.0, 300.0 + 40.0 * d, job_id=d), fleet, drone_id=d)
         sorties.append(s)
     plan = sortie_plan(sc, tt, sorties, fleet)
     targets = {d: (0.0, 300.0 + 40.0 * d) for d in range(n_drones)}
     return sc, simulate(sc, plan, fleet, targets)
 
 
+def link_p(cfg, a, b, los):
+    """The link model's success probability for the one segment a-b."""
+    return float(nm._success_probs(cfg, np.array([a], np.float64), np.array([b], np.float64),
+                                   np.array([los]))[0])
+
+
 def test_link_probability_close_range():
     cfg = ChannelConfig()
-    p = link_success_probability(cfg, Point(0, 0, 0), Point(1, 0, 0), los=True)
+    p = link_p(cfg, (0, 0, 0), (1, 0, 0), los=True)
     assert p > 0.999
 
 
 def test_link_probability_logistic_midpoint():
     cfg = ChannelConfig(ref_loss_db=47.0, loss_threshold_db=47.0)
-    p = link_success_probability(cfg, Point(0, 0, 0), Point(1, 0, 0), los=True)
+    p = link_p(cfg, (0, 0, 0), (1, 0, 0), los=True)
     assert p == pytest.approx(0.5)
 
 
 def test_link_probability_nlos_never_better():
     cfg = ChannelConfig()
     for d in (5.0, 50.0, 200.0, 600.0):
-        los = link_success_probability(cfg, Point(0, 0, 0), Point(d, 0, 0), True)
-        nlos = link_success_probability(cfg, Point(0, 0, 0), Point(d, 0, 0), False)
+        los = link_p(cfg, (0, 0, 0), (d, 0, 0), True)
+        nlos = link_p(cfg, (0, 0, 0), (d, 0, 0), False)
         assert nlos <= los
 
 
 def test_link_probability_collocated():
-    assert link_success_probability(ChannelConfig(), Point(1, 2, 3), Point(1, 2, 3),
-                                    False) == 1.0
+    assert link_p(ChannelConfig(), (1, 2, 3), (1, 2, 3), False) == 1.0
 
 
 def test_channel_config_validation():

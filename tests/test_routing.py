@@ -9,10 +9,9 @@ from hybridfleet.errors import RoutingError, TspSizeError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import generate_delivery_sets
 from hybridfleet.routing import (RoutingCache, dijkstra_times, job_nodes, priority_schedule,
-                                 plain_schedule, routing_cache, shortest_path,
+                                 plain_schedule, routing_cache,
                                  travel_time_matrix, tsp_exact, tsp_heuristic)
 from hybridfleet.scenario import DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario, generate_grid_scenario
-
 
 
 def brute_force_tsp(matrix, closed):
@@ -41,29 +40,34 @@ def square_matrix():
     return m
 
 
+def cached_walk(graph, a, b):
+    """(nodes, length, travel time) of the routing cache's walk a -> b on a
+    fresh cache; the time is Dijkstra's from b, which the walk follows."""
+    routes = RoutingCache(graph)
+    path, edges = routes.walk(a, b)
+    return path, sum((length for length, _ in edges), 0.0), routes.time(b, a)
+
+
 def test_shortest_path_grid_manhattan():
     sc = generate_grid_scenario(3, 3, 100.0, 0, seed=1)
     target = 5  # (200, 100)
-    sp = shortest_path(sc.graph, 0, target)
-    assert sp.total_length == pytest.approx(300.0)
-    assert sp.travel_time == pytest.approx(300.0 / DEFAULT_SPEED_MPS)
+    nodes, length, time = cached_walk(sc.graph, 0, target)
+    assert length == pytest.approx(300.0)
+    assert time == pytest.approx(300.0 / DEFAULT_SPEED_MPS)
     # lexicographically smallest among the Manhattan-optimal paths
-    assert sp.nodes == [0, 1, 2, 5]
+    assert nodes == [0, 1, 2, 5]
 
 
 def test_shortest_path_identity():
     sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
-    sp = shortest_path(sc.graph, 3, 3)
-    assert sp.nodes == [3]
-    assert sp.total_length == 0.0
-    assert sp.travel_time == 0.0
+    assert cached_walk(sc.graph, 3, 3) == ([3], 0.0, 0.0)
 
 
 def test_shortest_path_single_edge():
     g = RoadGraph({0: Point(0, 0), 1: Point(100, 0)}, [Edge(0, 1, 100.0, 10.0)])
-    sp = shortest_path(g, 0, 1)
-    assert sp.nodes == [0, 1]
-    assert sp.travel_time == pytest.approx(10.0)
+    nodes, _, time = cached_walk(g, 0, 1)
+    assert nodes == [0, 1]
+    assert time == pytest.approx(10.0)
 
 
 def test_shortest_path_cost_self_consistent():
@@ -75,15 +79,15 @@ def test_shortest_path_cost_self_consistent():
     nodes = sorted(sc.graph.nodes)
     for _ in range(30):
         a, b = rng.choice(nodes, 2, replace=False)
-        sp = shortest_path(sc.graph, int(a), int(b))
-        recomputed = sum(times[(u, v)] for u, v in zip(sp.nodes, sp.nodes[1:]))
-        assert sp.travel_time == pytest.approx(recomputed, abs=1e-9)
+        nodes, _, time = cached_walk(sc.graph, int(a), int(b))
+        recomputed = sum(times[(u, v)] for u, v in zip(nodes, nodes[1:]))
+        assert time == pytest.approx(recomputed, abs=1e-9)
 
 
 def test_shortest_path_unknown_node():
     g = RoadGraph({0: Point(0, 0), 1: Point(1, 0)}, [Edge(0, 1, 1.0, 1.0)])
     with pytest.raises(RoutingError):
-        shortest_path(g, 0, 7)
+        cached_walk(g, 0, 7)
 
 
 def test_matrix_single_stop():
@@ -108,13 +112,13 @@ def test_matrix_triangle_inequality_vs_pairwise_dijkstra():
     for i, a in enumerate(stops):
         for j, b in enumerate(stops):
             assert m[i, j] == pytest.approx(
-                shortest_path(sc.graph, a, b).travel_time, abs=1e-9)
+                cached_walk(sc.graph, a, b)[2], abs=1e-9)
             for k in range(len(stops)):
                 assert m[i, j] <= m[i, k] + m[k, j] + 1e-9
 
 
 def _oracle_shortest_path(graph, a, b):
-    """The walk shortest_path made before the routing cache: a fresh Dijkstra
+    """The shortest-path walk before the routing cache: a fresh Dijkstra
     map from b, and sorted(adjacency) scanned on every step."""
     if a == b:
         return [a], 0.0, 0.0
@@ -159,9 +163,7 @@ def test_routing_cache_matches_old_walk_and_maps(seed):
         nodes = sorted(sc.graph.nodes)
         for a in nodes:
             for b in nodes:
-                sp = shortest_path(sc.graph, a, b)
-                assert (sp.nodes, sp.total_length, sp.travel_time) == \
-                    _oracle_shortest_path(sc.graph, a, b)
+                assert cached_walk(sc.graph, a, b) == _oracle_shortest_path(sc.graph, a, b)
         stops = [nodes[i] for i in np.random.default_rng(seed).choice(len(nodes), 9)]
         maps = {s: dijkstra_times(sc.graph, s) for s in stops}
         want = [[0.0 if i == j else maps[stops[min(i, j)]][stops[max(i, j)]]
@@ -297,7 +299,7 @@ def world_with_jobs(per_set, medical, seed=6):
 
 def test_priority_schedule_forced_order():
     sc, dset = world_with_jobs(2, 1)
-    tour = priority_schedule(sc, dset)
+    tour = priority_schedule(sc, dset, job_nodes(sc, dset))
     medical = [j.id for j in dset.medical()]
     standard = [j.id for j in dset.standard()]
     assert tour.stops == medical + standard
@@ -307,12 +309,13 @@ def test_priority_schedule_forced_order():
 
 def test_priority_schedule_no_medical_equals_plain():
     sc, dset = world_with_jobs(6, 0)
-    assert priority_schedule(sc, dset).stops == plain_schedule(sc, dset).stops
+    nodes_of = job_nodes(sc, dset)
+    assert priority_schedule(sc, dset, nodes_of).stops == plain_schedule(sc, dset, nodes_of).stops
 
 
 def test_priority_schedule_all_medical_first():
     sc, dset = world_with_jobs(15, 5)
-    tour = priority_schedule(sc, dset)
+    tour = priority_schedule(sc, dset, job_nodes(sc, dset))
     medical = {j.id for j in dset.medical()}
     positions = {j: i for i, j in enumerate(tour.stops)}
     worst_medical = max(positions[j] for j in medical)
@@ -324,6 +327,6 @@ def test_priority_schedule_all_medical_first():
 @pytest.mark.parametrize("solver", ["exact", "heuristic"])
 def test_priority_schedule_solvers_agree_on_structure(solver):
     sc, dset = world_with_jobs(8, 3)
-    tour = priority_schedule(sc, dset, solver)
+    tour = priority_schedule(sc, dset, job_nodes(sc, dset), solver)
     medical = [j.id for j in dset.medical()]
     assert set(tour.stops[:len(medical)]) == set(medical)

@@ -6,7 +6,7 @@ import pytest
 
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
 from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario,
-                                  generate_grid_scenario, load_scenario, los_blocked,
+                                  generate_grid_scenario, load_scenario, los_blocked_many,
                                   nearest_node, save_scenario, scenario_from_dict,
                                   scenario_to_dict, validate_scenario)
 
@@ -90,38 +90,43 @@ def _one_building_scenario():
     return Scenario(graph, [b], depot=0, base_station=Point(100.0, -50.0, 30.0))
 
 
+def blocked(sc, a, b):
+    """LOS test of the one segment a-b, given as (x, y, z) tuples."""
+    return bool(los_blocked_many(sc, np.array([a], np.float64), np.array([b], np.float64))[0])
+
+
 def test_los_blocked_through_building():
     sc = _one_building_scenario()
-    assert los_blocked(sc, Point(0, 0, 1.5), Point(200, 0, 1.5)) is True
+    assert blocked(sc, (0, 0, 1.5), (200, 0, 1.5)) is True
 
 
 def test_los_clear_above_roof():
     sc = _one_building_scenario()
-    assert los_blocked(sc, Point(0, 0, 50.0), Point(200, 0, 50.0)) is False
+    assert blocked(sc, (0, 0, 50.0), (200, 0, 50.0)) is False
 
 
 def test_los_no_buildings_never_blocked():
     sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        a = Point(*rng.uniform(-50, 150, 2), float(rng.uniform(0, 60)))
-        b = Point(*rng.uniform(-50, 150, 2), float(rng.uniform(0, 60)))
-        assert los_blocked(sc, a, b) is False
+        a = (*rng.uniform(-50, 150, 2), float(rng.uniform(0, 60)))
+        b = (*rng.uniform(-50, 150, 2), float(rng.uniform(0, 60)))
+        assert blocked(sc, a, b) is False
 
 
 def test_los_endpoint_inside_building_blocked():
     sc = _one_building_scenario()
-    assert los_blocked(sc, Point(100, 0, 5.0), Point(100, 0, 5.0)) is True
-    assert los_blocked(sc, Point(100, 0, 5.0), Point(0, 0, 1.0)) is True
+    assert blocked(sc, (100, 0, 5.0), (100, 0, 5.0)) is True
+    assert blocked(sc, (100, 0, 5.0), (0, 0, 1.0)) is True
 
 
 def test_los_symmetric():
     sc = generate_grid_scenario(4, 4, 100.0, 2, seed=3)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        a = Point(*rng.uniform(0, 300, 2), float(rng.uniform(0, 60)))
-        b = Point(*rng.uniform(0, 300, 2), float(rng.uniform(0, 60)))
-        assert los_blocked(sc, a, b) == los_blocked(sc, b, a)
+        a = (*rng.uniform(0, 300, 2), float(rng.uniform(0, 60)))
+        b = (*rng.uniform(0, 300, 2), float(rng.uniform(0, 60)))
+        assert blocked(sc, a, b) == blocked(sc, b, a)
 
 
 @pytest.mark.parametrize("footprint,invariant", [

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from hybridfleet.errors import ParameterError, PlanConsistencyError
-from hybridfleet.hybrid import FleetConfig, compute_sortie, plan_hybrid
+from hybridfleet.errors import PlanConsistencyError
+from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import DeliverySet
+from hybridfleet.netmodel import _interp_positions
 from hybridfleet.scenario import generate_grid_scenario
 from hybridfleet.simcore import (KIND_DRONE_DELIVER, KIND_DRONE_LAUNCH,
                                  KIND_DRONE_RENDEZVOUS, KIND_TOUR_COMPLETE,
-                                 KIND_TRUCK_SERVE, load_trace, position_at,
-                                 save_trace, simulate)
+                                 KIND_TRUCK_SERVE, load_trace, save_trace, simulate)
 
-from conftest import (job_at, line_scenario, line_timetable, random_world,
+from conftest import (fly, job_at, line_scenario, line_timetable, random_world,
                       sortie_plan)
 
 
@@ -37,8 +37,7 @@ def drone_world(service):
     fleet = FleetConfig(drone_count=1, truck_speed=10.0, drone_speed=20.0,
                         drone_service=service, drone_endurance=1e9)
     tt = line_timetable(sc, truck_speed=10.0)
-    sortie = compute_sortie(tt, 0, job_at(0.0, 300.0, job_id=0), 0.0, fleet, sc)
-    sortie.drone_id = 0
+    _, sortie = fly(sc, tt, 0, job_at(0.0, 300.0, job_id=0), fleet)
     plan = sortie_plan(sc, tt, [sortie], fleet)
     return sc, fleet, plan
 
@@ -72,6 +71,11 @@ def test_empty_plan_single_tour_complete_event():
     assert trace.completion == {}
 
 
+def position_at(trace, vehicle, t):
+    """The vehicle's position at t, interpolated as the net model does."""
+    return tuple(_interp_positions(trace, vehicle, np.array([t]))[0].tolist())
+
+
 def test_position_at_start_is_depot():
     sc, dset, fleet, plan = two_stop_world()
     trace = simulate(sc, plan, fleet)
@@ -100,15 +104,13 @@ def test_position_at_hover_is_stationary():
     assert p1[:2] == pytest.approx((rdv.x, rdv.y))
 
 
-def test_position_at_out_of_range():
-    sc, dset, fleet, plan = two_stop_world()
-    trace = simulate(sc, plan, fleet)
-    with pytest.raises(ParameterError):
-        position_at(trace, "truck", -1.0)
-    with pytest.raises(ParameterError):
-        position_at(trace, "truck", trace.end_time + 1.0)
-    with pytest.raises(ParameterError):
-        position_at(trace, "submarine", 0.0)
+def test_trajectories_span_the_trace():
+    sc, fleet, plan = drone_world(30.0)
+    trace = simulate(sc, plan, fleet, {0: (0.0, 300.0)})
+    assert sorted(trace.trajectories) == ["drone0", "truck"]
+    for traj in trace.trajectories.values():
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == trace.end_time
 
 
 def test_events_sorted_and_single_tour_complete():
