@@ -7,13 +7,11 @@ failure, 2 configuration/input error (a bad file, config value or flag).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 
-from . import __version__
+from . import __version__, fields
 from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
                      ParseError)
 from .experiment import ExperimentConfig, run_experiment
@@ -24,7 +22,7 @@ from .netmodel import (MODEL_TAG, ChannelConfig, check_requirements, default_mod
                        run_cam_traffic, write_net_results_csv,
                        write_net_summary_csv)
 from .rng import mix
-from .scenario import generate_grid_scenario, load_scenario, save_scenario, validate_scenario
+from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import load_trace, save_trace, simulate
 
 
@@ -120,8 +118,7 @@ def _dispatch(args) -> int:
             print(f"wrote {args.out}: {len(sc.graph.nodes)} nodes, "
                   f"{len(sc.graph.edges)} edges, {len(sc.buildings)} buildings")
             return 0
-        sc = load_scenario(args.path)
-        validate_scenario(sc)
+        sc = load_scenario(args.path)  # runs validate_scenario
         print(f"{args.path}: valid ({len(sc.graph.nodes)} nodes, "
               f"{len(sc.buildings)} buildings)")
         return 0
@@ -210,14 +207,7 @@ def _pick_set(sets, index: int):
 
 
 def _sweep_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: {exc}") from exc
-    cfg = ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict(fields.read_json(args.config) if args.config else {})
     # flags win over the config file
     if args.seed is not None:
         cfg.base_seed = args.seed
@@ -242,11 +232,9 @@ def _sweep_config(args) -> ExperimentConfig:
 
 
 def _report(in_dir: str) -> int:
-    summary_path = os.path.join(in_dir, "summary.csv")
-    if not os.path.exists(summary_path):
-        raise ConfigError(f"no summary.csv in {in_dir}")
-    with open(summary_path, encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = fields.read_csv(os.path.join(in_dir, "summary.csv"),
+                           ["drones", "prioritized", "category", "mean_s", "median_s",
+                            "capacity_20min"])
     print(f"{'drones':>6} {'prio':>5} {'category':>9} {'mean_s':>9} "
           f"{'median_s':>9} {'cap@20min':>9}")
     for r in rows:
@@ -256,19 +244,19 @@ def _report(in_dir: str) -> int:
     net_path = os.path.join(in_dir, "net_summary.csv")
     if os.path.exists(net_path):
         print()
-        with open(net_path, encoding="utf-8", newline="") as f:
-            for r in csv.DictReader(f):
-                p50 = f"{float(r['lat_p50_ms']):.3f}" if r["lat_p50_ms"] else "-"
-                p95 = f"{float(r['lat_p95_ms']):.3f}" if r["lat_p95_ms"] else "-"
-                print(f"net {r['model']:>12}: sent {r['sent']:>6} "
-                      f"pdr {float(r['pdr']):.4f} p50 {p50} ms p95 {p95} ms")
+        for r in fields.read_csv(net_path, ["model", "sent", "pdr", "lat_p50_ms",
+                                            "lat_p95_ms"]):
+            p50 = f"{float(r['lat_p50_ms']):.3f}" if r["lat_p50_ms"] else "-"
+            p95 = f"{float(r['lat_p95_ms']):.3f}" if r["lat_p95_ms"] else "-"
+            print(f"net {r['model']:>12}: sent {r['sent']:>6} "
+                  f"pdr {float(r['pdr']):.4f} p50 {p50} ms p95 {p95} ms")
     manifest_path = os.path.join(in_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-        for line in manifest.get("requirement_checks", []):
+        manifest = fields.obj(fields.read_json(manifest_path), "manifest")
+        for line in fields.get(manifest, "requirement_checks", "manifest",
+                               fields.list_of(fields.string), []):
             print(line)
-        fails = manifest.get("failures", [])
+        fails = fields.get(manifest, "failures", "manifest", fields.array, [])
         if fails:
             print(f"{len(fails)} failed runs (see manifest.json)")
             return 1

@@ -15,9 +15,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from . import __version__
-from .errors import ConfigError, ParameterError
-from .hybrid import FleetConfig, plan_hybrid, validate_fleet
+from . import __version__, fields
+from .errors import ConfigError, ParameterError, ParseError
+from .hybrid import FleetConfig, plan_hybrid, read_fleet
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
@@ -61,16 +61,10 @@ class ExperimentConfig:
     channel: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        if "config" in data and isinstance(data["config"], dict):
+    def from_dict(cls, data) -> "ExperimentConfig":
+        if isinstance(data, dict) and isinstance(data.get("config"), dict):
             data = data["config"]  # accept a manifest as a config source
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        cfg = cls(**data)
+        cfg = cls(**fields.obj(data, "config", cls.__dataclass_fields__))
         cfg.validate()
         return cfg
 
@@ -106,54 +100,17 @@ class ExperimentConfig:
         if "drone_count" in self.fleet:
             raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
         try:
-            fleet = FleetConfig(**self.fleet)
-        except TypeError as exc:
-            raise ConfigError(f"bad fleet overrides: {exc}") from exc
-        _check_numbers("fleet", self.fleet, allow_inf=False)
-        try:
-            validate_fleet(fleet)
-        except ParameterError as exc:
-            raise ConfigError(f"bad fleet overrides: {exc}") from exc
-        try:
-            channel = ChannelConfig(**self.channel)
-        except TypeError as exc:
-            raise ConfigError(f"bad channel overrides: {exc}") from exc
-        _check_numbers("channel", self.channel, allow_inf=True)
-        try:
-            channel.validate()
+            ChannelConfig(**self.channel).validate()
         except ParameterError as exc:
             raise ConfigError(f"bad channel overrides: {exc}") from exc
 
     def _check_types(self) -> None:
         """JSON gives any value any type; reject those the pipeline cannot use."""
-        for name in ("grid_rows", "grid_cols", "buildings_per_cell", "n_sets", "per_set",
-                     "medical_per_set", "net_trace_set", "base_seed", "workers"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.net_trace_drones is not None and not _is_int(self.net_trace_drones):
-            raise ConfigError(f"net_trace_drones must be an integer or null, got "
-                              f"{self.net_trace_drones!r}")
-        if not isinstance(self.net_trace_prioritized, bool):
-            raise ConfigError(f"net_trace_prioritized must be true or false, got "
-                              f"{self.net_trace_prioritized!r}")
-        for name, kind, ok in (("drone_counts", "integers", _is_int),
-                               ("prioritize_flags", "booleans",
-                                lambda v: isinstance(v, bool)),
-                               ("net_models", "strings", lambda v: isinstance(v, str))):
-            value = getattr(self, name)
-            if not isinstance(value, list) or not all(ok(v) for v in value):
-                raise ConfigError(f"{name} must be a list of {kind}, got {value!r}")
-        if not _is_number(self.grid_spacing):
-            raise ConfigError(f"grid_spacing must be a number, got {self.grid_spacing!r}")
-        for name in ("out_dir", "solver"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.scenario_path is not None and not isinstance(self.scenario_path, str):
-            raise ConfigError(f"scenario_path must be a string or null, got "
-                              f"{self.scenario_path!r}")
-        for name in ("fleet", "channel"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be an object, got {getattr(self, name)!r}")
+        try:
+            for name, read in _FIELD_READERS.items():
+                read(getattr(self, name), name)
+        except ParseError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def fleet_for(self, drone_count: int) -> FleetConfig:
         return FleetConfig(drone_count=drone_count, **self.fleet)
@@ -164,19 +121,22 @@ class ExperimentConfig:
                 for p in sorted(self.prioritize_flags)]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_numbers(section: str, overrides: dict, allow_inf: bool) -> None:
-    for key, v in overrides.items():
-        if not _is_number(v) or math.isnan(v) or (math.isinf(v) and not allow_inf):
-            raise ConfigError(f"{section}.{key} must be a "
-                              f"{'non-NaN' if allow_inf else 'finite'} number, got {v!r}")
+_FIELD_READERS = {
+    "scenario_path": fields.nullable(fields.string),
+    **dict.fromkeys(("grid_rows", "grid_cols", "buildings_per_cell", "n_sets", "per_set",
+                     "medical_per_set", "net_trace_set", "base_seed", "workers"),
+                    fields.integer),
+    "grid_spacing": fields.number,
+    "drone_counts": fields.list_of(fields.integer),
+    "prioritize_flags": fields.list_of(fields.boolean),
+    "net_models": fields.list_of(fields.string),
+    "net_trace_drones": fields.nullable(fields.integer),
+    "net_trace_prioritized": fields.boolean,
+    **dict.fromkeys(("out_dir", "solver"), fields.string),
+    "fleet": read_fleet,
+    # numbers, not finite ones: an infinite loss threshold is the ideal channel
+    "channel": fields.record(ChannelConfig, fields.number),
+}
 
 
 def build_scenario(cfg: ExperimentConfig):
@@ -302,9 +262,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "net_error": net_error,
         "requirement_checks": net_report_lines,
     }
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
+    fields.write_json(manifest, os.path.join(cfg.out_dir, "manifest.json"),
+                      sort_keys=True, indent=1)
     return 1 if (failures or net_error) else 0
 
 
@@ -312,10 +271,7 @@ def _run_net(cfg: ExperimentConfig, scenario, dsets) -> list[str]:
     drones = cfg.net_trace_drones
     if drones is None:
         drones = max(cfg.drone_counts)
-    set_idx = cfg.net_trace_set
-    if not 0 <= set_idx < len(dsets):
-        raise ConfigError(f"net_trace_set {set_idx} out of range")
-    _, trace, _ = run_one(cfg, scenario, dsets[set_idx], drones,
+    _, trace, _ = run_one(cfg, scenario, dsets[cfg.net_trace_set], drones,
                           cfg.net_trace_prioritized)
     save_trace(trace, os.path.join(cfg.out_dir, "net_trace.csv"))
     channel = ChannelConfig(**cfg.channel)

@@ -13,13 +13,12 @@ improves.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import kernels
+from . import fields, kernels
 from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
 from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
@@ -377,7 +376,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
 
 
 # ---------------------------------------------------------------------------
-# plan invariants (used by tests and the simulator's pre-flight validation)
+# plan invariants (checked by tests and perfbench's workloads, not by the simulator)
 
 
 def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
@@ -452,44 +451,48 @@ def plan_to_dict(plan: HybridPlan, fleet: FleetConfig | None = None) -> dict:
     return out
 
 
-def plan_from_dict(data: dict) -> tuple[HybridPlan, FleetConfig | None]:
+def read_fleet(value, where: str) -> FleetConfig:
+    """A FleetConfig from an object of some of its fields, checked by validate_fleet."""
+    fleet = fields.record(FleetConfig, fields.finite, ints=("drone_count",))(value, where)
     try:
-        truck = data["truck"]
-        stops = [int(s["job"]) for s in truck["stops"]]
-        stop_positions = {int(s["job"]): int(s["path_index"]) for s in truck["stops"]}
-        nodes = [int(n) for n in truck["node_path"]]
-        arrive = np.array([row[0] for row in truck["timetable"]], np.float64)
-        depart = np.array([row[1] for row in truck["timetable"]], np.float64)
-        if not nodes or len(arrive) != len(nodes):
-            raise ParseError(f"plan file: timetable has {len(arrive)} rows for a "
-                             f"node_path of {len(nodes)} nodes (at least 1)")
-        sorties = [Sortie(**{k: (int(v) if k in ("drone_id", "job_id", "launch_node",
-                                                 "rendezvous_node") else float(v))
-                             for k, v in s.items()}) for s in data.get("sorties", [])]
-        completion = {int(k): float(v) for k, v in data["completion"].items()}
-        plan = HybridPlan(stops, stop_positions, TruckTimetable(nodes, arrive, depart),
-                          sorties, completion, bool(data.get("prioritized", False)),
-                          float(data.get("objective", sum(completion.values()))),
-                          float(data.get("makespan", arrive[-1])))
-        fleet = None
-        if "fleet" in data:
-            fleet = FleetConfig(**data["fleet"])
-            validate_fleet(fleet)
-    except (KeyError, IndexError, TypeError, ValueError, ParameterError) as exc:
-        raise ParseError(f"plan file: {exc!r}") from exc
-    return plan, fleet
+        validate_fleet(fleet)
+    except ParameterError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return fleet
+
+
+_sortie = fields.record(Sortie, fields.finite,
+                        ints=("drone_id", "job_id", "launch_node", "rendezvous_node"))
+
+
+def _stop(value, where: str) -> list[int]:
+    return fields.unpack(value, where, job=fields.integer, path_index=fields.integer)
+
+
+def plan_from_dict(data) -> tuple[HybridPlan, FleetConfig | None]:
+    truck, completion = fields.unpack(data, "plan", truck=fields.obj,
+                                      completion=fields.by_int_key(fields.finite))
+    stops, nodes, rows = fields.unpack(
+        truck, "plan.truck", stops=fields.list_of(_stop),
+        node_path=fields.list_of(fields.integer),
+        timetable=fields.list_of(fields.list_of(fields.finite, 2)))
+    if not nodes or len(rows) != len(nodes):
+        raise ParseError(f"plan.truck: timetable has {len(rows)} rows for a node_path of "
+                         f"{len(nodes)} nodes (at least 1)")
+    arrive, depart = (np.array(column, np.float64) for column in zip(*rows))
+    sorties = fields.get(data, "sorties", "plan", fields.list_of(_sortie), [])
+    plan = HybridPlan([j for j, _ in stops], dict(stops), TruckTimetable(nodes, arrive, depart),
+                      sorties, completion,
+                      fields.get(data, "prioritized", "plan", fields.boolean, False),
+                      fields.get(data, "objective", "plan", fields.finite,
+                                 float(sum(completion.values()))),
+                      fields.get(data, "makespan", "plan", fields.finite, float(arrive[-1])))
+    return plan, fields.get(data, "fleet", "plan", read_fleet, None)
 
 
 def save_plan(plan: HybridPlan, path, fleet: FleetConfig | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(plan_to_dict(plan, fleet), f, indent=1)
-        f.write("\n")
+    fields.write_json(plan_to_dict(plan, fleet), path, indent=1)
 
 
 def load_plan(path) -> tuple[HybridPlan, FleetConfig | None]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return plan_from_dict(data)
+    return plan_from_dict(fields.read_json(path))

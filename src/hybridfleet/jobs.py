@@ -1,20 +1,15 @@
 """Delivery request generation and spatial-distribution checks."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import kernels
+from . import fields, kernels
 from .errors import ParameterError, ParseError
 from .rng import generator
 from .scenario import Point, Scenario
-
-DEFAULT_SETS = 50
-DEFAULT_PER_SET = 15
-DEFAULT_MEDICAL_PER_SET = 5
 
 
 class Category(str, Enum):
@@ -111,54 +106,36 @@ def sets_to_dict(sets: list[DeliverySet]) -> list[dict]:
 
 
 def sets_from_dict(data, scenario: Scenario) -> list[DeliverySet]:
-    if not isinstance(data, list):
-        raise ParseError("delivery-set file: top level must be a list")
     by_id = {b.id: b for b in scenario.buildings}
+    categories = {c.value: c for c in Category}
     out = []
-    for i, sd in enumerate(data):
-        if not isinstance(sd, dict) or not isinstance(sd.get("jobs", []), list):
-            raise ParseError(f"sets[{i}]: must be an object with a list of jobs")
+    for i, sd in enumerate(fields.array(data, "sets")):
+        where = f"sets[{i}]"
+        sd = fields.obj(sd, where)
         jobs = []
         ids = set()
-        for k, jd in enumerate(sd.get("jobs", [])):
-            where = f"sets[{i}].jobs[{k}]"
-            if not isinstance(jd, dict):
-                raise ParseError(f"{where}: must be an object")
-            if "building" not in jd:
-                raise ParseError(f"{where}: missing field 'building'")
-            bid = _int_field(jd["building"], f"{where}.building")
+        for k, jd in enumerate(fields.get(sd, "jobs", where, fields.array, [])):
+            jw = f"{where}.jobs[{k}]"
+            jd = fields.obj(jd, jw)
+            bid = fields.get(jd, "building", jw, fields.integer)
             if bid not in by_id:
-                raise ParseError(f"{where}: unknown building {bid}")
-            try:
-                cat = Category(jd.get("category", "standard"))
-            except ValueError:
-                raise ParseError(f"{where}: bad category {jd.get('category')!r}") from None
-            jid = _int_field(jd.get("id", k), f"{where}.id")
+                raise ParseError(f"{jw}: unknown building {bid}")
+            cat = fields.get(jd, "category", jw, fields.string, "standard")
+            if cat not in categories:
+                raise ParseError(f"{jw}.category: must be one of {sorted(categories)}, "
+                                 f"got {cat!r}")
+            jid = fields.get(jd, "id", jw, fields.integer, k)
             if jid in ids:
-                raise ParseError(f"{where}: repeated job id {jid}")
+                raise ParseError(f"{jw}: repeated job id {jid}")
             ids.add(jid)
-            jobs.append(DeliveryJob(jid, bid, by_id[bid].access_point, cat))
-        out.append(DeliverySet(_int_field(sd.get("id", i), f"sets[{i}].id"), jobs))
+            jobs.append(DeliveryJob(jid, bid, by_id[bid].access_point, categories[cat]))
+        out.append(DeliverySet(fields.get(sd, "id", where, fields.integer, i), jobs))
     return out
 
 
-def _int_field(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: not an integer: {value!r}") from None
-
-
 def save_sets(sets: list[DeliverySet], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(sets_to_dict(sets), f, indent=1)
-        f.write("\n")
+    fields.write_json(sets_to_dict(sets), path, indent=1)
 
 
 def load_sets(path, scenario: Scenario) -> list[DeliverySet]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return sets_from_dict(data, scenario)
+    return sets_from_dict(fields.read_json(path), scenario)

@@ -51,16 +51,19 @@ class ChannelConfig:
     pl_exp_los: float = 2.0
     pl_exp_nlos: float = 3.2
     ref_loss_db: float = 47.0        # loss at 1 m
-    tx_power_dbm: float = 23.0       # reserved; threshold encodes the budget
     loss_threshold_db: float = 125.0
     logistic_width_db: float = 4.0
     carrier_sense_m: float = 800.0
 
     def validate(self) -> None:
-        if self.pl_exp_nlos < self.pl_exp_los:
+        # negated comparisons, so that NaN fails them too
+        if not self.pl_exp_nlos >= self.pl_exp_los:
             raise ParameterError("NLOS exponent must be >= LOS exponent")
-        if self.logistic_width_db <= 0:
+        if not self.logistic_width_db > 0:
             raise ParameterError("logistic width must be positive")
+        for name in ("ref_loss_db", "loss_threshold_db", "carrier_sense_m"):
+            if math.isnan(getattr(self, name)):
+                raise ParameterError(f"{name} must not be NaN")
 
 
 @dataclass

@@ -7,14 +7,13 @@ derived geometry arrays used by the kernels and the routing cache
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernels
+from . import fields, kernels
 from .errors import InvariantViolation, ParameterError, ParseError
 from .rng import generator
 
@@ -366,17 +365,9 @@ def validate_scenario(sc: Scenario) -> None:
 
 
 # ---------------------------------------------------------------------------
-# file format
-#
-# UTF-8 JSON: nodes (id, x, y), edges (a, b, length_m, speed_mps),
-# buildings (id, footprint [[x, y], ...], height_m, access [x, y]),
-# depot (node id), base_station ([x, y, z]).
+# file format (UTF-8 JSON; README lists its fields)
 
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ParseError(f"{where}: missing field '{key}'")
-    return obj[key]
+_xy = fields.list_of(fields.number, 2)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -395,54 +386,37 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ParseError("scenario file: top level must be an object")
+def scenario_from_dict(data) -> Scenario:
+    node_list, edge_list, depot, bs = fields.unpack(
+        data, "scenario", nodes=fields.array, edges=fields.array, depot=fields.integer,
+        base_station=fields.list_of(fields.number, 3))
     nodes = {}
-    for i, nd in enumerate(_require(data, "nodes", "scenario")):
-        where = f"nodes[{i}]"
-        nid = int(_require(nd, "id", where))
+    for i, nd in enumerate(node_list):
+        nid, x, y = fields.unpack(nd, f"scenario.nodes[{i}]", id=fields.integer,
+                                  x=fields.number, y=fields.number)
         if nid in nodes:
-            raise ParseError(f"{where}: duplicate node id {nid}")
-        nodes[nid] = Point(float(_require(nd, "x", where)),
-                           float(_require(nd, "y", where)), 0.0)
-    edges = []
-    for i, ed in enumerate(_require(data, "edges", "scenario")):
-        where = f"edges[{i}]"
-        edges.append(Edge(int(_require(ed, "a", where)),
-                          int(_require(ed, "b", where)),
-                          float(_require(ed, "length_m", where)),
-                          float(_require(ed, "speed_mps", where))))
+            raise ParseError(f"scenario.nodes[{i}]: duplicate node id {nid}")
+        nodes[nid] = Point(x, y, 0.0)
+    edges = [Edge(*fields.unpack(ed, f"scenario.edges[{i}]", a=fields.integer, b=fields.integer,
+                                 length_m=fields.number, speed_mps=fields.number))
+             for i, ed in enumerate(edge_list)]
     buildings = []
-    for i, bd in enumerate(data.get("buildings", [])):
-        where = f"buildings[{i}]"
-        fp = [Point(float(x), float(y)) for x, y in _require(bd, "footprint", where)]
+    for i, bd in enumerate(fields.get(data, "buildings", "scenario", fields.array, [])):
+        bid, footprint, height, (ax, ay) = fields.unpack(
+            bd, f"scenario.buildings[{i}]", id=fields.integer, footprint=fields.list_of(_xy),
+            height_m=fields.number, access=_xy)
+        fp = [Point(x, y) for x, y in footprint]
         if _signed_area(fp) < 0:
             fp = fp[::-1]  # normalize to counter-clockwise
-        ax, ay = _require(bd, "access", where)
-        buildings.append(Building(int(_require(bd, "id", where)), fp,
-                                  float(_require(bd, "height_m", where)),
-                                  Point(float(ax), float(ay), 0.0)))
-    bs = _require(data, "base_station", "scenario")
-    if len(bs) != 3:
-        raise ParseError("base_station: expected [x, y, z]")
-    sc = Scenario(RoadGraph(nodes, edges), buildings,
-                  depot=int(_require(data, "depot", "scenario")),
-                  base_station=Point(float(bs[0]), float(bs[1]), float(bs[2])))
+        buildings.append(Building(bid, fp, height, Point(ax, ay, 0.0)))
+    sc = Scenario(RoadGraph(nodes, edges), buildings, depot=depot, base_station=Point(*bs))
     validate_scenario(sc)
     return sc
 
 
 def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(scenario_to_dict(sc), f, indent=1)
-        f.write("\n")
+    fields.write_json(scenario_to_dict(sc), path, indent=1)
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(fields.read_json(path))

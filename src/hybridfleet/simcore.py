@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import ParseError, PlanConsistencyError
 from .hybrid import FleetConfig, HybridPlan, Sortie, validate_fleet
 from .scenario import Scenario
@@ -287,12 +287,7 @@ def _build_trajectories(truck_frames, sortie_frames, fleet: FleetConfig,
             frames.extend(_with_altitude(_dedupe(fl), fleet.drone_altitude))
             t_cursor = fl[-1][0]
         frames.extend(_truck_slice(t_t, t_x, t_y, t_cursor, tour_end))
-        ded: list[tuple[float, float, float, float]] = []
-        for fr in frames:
-            if ded and fr[0] == ded[-1][0]:
-                ded[-1] = fr
-            else:
-                ded.append(fr)
+        ded = _dedupe(frames)
         out[f"drone{d}"] = Trajectory(np.array([f[0] for f in ded]),
                                       np.array([f[1] for f in ded]),
                                       np.array([f[2] for f in ded]),
@@ -357,6 +352,9 @@ def _truck_slice(t_t, t_x, t_y, t_lo, t_hi):
 # trace files: CSV event log plus a JSON sidecar with trajectories
 
 
+_TRACE_COLUMNS = ["time_s", "kind", "vehicle", "job", "node", "x", "y", "z"]
+
+
 def trace_sidecar_path(csv_path) -> str:
     return str(csv_path) + ".traj.json"
 
@@ -364,7 +362,7 @@ def trace_sidecar_path(csv_path) -> str:
 def save_trace(trace: DeliveryTrace, csv_path) -> None:
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["time_s", "kind", "vehicle", "job", "node", "x", "y", "z"])
+        w.writerow(_TRACE_COLUMNS)
         for ev in trace.events:
             w.writerow([repr(ev.time), ev.kind, ev.vehicle,
                         "" if ev.job is None else ev.job,
@@ -377,28 +375,32 @@ def save_trace(trace: DeliveryTrace, csv_path) -> None:
                   "y": tr.y.tolist(), "z": tr.z.tolist()}
             for veh, tr in sorted(trace.trajectories.items())},
     }
-    with open(trace_sidecar_path(csv_path), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f)
-        f.write("\n")
+    fields.write_json(sidecar, trace_sidecar_path(csv_path))
 
 
 def load_trace(csv_path) -> DeliveryTrace:
     events = []
-    try:
-        with open(csv_path, encoding="utf-8", newline="") as f:
-            for i, row in enumerate(csv.DictReader(f)):
-                events.append(SimEvent(
-                    float(row["time_s"]), row["kind"], row["vehicle"],
-                    int(row["job"]) if row["job"] else None,
-                    int(row["node"]) if row["node"] else None,
-                    float(row["x"]), float(row["y"]), float(row["z"])))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{csv_path}: bad event row: {exc}") from exc
-    with open(trace_sidecar_path(csv_path), encoding="utf-8") as f:
-        sidecar = json.load(f)
-    completion = {int(k): float(v) for k, v in sidecar["completion"].items()}
-    trajectories = {
-        veh: Trajectory(np.array(tr["t"]), np.array(tr["x"]),
-                        np.array(tr["y"]), np.array(tr["z"]))
-        for veh, tr in sidecar["trajectories"].items()}
-    return DeliveryTrace(events, completion, trajectories)
+    for row in fields.read_csv(csv_path, _TRACE_COLUMNS):
+        try:
+            events.append(SimEvent(
+                float(row["time_s"]), row["kind"], row["vehicle"],
+                int(row["job"]) if row["job"] else None,
+                int(row["node"]) if row["node"] else None,
+                float(row["x"]), float(row["y"]), float(row["z"])))
+        except ValueError as exc:
+            raise ParseError(f"{csv_path}: bad event row: {exc}") from exc
+    return DeliveryTrace(events, *_read_sidecar(fields.read_json(trace_sidecar_path(csv_path))))
+
+
+def _read_sidecar(data) -> tuple[dict[int, float], dict[str, Trajectory]]:
+    trajectories, completion = fields.unpack(data, "sidecar", trajectories=fields.obj,
+                                             completion=fields.by_int_key(fields.finite))
+    finites = fields.list_of(fields.finite)
+    out = {}
+    for veh, tr in trajectories.items():
+        where = f"sidecar.trajectories.{veh}"
+        t, x, y, z = fields.unpack(tr, where, t=finites, x=finites, y=finites, z=finites)
+        if not len(t) == len(x) == len(y) == len(z) > 0:
+            raise ParseError(f"{where}: t, x, y and z must be non-empty and of one length")
+        out[veh] = Trajectory(np.array(t), np.array(x), np.array(y), np.array(z))
+    return completion, out

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -100,21 +101,32 @@ def test_config_error_exit_code(workdir, capsys):
 
 
 @pytest.mark.parametrize("config,message", [
-    ({"n_sets": "2"}, "n_sets must be an integer"),
-    ({"n_sets": True}, "n_sets must be an integer"),
-    ({"drone_counts": "0,1"}, "drone_counts must be a list of integers"),
-    ({"prioritize_flags": [1]}, "prioritize_flags must be a list of booleans"),
-    ({"net_models": [["csma"]]}, "net_models must be a list of strings"),
-    ({"grid_spacing": "NaN"}, "grid_spacing must be a number"),
+    # the ids keep the names these cases had before the messages took the
+    # "<path>: must be <kind>, got <value>" form
+    pytest.param({"n_sets": "2"}, "n_sets: must be an integer, got '2'",
+                 id="config0-n_sets must be an integer"),
+    pytest.param({"n_sets": True}, "n_sets: must be an integer, got True",
+                 id="config1-n_sets must be an integer"),
+    pytest.param({"drone_counts": "0,1"}, "drone_counts: must be a list, got '0,1'",
+                 id="config2-drone_counts must be a list of integers"),
+    pytest.param({"prioritize_flags": [1]}, "prioritize_flags[0]: must be true or false",
+                 id="config3-prioritize_flags must be a list of booleans"),
+    pytest.param({"net_models": [["csma"]]}, "net_models[0]: must be a string",
+                 id="config4-net_models must be a list of strings"),
+    pytest.param({"grid_spacing": "NaN"}, "grid_spacing: must be a number, got 'NaN'",
+                 id="config5-grid_spacing must be a number"),
     ({"grid_spacing": float("nan")}, "grid_spacing must be positive and finite"),
     ({"buildings_per_cell": -1}, "buildings_per_cell must be >= 0"),
     ({"net_trace_set": 2, "n_sets": 2}, "net_trace_set 2 out of range"),
     ({"net_trace_drones": -1}, "net_trace_drones must be >= 0"),
     ({"fleet": {"drone_speed": -5}}, "fleet.drone_speed must be positive"),
-    ({"fleet": {"drone_speed": "fast"}}, "fleet.drone_speed must be a finite number"),
+    pytest.param({"fleet": {"drone_speed": "fast"}},
+                 "fleet.drone_speed: must be a finite number, got 'fast'",
+                 id="config11-fleet.drone_speed must be a finite number"),
     ({"fleet": {"drone_count": 2}}, "cannot set drone_count"),
     ({"channel": {"logistic_width_db": 0}}, "logistic width must be positive"),
-    ([1, 2], "config must be a JSON object"),
+    pytest.param([1, 2], "config: must be an object, got [1, 2]",
+                 id="config14-config must be a JSON object"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -144,19 +156,23 @@ def test_plan_repeated_job_id_exit_2(workdir, capsys):
 @pytest.mark.parametrize("edit,message", [
     pytest.param(lambda p: p.update(fleet={"bogus": 1}), "bogus", id="unknown-fleet-key"),
     pytest.param(lambda p: p["fleet"].update(drone_count="2"),
-                 "drone_count must be an integer", id="string-drone-count"),
+                 "plan.fleet.drone_count: must be an integer, got '2'",
+                 id="string-drone-count"),
     pytest.param(lambda p: p["fleet"].update(drone_count=1.5),
-                 "drone_count must be an integer", id="fractional-drone-count"),
+                 "plan.fleet.drone_count: must be an integer, got 1.5",
+                 id="fractional-drone-count"),
     pytest.param(lambda p: p["fleet"].update(drone_speed=-5), "drone_speed must be positive",
                  id="negative-speed"),
     pytest.param(lambda p: p["fleet"].update(drone_speed=float("nan")),
-                 "drone_speed must be positive", id="nan-speed"),
-    pytest.param(lambda p: p.update(fleet=None), "TypeError", id="null-fleet"),
+                 "plan.fleet.drone_speed: must be a finite number, got nan", id="nan-speed"),
+    pytest.param(lambda p: p.update(fleet=None), "plan.fleet: must be an object, got None",
+                 id="null-fleet"),
     pytest.param(lambda p: p["truck"].update(timetable=[]), "timetable has 0 rows",
                  id="empty-timetable"),
     pytest.param(lambda p: p["truck"].update(node_path=[], timetable=[]),
                  "timetable has 0 rows", id="empty-path"),
-    pytest.param(lambda p: p["truck"]["timetable"].__setitem__(0, [0.0]), "IndexError",
+    pytest.param(lambda p: p["truck"]["timetable"].__setitem__(0, [0.0]),
+                 "plan.truck.timetable[0]: must be a list of length 2, got [0.0]",
                  id="short-timetable-row"),
 ])
 def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message):
@@ -170,6 +186,118 @@ def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message)
                "--out", tmp_path / "trace.csv") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def chain(workdir):
+    """A one-drone plan of set 0 and its trace, next to the workdir's inputs."""
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--drones", 1, "--out", workdir / "chain_plan.json") == 0
+    assert run("simulate", "--scenario", workdir / "scen.json", "--plan",
+               workdir / "chain_plan.json", "--out", workdir / "chain_trace.csv") == 0
+    return workdir
+
+
+_SIDECAR = "chain_trace.csv.traj.json"
+
+
+def _put(path, key, value):
+    def edit(data):
+        for k in path:
+            data = data[k]
+        data[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    pytest.param("scen.json", _put(["nodes", 0], "id", "x"),
+                 "scenario.nodes[0].id: must be an integer, got 'x'", id="node-id-string"),
+    pytest.param("scen.json", _put(["nodes", 0], "id", 0.7),
+                 "scenario.nodes[0].id: must be an integer, got 0.7", id="node-id-fraction"),
+    pytest.param("scen.json", _put(["buildings", 0, "footprint"], 0, [1.0, 2.0, 3.0]),
+                 "scenario.buildings[0].footprint[0]: must be a list of length 2",
+                 id="footprint-vertex-3d"),
+    pytest.param("scen.json", _put([], "base_station", 30),
+                 "scenario.base_station: must be a list of length 3, got 30",
+                 id="numeric-base-station"),
+    pytest.param("scen.json", _put(["buildings"], 0, None),
+                 "scenario.buildings[0]: must be an object, got None", id="null-building"),
+    pytest.param("scen.json", _put([], "edges", None),
+                 "scenario.edges: must be a list, got None", id="null-edges"),
+    pytest.param("scen.json", _put([], "nodes", {}),
+                 "scenario.nodes: must be a list, got {}", id="nodes-object"),
+    pytest.param("scen.json", _put([], "depot", 0.9),
+                 "scenario.depot: must be an integer, got 0.9", id="fractional-depot"),
+    pytest.param("scen.json", _put(["buildings", 0], "height_m", "10"),
+                 "scenario.buildings[0].height_m: must be a number, got '10'",
+                 id="string-height"),
+    pytest.param("jobs.json", _put([0, "jobs", 0], "building", 3.5),
+                 "sets[0].jobs[0].building: must be an integer, got 3.5",
+                 id="fractional-building"),
+    pytest.param("jobs.json", _put([0, "jobs", 0], "building", True),
+                 "sets[0].jobs[0].building: must be an integer, got True", id="bool-building"),
+    pytest.param("chain_plan.json", _put(["truck", "node_path"], 0, 0.5),
+                 "plan.truck.node_path[0]: must be an integer, got 0.5",
+                 id="fractional-path-node"),
+    pytest.param("chain_plan.json", _put(["truck", "timetable", 0], 0, float("nan")),
+                 "plan.truck.timetable[0][0]: must be a finite number, got nan",
+                 id="nan-timetable"),
+    pytest.param("chain_plan.json", _put([], "prioritized", "false"),
+                 "plan.prioritized: must be true or false, got 'false'",
+                 id="string-prioritized"),
+    pytest.param("chain_plan.json", _put([], "completion", []),
+                 "plan.completion: must be an object, got []", id="completion-list"),
+    pytest.param(_SIDECAR, "{not json", f"{_SIDECAR}: line 1 col 2", id="sidecar-not-json"),
+    pytest.param(_SIDECAR, lambda d: d.pop("completion"),
+                 "sidecar: missing field 'completion'", id="sidecar-no-completion"),
+    pytest.param(_SIDECAR, lambda d: d["trajectories"]["truck"]["x"].pop(),
+                 "sidecar.trajectories.truck: t, x, y and z must be non-empty and of one "
+                 "length", id="sidecar-ragged"),
+])
+def test_malformed_input_file_exit_2(chain, tmp_path, capsys, name, edit, message):
+    """A malformed file ends in exit 2 with an error naming the path of the bad value."""
+    for f in ("scen.json", "jobs.json", "chain_plan.json", "chain_trace.csv", _SIDECAR):
+        shutil.copy(chain / f, tmp_path / f)
+    path = tmp_path / name
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+    scen = tmp_path / "scen.json"
+    command = {
+        "scen.json": ["scenario", "validate", path],
+        "jobs.json": ["plan", "--scenario", scen, "--jobs", path, "--drones", 1,
+                      "--out", tmp_path / "out.json"],
+        "chain_plan.json": ["simulate", "--scenario", scen, "--plan", path,
+                            "--out", tmp_path / "out.csv"],
+        _SIDECAR: ["netsim", "--scenario", scen, "--trace", tmp_path / "chain_trace.csv",
+                   "--out", tmp_path / "net"],
+    }[name]
+    capsys.readouterr()
+    assert run(*command) == 2
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / out).exists() for out in ("out.json", "out.csv", "net"))
+
+
+_SUMMARY = ("drones,prioritized,category,mean_s,median_s,capacity_20min\n"
+            "0,0,medical,600.0,590.0,0.9\n")
+
+
+@pytest.mark.parametrize("files,message", [
+    pytest.param({"manifest.json": "{"}, "manifest.json: line 1 col 2", id="manifest-not-json"),
+    pytest.param({"manifest.json": "[]"}, "manifest: must be an object, got []",
+                 id="manifest-list"),
+    pytest.param({"summary.csv": _SUMMARY.replace(",capacity_20min", "")},
+                 "summary.csv: missing column 'capacity_20min'", id="summary-missing-column"),
+])
+def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
+    (tmp_path / "summary.csv").write_text(_SUMMARY)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run("report", "--in", tmp_path) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

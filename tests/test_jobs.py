@@ -84,13 +84,21 @@ def test_sets_file_round_trip(world, tmp_path):
     assert sets_to_dict(loaded) == sets_to_dict(sets)
 
 
+# the explicit ids keep the names these cases had before the messages took the
+# "<path>: must be <kind>, got <value>" form
 @pytest.mark.parametrize("data,message", [
     ([5], r"sets\[0\]: must be an object"),
-    ([{"jobs": 3}], r"sets\[0\]: must be an object with a list of jobs"),
+    pytest.param([{"jobs": 3}], r"sets\[0\]\.jobs: must be a list, got 3",
+                 id=r"data1-sets\[0\]: must be an object with a list of jobs"),
     ([{"jobs": [7]}], r"sets\[0\]\.jobs\[0\]: must be an object"),
-    ([{"jobs": [{"building": "x"}]}], r"sets\[0\]\.jobs\[0\]\.building: not an integer"),
-    ([{"jobs": [{"building": 0, "id": None}]}], r"jobs\[0\]\.id: not an integer"),
-    ([{"id": [], "jobs": []}], r"sets\[0\]\.id: not an integer"),
+    pytest.param([{"jobs": [{"building": "x"}]}],
+                 r"sets\[0\]\.jobs\[0\]\.building: must be an integer, got 'x'",
+                 id=r"data3-sets\[0\]\.jobs\[0\]\.building: not an integer"),
+    pytest.param([{"jobs": [{"building": 0, "id": None}]}],
+                 r"sets\[0\]\.jobs\[0\]\.id: must be an integer, got None",
+                 id=r"data4-jobs\[0\]\.id: not an integer"),
+    pytest.param([{"id": [], "jobs": []}], r"sets\[0\]\.id: must be an integer, got \[\]",
+                 id=r"data5-sets\[0\]\.id: not an integer"),
 ])
 def test_malformed_sets_rejected(world, data, message):
     with pytest.raises(ParseError, match=message):
