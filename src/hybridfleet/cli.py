@@ -13,7 +13,7 @@ import sys
 
 from . import __version__, fields
 from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
-                     ParseError)
+                     ParseError, PlanConsistencyError)
 from .experiment import ExperimentConfig, run_experiment
 from .hybrid import FleetConfig, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
@@ -154,7 +154,10 @@ def _dispatch(args) -> int:
         if args.jobs:
             dset = _pick_set(load_sets(args.jobs, sc), args.set_index)
             targets = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
-        trace = simulate(sc, plan, fleet, targets)
+        try:
+            trace = simulate(sc, plan, fleet, targets)
+        except PlanConsistencyError as exc:  # the plan file does not fit the scenario
+            raise ParseError(f"{args.plan}: {exc}") from exc
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
@@ -232,24 +235,27 @@ def _sweep_config(args) -> ExperimentConfig:
 
 
 def _report(in_dir: str) -> int:
-    rows = fields.read_csv(os.path.join(in_dir, "summary.csv"),
-                           ["drones", "prioritized", "category", "mean_s", "median_s",
-                            "capacity_20min"])
+    summary_path = os.path.join(in_dir, "summary.csv")
+    rows = fields.read_csv(summary_path, ["drones", "prioritized", "category", "mean_s",
+                                          "median_s", "capacity_20min"])
     print(f"{'drones':>6} {'prio':>5} {'category':>9} {'mean_s':>9} "
           f"{'median_s':>9} {'cap@20min':>9}")
-    for r in rows:
+    for i, r in enumerate(rows, 1):
+        mean_s, median_s, capacity = (fields.csv_number(summary_path, i, r, c)
+                                      for c in ("mean_s", "median_s", "capacity_20min"))
         print(f"{r['drones']:>6} {r['prioritized']:>5} {r['category']:>9} "
-              f"{float(r['mean_s']):>9.1f} {float(r['median_s']):>9.1f} "
-              f"{float(r['capacity_20min']):>9.3f}")
+              f"{mean_s:>9.1f} {median_s:>9.1f} {capacity:>9.3f}")
     net_path = os.path.join(in_dir, "net_summary.csv")
     if os.path.exists(net_path):
         print()
-        for r in fields.read_csv(net_path, ["model", "sent", "pdr", "lat_p50_ms",
-                                            "lat_p95_ms"]):
-            p50 = f"{float(r['lat_p50_ms']):.3f}" if r["lat_p50_ms"] else "-"
-            p95 = f"{float(r['lat_p95_ms']):.3f}" if r["lat_p95_ms"] else "-"
+        for i, r in enumerate(fields.read_csv(net_path, ["model", "sent", "pdr", "lat_p50_ms",
+                                                         "lat_p95_ms"]), 1):
+            pdr = fields.csv_number(net_path, i, r, "pdr")
+            # the latency cells are empty when no beacon arrived
+            p50, p95 = (f"{fields.csv_number(net_path, i, r, c):.3f}" if r[c] else "-"
+                        for c in ("lat_p50_ms", "lat_p95_ms"))
             print(f"net {r['model']:>12}: sent {r['sent']:>6} "
-                  f"pdr {float(r['pdr']):.4f} p50 {p50} ms p95 {p95} ms")
+                  f"pdr {pdr:.4f} p50 {p50} ms p95 {p95} ms")
     manifest_path = os.path.join(in_dir, "manifest.json")
     if os.path.exists(manifest_path):
         manifest = fields.obj(fields.read_json(manifest_path), "manifest")

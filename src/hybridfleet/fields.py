@@ -75,6 +75,15 @@ number = _reader("a number", _numeric, float)  # NaN and the infinities included
 finite = _reader("a finite number", lambda v: _numeric(v) and math.isfinite(v), float)
 
 
+def csv_number(path, index: int, row: dict, column: str) -> float:
+    """The number, in any spelling float() takes, in column of the index-th data row
+    (from 1) of the CSV file at path."""
+    try:
+        return float(row[column])
+    except ValueError:
+        _fail(f"{path}: row {index}, column '{column}'", "a number", row[column])
+
+
 def obj(value, where: str, keys=None) -> dict:
     """A JSON object; given keys, one whose keys all lie in that set."""
     if not isinstance(value, dict):

@@ -130,12 +130,11 @@ def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
         return status, r, None
     t0 = depart[li]
     return status, r, Sortie(
-        drone_id=drone_id, job_id=job_id, launch_node=launch_node, launch_time=float(t0),
-        rendezvous_node=path[r], rendezvous_time=float(t_rdv),
+        drone_id=drone_id, job_id=job_id, launch_node=launch_node, launch_time=t0,
+        rendezvous_node=path[r], rendezvous_time=t_rdv,
         leg_out_m=(t_deliver - t0) * fleet.drone_speed,
         leg_back_m=(t_arr - t_deliver - fleet.drone_service) * fleet.drone_speed,
-        hover_wait=float(t_rdv - t_arr), deliver_time=float(t_deliver),
-        target_x=tx, target_y=ty)
+        hover_wait=t_rdv - t_arr, deliver_time=t_deliver, target_x=tx, target_y=ty)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +143,16 @@ def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
 
 @dataclass
 class _Built:
-    """One assembled plan state: truck path and timetable plus the sorties."""
+    """One assembled plan state: truck path and timetable plus the sorties.
+    Every per-position field is a Python list, as the sortie kernels scan it."""
     stop_pos: list[int]          # path position of each truck stop, in stop order
     path: list[int]              # node id per path position
-    path_cidx: np.ndarray        # compact node index per path position
-    path_x: np.ndarray
-    path_y: np.ndarray
-    steps: np.ndarray            # truck time from each position to the next
-    services: np.ndarray         # truck stop time at each position
-    arrive: np.ndarray
-    depart: np.ndarray
+    path_x: list[float]
+    path_y: list[float]
+    steps: list[float]           # truck time from each position to the next
+    services: list[float]        # truck stop time at each position
+    arrive: list[float]
+    depart: list[float]
     flights: list[tuple[Sortie, int, float]]  # (sortie, rendezvous position,
                                               #  drone free time before it)
     free: dict[int, float]       # drone -> free time after its last sortie
@@ -169,7 +168,8 @@ class _Built:
         return [f[0] for f in self.flights]
 
 
-_Segment = tuple[list[int], np.ndarray, np.ndarray, np.ndarray]
+# node ids, x, y, step times and stop times of the positions a segment appends
+_Segment = tuple[list[int], list[float], list[float], list[float], list[float]]
 
 
 class _PlanContext:
@@ -179,24 +179,22 @@ class _PlanContext:
         self.fleet = fleet
         self.routes = routing_cache(scenario)
         geom = scenario.geometry()
-        self.node_x = geom.node_x
-        self.node_y = geom.node_y
+        self.node_x = geom.node_x.tolist()
+        self.node_y = geom.node_y.tolist()
         self.node_index = geom.node_index
-        self.n_compact = len(geom.node_ids)
         self.nodes_of = job_nodes(scenario, dset)
         if len(self.nodes_of) != len(dset.jobs):
             raise ParameterError(f"delivery set {dset.id} repeats a job id")
         self.target_xy = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
         self.depot = scenario.depot
         self._seg_cache: dict[tuple[int, int], _Segment] = {}
-        cidx = np.array([self.node_index[self.depot]], np.int64)
-        self._origin = _Built([], [self.depot], cidx, self.node_x[cidx], self.node_y[cidx],
-                              np.zeros(0), np.zeros(1), np.zeros(1), np.zeros(1),
-                              [], {}, 0.0, 0.0)
+        i = self.node_index[self.depot]
+        self._origin = _Built([], [self.depot], [self.node_x[i]], [self.node_y[i]],
+                              [], [0.0], [0.0], [0.0], [], {}, 0.0, 0.0)
 
     def _segment(self, u: int, v: int) -> _Segment:
         """The path positions that driving from u to a stop at v appends:
-        node ids, compact indices, the truck time of each step and the stop
+        node ids, coordinates, the truck time of each step and the stop
         times (the truck's service at v, else zero). A stop at the node the
         truck is on appends that node again with a zero step."""
         key = (u, v)
@@ -209,10 +207,9 @@ class _PlanContext:
                 nodes = path[1:]
                 truck_speed = self.fleet.truck_speed
                 steps = [length / min(truck_speed, speed) for length, speed in edges]
-            services = np.zeros(len(nodes), np.float64)
-            services[-1] = self.fleet.truck_service
-            seg = (nodes, np.array([self.node_index[n] for n in nodes], np.int64),
-                   np.array(steps, np.float64), services)
+            index = [self.node_index[n] for n in nodes]
+            seg = (nodes, [self.node_x[i] for i in index], [self.node_y[i] for i in index],
+                   steps, [0.0] * (len(nodes) - 1) + [self.fleet.truck_service])
             self._seg_cache[key] = seg
         return seg
 
@@ -240,43 +237,42 @@ class _PlanContext:
             base = self._origin
         p = base.stop_pos[keep - 1] if keep else 0
         path = base.path[:p + 1]
+        path_x = base.path_x[:p + 1]
+        path_y = base.path_y[:p + 1]
+        steps = base.steps[:p]
+        services = base.services[:p + 1]
         stop_pos = base.stop_pos[:keep]
-        cidx_parts = [base.path_cidx[:p + 1]]
-        step_parts = [base.steps[:p]]
-        service_parts = [base.services[:p + 1]]
         u = path[p]
         for j in route:
             u = self.nodes_of[j]
-            seg_nodes, seg_cidx, seg_steps, seg_services = self._segment(path[-1], u)
+            seg_nodes, seg_x, seg_y, seg_steps, seg_services = self._segment(path[-1], u)
             path += seg_nodes
+            path_x += seg_x
+            path_y += seg_y
+            steps += seg_steps
+            services += seg_services
             stop_pos.append(len(path) - 1)
-            cidx_parts.append(seg_cidx)
-            step_parts.append(seg_steps)
-            service_parts.append(seg_services)
         if resume is not None:
             q = base.stop_pos[resume]
             shift = len(path) - 1 - q
             path += base.path[q + 1:]
+            path_x += base.path_x[q + 1:]
+            path_y += base.path_y[q + 1:]
+            steps += base.steps[q:]
+            services += base.services[q + 1:]
             stop_pos += [pos + shift for pos in base.stop_pos[resume + 1:]]
-            cidx_parts.append(base.path_cidx[q + 1:])
-            step_parts.append(base.steps[q:])
-            service_parts.append(base.services[q + 1:])
         elif u != self.depot:
-            seg_nodes, seg_cidx, seg_steps, _ = self._segment(u, self.depot)
+            seg_nodes, seg_x, seg_y, seg_steps, _ = self._segment(u, self.depot)
             path += seg_nodes
-            cidx_parts.append(seg_cidx)
-            step_parts.append(seg_steps)
-            service_parts.append(np.zeros(len(seg_nodes), np.float64))
+            path_x += seg_x
+            path_y += seg_y
+            steps += seg_steps
+            services += [0.0] * len(seg_nodes)
 
-        path_cidx = np.concatenate(cidx_parts)
-        steps = np.concatenate(step_parts)
-        services = np.concatenate(service_parts)
         arrive_p, depart_p = kernels.build_timetable(steps[p:], services[p:], base.arrive[p])
-        arrive = np.concatenate((base.arrive[:p], arrive_p))
-        depart = np.concatenate((base.depart[:p], depart_p))
-        path_x = self.node_x[path_cidx]
-        path_y = self.node_y[path_cidx]
-        truck_sum = math.fsum(depart[stop_pos].tolist())
+        arrive = base.arrive[:p] + arrive_p.tolist()
+        depart = base.depart[:p] + depart_p.tolist()
+        truck_sum = math.fsum([depart[pos] for pos in stop_pos])
 
         reusable = iter(base.flights)
         flights: list[tuple[Sortie, int, float]] = []
@@ -299,7 +295,7 @@ class _PlanContext:
                 t_free = sortie.rendezvous_time + fleet.turnaround
             free[d] = t_free
 
-        return _Built(stop_pos, path, path_cidx, path_x, path_y, steps, services,
+        return _Built(stop_pos, path, path_x, path_y, steps, services,
                       arrive, depart, flights, free, truck_sum, drone_sum)
 
 
@@ -342,8 +338,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                         continue
                     scanned.add(built.free[d])
                     li, r, comp, _, _, _ = kernels.best_sortie(
-                        built.path_x, built.path_y, built.path_cidx,
-                        built.arrive, built.depart, ctx.n_compact,
+                        built.path_x, built.path_y, built.path, built.arrive, built.depart,
                         built.free[d], tx, ty,
                         fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
                     if li < 0:
@@ -360,19 +355,20 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
             if current is None:  # cannot happen: the candidate was just built
                 raise RuntimeError("committed candidate failed to rebuild")
 
-    completion = {j: float(current.depart[pos]) for j, pos in zip(truck_jobs, current.stop_pos)}
+    completion = {j: current.depart[pos] for j, pos in zip(truck_jobs, current.stop_pos)}
     for s in current.sorties:
         completion[s.job_id] = s.deliver_time + fleet.drone_service
     sorties = sorted(current.sorties, key=lambda s: (s.drone_id, s.launch_time))
     return HybridPlan(
         truck_stops=list(truck_jobs),
         stop_positions=dict(zip(truck_jobs, current.stop_pos)),
-        timetable=TruckTimetable(current.path, current.arrive, current.depart),
+        timetable=TruckTimetable(current.path, np.array(current.arrive),
+                                 np.array(current.depart)),
         sorties=sorties,
         completion=completion,
         prioritized=prioritize,
         objective=current.total,
-        makespan=float(current.arrive[-1]))
+        makespan=current.arrive[-1])
 
 
 # ---------------------------------------------------------------------------

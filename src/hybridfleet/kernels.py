@@ -2,10 +2,13 @@
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
 are numpy-vectorized over segments, and the truck timetable is a numpy
-prefix sum. The sortie, TSP and distance kernels are scalar loops over numpy
-arrays, run as plain Python.
+prefix sum. The sortie and TSP kernels are scalar loops over Python lists
+(a cost matrix is a list of rows), because CPython indexes a list several
+times faster than it reads a numpy scalar; the sortie kernels return the
+same bits on numpy arrays. The distance kernel is a scalar loop over numpy
+arrays.
 
-Kernels operate on primitive numpy arrays only; the domain modules own all
+Kernels take primitive lists and arrays only; the domain modules own all
 object <-> array conversion.
 """
 from __future__ import annotations
@@ -155,28 +158,28 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
 
 def tour_cost(matrix, order, closed):
     c = 0.0
-    for i in range(order.shape[0] - 1):
-        c += matrix[order[i], order[i + 1]]
-    if closed and order.shape[0] > 1:
-        c += matrix[order[-1], order[0]]
+    for i in range(len(order) - 1):
+        c += matrix[order[i]][order[i + 1]]
+    if closed and len(order) > 1:
+        c += matrix[order[-1]][order[0]]
     return c
 
 
 def nearest_neighbor_order(matrix, start):
-    n = matrix.shape[0]
-    order = np.empty(n, np.int64)
-    used = np.zeros(n, np.bool_)
-    order[0] = start
+    n = len(matrix)
+    order = [start]
+    used = [False] * n
     used[start] = True
     cur = start
-    for k in range(1, n):
+    for _ in range(1, n):
+        row = matrix[cur]
         best = -1
-        best_d = np.inf
+        best_d = math.inf
         for j in range(n):
-            if not used[j] and matrix[cur, j] < best_d:
-                best_d = matrix[cur, j]
+            if not used[j] and row[j] < best_d:
+                best_d = row[j]
                 best = j
-        order[k] = best
+        order.append(best)
         used[best] = True
         cur = best
     return order
@@ -185,10 +188,10 @@ def nearest_neighbor_order(matrix, start):
 def two_opt(matrix, order, closed):
     """First-improvement 2-opt sweeps until no move improves.
 
-    order[0] stays fixed. Works on both open paths and closed tours;
-    requires a symmetric cost matrix.
+    order[0] stays fixed; order is reversed in place. Works on both open
+    paths and closed tours; requires a symmetric cost matrix.
     """
-    n = order.shape[0]
+    n = len(order)
     if n < 3:
         return tour_cost(matrix, order, closed)
     eps = 1e-9
@@ -197,26 +200,20 @@ def two_opt(matrix, order, closed):
         improved = False
         for i in range(n - 1):
             a = order[i]
+            row_a = matrix[a]
             for j in range(i + 1, n):
                 b = order[i + 1]
                 c = order[j]
                 if j < n - 1:
                     d = order[j + 1]
-                    delta = matrix[a, c] + matrix[b, d] - matrix[a, b] - matrix[c, d]
+                    delta = row_a[c] + matrix[b][d] - row_a[b] - matrix[c][d]
                 elif closed:
                     d = order[0]
-                    delta = matrix[a, c] + matrix[b, d] - matrix[a, b] - matrix[c, d]
+                    delta = row_a[c] + matrix[b][d] - row_a[b] - matrix[c][d]
                 else:
-                    delta = matrix[a, c] - matrix[a, b]
+                    delta = row_a[c] - row_a[b]
                 if delta < -eps:
-                    lo = i + 1
-                    hi = j
-                    while lo < hi:
-                        tmp = order[lo]
-                        order[lo] = order[hi]
-                        order[hi] = tmp
-                        lo += 1
-                        hi -= 1
+                    order[i + 1:j + 1] = order[j:i:-1]
                     improved = True
     return tour_cost(matrix, order, closed)
 
@@ -224,47 +221,47 @@ def two_opt(matrix, order, closed):
 def held_karp(matrix, closed):
     """Exact TSP from city 0 by subset DP; lexicographically smallest optimum.
 
-    g[S, j] = cheapest way to leave city j+1, visit exactly the cities in
+    g[S][j] = cheapest way to leave city j+1, visit exactly the cities in
     bitmask S (over cities 1..n-1), then close to city 0 if requested. The
     forward walk re-evaluates the same float expressions the DP minimized,
     so optimal-tie detection is exact and the smallest next city wins.
     """
-    n = matrix.shape[0]
-    order = np.empty(n, np.int64)
-    order[0] = 0
+    n = len(matrix)
+    order = [0]
     if n == 1:
         return order, 0.0
     m = n - 1
     size = 1 << m
-    g = np.empty((size, m), np.float64)
-    for j in range(m):
-        g[0, j] = matrix[j + 1, 0] if closed else 0.0
+    g = [[matrix[j + 1][0] if closed else 0.0 for j in range(m)]]
     for s in range(1, size):
+        row = [math.inf] * m  # entries for j in s are never read
         for j in range(m):
             if s & (1 << j):
                 continue
-            best = np.inf
+            cost_j = matrix[j + 1]
+            best = math.inf
             for c in range(m):
                 if s & (1 << c):
-                    v = matrix[j + 1, c + 1] + g[s & ~(1 << c), c]
+                    v = cost_j[c + 1] + g[s & ~(1 << c)][c]
                     if v < best:
                         best = v
-            g[s, j] = best
+            row[j] = best
+        g.append(row)
     s = size - 1
     last = -1
     for pos in range(1, n):
-        best = np.inf
+        best = math.inf
         pick = -1
         for c in range(m):
             if s & (1 << c):
                 if last < 0:
-                    v = matrix[0, c + 1] + g[s & ~(1 << c), c]
+                    v = matrix[0][c + 1] + g[s & ~(1 << c)][c]
                 else:
-                    v = matrix[last + 1, c + 1] + g[s & ~(1 << c), c]
+                    v = matrix[last + 1][c + 1] + g[s & ~(1 << c)][c]
                 if v < best:
                     best = v
                     pick = c
-        order[pos] = pick + 1
+        order.append(pick + 1)
         s &= ~(1 << pick)
         last = pick
     return order, tour_cost(matrix, order, closed)
@@ -273,7 +270,7 @@ def held_karp(matrix, closed):
 # ---------------------------------------------------------------------------
 # drone sorties against a truck timetable
 #
-# The truck path is given as parallel arrays: node ids, xy coordinates, and
+# The truck path is given as parallel lists: node ids, xy coordinates, and
 # arrive/depart times per path position. A drone launches when the truck
 # departs a path position and must be picked up at a strictly later position.
 
@@ -292,13 +289,12 @@ def sortie_from_launch(path_x, path_y, arrive, depart, launch_idx,
     non-decreasing along the path, so the first feasible node minimizes
     airborne time and a single endurance check there suffices.
     """
-    n = path_x.shape[0]
     t0 = depart[launch_idx]
     dx = path_x[launch_idx] - tx
     dy = path_y[launch_idx] - ty
     t_deliver = t0 + math.sqrt(dx * dx + dy * dy) / speed
     t_leave = t_deliver + service
-    for r in range(launch_idx + 1, n):
+    for r in range(launch_idx + 1, len(path_x)):
         bx = path_x[r] - tx
         by = path_y[r] - ty
         t_arr = t_leave + math.sqrt(bx * bx + by * by) / speed
@@ -310,34 +306,33 @@ def sortie_from_launch(path_x, path_y, arrive, depart, launch_idx,
     return SORTIE_NO_NODE, -1, t_deliver, 0.0, 0.0
 
 
-def best_sortie(path_x, path_y, path_node, arrive, depart, n_graph_nodes,
+def best_sortie(path_x, path_y, path, arrive, depart,
                 free_time, tx, ty, speed, service, endurance):
     """Completion-minimizing sortie over all candidate launch nodes.
 
-    A candidate launch node is represented by its first path occurrence whose
-    departure is at or after free_time (the same rule the plan builder uses to
-    re-anchor committed sorties). Returns
+    A candidate launch node (an id in ``path``) is represented by its first
+    path occurrence whose departure is at or after free_time (the same rule
+    the plan builder uses to re-anchor committed sorties). Returns
     (launch_idx, rdv_idx, completion, deliver_time, rdv_arrival, rdv_time)
     with launch_idx = -1 when no feasible sortie exists.
     """
-    n = path_x.shape[0]
-    seen = np.zeros(n_graph_nodes, np.bool_)
-    best_completion = np.inf
+    seen = set()
+    best_completion = math.inf
     b_li = -1
     b_r = -1
     b_deliver = 0.0
     b_arr = 0.0
     b_rdv = 0.0
-    for li in range(n - 1):
+    for li in range(len(path_x) - 1):
         t0 = depart[li]
         if t0 < free_time:
             continue
         if t0 + service >= best_completion:
             break  # departures are non-decreasing; no later launch can win
-        nid = path_node[li]
-        if seen[nid]:
+        nid = path[li]
+        if nid in seen:
             continue
-        seen[nid] = True
+        seen.add(nid)
         status, r, t_deliver, t_arr, t_rdv = sortie_from_launch(
             path_x, path_y, arrive, depart, li, tx, ty, speed, service, endurance)
         if status == SORTIE_OK:
@@ -364,7 +359,7 @@ def build_timetable(step_times, services, start=0.0):
     timetable continues it bit for bit. The two arrays returned are strided
     views of one buffer.
     """
-    n = services.shape[0]
+    n = len(services)
     seq = np.empty(2 * n, np.float64)
     seq[0] = start
     seq[1::2] = services

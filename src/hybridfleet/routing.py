@@ -165,9 +165,8 @@ def tsp_exact(matrix: np.ndarray, start_index: int = 0,
     if n > EXACT_TSP_LIMIT:
         raise TspSizeError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got {n}")
     perm = _rotation(n, start_index)
-    sub = matrix[np.ix_(perm, perm)]
-    order, cost = kernels.held_karp(np.ascontiguousarray(sub), closed)
-    return [perm[i] for i in order], float(cost)
+    order, cost = kernels.held_karp(matrix[np.ix_(perm, perm)].tolist(), closed)
+    return [perm[i] for i in order], cost
 
 
 def tsp_heuristic(matrix: np.ndarray, start_index: int = 0,
@@ -177,9 +176,9 @@ def tsp_heuristic(matrix: np.ndarray, start_index: int = 0,
     n = matrix.shape[0]
     if n == 1:
         return [start_index], 0.0
-    order = kernels.nearest_neighbor_order(matrix, start_index)
-    cost = kernels.two_opt(matrix, order, closed)
-    return [int(i) for i in order], float(cost)
+    rows = matrix.tolist()
+    order = kernels.nearest_neighbor_order(rows, start_index)
+    return order, kernels.two_opt(rows, order, closed)
 
 
 def _rotation(n: int, start: int) -> list[int]:

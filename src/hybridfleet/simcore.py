@@ -402,5 +402,7 @@ def _read_sidecar(data) -> tuple[dict[int, float], dict[str, Trajectory]]:
         t, x, y, z = fields.unpack(tr, where, t=finites, x=finites, y=finites, z=finites)
         if not len(t) == len(x) == len(y) == len(z) > 0:
             raise ParseError(f"{where}: t, x, y and z must be non-empty and of one length")
+        if any(a >= b for a, b in zip(t, t[1:])):  # np.interp needs increasing samples
+            raise ParseError(f"{where}.t: must be strictly increasing")
         out[veh] = Trajectory(np.array(t), np.array(x), np.array(y), np.array(z))
     return completion, out

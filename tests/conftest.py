@@ -34,10 +34,10 @@ def fly(scenario, timetable, launch_node, job, fleet, free_at=0.0, drone_id=0):
     """(status, sortie) of the planner's sortie constructor for job, launched
     at the truck's first pass over launch_node departing at or after free_at."""
     nodes = timetable.nodes
-    xs = np.array([scenario.graph.nodes[n].x for n in nodes], np.float64)
-    ys = np.array([scenario.graph.nodes[n].y for n in nodes], np.float64)
-    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive, timetable.depart,
-                             launch_node, free_at, drone_id, job.id,
+    xs = [float(scenario.graph.nodes[n].x) for n in nodes]
+    ys = [float(scenario.graph.nodes[n].y) for n in nodes]
+    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive.tolist(),
+                             timetable.depart.tolist(), launch_node, free_at, drone_id, job.id,
                              job.target.x, job.target.y, fleet)
     return status, sortie
 

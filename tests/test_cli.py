@@ -174,6 +174,16 @@ def test_plan_repeated_job_id_exit_2(workdir, capsys):
     pytest.param(lambda p: p["truck"]["timetable"].__setitem__(0, [0.0]),
                  "plan.truck.timetable[0]: must be a list of length 2, got [0.0]",
                  id="short-timetable-row"),
+    pytest.param(lambda p: p["truck"]["node_path"].__setitem__(-1, 999),
+                 "path node 999 not in scenario graph", id="path-node-off-graph"),
+    pytest.param(lambda p: p["truck"]["stops"][0].update(path_index=-1),
+                 "outside path", id="stop-index-outside-path"),
+    pytest.param(lambda p: p["truck"]["node_path"].__setitem__(1, 15),
+                 "is not a road edge", id="path-step-off-road"),
+    pytest.param(lambda p: p["sorties"][0].update(drone_id=5),
+                 "uses drone 5 outside fleet of 1", id="sortie-drone-outside-fleet"),
+    pytest.param(lambda p: p["sorties"][0].update(launch_node=999),
+                 "references nodes off the truck path", id="sortie-node-off-path"),
 ])
 def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message):
     assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
@@ -253,6 +263,9 @@ def _put(path, key, value):
     pytest.param(_SIDECAR, lambda d: d["trajectories"]["truck"]["x"].pop(),
                  "sidecar.trajectories.truck: t, x, y and z must be non-empty and of one "
                  "length", id="sidecar-ragged"),
+    pytest.param(_SIDECAR, lambda d: d["trajectories"]["truck"]["t"].reverse(),
+                 "sidecar.trajectories.truck.t: must be strictly increasing",
+                 id="sidecar-reversed-t"),
 ])
 def test_malformed_input_file_exit_2(chain, tmp_path, capsys, name, edit, message):
     """A malformed file ends in exit 2 with an error naming the path of the bad value."""
@@ -291,6 +304,13 @@ _SUMMARY = ("drones,prioritized,category,mean_s,median_s,capacity_20min\n"
                  id="manifest-list"),
     pytest.param({"summary.csv": _SUMMARY.replace(",capacity_20min", "")},
                  "summary.csv: missing column 'capacity_20min'", id="summary-missing-column"),
+    pytest.param({"summary.csv": _SUMMARY.replace("600.0", "x")},
+                 "summary.csv: row 1, column 'mean_s': must be a number, got 'x'",
+                 id="summary-mean-not-a-number"),
+    pytest.param({"net_summary.csv": "model,sent,delivered,pdr,lat_p50_ms,lat_p95_ms\n"
+                                     "csma,10,9,0.9,,\nsps,10,9,0.9,1.5,high\n"},
+                 "net_summary.csv: row 2, column 'lat_p95_ms': must be a number, got 'high'",
+                 id="net-summary-latency-not-a-number"),
 ])
 def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
     (tmp_path / "summary.csv").write_text(_SUMMARY)

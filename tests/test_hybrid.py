@@ -199,7 +199,6 @@ class _OraclePlanContext:
         adj = scenario.graph.adjacency()
         self._adj_sorted = {u: sorted(vs) for u, vs in adj.items()}
         self._seg_cache = {}
-        self.n_compact = len(self.geom.node_ids)
 
     def _segment(self, u, v):
         key = (u, v)
@@ -257,7 +256,6 @@ class _OraclePlanContext:
         arrive, depart = _oracle_build_timetable(np.array(steps, np.float64), services)
         path_x = self.geom.node_x[[self.geom.node_index[p] for p in path]]
         path_y = self.geom.node_y[[self.geom.node_index[p] for p in path]]
-        path_cidx = np.array([self.geom.node_index[p] for p in path], np.int64)
         completion = {j: float(depart[pos]) for j, pos in stop_pos.items()}
         truck_sum = math.fsum(completion.values())
         sorties = []
@@ -291,7 +289,7 @@ class _OraclePlanContext:
                 drone_sum += comp
                 t_free = float(t_rdv) + fleet.turnaround
             free[d] = t_free
-        return dict(path=path, path_cidx=path_cidx, path_x=path_x, path_y=path_y,
+        return dict(path=path, path_x=path_x, path_y=path_y,
                     arrive=arrive, depart=depart, stop_pos=stop_pos,
                     completion=completion, sorties=sorties, free=free,
                     total=truck_sum + drone_sum, partial=truck_sum + drone_sum)
@@ -314,9 +312,8 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
                 tx, ty = ctx.target_xy[j]
                 for d in range(fleet.drone_count):
                     li, r, comp, _, _, _ = kernels.best_sortie(
-                        built["path_x"], built["path_y"], built["path_cidx"],
-                        built["arrive"], built["depart"], ctx.n_compact,
-                        built["free"][d], tx, ty,
+                        built["path_x"], built["path_y"], built["path"],
+                        built["arrive"], built["depart"], built["free"][d], tx, ty,
                         fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
                     if li < 0:
                         continue
@@ -369,9 +366,10 @@ def _splices_match_full_builds(sc, dset, fleet, prioritize):
         if full is None:
             continue
         assert spliced.path == full.path and spliced.stop_pos == full.stop_pos
-        for name in ("path_cidx", "path_x", "path_y", "steps", "services", "arrive",
-                     "depart"):
-            assert getattr(spliced, name).tobytes() == getattr(full, name).tobytes(), name
+        for name in ("path_x", "path_y", "steps", "services", "arrive", "depart"):
+            # the values, bit for bit
+            assert (np.array(getattr(spliced, name), np.float64).tobytes()
+                    == np.array(getattr(full, name), np.float64).tobytes()), name
         assert spliced.sorties == full.sorties
         assert [f[1:] for f in spliced.flights] == [f[1:] for f in full.flights]
         assert (spliced.free, spliced.truck_sum, spliced.drone_sum) == \
@@ -429,7 +427,7 @@ def test_remove_last_stop_after_depot_stop():
     current = ctx.assemble(assignments, [0, 1])
     spliced = ctx.assemble(assignments, [], current, 1)
     assert spliced.path == [0, 0]
-    assert spliced.depart.tolist() == [0.0, fleet.truck_service]
+    assert spliced.depart == [0.0, fleet.truck_service]
     _assert_plans_identical(sc, dset, fleet, True)
     _splices_match_full_builds(sc, dset, fleet, True)
 

@@ -4,7 +4,8 @@ The TSP kernels are checked against exhaustive enumeration and the 2-opt
 local-optimum property. The numpy LOS kernel must match, element for
 element, the scalar per-segment x per-building loop kept below as its
 oracle, and the numpy timetable must match the scalar recurrence kept below
-bit for bit.
+bit for bit. The sortie kernels must return the same bits on Python lists,
+as the planner passes them, and on numpy arrays.
 """
 import itertools
 import math
@@ -30,8 +31,8 @@ def test_two_opt_reaches_local_optimum():
     rng = np.random.default_rng(6)
     for closed in (True, False):
         n = 12
-        m = random_matrix(rng, n)
-        order = np.arange(n)
+        m = random_matrix(rng, n).tolist()
+        order = list(range(n))
         cost = kernels.two_opt(m, order, closed)
         # no single 2-opt move may improve the final tour
         for i in range(n - 1):
@@ -44,7 +45,7 @@ def test_two_opt_reaches_local_optimum():
 def test_two_opt_not_worse_than_nearest_neighbor():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        m = random_matrix(rng, 15)
+        m = random_matrix(rng, 15).tolist()
         order = kernels.nearest_neighbor_order(m, 0)
         nn_cost = kernels.tour_cost(m, order.copy(), True)
         assert kernels.two_opt(m, order, True) <= nn_cost + 1e-9
@@ -56,7 +57,7 @@ def test_held_karp_vs_enumeration():
         m = rng.integers(1, 50, (6, 6)).astype(float)
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0)
-        order, cost = kernels.held_karp(m, closed)
+        order, cost = kernels.held_karp(m.tolist(), closed)
         best = math.inf
         for perm in itertools.permutations(range(1, 6)):
             seq = (0,) + perm
@@ -127,6 +128,51 @@ def test_sortie_from_launch_statuses():
     no_node = kernels.sortie_from_launch(px, py_, arrive, depart, 2, 50.0, 10.0,
                                          20.0, 0.0, 1e9)
     assert no_node[0] == kernels.SORTIE_NO_NODE
+
+
+def _bits(values):
+    """A kernel's returned tuple with each float as its IEEE-754 bytes."""
+    return [v if isinstance(v, int) else np.float64(v).tobytes() for v in values]
+
+
+_coord = st.floats(-2000.0, 2000.0, allow_nan=False)
+
+
+@st.composite
+def _truck_path(draw):
+    """A path of 2-40 positions over at most 6 node ids (so nodes repeat),
+    with its timetable, as lists."""
+    n = draw(st.integers(2, 40))
+    nodes = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    xs = draw(st.lists(_coord, min_size=n, max_size=n))
+    ys = draw(st.lists(_coord, min_size=n, max_size=n))
+    steps = draw(st.lists(st.floats(0.0, 300.0), min_size=n - 1, max_size=n - 1))
+    services = draw(st.lists(st.sampled_from([0.0, 0.0, 45.0, 60.0]), min_size=n, max_size=n))
+    start = draw(st.sampled_from([0.0, 125.5]))
+    arrive, depart = kernels.build_timetable(steps, services, start)
+    return nodes, xs, ys, arrive.tolist(), depart.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=_truck_path(), launch=st.integers(0, 39), tx=_coord, ty=_coord,
+       speed=st.floats(1.0, 30.0), service=st.floats(0.0, 60.0),
+       endurance=st.floats(10.0, 3000.0), free_time=st.floats(0.0, 3000.0))
+def test_sortie_kernels_same_bits_on_lists_and_arrays(path, launch, tx, ty, speed, service,
+                                                      endurance, free_time):
+    nodes, xs, ys, arrive, depart = path
+    launch %= len(nodes)
+    as_arrays = [np.array(v, np.float64) for v in (xs, ys, arrive, depart)]
+    from_lists = kernels.sortie_from_launch(xs, ys, arrive, depart, launch,
+                                            tx, ty, speed, service, endurance)
+    from_arrays = kernels.sortie_from_launch(*as_arrays, launch,
+                                             tx, ty, speed, service, endurance)
+    assert _bits(from_lists) == _bits(from_arrays)
+    x, y, arr, dep = as_arrays
+    best_lists = kernels.best_sortie(xs, ys, nodes, arrive, depart, free_time,
+                                     tx, ty, speed, service, endurance)
+    best_arrays = kernels.best_sortie(x, y, np.array(nodes, np.int64), arr, dep, free_time,
+                                      tx, ty, speed, service, endurance)
+    assert _bits(best_lists) == _bits(best_arrays)
 
 
 # ---------------------------------------------------------------------------
