@@ -15,7 +15,7 @@ from . import __version__, fields
 from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
                      ParseError, PlanConsistencyError)
 from .experiment import ExperimentConfig, run_experiment
-from .hybrid import FleetConfig, load_plan, plan_hybrid, save_plan
+from .hybrid import FleetConfig, check_plan, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
 from .netmodel import (MODEL_TAG, ChannelConfig, check_requirements, default_models,
@@ -137,6 +137,9 @@ def _dispatch(args) -> int:
         dset = _pick_set(sets, args.set_index)
         fleet = FleetConfig(drone_count=args.drones)
         plan = plan_hybrid(sc, dset, fleet, args.prioritize, args.solver)
+        problems = check_plan(plan, sc, dset, fleet)
+        if problems:
+            raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
         save_plan(plan, args.out, fleet)
         print(f"wrote {args.out}: {len(plan.truck_stops)} truck stops, "
               f"{len(plan.sorties)} sorties, objective {plan.objective:.1f} s")
@@ -149,15 +152,19 @@ def _dispatch(args) -> int:
             if args.drones is None:
                 raise ConfigError("plan file lacks a fleet; pass --drones")
             fleet = FleetConfig(drone_count=args.drones)
-        targets = None
         dset = None
         if args.jobs:
             dset = _pick_set(load_sets(args.jobs, sc), args.set_index)
-            targets = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
         try:
-            trace = simulate(sc, plan, fleet, targets)
+            trace = simulate(sc, plan, fleet)
         except PlanConsistencyError as exc:  # the plan file does not fit the scenario
             raise ParseError(f"{args.plan}: {exc}") from exc
+        if dset is not None:
+            # after simulate, whose checks make the plan's indices safe to follow
+            problems = check_plan(plan, sc, dset, fleet)
+            if problems:
+                raise ParseError(f"{args.plan} does not fit set {args.set_index} of "
+                                 f"{args.jobs}: {_first_of(problems)}")
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
@@ -201,6 +208,12 @@ def _dispatch(args) -> int:
         return _report(args.in_dir)
 
     raise ConfigError(f"unknown command {args.command!r}")
+
+
+def _first_of(problems: list[str]) -> str:
+    """check_plan's first problem, and how many follow it."""
+    more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+    return problems[0] + more
 
 
 def _pick_set(sets, index: int):

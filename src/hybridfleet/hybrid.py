@@ -23,7 +23,7 @@ from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
 from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
                       routing_cache)
-from .scenario import Scenario
+from .scenario import Scenario, nearest_node
 
 _EPS = 1e-9
 
@@ -386,6 +386,19 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
     if len(plan.truck_stops) + len(plan.sorties) != len(all_jobs):
         problems.append("a job is served more than once")
     nodes = plan.timetable.nodes
+    sortie_of = {s.job_id: s for s in plan.sorties}
+    for j in dset.jobs:
+        s = sortie_of.get(j.id)
+        if s is not None:
+            if (s.target_x, s.target_y) != (j.target.x, j.target.y):
+                problems.append(f"job {j.id}: sortie target ({s.target_x}, {s.target_y}) "
+                                f"is not the job's target ({j.target.x}, {j.target.y})")
+        elif j.id in plan.stop_positions:
+            node = nodes[plan.stop_positions[j.id]]
+            want = nearest_node(scenario, j.target)  # as routing.job_nodes maps it
+            if node != want:
+                problems.append(f"job {j.id}: truck stop at node {node} is not the job's "
+                                f"delivery node {want}")
     pos_of = {}
     for i, nid in enumerate(nodes):
         pos_of.setdefault(nid, []).append(i)

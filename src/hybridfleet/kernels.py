@@ -1,12 +1,11 @@
 """Hot numerical kernels.
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
-are numpy-vectorized over segments, and the truck timetable is a numpy
-prefix sum. The sortie and TSP kernels are scalar loops over Python lists
-(a cost matrix is a list of rows), because CPython indexes a list several
-times faster than it reads a numpy scalar; the sortie kernels return the
-same bits on numpy arrays. The distance kernel is a scalar loop over numpy
-arrays.
+are numpy-vectorized over segments, the pairwise distances over point
+pairs, and the truck timetable is a numpy prefix sum. The sortie and TSP
+kernels are scalar loops over Python lists (a cost matrix is a list of
+rows), because CPython indexes a list several times faster than it reads a
+numpy scalar; the sortie kernels return the same bits on numpy arrays.
 
 Kernels take primitive lists and arrays only; the domain modules own all
 object <-> array conversion.
@@ -26,17 +25,15 @@ JIT_ENABLED = False
 
 
 def pairwise_distances(x, y):
-    """Condensed upper-triangle Euclidean distances of a 2D point set."""
-    n = x.shape[0]
-    out = np.empty(n * (n - 1) // 2, np.float64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            out[k] = math.sqrt(dx * dx + dy * dy)
-            k += 1
-    return out
+    """Condensed upper-triangle Euclidean distances of a 2D point set.
+
+    Pairs come in row-major i < j order. IEEE sqrt is correctly rounded, so
+    each distance has the bits ``math.sqrt(dx * dx + dy * dy)`` gives.
+    """
+    i, j = np.triu_indices(x.shape[0], 1)
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _min(a, b):
@@ -102,7 +99,10 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     bounding box and do not pass wholly above its roof. A candidate's
     parameter range is clipped to altitudes [0, height]; it is blocked if
     either clipped endpoint lies inside the footprint or the clipped 2D
-    projection crosses a footprint edge.
+    projection crosses a footprint edge. Before those footprint tests, a
+    candidate is dropped when its clipped range misses the x or y slab of
+    the building's padded bounding box; the footprint tests then run on the
+    range the altitude clip gave, so the slab only saves work.
     """
     out = np.zeros(ax.shape[0], np.bool_)
     sminx = _min(ax, bx)
@@ -110,6 +110,15 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     sminy = _min(ay, by)
     smaxy = _max(ay, by)
     szmin = _min(az, bz)
+    # Rounding in the slab clip and in the footprint tests moves a point by a
+    # few ulps of the largest coordinate M in play (about 1e-15 * M), and
+    # underflow by less than 1e-300. The pad 1e-6 * (1 + M) exceeds both by
+    # orders of magnitude, so the slab cannot reject a segment the footprint
+    # tests would block; on a 1-km world it is 1 mm. fmax skips NaN (such a
+    # segment's slab bounds are NaN, which keeps it); an infinite coordinate
+    # makes the pad infinite, and then the slab rejects nothing.
+    pad = 1e-6 * (1.0 + max(np.fmax.reduce(np.abs(c), initial=0.0)
+                            for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
     for b in range(offsets.shape[0] - 1):
         height = heights[b]
         k = np.flatnonzero(~(out | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
@@ -120,23 +129,39 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
         kaz = az[k]
         dz = bz[k] - kaz
         flat = dz == 0.0
+        kax = ax[k]
+        kay = ay[k]
+        ex = bx[k] - kax
+        ey = by[k] - kay
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ta = (0.0 - kaz) / dz
             tb = (height - kaz) / dz
+            # Slab bounds. The prefilter put a segment with e == 0 on an axis
+            # inside the box on that axis, so the padded bounds divide to -inf
+            # and +inf there and that axis does not clip.
+            xa = (bb_minx[b] - pad - kax) / ex
+            xb = (bb_maxx[b] + pad - kax) / ex
+            ya = (bb_miny[b] - pad - kay) / ey
+            yb = (bb_maxy[b] + pad - kay) / ey
         swap = ta > tb
         lo_t = np.where(swap, tb, ta)
         hi_t = np.where(swap, ta, tb)
         t0 = np.where(flat, 0.0, np.where(lo_t > 0.0, lo_t, 0.0))
         t1 = np.where(flat, 1.0, np.where(hi_t < 1.0, hi_t, 1.0))
+        # np.maximum and np.minimum propagate NaN, and ~(NaN > x) keeps
+        s0 = np.maximum(np.maximum(t0, np.minimum(xa, xb)), np.minimum(ya, yb))
+        s1 = np.minimum(np.minimum(t1, np.maximum(xa, xb)), np.maximum(ya, yb))
         # a flat segment spans the volume's altitudes only if its z does
-        keep = ~((t0 > t1) | (flat & ((kaz < 0.0) | (kaz > height))))
+        keep = ~((t0 > t1) | (flat & ((kaz < 0.0) | (kaz > height))) | (s0 > s1))
         k = k[keep]
+        if k.size == 0:
+            continue
         t0 = t0[keep]
         t1 = t1[keep]
-        kax = ax[k]
-        kay = ay[k]
-        ex = bx[k] - kax
-        ey = by[k] - kay
+        kax = kax[keep]
+        kay = kay[keep]
+        ex = ex[keep]
+        ey = ey[keep]
         p0x = kax + ex * t0
         p0y = kay + ey * t0
         p1x = kax + ex * t1

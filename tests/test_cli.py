@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from hybridfleet import cli
 from hybridfleet.cli import main
 
 
@@ -206,6 +207,35 @@ def chain(workdir):
     assert run("simulate", "--scenario", workdir / "scen.json", "--plan",
                workdir / "chain_plan.json", "--out", workdir / "chain_trace.csv") == 0
     return workdir
+
+
+def test_simulate_with_another_set_exit_2(chain, tmp_path, capsys):
+    # the plan was made for set 0; set 1 has the same job ids at other targets
+    capsys.readouterr()
+    assert run("simulate", "--scenario", chain / "scen.json", "--plan",
+               chain / "chain_plan.json", "--jobs", chain / "jobs.json", "--set-index", 1,
+               "--out", tmp_path / "trace.csv") == 2
+    err = capsys.readouterr().err
+    assert "chain_plan.json does not fit set 1 of" in err
+    assert ": job 0: " in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_plan_breaking_an_invariant_exit_1(workdir, tmp_path, monkeypatch, capsys):
+    real = cli.plan_hybrid
+
+    def drop_a_stop(*args):
+        plan = real(*args)
+        plan.truck_stops.pop()
+        return plan
+
+    monkeypatch.setattr(cli, "plan_hybrid", drop_a_stop)
+    capsys.readouterr()
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--drones", 1, "--out", tmp_path / "plan.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: new plan breaks an invariant: served jobs ")
+    assert not (tmp_path / "plan.json").exists()
 
 
 _SIDECAR = "chain_trace.csv.traj.json"

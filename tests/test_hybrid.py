@@ -121,6 +121,22 @@ def test_plan_invariants_random_instances(case):
     assert check_plan(plan, sc, dset, fleet) == []
 
 
+def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
+    fleet = FleetConfig(drone_count=2)
+    plan = plan_hybrid(grid8, grid8_set, fleet, True)
+    sortie = plan.sorties[0]
+    sortie.target_x += 1.0
+    stop = plan.truck_stops[0]
+    nodes = plan.timetable.nodes
+    plan.stop_positions[stop] = next(i for i, n in enumerate(nodes)
+                                     if n != nodes[plan.stop_positions[stop]])
+    problems = check_plan(plan, grid8, grid8_set, fleet)
+    assert sorted(p.split(":")[0] for p in problems) == sorted(
+        [f"job {sortie.job_id}", f"job {stop}"])
+    assert any("sortie target" in p for p in problems)
+    assert any("is not the job's delivery node" in p for p in problems)
+
+
 @pytest.mark.parametrize("case", range(25))
 def test_more_drones_never_worse(case):
     sc, dset, fleet, prioritize = random_world(case, max_drones=0)

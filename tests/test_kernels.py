@@ -3,8 +3,9 @@
 The TSP kernels are checked against exhaustive enumeration and the 2-opt
 local-optimum property. The numpy LOS kernel must match, element for
 element, the scalar per-segment x per-building loop kept below as its
-oracle, and the numpy timetable must match the scalar recurrence kept below
-bit for bit. The sortie kernels must return the same bits on Python lists,
+oracle, on random segments, on segments grazing the buildings' boxes and on
+the hops of a planned trace. The numpy timetable and pairwise distances
+must match the scalar loops kept below bit for bit. The sortie kernels must return the same bits on Python lists,
 as the planner passes them, and on numpy arrays.
 """
 import itertools
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridfleet import kernels
+from hybridfleet import kernels, netmodel
+from hybridfleet.hybrid import FleetConfig, plan_hybrid
+from hybridfleet.jobs import generate_delivery_sets
 from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_grid_scenario,
                                  los_blocked_many, scenario_from_dict)
+from hybridfleet.simcore import simulate
 
 
 def random_matrix(rng, n):
@@ -66,6 +70,32 @@ def test_held_karp_vs_enumeration():
                 c += m[seq[-1], seq[0]]
             best = min(best, c)
         assert cost == pytest.approx(best)
+
+
+def _oracle_pairwise_distances(x, y):
+    """The scalar loop the vectorized distance kernel replaced."""
+    n = x.shape[0]
+    out = np.empty(n * (n - 1) // 2, np.float64)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            out[k] = math.sqrt(dx * dx + dy * dy)
+            k += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300]),
+                          st.floats(-1e6, 1e6)), max_size=30))
+def test_pairwise_distances_same_bits_as_scalar_loop(points):
+    x = np.array([p[0] for p in points], np.float64)
+    y = np.array([p[1] for p in points], np.float64)
+    got = kernels.pairwise_distances(x, y)
+    want = _oracle_pairwise_distances(x, y)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def _oracle_build_timetable(step_times, services, start=0.0):
@@ -423,6 +453,82 @@ def test_los_batch_matches_oracle_on_generated_world():
     a = np.column_stack([rng.uniform(-50, 350, (2000, 2)), rng.uniform(0, 60, 2000)])
     b = np.column_stack([rng.uniform(-50, 350, (2000, 2)), rng.uniform(0, 3, 2000)])
     got = _assert_matches_oracle(sc, a, b)
+    assert 0 < got.sum() < got.size
+
+
+def _nudged(v, steps):
+    """v moved by steps ulps (negative: downwards)."""
+    for _ in range(abs(steps)):
+        v = np.nextafter(v, math.copysign(math.inf, steps))
+    return float(v)
+
+
+# (minx, maxx, miny, maxy, height) of each building of the concave world
+_BOXES = [(min(p.x for p in b.footprint), max(p.x for p in b.footprint),
+           min(p.y for p in b.footprint), max(p.y for p in b.footprint), b.height)
+          for b in _CONCAVE_WORLD.buildings]
+
+
+@st.composite
+def _box_point(draw, box):
+    """A point on a face, edge or corner of box, or within an ulp of one."""
+    minx, maxx, miny, maxy, height = box
+    x = draw(st.sampled_from([minx, maxx]) | st.floats(minx, maxx))
+    y = draw(st.sampled_from([miny, maxy]) | st.floats(miny, maxy))
+    z = draw(st.sampled_from([0.0, height, height / 2]) | st.floats(-5.0, 30.0))
+    nudge = st.integers(-1, 1)
+    return _nudged(x, draw(nudge)), _nudged(y, draw(nudge)), _nudged(z, draw(nudge))
+
+
+@st.composite
+def _grazing_segment(draw):
+    box = draw(st.sampled_from(_BOXES))
+    a = draw(_box_point(box))
+    kind = draw(st.sampled_from(["box", "other-box", "free", "roof", "vertical", "zero"]))
+    if kind == "zero":
+        return a, a
+    if kind == "vertical":
+        return a, (a[0], a[1], draw(_z))
+    if kind == "roof":  # flat at exactly roof height, or an ulp off it
+        z = _nudged(box[4], draw(st.integers(-1, 1)))
+        b = draw(_box_point(box) | _xy.map(lambda p: (*p, 0.0)))
+        return (a[0], a[1], z), (b[0], b[1], z)
+    if kind == "free":
+        bx, by = draw(_xy)
+        return a, (bx, by, draw(_z))
+    other = box if kind == "box" else draw(st.sampled_from(_BOXES))
+    return a, draw(_box_point(other))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_grazing_segment(), min_size=1, max_size=30))
+def test_los_batch_matches_oracle_on_segments_grazing_the_boxes(segs):
+    # the padded slab may only reject: each grazing case blocks as the oracle says
+    a = np.array([s[0] for s in segs], np.float64)
+    b = np.array([s[1] for s in segs], np.float64)
+    _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+
+
+def test_los_batch_matches_oracle_on_planned_hops(monkeypatch):
+    # the segments run_cam_traffic tests: drone, truck and base-station hops
+    sc = generate_grid_scenario(5, 5, 100.0, 2, seed=4)
+    dset = generate_delivery_sets(sc, 1, 8, 3, seed=9)[0]
+    fleet = FleetConfig(drone_count=3)
+    plan = plan_hybrid(sc, dset, fleet, True)
+    trace = simulate(sc, plan, fleet)
+    hops = []
+
+    def record(scenario, a_xyz, b_xyz):
+        hops.append((a_xyz, b_xyz))
+        return los_blocked_many(scenario, a_xyz, b_xyz)
+
+    monkeypatch.setattr(netmodel, "los_blocked_many", record)
+    for mac in netmodel.default_models():
+        netmodel.run_cam_traffic(trace, sc, mac, seed=2)
+    a = np.concatenate([h[0] for h in hops])
+    b = np.concatenate([h[1] for h in hops])
+    step = max(1, len(a) // 1500)  # keeps the scalar oracle to about a second
+    got = _assert_matches_oracle(sc, a[::step], b[::step])
     assert 0 < got.sum() < got.size
 
 
