@@ -15,7 +15,7 @@ from . import __version__, fields
 from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
                      ParseError, PlanConsistencyError)
 from .experiment import ExperimentConfig, run_experiment
-from .hybrid import FleetConfig, check_plan, load_plan, plan_hybrid, save_plan
+from .hybrid import FleetConfig, _first_of, check_plan, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
 from .netmodel import (MODEL_TAG, ChannelConfig, check_requirements, default_models,
@@ -155,16 +155,14 @@ def _dispatch(args) -> int:
         dset = None
         if args.jobs:
             dset = _pick_set(load_sets(args.jobs, sc), args.set_index)
+        problems = check_plan(plan, sc, dset, fleet)
+        if problems:  # the plan file does not fit the scenario, fleet or set
+            fit = "" if dset is None else f" does not fit set {args.set_index} of {args.jobs}"
+            raise ParseError(f"{args.plan}{fit}: {_first_of(problems)}")
         try:
             trace = simulate(sc, plan, fleet)
-        except PlanConsistencyError as exc:  # the plan file does not fit the scenario
+        except PlanConsistencyError as exc:  # a drone the plan cannot recover
             raise ParseError(f"{args.plan}: {exc}") from exc
-        if dset is not None:
-            # after simulate, whose checks make the plan's indices safe to follow
-            problems = check_plan(plan, sc, dset, fleet)
-            if problems:
-                raise ParseError(f"{args.plan} does not fit set {args.set_index} of "
-                                 f"{args.jobs}: {_first_of(problems)}")
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
@@ -208,12 +206,6 @@ def _dispatch(args) -> int:
         return _report(args.in_dir)
 
     raise ConfigError(f"unknown command {args.command!r}")
-
-
-def _first_of(problems: list[str]) -> str:
-    """check_plan's first problem, and how many follow it."""
-    more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
-    return problems[0] + more
 
 
 def _pick_set(sets, index: int):

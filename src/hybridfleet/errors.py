@@ -26,7 +26,7 @@ class RoutingError(HybridFleetError):
     """No route exists between the requested endpoints."""
 
 
-class TspSizeError(HybridFleetError):
+class TspSizeError(ParameterError):
     """Instance too large for the exact solver."""
 
 

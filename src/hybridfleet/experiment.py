@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, fields
-from .errors import ConfigError, ParameterError, ParseError
-from .hybrid import FleetConfig, plan_hybrid, read_fleet
+from .errors import ConfigError, ParameterError, ParseError, PlanConsistencyError
+from .hybrid import FleetConfig, _first_of, check_plan, plan_hybrid, read_fleet
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
@@ -175,11 +175,14 @@ def _world(cfg_json: str):
 
 def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
             prioritized: bool):
-    """plan -> simulate -> waiting stats for one configuration of one set."""
+    """plan -> check -> simulate -> waiting stats for one configuration of one
+    set; a plan that breaks an invariant raises PlanConsistencyError."""
     fleet = cfg.fleet_for(drone_count)
     plan = plan_hybrid(scenario, dset, fleet, prioritized, cfg.solver)
-    targets = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
-    trace = simulate(scenario, plan, fleet, targets)
+    problems = check_plan(plan, scenario, dset, fleet)
+    if problems:
+        raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
+    trace = simulate(scenario, plan, fleet)
     stats = waiting_stats(trace, dset)
     return plan, trace, stats
 

@@ -26,6 +26,9 @@ from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule
 from .scenario import Scenario, nearest_node
 
 _EPS = 1e-9
+# a truck carries a handful of drones; the planner and simulator keep state
+# for each drone of the fleet, idle ones too
+_MAX_DRONES = 1000
 
 
 @dataclass
@@ -49,8 +52,8 @@ def validate_fleet(fleet: FleetConfig) -> None:
     for name in ("truck_service", "drone_service"):
         if not getattr(fleet, name) >= 0:
             raise ParameterError(f"fleet.{name} must be non-negative")
-    if not isinstance(fleet.drone_count, int) or fleet.drone_count < 0:
-        raise ParameterError("fleet.drone_count must be an integer >= 0")
+    if not isinstance(fleet.drone_count, int) or not 0 <= fleet.drone_count <= _MAX_DRONES:
+        raise ParameterError(f"fleet.drone_count must be an integer >= 0 and <= {_MAX_DRONES}")
 
 
 @dataclass
@@ -372,48 +375,83 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
 
 
 # ---------------------------------------------------------------------------
-# plan invariants (checked by tests and perfbench's workloads, not by the simulator)
+# plan invariants: the package's one plan validator, run by `plan`, `simulate`
+# and every sweep run before the plan is saved or executed
 
 
-def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
+def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                fleet: FleetConfig) -> list[str]:
-    """Return a list of violated invariant descriptions (empty when valid)."""
-    problems = []
-    served = set(plan.truck_stops) | {s.job_id for s in plan.sorties}
-    all_jobs = {j.id for j in dset.jobs}
-    if served != all_jobs:
-        problems.append(f"served jobs {sorted(served)} != set jobs {sorted(all_jobs)}")
-    if len(plan.truck_stops) + len(plan.sorties) != len(all_jobs):
-        problems.append("a job is served more than once")
+    """Return a list of violated invariant descriptions (empty when valid).
+
+    Raises ParameterError for an invalid fleet. A broken structure (path on
+    the road graph, stop positions inside it, sorties with a fleet drone and
+    nodes on the path) is returned alone, so no later check follows a bad
+    index. A ``dset`` of None skips the per-job checks (coverage, sortie
+    targets, truck-stop nodes, medical stops first); the per-drone timing
+    checks run either way. ``simulate`` executes only plans that pass.
+    """
+    validate_fleet(fleet)
+    g = scenario.graph
     nodes = plan.timetable.nodes
-    sortie_of = {s.job_id: s for s in plan.sorties}
-    for j in dset.jobs:
-        s = sortie_of.get(j.id)
-        if s is not None:
-            if (s.target_x, s.target_y) != (j.target.x, j.target.y):
-                problems.append(f"job {j.id}: sortie target ({s.target_x}, {s.target_y}) "
-                                f"is not the job's target ({j.target.x}, {j.target.y})")
-        elif j.id in plan.stop_positions:
-            node = nodes[plan.stop_positions[j.id]]
-            want = nearest_node(scenario, j.target)  # as routing.job_nodes maps it
-            if node != want:
-                problems.append(f"job {j.id}: truck stop at node {node} is not the job's "
-                                f"delivery node {want}")
+    if not nodes:
+        return ["plan has an empty truck path"]
+    problems = [f"path node {n} not in scenario graph" for n in nodes if n not in g.nodes]
+    edges = {(e.a, e.b) for e in g.edges}
+    problems += [f"path step {u}->{v} is not a road edge" for u, v in zip(nodes, nodes[1:])
+                 if u != v and (u, v) not in edges and (v, u) not in edges]
+    problems += [f"stop position for job {j} outside path"
+                 for j, pos in plan.stop_positions.items() if not 0 <= pos < len(nodes)]
+    path_set = set(nodes)
+    for s in plan.sorties:
+        if not 0 <= s.drone_id < fleet.drone_count:
+            problems.append(f"sortie for job {s.job_id} uses drone "
+                            f"{s.drone_id} outside fleet of {fleet.drone_count}")
+        if s.launch_node not in path_set or s.rendezvous_node not in path_set:
+            problems.append(f"sortie for job {s.job_id} references nodes off the truck path")
+    if problems:
+        return problems
+
+    if dset is not None:
+        served = set(plan.truck_stops) | {s.job_id for s in plan.sorties}
+        all_jobs = {j.id for j in dset.jobs}
+        if served != all_jobs:
+            problems.append(f"served jobs {sorted(served)} != set jobs {sorted(all_jobs)}")
+        if len(plan.truck_stops) + len(plan.sorties) != len(all_jobs):
+            problems.append("a job is served more than once")
+        sortie_of = {s.job_id: s for s in plan.sorties}
+        for j in dset.jobs:
+            s = sortie_of.get(j.id)
+            if s is not None:
+                if (s.target_x, s.target_y) != (j.target.x, j.target.y):
+                    problems.append(f"job {j.id}: sortie target ({s.target_x}, {s.target_y}) "
+                                    f"is not the job's target ({j.target.x}, {j.target.y})")
+            elif j.id in plan.stop_positions:
+                node = nodes[plan.stop_positions[j.id]]
+                want = nearest_node(scenario, j.target)  # as routing.job_nodes maps it
+                if node != want:
+                    problems.append(f"job {j.id}: truck stop at node {node} is not the "
+                                    f"job's delivery node {want}")
+        if plan.prioritized:
+            medical = {j.id for j in dset.jobs if j.category == Category.MEDICAL}
+            seen_standard = False
+            for j in plan.truck_stops:
+                if j in medical and seen_standard:
+                    problems.append("medical truck stop after a standard one")
+                    break
+                if j not in medical:
+                    seen_standard = True
+
     pos_of = {}
     for i, nid in enumerate(nodes):
         pos_of.setdefault(nid, []).append(i)
-    by_drone = plan.drone_jobs()
-    for d, ss in by_drone.items():
-        if d >= fleet.drone_count:
-            problems.append(f"sortie uses unknown drone {d}")
+    for ss in plan.drone_jobs().values():
         prev_end = None
         for s in ss:
-            launch_positions = [i for i in pos_of.get(s.launch_node, [])
+            launch_positions = [i for i in pos_of[s.launch_node]
                                 if abs(plan.timetable.depart[i] - s.launch_time) <= 1e-6]
-            rdv_positions = pos_of.get(s.rendezvous_node, [])
             if not launch_positions:
                 problems.append(f"sortie {s.job_id}: launch node not on path at launch time")
-            elif not rdv_positions or max(rdv_positions) <= min(launch_positions):
+            elif max(pos_of[s.rendezvous_node]) <= min(launch_positions):
                 problems.append(f"sortie {s.job_id}: rendezvous not after launch on path")
             if s.airborne_time > fleet.drone_endurance + 1e-6:
                 problems.append(f"sortie {s.job_id}: endurance exceeded")
@@ -424,16 +462,13 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
             if prev_end is not None and s.launch_time < prev_end + fleet.turnaround - 1e-6:
                 problems.append(f"sortie {s.job_id}: turnaround gap violated")
             prev_end = s.rendezvous_time
-    medical = {j.id for j in dset.jobs if j.category == Category.MEDICAL}
-    if plan.prioritized:
-        seen_standard = False
-        for j in plan.truck_stops:
-            if j in medical and seen_standard:
-                problems.append("medical truck stop after a standard one")
-                break
-            if j not in medical:
-                seen_standard = True
     return problems
+
+
+def _first_of(problems: list[str]) -> str:
+    """check_plan's first problem, and how many follow it."""
+    more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+    return problems[0] + more
 
 
 # ---------------------------------------------------------------------------

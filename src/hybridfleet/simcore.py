@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fields
 from .errors import ParseError, PlanConsistencyError
-from .hybrid import FleetConfig, HybridPlan, Sortie, validate_fleet
+from .hybrid import FleetConfig, HybridPlan, Sortie
 from .scenario import Scenario
 
 _SLACK = 1e-9
@@ -83,41 +83,14 @@ class DeliveryTrace:
         return out
 
 
-def _validate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> None:
-    validate_fleet(fleet)
-    g = scenario.graph
-    nodes = plan.timetable.nodes
-    if not nodes:
-        raise PlanConsistencyError("plan has an empty truck path")
-    edge_ok = {(e.a, e.b) for e in g.edges} | {(e.b, e.a) for e in g.edges}
-    for n in nodes:
-        if n not in g.nodes:
-            raise PlanConsistencyError(f"path node {n} not in scenario graph")
-    for u, v in zip(nodes, nodes[1:]):
-        if u != v and (u, v) not in edge_ok:
-            raise PlanConsistencyError(f"path step {u}->{v} is not a road edge")
-    for j, pos in plan.stop_positions.items():
-        if not 0 <= pos < len(nodes):
-            raise PlanConsistencyError(f"stop position for job {j} outside path")
-    path_set = set(nodes)
-    for s in plan.sorties:
-        if s.drone_id < 0 or s.drone_id >= fleet.drone_count:
-            raise PlanConsistencyError(f"sortie for job {s.job_id} uses drone "
-                                       f"{s.drone_id} outside fleet of {fleet.drone_count}")
-        if s.launch_node not in path_set or s.rendezvous_node not in path_set:
-            raise PlanConsistencyError(f"sortie for job {s.job_id} references nodes "
-                                       "off the truck path")
+def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> DeliveryTrace:
+    """Execute a plan that ``hybrid.check_plan`` accepts for this scenario
+    and fleet; returns events, completions, and trajectories.
 
-
-def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig,
-             targets: dict[int, tuple[float, float]] | None = None) -> DeliveryTrace:
-    """Execute the plan; returns events, completions, and trajectories.
-
-    ``targets`` optionally overrides job id -> delivery coordinates; by
-    default they are reconstructed from the plan's sortie geometry for drone
-    jobs (truck jobs are served at path nodes).
+    Drones fly to their sorties' ``target_x``/``target_y``; truck jobs are
+    served at path nodes. Raises PlanConsistencyError when executing the
+    plan finds a drone that cannot rejoin the truck.
     """
-    _validate(scenario, plan, fleet)
     g = scenario.graph
     nodes = plan.timetable.nodes
     n = len(nodes)
@@ -130,11 +103,6 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig,
         edge_time[(e.b, e.a)] = t
 
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
-
-    def target_xy(s: Sortie) -> tuple[float, float]:
-        if targets and s.job_id in targets:
-            return targets[s.job_id]
-        return (s.target_x, s.target_y)
 
     pending: dict[int, list[Sortie]] = {}
     for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
@@ -201,7 +169,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig,
                     continue
                 pending[d].pop(0)
                 aboard[d] = False
-                txy = target_xy(s)
+                txy = (s.target_x, s.target_y)
                 out_d = math.hypot(p.x - txy[0], p.y - txy[1])
                 t_deliver = t + out_d / fleet.drone_speed
                 t_complete = t_deliver + fleet.drone_service

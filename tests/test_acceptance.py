@@ -199,8 +199,7 @@ def test_acceptance_6_planner_simulator_agreement():
     for case in range(100):
         sc, dset, fleet, prioritize = random_world(case)
         plan = plan_hybrid(sc, dset, fleet, prioritize)
-        trace = simulate(sc, plan, fleet,
-                         {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+        trace = simulate(sc, plan, fleet)
         for j, t in plan.completion.items():
             worst = max(worst, abs(trace.completion[j] - t))
     ok = worst <= 1e-6

@@ -19,6 +19,8 @@ def workdir(tmp_path_factory):
     assert run("jobs", "gen", "--scenario", d / "scen.json", "--sets", 2,
                "--per-set", 6, "--medical", 2, "--seed", 4,
                "--out", d / "jobs.json") == 0
+    assert run("jobs", "gen", "--scenario", d / "scen.json", "--sets", 1,
+               "--per-set", 15, "--medical", 5, "--seed", 4, "--out", d / "jobs15.json") == 0
     return d
 
 
@@ -354,6 +356,12 @@ def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
     pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/jobs.json",
                   "--drones", -1, "--out", "{t}/plan.json"],
                  "drone_count must be an integer >= 0", id="plan-negative-drones"),
+    pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/jobs.json",
+                  "--drones", 1001, "--out", "{t}/plan.json"],
+                 "drone_count must be an integer >= 0 and <= 1000", id="plan-too-many-drones"),
+    pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/jobs15.json",
+                  "--no-prioritize", "--solver", "exact", "--out", "{t}/plan.json"],
+                 "exact solver limited to 12 stops, got 16", id="plan-exact-solver-too-many-stops"),
     pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--medical", 5,
                   "--per-set", 3, "--out", "{t}/jobs.json"],
                  "medical_per_set cannot exceed per_set", id="jobs-medical-above-per-set"),
@@ -419,6 +427,32 @@ def test_partial_failure_isolation(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0].startswith("drones,")
     assert len(rows) == 1 + 3  # one surviving config x three categories
+
+
+def test_sweep_run_breaking_an_invariant_fails_alone(tmp_path, monkeypatch):
+    from hybridfleet import experiment
+    real = experiment.plan_hybrid
+    shifted = []
+
+    def shift_a_target(*args):
+        plan = real(*args)
+        if plan.sorties and not shifted:
+            plan.sorties[0].target_x += 1.0
+            shifted.append(True)
+        return plan
+
+    monkeypatch.setattr(experiment, "plan_hybrid", shift_a_target)
+    out = tmp_path / "o"
+    cfg = experiment.ExperimentConfig(grid_rows=4, grid_cols=4, n_sets=2, per_set=4,
+                                      medical_per_set=1, drone_counts=[0, 1], net_models=[],
+                                      out_dir=str(out))
+    assert experiment.run_experiment(cfg) == 1
+    [failure] = json.loads((out / "manifest.json").read_text())["failures"]
+    assert (failure["set"], failure["drones"], failure["prioritized"]) == (0, 1, False)
+    assert failure["error"].startswith("PlanConsistencyError: new plan breaks an invariant: job ")
+    assert "sortie target" in failure["error"]
+    # set 1 still fills every config's rows
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + 4 * 3
 
 
 def test_parallel_workers_match_serial(tmp_path):

@@ -3,7 +3,9 @@
 Each valid document below (scenario, delivery sets, plan, trace sidecar and
 sweep config) gets one value, at any JSON path, replaced by an arbitrary JSON
 value. The parser must then return, or raise ParseError, ConfigError or
-InvariantViolation: never a TypeError, KeyError or other exception.
+InvariantViolation: never a TypeError, KeyError or other exception. A plan
+parsed so and passed by check_plan must simulate, or raise
+PlanConsistencyError.
 """
 import copy
 import json
@@ -13,13 +15,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridfleet import fields
-from hybridfleet.errors import ConfigError, InvariantViolation, ParseError
+from hybridfleet.errors import ConfigError, InvariantViolation, ParseError, PlanConsistencyError
 from hybridfleet.experiment import ExperimentConfig
-from hybridfleet.hybrid import FleetConfig, plan_from_dict, plan_hybrid, plan_to_dict
+from hybridfleet.hybrid import (FleetConfig, check_plan, plan_from_dict, plan_hybrid,
+                               plan_to_dict)
 from hybridfleet.jobs import generate_delivery_sets, sets_from_dict, sets_to_dict
 from hybridfleet.scenario import generate_grid_scenario, scenario_from_dict, scenario_to_dict
 from hybridfleet.simcore import _read_sidecar, save_trace, simulate
@@ -100,6 +103,30 @@ def test_any_json_value_parses_or_raises_an_input_error(mutation):
         parse(data)
     except (ParseError, ConfigError, InvariantViolation):
         pass
+
+
+_PLAN_DOC = plan_to_dict(_PLAN, _FLEET)
+
+
+@settings(max_examples=400, deadline=None)
+# small integers are node ids, path indices and drone ids near the valid
+# ones, which an arbitrary JSON value seldom is
+@given(st.sampled_from(list(_paths(_PLAN_DOC))), _json_value | st.integers(-2, 40))
+@example(("truck", "stops", 0, "path_index"), 99)
+@example(("sorties", 0, "drone_id"), -1)
+def test_a_plan_check_plan_passes_simulates_or_raises_plan_consistency_error(path, value):
+    try:
+        plan, fleet = plan_from_dict(_replaced(_PLAN_DOC, path, value))
+    except ParseError:
+        return
+    fleet = fleet or _FLEET
+    problems = check_plan(plan, _WORLD, _SETS[0], fleet)
+    assert isinstance(problems, list)
+    if not problems:
+        try:
+            simulate(_WORLD, plan, fleet)
+        except PlanConsistencyError:
+            pass
 
 
 @pytest.mark.parametrize("read,good,bad", [

@@ -137,6 +137,14 @@ def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
     assert any("is not the job's delivery node" in p for p in problems)
 
 
+def test_check_plan_rejects_inconsistent_plan():
+    sc, dset, fleet, _ = random_world(4)
+    plan = plan_hybrid(sc, dset, fleet, False)
+    plan.timetable.nodes[0] = 10 ** 6  # node not in the graph
+    for jobs in (dset, None):
+        assert check_plan(plan, sc, jobs, fleet)[0] == "path node 1000000 not in scenario graph"
+
+
 @pytest.mark.parametrize("case", range(25))
 def test_more_drones_never_worse(case):
     sc, dset, fleet, prioritize = random_world(case, max_drones=0)

@@ -35,8 +35,7 @@ def make_trace(n_drones=1, service=30.0, n_nodes=25, stagger=0.0):
                    job_at(0.0, 300.0 + 40.0 * d, job_id=d), fleet, drone_id=d)
         sorties.append(s)
     plan = sortie_plan(sc, tt, sorties, fleet)
-    targets = {d: (0.0, 300.0 + 40.0 * d) for d in range(n_drones)}
-    return sc, simulate(sc, plan, fleet, targets)
+    return sc, simulate(sc, plan, fleet)
 
 
 def link_p(cfg, a, b, los):
@@ -175,7 +174,7 @@ def test_truck_only_trace_has_no_senders():
     sc = line_scenario(5, 100.0, 10.0)
     fleet = FleetConfig(drone_count=0, truck_speed=10.0)
     plan = plan_hybrid(sc, DeliverySet(0, [job_at(300.0, 0.0, 0)]), fleet, False)
-    trace = simulate(sc, plan, fleet, {0: (300.0, 0.0)})
+    trace = simulate(sc, plan, fleet)
     for mac in (Centralized(), Csma(), Sps()):
         stats = run_cam_traffic(trace, sc, mac, ChannelConfig(), seed=1)
         assert stats.sent == 0
@@ -525,7 +524,7 @@ def test_planned_worlds_match_oracle(tmp_path, case):
     sc, dset, fleet, prioritize = random_world(case, max_drones=4)
     fleet.drone_count = max(fleet.drone_count, 2)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
-    trace = simulate(sc, plan, fleet, {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+    trace = simulate(sc, plan, fleet)
     for mac in (Centralized(), Csma(), Csma(airtime_ms=20.0, cw_slots=2), Sps()):
         stats = _assert_matches_oracle(trace, sc, mac, ChannelConfig(), 100.0, case,
                                        tmp_path)

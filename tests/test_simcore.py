@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hybridfleet.errors import PlanConsistencyError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import DeliverySet
 from hybridfleet.netmodel import _interp_positions
@@ -25,7 +24,7 @@ def two_stop_world():
 
 def test_truck_only_two_stop_completions():
     sc, dset, fleet, plan = two_stop_world()
-    trace = simulate(sc, plan, fleet, {0: (600.0, 0.0), 1: (1000.0, 0.0)})
+    trace = simulate(sc, plan, fleet)
     assert trace.completion[0] == pytest.approx(120.0, abs=1e-9)
     assert trace.completion[1] == pytest.approx(220.0, abs=1e-9)
     serves = [e for e in trace.events if e.kind == KIND_TRUCK_SERVE]
@@ -44,7 +43,7 @@ def drone_world(service):
 
 def test_drone_sortie_event_times_service_zero():
     sc, fleet, plan = drone_world(0.0)
-    trace = simulate(sc, plan, fleet, {0: (0.0, 300.0)})
+    trace = simulate(sc, plan, fleet)
     by_kind = {e.kind: e for e in trace.events if e.vehicle == "drone0"}
     assert by_kind[KIND_DRONE_LAUNCH].time == 0.0
     assert by_kind[KIND_DRONE_DELIVER].time == pytest.approx(15.0, abs=1e-9)
@@ -54,7 +53,7 @@ def test_drone_sortie_event_times_service_zero():
 
 def test_drone_sortie_event_times_service_thirty():
     sc, fleet, plan = drone_world(30.0)
-    trace = simulate(sc, plan, fleet, {0: (0.0, 300.0)})
+    trace = simulate(sc, plan, fleet)
     by_kind = {e.kind: e for e in trace.events if e.vehicle == "drone0"}
     assert by_kind[KIND_DRONE_LAUNCH].time == 0.0
     assert by_kind[KIND_DRONE_DELIVER].time == pytest.approx(45.0, abs=1e-9)
@@ -91,7 +90,7 @@ def test_position_at_mid_edge():
 
 def test_position_at_hover_is_stationary():
     sc, fleet, plan = drone_world(30.0)
-    trace = simulate(sc, plan, fleet, {0: (0.0, 300.0)})
+    trace = simulate(sc, plan, fleet)
     rdv = next(e for e in trace.events if e.kind == KIND_DRONE_RENDEZVOUS)
     deliver = next(e for e in trace.events if e.kind == KIND_DRONE_DELIVER)
     back = np.hypot(rdv.x - 0.0, rdv.y - 300.0)
@@ -106,7 +105,7 @@ def test_position_at_hover_is_stationary():
 
 def test_trajectories_span_the_trace():
     sc, fleet, plan = drone_world(30.0)
-    trace = simulate(sc, plan, fleet, {0: (0.0, 300.0)})
+    trace = simulate(sc, plan, fleet)
     assert sorted(trace.trajectories) == ["drone0", "truck"]
     for traj in trace.trajectories.values():
         assert traj.times[0] == 0.0
@@ -117,8 +116,7 @@ def test_events_sorted_and_single_tour_complete():
     for case in range(12):
         sc, dset, fleet, prioritize = random_world(case)
         plan = plan_hybrid(sc, dset, fleet, prioritize)
-        trace = simulate(sc, plan, fleet,
-                         {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+        trace = simulate(sc, plan, fleet)
         times = [e.time for e in trace.events]
         assert times == sorted(times)
         completes = [e for e in trace.events if e.kind == KIND_TOUR_COMPLETE]
@@ -133,8 +131,7 @@ def test_planner_simulator_agreement_random():
     for case in range(20):
         sc, dset, fleet, prioritize = random_world(case)
         plan = plan_hybrid(sc, dset, fleet, prioritize)
-        trace = simulate(sc, plan, fleet,
-                         {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+        trace = simulate(sc, plan, fleet)
         for j, t_planned in plan.completion.items():
             assert abs(trace.completion[j] - t_planned) <= 1e-6
 
@@ -142,10 +139,9 @@ def test_planner_simulator_agreement_random():
 def test_trace_deterministic_bytes(tmp_path):
     sc, dset, fleet, prioritize = random_world(5)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
-    targets = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_trace(simulate(sc, plan, fleet, targets), p1)
-    save_trace(simulate(sc, plan, fleet, targets), p2)
+    save_trace(simulate(sc, plan, fleet), p1)
+    save_trace(simulate(sc, plan, fleet), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -153,8 +149,7 @@ def test_trajectories_continuous_and_speed_capped():
     for case in range(10):
         sc, dset, fleet, prioritize = random_world(case)
         plan = plan_hybrid(sc, dset, fleet, prioritize)
-        trace = simulate(sc, plan, fleet,
-                         {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+        trace = simulate(sc, plan, fleet)
         for veh, tr in trace.trajectories.items():
             assert np.all(np.diff(tr.times) > 0)
             dt = np.diff(tr.times)
@@ -168,8 +163,7 @@ def test_drone_aboard_shares_truck_position():
     sc, dset, fleet, _ = random_world(2, max_drones=3)
     fleet.drone_count = 2
     plan = plan_hybrid(sc, dset, fleet, True)
-    trace = simulate(sc, plan, fleet,
-                     {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+    trace = simulate(sc, plan, fleet)
     windows = trace.airborne_windows()
     for d in range(fleet.drone_count):
         veh = f"drone{d}"
@@ -186,19 +180,10 @@ def test_drone_aboard_shares_truck_position():
                 position_at(trace, "truck", t))
 
 
-def test_simulate_rejects_inconsistent_plan():
-    sc, dset, fleet, _ = random_world(4)
-    plan = plan_hybrid(sc, dset, fleet, False)
-    plan.timetable.nodes[0] = 10 ** 6  # node not in the graph
-    with pytest.raises(PlanConsistencyError):
-        simulate(sc, plan, fleet)
-
-
 def test_trace_file_round_trip(tmp_path):
     sc, dset, fleet, prioritize = random_world(8)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
-    trace = simulate(sc, plan, fleet,
-                     {j.id: (j.target.x, j.target.y) for j in dset.jobs})
+    trace = simulate(sc, plan, fleet)
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
     loaded = load_trace(path)
