@@ -23,7 +23,7 @@ from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
 from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
                       routing_cache)
-from .scenario import Scenario, nearest_node
+from .scenario import Scenario
 
 _EPS = 1e-9
 # a truck carries a handful of drones; the planner and simulator keep state
@@ -384,23 +384,36 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     """Return a list of violated invariant descriptions (empty when valid).
 
     Raises ParameterError for an invalid fleet. A broken structure (path on
-    the road graph, stop positions inside it, sorties with a fleet drone and
-    nodes on the path) is returned alone, so no later check follows a bad
-    index. A ``dset`` of None skips the per-job checks (coverage, sortie
-    targets, truck-stop nodes, medical stops first); the per-drone timing
-    checks run either way. ``simulate`` executes only plans that pass.
+    the road graph, stop positions distinct and inside it, sorties with a
+    fleet drone and nodes on the path) is returned alone, so no later check
+    follows a bad index. A ``dset`` of None skips the per-job checks
+    (coverage, sortie targets, truck-stop nodes, medical stops first). The
+    timetable must be bit-equal to the planner's fold of the road's edge
+    times and the truck service at the stops, and each completion must be
+    its stop's departure or its sortie's delivery plus drone service; the
+    per-drone timing checks follow. ``simulate`` executes only plans that pass.
     """
     validate_fleet(fleet)
     g = scenario.graph
-    nodes = plan.timetable.nodes
+    tt = plan.timetable
+    nodes = tt.nodes
     if not nodes:
         return ["plan has an empty truck path"]
     problems = [f"path node {n} not in scenario graph" for n in nodes if n not in g.nodes]
-    edges = {(e.a, e.b) for e in g.edges}
-    problems += [f"path step {u}->{v} is not a road edge" for u, v in zip(nodes, nodes[1:])
-                 if u != v and (u, v) not in edges and (v, u) not in edges]
-    problems += [f"stop position for job {j} outside path"
-                 for j, pos in plan.stop_positions.items() if not 0 <= pos < len(nodes)]
+    # each road edge's truck time, as the planner's _segment computes it
+    edge_time = {(e.a, e.b): e.length / min(fleet.truck_speed, e.speed_limit) for e in g.edges}
+    steps = [0.0 if u == v else edge_time.get((u, v), edge_time.get((v, u)))
+             for u, v in zip(nodes, nodes[1:])]
+    problems += [f"path step {u}->{v} is not a road edge"
+                 for u, v, t in zip(nodes, nodes[1:], steps) if t is None]
+    stop_at = {}
+    for j, pos in plan.stop_positions.items():
+        if not 0 <= pos < len(nodes):
+            problems.append(f"stop position for job {j} outside path")
+        elif pos in stop_at:
+            problems.append(f"job {j}: a second truck stop at path position {pos}, "
+                            f"where job {stop_at[pos]} stops")
+        stop_at[pos] = j
     path_set = set(nodes)
     for s in plan.sorties:
         if not 0 <= s.drone_id < fleet.drone_count:
@@ -419,6 +432,7 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
         if len(plan.truck_stops) + len(plan.sorties) != len(all_jobs):
             problems.append("a job is served more than once")
         sortie_of = {s.job_id: s for s in plan.sorties}
+        node_of = job_nodes(scenario, dset)
         for j in dset.jobs:
             s = sortie_of.get(j.id)
             if s is not None:
@@ -427,10 +441,9 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                                     f"is not the job's target ({j.target.x}, {j.target.y})")
             elif j.id in plan.stop_positions:
                 node = nodes[plan.stop_positions[j.id]]
-                want = nearest_node(scenario, j.target)  # as routing.job_nodes maps it
-                if node != want:
+                if node != node_of[j.id]:
                     problems.append(f"job {j.id}: truck stop at node {node} is not the "
-                                    f"job's delivery node {want}")
+                                    f"job's delivery node {node_of[j.id]}")
         if plan.prioritized:
             medical = {j.id for j in dset.jobs if j.category == Category.MEDICAL}
             seen_standard = False
@@ -441,6 +454,21 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                 if j not in medical:
                     seen_standard = True
 
+    services = [fleet.truck_service if pos in stop_at else 0.0 for pos in range(len(nodes))]
+    arrive, depart = kernels.build_timetable(steps, services)
+    for i in np.flatnonzero((arrive != tt.arrive) | (depart != tt.depart))[:1]:
+        problems.append(f"truck timetable at path position {i} is ({tt.arrive[i]}, "
+                        f"{tt.depart[i]}); the road, the fleet and the stops give "
+                        f"({arrive[i]}, {depart[i]})")
+    want = {j: tt.depart[pos] for pos, j in stop_at.items()}
+    want.update((s.job_id, s.deliver_time + fleet.drone_service) for s in plan.sorties)
+    if plan.completion.keys() != want.keys():
+        problems.append(f"completion times are for jobs {sorted(plan.completion)}, "
+                        f"not for the served jobs {sorted(want)}")
+    problems += [f"job {j}: completion {plan.completion[j]} is not {t}, the time its "
+                 "truck stop or sortie gives" for j, t in want.items()
+                 if j in plan.completion and plan.completion[j] != t]
+
     pos_of = {}
     for i, nid in enumerate(nodes):
         pos_of.setdefault(nid, []).append(i)
@@ -448,7 +476,7 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
         prev_end = None
         for s in ss:
             launch_positions = [i for i in pos_of[s.launch_node]
-                                if abs(plan.timetable.depart[i] - s.launch_time) <= 1e-6]
+                                if abs(tt.depart[i] - s.launch_time) <= 1e-6]
             if not launch_positions:
                 problems.append(f"sortie {s.job_id}: launch node not on path at launch time")
             elif max(pos_of[s.rendezvous_node]) <= min(launch_positions):

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import RoutingError, TspSizeError
 from .jobs import DeliverySet
-from .scenario import RoadGraph, Scenario, nearest_node
+from .scenario import RoadGraph, Scenario, nearest_nodes
 
 EXACT_TSP_LIMIT = 12
 Solver = Literal["exact", "heuristic"]
@@ -194,8 +194,9 @@ def _solve(matrix: np.ndarray, closed: bool, solver: Solver) -> tuple[list[int],
 
 
 def job_nodes(scenario: Scenario, dset: DeliverySet) -> dict[int, int]:
-    """job id -> nearest road node to the job's target."""
-    return {j.id: nearest_node(scenario, j.target) for j in dset.jobs}
+    """job id -> nearest road node to the job's target, for the whole set at once."""
+    return dict(zip([j.id for j in dset.jobs],
+                    nearest_nodes(scenario, [j.target for j in dset.jobs])))
 
 
 def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],

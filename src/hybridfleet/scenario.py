@@ -214,16 +214,17 @@ def generate_grid_scenario(rows: int, cols: int, spacing: float,
 # queries
 
 
-def nearest_node(scenario: Scenario, p: Point) -> int:
-    """Node id with minimal Euclidean (xy) distance to p; smallest id on ties."""
+def nearest_nodes(scenario: Scenario, points: list[Point]) -> list[int]:
+    """Per point, the node id with minimal Euclidean (xy) distance to it, smallest
+    id on ties: one argmin over a points x nodes array."""
     if not scenario.graph.nodes:
         raise ParameterError("graph is empty")
     geom = scenario.geometry()
-    dx = geom.node_x - p.x
-    dy = geom.node_y - p.y
+    dx = geom.node_x - np.array([p.x for p in points], np.float64)[:, None]
+    dy = geom.node_y - np.array([p.y for p in points], np.float64)[:, None]
     d2 = dx * dx + dy * dy
     # node_ids is sorted ascending, argmin keeps the first (smallest id) tie
-    return int(geom.node_ids[int(np.argmin(d2))])
+    return geom.node_ids[np.argmin(d2, axis=1)].tolist()
 
 
 def los_blocked_many(scenario: Scenario, a_xyz: np.ndarray, b_xyz: np.ndarray) -> np.ndarray:
@@ -303,9 +304,14 @@ def validate_scenario(sc: Scenario) -> None:
     for p in g.nodes.values():
         if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z)):
             raise InvariantViolation("non-finite coordinates")
+    pairs = set()  # one edge per node pair, so a step's truck time is a function of it
     for e in g.edges:
         if e.a == e.b:
             raise InvariantViolation("self-loop edge", f"node {e.a}")
+        pair = (min(e.a, e.b), max(e.a, e.b))
+        if pair in pairs:
+            raise InvariantViolation("parallel edges", f"{e.a}-{e.b}")
+        pairs.add(pair)
         if e.a not in g.nodes or e.b not in g.nodes:
             raise InvariantViolation("edge references unknown node", f"{e.a}-{e.b}")
         if not (math.isfinite(e.length) and math.isfinite(e.speed_limit)):

@@ -1,15 +1,17 @@
-"""Deterministic discrete-event execution of a hybrid plan.
+"""Deterministic execution of a hybrid plan.
 
-The engine recomputes all motion and service times from the scenario and
-fleet configuration (it only takes routing decisions - stop order, launch and
-rendezvous nodes - from the plan), so completion-time agreement with the
-planner is a genuine cross-check rather than a copy. A single run is
+The truck follows the plan's timetable, which ``hybrid.check_plan`` has
+proven bit-equal to the planner's fold over the road's edge times and the
+truck service at the stops, so the truck is timed by one rule. Drone flights
+are recomputed from the sorties' targets, the road nodes and the fleet
+configuration (the plan supplies only the launch and rendezvous decisions),
+so completion-time agreement with the planner cross-checks the drones. One
+pass over the truck's path positions emits every event. A single run is
 sequential; separate runs share only immutable inputs.
 """
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -91,17 +93,10 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     served at path nodes. Raises PlanConsistencyError when executing the
     plan finds a drone that cannot rejoin the truck.
     """
-    g = scenario.graph
+    npos = scenario.graph.nodes
     nodes = plan.timetable.nodes
-    n = len(nodes)
-    npos = {nid: p for nid, p in g.nodes.items()}
-
-    edge_time = {}
-    for e in g.edges:
-        t = e.length / min(fleet.truck_speed, e.speed_limit)
-        edge_time[(e.a, e.b)] = t
-        edge_time[(e.b, e.a)] = t
-
+    arrive = plan.timetable.arrive.tolist()
+    depart = plan.timetable.depart.tolist()
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
 
     pending: dict[int, list[Sortie]] = {}
@@ -109,7 +104,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         pending.setdefault(s.drone_id, []).append(s)
     drone_free = {d: 0.0 for d in range(fleet.drone_count)}
     aboard = {d: True for d in range(fleet.drone_count)}
-    rendezvous_at: dict[int, list[tuple[int, float, Sortie, tuple[float, float]]]] = {}
+    rendezvous_at: dict[int, list[tuple[int, float, Sortie]]] = {}
 
     raw_events: list[tuple] = []
     completion: dict[int, float] = {}
@@ -120,92 +115,54 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         raw_events.append((time, _KIND_RANK[kind], vehicle, len(raw_events),
                            kind, job, node, x, y, z))
 
-    # The heap drives (time, priority, seq, tag, payload) entries; truck
-    # motion, services, launches and recoveries all schedule one another.
-    heap: list = []
-    seq = 0
-
-    def push(time, prio, tag, payload):
-        nonlocal seq
-        heapq.heappush(heap, (time, prio, seq, tag, payload))
-        seq += 1
-
-    has_jobs = bool(plan.stop_positions) or bool(plan.sorties)
-    p0 = npos[nodes[0]]
-    truck_frames.append((0.0, p0.x, p0.y))
-    push(0.0, 0, "truck_at", 0)
-    tour_end = 0.0
-
-    while heap:
-        t, _prio, _seq, tag, payload = heapq.heappop(heap)
-        if tag == "truck_at":
-            pos = payload
-            node = nodes[pos]
-            p = npos[node]
-            if pos > 0:
-                truck_frames.append((t, p.x, p.y))
-                emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
-            for d, t_arr, s, txy in rendezvous_at.pop(pos, []):
-                t_rdv = t if t > t_arr else t_arr
-                push(t_rdv, 1, "rendezvous", (d, s, t_arr, txy, pos))
-            if pos in job_at_pos:
-                t_dep = t + fleet.truck_service
-                emit(t_dep, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node,
-                     p.x, p.y, 0.0)
-                completion[job_at_pos[pos]] = t_dep
-                truck_frames.append((t_dep, p.x, p.y))
-                push(t_dep, 3, "truck_depart", pos)
-            else:
-                push(t, 3, "truck_depart", pos)
-        elif tag == "truck_depart":
-            pos = payload
-            node = nodes[pos]
-            p = npos[node]
-            for d in range(fleet.drone_count):
-                if not aboard[d] or not pending.get(d):
-                    continue
-                s = pending[d][0]
-                if s.launch_node != node or t < drone_free[d] - _SLACK:
-                    continue
-                pending[d].pop(0)
-                aboard[d] = False
-                txy = (s.target_x, s.target_y)
-                out_d = math.hypot(p.x - txy[0], p.y - txy[1])
-                t_deliver = t + out_d / fleet.drone_speed
-                t_complete = t_deliver + fleet.drone_service
-                emit(t, KIND_DRONE_LAUNCH, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
-                push(t_complete, 4, "deliver", (d, s, t_deliver, txy))
-                rp = npos[s.rendezvous_node]
-                back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
-                t_arr = t_complete + back_d / fleet.drone_speed
-                rpos = _rendezvous_position(plan, pos, s.rendezvous_node, t_arr)
-                rendezvous_at.setdefault(rpos, []).append((d, t_arr, s, txy))
-                sortie_frames[d].append([
-                    (t, p.x, p.y), (t_deliver, txy[0], txy[1]),
-                    (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y)])
-            if pos + 1 < n:
-                u, v = nodes[pos], nodes[pos + 1]
-                dt = 0.0 if u == v else edge_time[(u, v)]
-                push(t + dt, 0, "truck_at", pos + 1)
-            else:
-                push(t, 9, "tour_complete", None)
-        elif tag == "deliver":
-            d, s, t_deliver, txy = payload
-            completion[s.job_id] = t
-            emit(t, KIND_DRONE_DELIVER, f"drone{d}", s.job_id, None,
-                 txy[0], txy[1], fleet.drone_altitude)
-        elif tag == "rendezvous":
-            d, s, t_arr, txy, rpos = payload
-            rp = npos[s.rendezvous_node]
-            emit(t, KIND_DRONE_RENDEZVOUS, f"drone{d}", s.job_id,
-                 s.rendezvous_node, rp.x, rp.y, 0.0)
+    # At each path position: the truck arrives, the drones due there rejoin
+    # it, it serves its stop and departs, and drones launch as it departs.
+    # The final sort by (time, kind rank, vehicle, emission index) orders
+    # events across positions.
+    for pos, node in enumerate(nodes):
+        p = npos[node]
+        t = arrive[pos]
+        truck_frames.append((t, p.x, p.y))
+        if pos > 0:
+            emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
+        for d, t_arr, s in rendezvous_at.pop(pos, []):
+            t_rdv = t if t > t_arr else t_arr
+            emit(t_rdv, KIND_DRONE_RENDEZVOUS, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
             aboard[d] = True
-            drone_free[d] = t + fleet.turnaround
-            sortie_frames[d][-1].append((t, rp.x, rp.y))
-        elif tag == "tour_complete":
-            tour_end = t
-            p = npos[nodes[-1]]
-            emit(t, KIND_TOUR_COMPLETE, "truck", None, nodes[-1], p.x, p.y, 0.0)
+            drone_free[d] = t_rdv + fleet.turnaround
+            sortie_frames[d][-1].append((t_rdv, p.x, p.y))
+        t = depart[pos]
+        if pos in job_at_pos:
+            emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
+            completion[job_at_pos[pos]] = t
+            truck_frames.append((t, p.x, p.y))
+        if pos + 1 == len(nodes):
+            emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
+            break
+        for d in range(fleet.drone_count):
+            if not aboard[d] or not pending.get(d):
+                continue
+            s = pending[d][0]
+            if s.launch_node != node or t < drone_free[d] - _SLACK:
+                continue
+            pending[d].pop(0)
+            aboard[d] = False
+            txy = (s.target_x, s.target_y)
+            out_d = math.hypot(p.x - txy[0], p.y - txy[1])
+            t_deliver = t + out_d / fleet.drone_speed
+            t_complete = t_deliver + fleet.drone_service
+            emit(t, KIND_DRONE_LAUNCH, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
+            emit(t_complete, KIND_DRONE_DELIVER, f"drone{d}", s.job_id, None,
+                 txy[0], txy[1], fleet.drone_altitude)
+            completion[s.job_id] = t_complete
+            rp = npos[s.rendezvous_node]
+            back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
+            t_arr = t_complete + back_d / fleet.drone_speed
+            rpos = _rendezvous_position(plan, pos, s.rendezvous_node, t_arr)
+            rendezvous_at.setdefault(rpos, []).append((d, t_arr, s))
+            sortie_frames[d].append([
+                (t, p.x, p.y), (t_deliver, txy[0], txy[1]),
+                (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y)])
 
     for d in range(fleet.drone_count):
         if not aboard[d] or pending.get(d):
@@ -214,10 +171,10 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
 
     events = [SimEvent(e[0], e[4], e[2], e[5], e[6], e[7], e[8], e[9])
               for e in sorted(raw_events)]
-    if not has_jobs:
+    if not (plan.stop_positions or plan.sorties):
         events = [ev for ev in events if ev.kind == KIND_TOUR_COMPLETE]
 
-    trajectories = _build_trajectories(truck_frames, sortie_frames, fleet, tour_end)
+    trajectories = _build_trajectories(truck_frames, sortie_frames, fleet, depart[-1])
     return DeliveryTrace(events, completion, trajectories)
 
 

@@ -251,6 +251,41 @@ def _put(path, key, value):
     return edit
 
 
+def _slow_parallel_edges(scenario):
+    scenario["edges"] += [dict(e, speed_mps=e["speed_mps"] / 2) for e in scenario["edges"]]
+
+
+def _second_stop_at_first_position(plan):
+    plan["truck"]["stops"][1]["path_index"] = plan["truck"]["stops"][0]["path_index"]
+
+
+@pytest.mark.parametrize("drones,name,edit,with_jobs,message", [
+    pytest.param(1, "plan.json", _put(["fleet"], "truck_speed", 4.0), True,
+                 "truck timetable at path position ", id="edited-truck-speed"),
+    pytest.param(1, "scen.json", _slow_parallel_edges, True, "parallel edges: ",
+                 id="half-speed-parallel-edges"),
+    pytest.param(0, "plan.json", _second_stop_at_first_position, False,
+                 "stop at path position ", id="two-stops-at-one-position"),
+])
+def test_simulate_plan_off_its_timetable_exit_2(workdir, tmp_path, capsys, drones, name, edit,
+                                                with_jobs, message):
+    """A plan whose truck times do not follow from the road, the fleet and its
+    stops is not simulated."""
+    for f in ("scen.json", "jobs.json"):
+        shutil.copy(workdir / f, tmp_path / f)
+    assert run("plan", "--scenario", tmp_path / "scen.json", "--jobs", tmp_path / "jobs.json",
+               "--drones", drones, "--out", tmp_path / "plan.json") == 0
+    data = json.loads((tmp_path / name).read_text())
+    edit(data)
+    (tmp_path / name).write_text(json.dumps(data))
+    jobs = ["--jobs", tmp_path / "jobs.json"] if with_jobs else []
+    capsys.readouterr()
+    assert run("simulate", "--scenario", tmp_path / "scen.json", "--plan",
+               tmp_path / "plan.json", *jobs, "--out", tmp_path / "trace.csv") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("name,edit,message", [
     pytest.param("scen.json", _put(["nodes", 0], "id", "x"),
                  "scenario.nodes[0].id: must be an integer, got 'x'", id="node-id-string"),

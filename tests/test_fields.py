@@ -4,8 +4,8 @@ Each valid document below (scenario, delivery sets, plan, trace sidecar and
 sweep config) gets one value, at any JSON path, replaced by an arbitrary JSON
 value. The parser must then return, or raise ParseError, ConfigError or
 InvariantViolation: never a TypeError, KeyError or other exception. A plan
-parsed so and passed by check_plan must simulate, or raise
-PlanConsistencyError.
+parsed so and passed by check_plan must simulate, giving each truck job the
+plan's completion bit for bit, or raise PlanConsistencyError.
 """
 import copy
 import json
@@ -124,9 +124,11 @@ def test_a_plan_check_plan_passes_simulates_or_raises_plan_consistency_error(pat
     assert isinstance(problems, list)
     if not problems:
         try:
-            simulate(_WORLD, plan, fleet)
+            trace = simulate(_WORLD, plan, fleet)
         except PlanConsistencyError:
-            pass
+            return
+        for j in plan.truck_stops:
+            assert trace.completion[j] == plan.completion[j]
 
 
 @pytest.mark.parametrize("read,good,bad", [

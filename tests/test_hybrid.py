@@ -131,10 +131,16 @@ def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
     plan.stop_positions[stop] = next(i for i, n in enumerate(nodes)
                                      if n != nodes[plan.stop_positions[stop]])
     problems = check_plan(plan, grid8, grid8_set, fleet)
-    assert sorted(p.split(":")[0] for p in problems) == sorted(
-        [f"job {sortie.job_id}", f"job {stop}"])
+    # the moved stop also moves the truck's service, so the timetable and the
+    # job's completion no longer follow from the stops
+    assert sorted(p.split(":")[0] for p in problems if p.startswith("job ")) == sorted(
+        [f"job {sortie.job_id}", f"job {stop}", f"job {stop}"])
     assert any("sortie target" in p for p in problems)
     assert any("is not the job's delivery node" in p for p in problems)
+    assert any(p.startswith(f"job {stop}: completion ") for p in problems)
+    assert [p for p in problems if not p.startswith("job ")] == [
+        p for p in problems if p.startswith("truck timetable at path position ")]
+    assert len(problems) == 4
 
 
 def test_check_plan_rejects_inconsistent_plan():

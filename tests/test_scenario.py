@@ -7,7 +7,7 @@ import pytest
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
 from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario,
                                   generate_grid_scenario, load_scenario, los_blocked_many,
-                                  nearest_node, save_scenario, scenario_from_dict,
+                                  nearest_nodes, save_scenario, scenario_from_dict,
                                   scenario_to_dict, validate_scenario)
 
 
@@ -54,28 +54,34 @@ def test_generated_scenarios_satisfy_invariants(seed):
 
 def test_nearest_node_corner():
     sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
-    assert nearest_node(sc, Point(10.0, 5.0)) == 0
+    assert nearest_nodes(sc, [Point(10.0, 5.0)]) == [0]
 
 
 def test_nearest_node_exact_hit():
     sc = generate_grid_scenario(3, 3, 100.0, 0, seed=1)
-    for nid, p in sc.graph.nodes.items():
-        assert nearest_node(sc, p) == nid
+    assert nearest_nodes(sc, list(sc.graph.nodes.values())) == list(sc.graph.nodes)
 
 
 def test_nearest_node_tie_breaks_to_smaller_id():
     graph = RoadGraph({3: Point(0.0, 0.0), 5: Point(10.0, 0.0)},
                       [Edge(3, 5, 10.0, 8.0)])
     sc = Scenario(graph, [], depot=3, base_station=Point(5.0, 0.0, 30.0))
-    assert nearest_node(sc, Point(5.0, 7.0)) == 3
+    assert nearest_nodes(sc, [Point(5.0, 7.0)]) == [3]
 
 
 def test_nearest_node_exhaustive_small_grid():
     sc = generate_grid_scenario(3, 4, 50.0, 0, seed=2)
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        p = Point(float(rng.uniform(-30, 200)), float(rng.uniform(-30, 150)))
-        got = nearest_node(sc, p)
+    points = [Point(float(rng.uniform(-30, 200)), float(rng.uniform(-30, 150)))
+              for _ in range(100)]
+    got_all = nearest_nodes(sc, points)
+
+    def d2(n, p):  # the array's arithmetic, one node and point at a time
+        dx, dy = sc.graph.nodes[n].x - p.x, sc.graph.nodes[n].y - p.y
+        return dx * dx + dy * dy
+    # min keeps the first of equal keys, so the smallest id on ties
+    assert got_all == [min(sorted(sc.graph.nodes), key=lambda n: d2(n, p)) for p in points]
+    for p, got in zip(points, got_all):
         best = min(math.hypot(q.x - p.x, q.y - p.y) for q in sc.graph.nodes.values())
         assert math.hypot(sc.graph.nodes[got].x - p.x,
                           sc.graph.nodes[got].y - p.y) <= best + 1e-12
@@ -181,6 +187,20 @@ def test_load_short_edge_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(InvariantViolation, match="edge length below endpoint distance"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_load_parallel_edge_rejected(tmp_path, reverse):
+    sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
+    data = scenario_to_dict(sc)
+    edge = dict(data["edges"][0], speed_mps=1.0)
+    if reverse:
+        edge["a"], edge["b"] = edge["b"], edge["a"]
+    data["edges"].append(edge)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvariantViolation, match=f"^parallel edges: {edge['a']}-{edge['b']}$"):
         load_scenario(path)
 
 
