@@ -18,10 +18,9 @@ from .experiment import ExperimentConfig, run_experiment
 from .hybrid import FleetConfig, _first_of, check_plan, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
-from .netmodel import (MODEL_TAG, ChannelConfig, check_requirements, default_models,
+from .netmodel import (ChannelConfig, check_requirements, default_models, model_seed,
                        run_cam_traffic, write_net_results_csv,
                        write_net_summary_csv)
-from .rng import mix
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import load_trace, save_trace, simulate
 
@@ -159,10 +158,7 @@ def _dispatch(args) -> int:
         if problems:  # the plan file does not fit the scenario, fleet or set
             fit = "" if dset is None else f" does not fit set {args.set_index} of {args.jobs}"
             raise ParseError(f"{args.plan}{fit}: {_first_of(problems)}")
-        try:
-            trace = simulate(sc, plan, fleet)
-        except PlanConsistencyError as exc:  # a drone the plan cannot recover
-            raise ParseError(f"{args.plan}: {exc}") from exc
+        trace = simulate(sc, plan, fleet)
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
@@ -184,7 +180,7 @@ def _dispatch(args) -> int:
         stats_list = []
         for name in wanted:
             stats = run_cam_traffic(trace, sc, models[name], ChannelConfig(),
-                                    seed=mix(args.seed, 3, MODEL_TAG[name]))
+                                    seed=model_seed(args.seed, name))
             stats_list.append(stats)
             if stats.sent:
                 for line in check_requirements(stats).lines():

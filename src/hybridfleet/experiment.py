@@ -2,9 +2,10 @@
 
 A sweep runs every (delivery set, drone count, prioritized) combination,
 aggregates waiting-time statistics, and evaluates the fleet links on one
-selected trace. Every run is independently reproducible: its seed derives
-from the base seed and the (set index, config index) pair, and the manifest
-written next to the results echoes the fully resolved configuration.
+selected trace. Planning and simulation are deterministic, so every run is
+reproducible from the world alone, which the base seed generates; the
+manifest written next to the results echoes the fully resolved
+configuration.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .hybrid import FleetConfig, _first_of, check_plan, plan_hybrid, read_fleet
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
-from .netmodel import (MODEL_TAG, Centralized, ChannelConfig, Csma, Sps,
-                       check_requirements, run_cam_traffic, write_net_results_csv,
+from .netmodel import (Centralized, ChannelConfig, Csma, Sps, check_requirements,
+                       model_seed, run_cam_traffic, write_net_results_csv,
                        write_net_summary_csv)
 from .rng import mix
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
@@ -33,8 +34,6 @@ _MODEL_FACTORIES = {"centralized": Centralized, "csma": Csma, "sps": Sps}
 # seed stream tags
 _STREAM_SCENARIO = 0
 _STREAM_JOBS = 1
-_STREAM_RUNS = 2
-_STREAM_NET = 3
 
 
 @dataclass
@@ -192,24 +191,20 @@ def _run_set(cfg_json: str, set_idx: int):
     dset = dsets[set_idx]
     rows = []
     failures = []
-    for config_idx, (drones, prio) in enumerate(cfg.configs()):
-        run_seed = mix(cfg.base_seed, _STREAM_RUNS, set_idx, config_idx)
+    for drones, prio in cfg.configs():
         try:
             _, trace, stats = run_one(cfg, scenario, dset, drones, prio)
             rows.append(SweepRow(drones, prio, set_idx, stats, trace.end_time))
         except Exception as exc:  # isolate failures per run
             failures.append({
                 "set": set_idx, "drones": drones, "prioritized": prio,
-                "seed": run_seed, "error": f"{type(exc).__name__}: {exc}",
+                "error": f"{type(exc).__name__}: {exc}",
                 "trace": traceback.format_exc(limit=5),
             })
-    seeds = [{"set": set_idx, "drones": d, "prioritized": p,
-              "seed": mix(cfg.base_seed, _STREAM_RUNS, set_idx, ci)}
-             for ci, (d, p) in enumerate(cfg.configs())]
-    return set_idx, rows, failures, seeds
+    return set_idx, rows, failures
 
 
-def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict], list[dict]]:
+def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
     """All (set, drone count, prioritized) runs; deterministic merge order."""
     cfg_json = _config_json(cfg)
     set_indices = list(range(cfg.n_sets))
@@ -223,13 +218,11 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict], list[dict
                                   set_indices))
     sweep = SweepResult({})
     failures: list[dict] = []
-    seeds: list[dict] = []
-    for _, rows, fails, run_seeds in results:
+    for _, rows, fails in results:
         for row in rows:
             sweep.add(row)
         failures.extend(fails)
-        seeds.extend(run_seeds)
-    return sweep, failures, seeds
+    return sweep, failures
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -242,7 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     save_scenario(scenario, os.path.join(cfg.out_dir, "scenario.json"))
     save_sets(dsets, os.path.join(cfg.out_dir, "jobs.json"))
 
-    sweep, failures, seeds = run_sweep(cfg)
+    sweep, failures = run_sweep(cfg)
     if sweep.rows:
         summary = summarize_sweep(sweep)
         write_summary_csv(summary, os.path.join(cfg.out_dir, "summary.csv"))
@@ -260,7 +253,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     manifest = {
         "version": __version__,
         "config": asdict(cfg),
-        "runs": seeds,
         "failures": failures,
         "net_error": net_error,
         "requirement_checks": net_report_lines,
@@ -282,8 +274,8 @@ def _run_net(cfg: ExperimentConfig, scenario, dsets) -> list[str]:
     lines = []
     for model_name in cfg.net_models:
         mac = _MODEL_FACTORIES[model_name]()
-        seed = mix(cfg.base_seed, _STREAM_NET, MODEL_TAG[model_name])
-        stats = run_cam_traffic(trace, scenario, mac, channel, seed=seed)
+        stats = run_cam_traffic(trace, scenario, mac, channel,
+                                seed=model_seed(cfg.base_seed, model_name))
         stats_list.append(stats)
         if stats.sent:
             lines.extend(check_requirements(stats).lines())

@@ -71,10 +71,6 @@ class Sortie:
     target_x: float = 0.0     # delivery point, for executors of the plan
     target_y: float = 0.0
 
-    @property
-    def airborne_time(self) -> float:
-        return self.rendezvous_time - self.launch_time
-
 
 @dataclass
 class TruckTimetable:
@@ -94,18 +90,28 @@ class HybridPlan:
     objective: float                   # sum of completions
     makespan: float                    # truck's depot-return time
 
-    def drone_jobs(self) -> dict[int, list[Sortie]]:
-        out: dict[int, list[Sortie]] = {}
-        for s in self.sorties:
-            out.setdefault(s.drone_id, []).append(s)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # drone sorties
 
 
 _NO_LAUNCH = -1  # _fly status: the truck passes the launch node too early or never
+_NO_SORTIE = {_NO_LAUNCH: "no truck pass over its launch node after the drone is free",
+              kernels.SORTIE_NO_NODE: "no rendezvous on the rest of the path",
+              kernels.SORTIE_ENDURANCE: "endurance exceeded"}
+
+
+def first_pass(path: list[int], depart, node: int, t: float, start: int, stop: int) -> int:
+    """The first position of path[start:stop] over node that departs at or
+    after t, or -1 when there is none."""
+    i = start - 1
+    try:
+        while True:
+            i = path.index(node, i + 1, stop)
+            if depart[i] >= t:
+                return i
+    except ValueError:
+        return -1
 
 
 def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
@@ -118,13 +124,8 @@ def _fly(path: list[int], path_x, path_y, arrive, depart, launch_node: int,
     ``kernels.SORTIE_*`` code, or _NO_LAUNCH when there is no such pass; the
     sortie is None unless the status is SORTIE_OK.
     """
-    li = -1
-    try:
-        while True:
-            li = path.index(launch_node, li + 1, len(path) - 1)
-            if depart[li] >= free_at:
-                break
-    except ValueError:
+    li = first_pass(path, depart, launch_node, free_at, 0, len(path) - 1)
+    if li < 0:
         return _NO_LAUNCH, -1, None
     status, r, t_deliver, t_arr, t_rdv = kernels.sortie_from_launch(
         path_x, path_y, arrive, depart, li, tx, ty,
@@ -390,8 +391,11 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     (coverage, sortie targets, truck-stop nodes, medical stops first). The
     timetable must be bit-equal to the planner's fold of the road's edge
     times and the truck service at the stops, and each completion must be
-    its stop's departure or its sortie's delivery plus drone service; the
-    per-drone timing checks follow. ``simulate`` executes only plans that pass.
+    its stop's departure or its sortie's delivery plus drone service. Each
+    drone's sorties, in launch order, must equal field for field what the
+    planner's ``_fly`` gives on that timetable for their launch nodes and
+    targets, the drone free at 0 and then one turnaround after each
+    rendezvous. ``simulate`` executes only plans that pass.
     """
     validate_fleet(fleet)
     g = scenario.graph
@@ -469,27 +473,21 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                  "truck stop or sortie gives" for j, t in want.items()
                  if j in plan.completion and plan.completion[j] != t]
 
-    pos_of = {}
-    for i, nid in enumerate(nodes):
-        pos_of.setdefault(nid, []).append(i)
-    for ss in plan.drone_jobs().values():
-        prev_end = None
-        for s in ss:
-            launch_positions = [i for i in pos_of[s.launch_node]
-                                if abs(tt.depart[i] - s.launch_time) <= 1e-6]
-            if not launch_positions:
-                problems.append(f"sortie {s.job_id}: launch node not on path at launch time")
-            elif max(pos_of[s.rendezvous_node]) <= min(launch_positions):
-                problems.append(f"sortie {s.job_id}: rendezvous not after launch on path")
-            if s.airborne_time > fleet.drone_endurance + 1e-6:
-                problems.append(f"sortie {s.job_id}: endurance exceeded")
-            legs_time = (s.leg_out_m + s.leg_back_m) / fleet.drone_speed
-            expect = legs_time + fleet.drone_service + s.hover_wait
-            if abs(s.airborne_time - expect) > 1e-6:
-                problems.append(f"sortie {s.job_id}: airborne time mismatch")
-            if prev_end is not None and s.launch_time < prev_end + fleet.turnaround - 1e-6:
-                problems.append(f"sortie {s.job_id}: turnaround gap violated")
-            prev_end = s.rendezvous_time
+    path_x = [g.nodes[n].x for n in nodes]
+    path_y = [g.nodes[n].y for n in nodes]
+    arrive, depart = tt.arrive.tolist(), tt.depart.tolist()
+    free: dict[int, float] = {}
+    for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
+        status, _, flown = _fly(nodes, path_x, path_y, arrive, depart, s.launch_node,
+                                free.get(s.drone_id, 0.0), s.drone_id, s.job_id,
+                                s.target_x, s.target_y, fleet)
+        if flown != s:
+            why = _NO_SORTIE.get(status) or ", ".join(
+                f"{k} {v!r} is not {getattr(flown, k)!r}"
+                for k, v in asdict(s).items() if v != getattr(flown, k))
+            problems.append(f"job {s.job_id}: sortie is not the planner's flight from its "
+                            f"launch node to its target: {why}")
+        free[s.drone_id] = s.rendezvous_time + fleet.turnaround
     return problems
 
 

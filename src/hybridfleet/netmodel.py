@@ -25,13 +25,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .rng import generator
+from .rng import generator, mix
 from .scenario import Scenario, los_blocked_many
 from .simcore import DeliveryTrace
 
 # Per-model seed tag: selects each model's own random stream inside
-# run_cam_traffic and, in callers, the per-model seed mix(seed, stream, tag).
+# run_cam_traffic and, through model_seed, each model's seed in a run.
 MODEL_TAG = {"centralized": 0, "csma": 1, "sps": 2}
+
+
+def model_seed(seed: int, name: str) -> int:
+    """The seed that a run seeded ``seed`` gives model ``name``'s
+    run_cam_traffic: the sweep's net phase and `hybridfleet netsim` use it."""
+    return mix(seed, 3, MODEL_TAG[name])
+
 
 # Seed substreams. For one seed, Centralized and Csma share the per-sender
 # generation phases, and all three models share the per-(sender, period)

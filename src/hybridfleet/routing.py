@@ -105,7 +105,9 @@ class RoutingCache:
 
         The walk follows the shortest-path DAG induced by the times to b,
         always taking the smallest eligible neighbour; eligibility re-evaluates
-        the exact float sums Dijkstra minimized, so ties resolve exactly.
+        the exact float sums Dijkstra minimized, so ties resolve exactly. A
+        reachable node's time is a neighbour's time plus the same
+        length / speed that ``_adj`` stores, so an exact successor exists.
         """
         dist = self.times(b)
         du = dist[self._compact(a)]
@@ -118,12 +120,8 @@ class RoutingCache:
             for step in self._adj[u]:
                 if dist[step[1]] + step[4] == du:
                     break
-            else:  # float-noise fallback, tolerate 1e-9
-                for step in self._adj[u]:
-                    if abs(dist[step[1]] + step[4] - du) <= 1e-9:
-                        break
-                else:
-                    raise RoutingError(f"no shortest-path successor at node {u}")
+            else:
+                raise RoutingError(f"no shortest-path successor at node {u}")
             u, iu, length, speed, _ = step
             du = dist[iu]
             path.append(u)

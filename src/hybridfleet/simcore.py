@@ -1,13 +1,15 @@
 """Deterministic execution of a hybrid plan.
 
-The truck follows the plan's timetable, which ``hybrid.check_plan`` has
-proven bit-equal to the planner's fold over the road's edge times and the
-truck service at the stops, so the truck is timed by one rule. Drone flights
-are recomputed from the sorties' targets, the road nodes and the fleet
-configuration (the plan supplies only the launch and rendezvous decisions),
-so completion-time agreement with the planner cross-checks the drones. One
-pass over the truck's path positions emits every event. A single run is
-sequential; separate runs share only immutable inputs.
+The execution follows a plan that ``hybrid.check_plan`` has proven: the
+truck follows the plan's timetable, bit-equal to the planner's fold over
+the road's edge times and the truck service at the stops, and each drone
+launches and rejoins the truck at the path positions of its sortie, which
+equals the planner's ``_fly`` for its launch node and target. Only the
+drones' flight seconds are recomputed, from the sorties' targets, the road
+nodes and the fleet configuration, so completion-time agreement with the
+planner cross-checks them. One pass over the truck's path positions emits
+every event. A single run is sequential; separate runs share only immutable
+inputs.
 """
 from __future__ import annotations
 
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .errors import ParseError, PlanConsistencyError
-from .hybrid import FleetConfig, HybridPlan, Sortie
+from .errors import ParseError
+from .hybrid import FleetConfig, HybridPlan, Sortie, first_pass
 from .scenario import Scenario
 
-_SLACK = 1e-9
 _CLIMB_RATE_MPS = 10.0  # vertical transition rate for trajectory altitude ramps
 
 KIND_TRUCK_ARRIVE = "truck_arrive"
@@ -89,9 +90,10 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     """Execute a plan that ``hybrid.check_plan`` accepts for this scenario
     and fleet; returns events, completions, and trajectories.
 
-    Drones fly to their sorties' ``target_x``/``target_y``; truck jobs are
-    served at path nodes. Raises PlanConsistencyError when executing the
-    plan finds a drone that cannot rejoin the truck.
+    Truck jobs are served at their stops' path positions. Each drone launches
+    and rejoins the truck at the path positions its proven sortie gives; only
+    its flight seconds to and from the sortie's ``target_x``/``target_y``
+    are recomputed.
     """
     npos = scenario.graph.nodes
     nodes = plan.timetable.nodes
@@ -99,11 +101,19 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     depart = plan.timetable.depart.tolist()
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
 
-    pending: dict[int, list[Sortie]] = {}
+    # (sortie, rendezvous position) by launch position: the launch is the
+    # first pass over its node that departs once the drone is free, the
+    # rendezvous the first later pass over its node that departs at or
+    # after the rendezvous time
+    launch_at: dict[int, list[tuple[Sortie, int]]] = {}
+    free: dict[int, float] = {}
     for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
-        pending.setdefault(s.drone_id, []).append(s)
-    drone_free = {d: 0.0 for d in range(fleet.drone_count)}
-    aboard = {d: True for d in range(fleet.drone_count)}
+        li = first_pass(nodes, depart, s.launch_node, free.get(s.drone_id, 0.0),
+                        0, len(nodes) - 1)
+        r = first_pass(nodes, depart, s.rendezvous_node, s.rendezvous_time,
+                       li + 1, len(nodes))
+        launch_at.setdefault(li, []).append((s, r))
+        free[s.drone_id] = s.rendezvous_time + fleet.turnaround
     rendezvous_at: dict[int, list[tuple[int, float, Sortie]]] = {}
 
     raw_events: list[tuple] = []
@@ -125,12 +135,8 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         truck_frames.append((t, p.x, p.y))
         if pos > 0:
             emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
-        for d, t_arr, s in rendezvous_at.pop(pos, []):
-            t_rdv = t if t > t_arr else t_arr
+        for d, t_rdv, s in rendezvous_at.pop(pos, []):
             emit(t_rdv, KIND_DRONE_RENDEZVOUS, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
-            aboard[d] = True
-            drone_free[d] = t_rdv + fleet.turnaround
-            sortie_frames[d][-1].append((t_rdv, p.x, p.y))
         t = depart[pos]
         if pos in job_at_pos:
             emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
@@ -139,14 +145,8 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         if pos + 1 == len(nodes):
             emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
             break
-        for d in range(fleet.drone_count):
-            if not aboard[d] or not pending.get(d):
-                continue
-            s = pending[d][0]
-            if s.launch_node != node or t < drone_free[d] - _SLACK:
-                continue
-            pending[d].pop(0)
-            aboard[d] = False
+        for s, r in launch_at.get(pos, []):
+            d = s.drone_id
             txy = (s.target_x, s.target_y)
             out_d = math.hypot(p.x - txy[0], p.y - txy[1])
             t_deliver = t + out_d / fleet.drone_speed
@@ -158,16 +158,11 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
             rp = npos[s.rendezvous_node]
             back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
             t_arr = t_complete + back_d / fleet.drone_speed
-            rpos = _rendezvous_position(plan, pos, s.rendezvous_node, t_arr)
-            rendezvous_at.setdefault(rpos, []).append((d, t_arr, s))
+            t_rdv = arrive[r] if arrive[r] > t_arr else t_arr
+            rendezvous_at.setdefault(r, []).append((d, t_rdv, s))
             sortie_frames[d].append([
                 (t, p.x, p.y), (t_deliver, txy[0], txy[1]),
-                (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y)])
-
-    for d in range(fleet.drone_count):
-        if not aboard[d] or pending.get(d):
-            raise PlanConsistencyError(f"drone {d} was not recovered or has "
-                                       "unflown sorties")
+                (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y), (t_rdv, rp.x, rp.y)])
 
     events = [SimEvent(e[0], e[4], e[2], e[5], e[6], e[7], e[8], e[9])
               for e in sorted(raw_events)]
@@ -176,21 +171,6 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
 
     trajectories = _build_trajectories(truck_frames, sortie_frames, fleet, depart[-1])
     return DeliveryTrace(events, completion, trajectories)
-
-
-def _rendezvous_position(plan: HybridPlan, after_pos: int, node: int,
-                         t_arr: float) -> int:
-    tt = plan.timetable
-    first = -1
-    for i in range(after_pos + 1, len(tt.nodes)):
-        if tt.nodes[i] == node:
-            if first < 0:
-                first = i
-            if tt.depart[i] >= t_arr - 1e-6:
-                return i
-    if first < 0:
-        raise PlanConsistencyError(f"rendezvous node {node} not on path after launch")
-    return first
 
 
 def _build_trajectories(truck_frames, sortie_frames, fleet: FleetConfig,

@@ -12,6 +12,7 @@ default-channel PDR and p95 latency against the requirement profile (0.99 PDR
 target, 50 ms command-and-control bound); the default 8x8 world misses the
 PDR target (see README, "Acceptance suite").
 """
+import csv
 import itertools
 import math
 import time
@@ -24,9 +25,9 @@ from hybridfleet.experiment import (ExperimentConfig, build_scenario, build_sets
 from hybridfleet.hybrid import check_plan, plan_hybrid
 from hybridfleet.jobs import ipd_distribution, ks_statistic
 from hybridfleet.metrics import summarize_sweep
-from hybridfleet.netmodel import (MODEL_TAG, ChannelConfig, Csma, Sps, check_requirements,
-                                  default_models, run_cam_traffic)
-from hybridfleet.rng import generator, mix
+from hybridfleet.netmodel import (ChannelConfig, Csma, Sps, check_requirements,
+                                  default_models, model_seed, run_cam_traffic)
+from hybridfleet.rng import generator
 from hybridfleet.routing import tsp_exact, tsp_heuristic
 from hybridfleet.simcore import simulate
 
@@ -44,7 +45,7 @@ def default_world():
 
 @pytest.fixture(scope="module")
 def default_sweep(default_world):
-    sweep, failures, _ = run_sweep(DEFAULT)
+    sweep, failures = run_sweep(DEFAULT)
     assert not failures
     return summarize_sweep(sweep)
 
@@ -119,8 +120,8 @@ def test_acceptance_4_network_ordering(default_world):
                           max(DEFAULT.drone_counts), DEFAULT.net_trace_prioritized)
 
     def run(mac, channel):
-        seed = mix(DEFAULT.base_seed, 3, MODEL_TAG[mac.name])
-        return run_cam_traffic(trace, scenario, mac, channel, seed=seed)
+        return run_cam_traffic(trace, scenario, mac, channel,
+                               seed=model_seed(DEFAULT.base_seed, mac.name))
 
     channel = ChannelConfig(**DEFAULT.channel)
     ideal = ChannelConfig(**{**DEFAULT.channel, "loss_threshold_db": math.inf})
@@ -238,14 +239,14 @@ def test_acceptance_8_spatial_distribution(default_world):
 
 def test_acceptance_9_sweep_determinism(tmp_path):
     """The full default sweep repeated with one base seed is byte-identical."""
-    import json
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     cfg1 = ExperimentConfig(out_dir=str(out1))
     cfg2 = ExperimentConfig(out_dir=str(out2))
     assert run_experiment(cfg1) == 0
     assert run_experiment(cfg2) == 0
-    manifest = json.loads((out1 / "manifest.json").read_text())
-    assert len(manifest["runs"]) == 50 * 6 * 2  # sets x drone counts x flags
+    with open(out1 / "summary.csv", encoding="utf-8", newline="") as f:
+        configs = {(r["drones"], r["prioritized"]) for r in csv.DictReader(f)}
+    assert configs == {(str(d), p) for d in range(6) for p in "01"}  # drone counts x flags
     same_summary = (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     same_caps = (out1 / "capacity_curves.csv").read_bytes() == \
         (out2 / "capacity_curves.csv").read_bytes()

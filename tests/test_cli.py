@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -9,6 +10,12 @@ from hybridfleet.cli import main
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def configs_in_summary(out):
+    """The (drones, prioritized) configurations that summary.csv reports."""
+    with open(out / "summary.csv", encoding="utf-8", newline="") as f:
+        return sorted({(int(r["drones"]), int(r["prioritized"])) for r in csv.DictReader(f)})
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +81,7 @@ def test_sweep_and_manifest_rerun_byte_identical(workdir):
         (out2 / "net_summary.csv").read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["failures"] == []
-    assert len(manifest["runs"]) == 2 * 2 * 2  # sets x drones x prioritize
+    assert configs_in_summary(out1) == [(0, 0), (0, 1), (2, 0), (2, 1)]
 
 
 def test_sweep_respects_flag_overrides_over_config(workdir, tmp_path):
@@ -259,6 +266,15 @@ def _second_stop_at_first_position(plan):
     plan["truck"]["stops"][1]["path_index"] = plan["truck"]["stops"][0]["path_index"]
 
 
+def _first_sortie_later(key, dt, completion):
+    def edit(plan):
+        sortie = plan["sorties"][0]
+        sortie[key] += dt
+        if completion:
+            plan["completion"][str(sortie["job_id"])] += dt
+    return edit
+
+
 @pytest.mark.parametrize("drones,name,edit,with_jobs,message", [
     pytest.param(1, "plan.json", _put(["fleet"], "truck_speed", 4.0), True,
                  "truck timetable at path position ", id="edited-truck-speed"),
@@ -266,11 +282,15 @@ def _second_stop_at_first_position(plan):
                  id="half-speed-parallel-edges"),
     pytest.param(0, "plan.json", _second_stop_at_first_position, False,
                  "stop at path position ", id="two-stops-at-one-position"),
+    pytest.param(1, "plan.json", _first_sortie_later("deliver_time", 5.0, True), True,
+                 "job 0: sortie is not the planner's flight ", id="sortie-delivered-5s-later"),
+    pytest.param(1, "plan.json", _first_sortie_later("rendezvous_time", 1e-7, False), False,
+                 "job 0: sortie is not the planner's flight ", id="sortie-rejoins-1e-7s-later"),
 ])
 def test_simulate_plan_off_its_timetable_exit_2(workdir, tmp_path, capsys, drones, name, edit,
                                                 with_jobs, message):
     """A plan whose truck times do not follow from the road, the fleet and its
-    stops is not simulated."""
+    stops, or whose sortie is not the planner's flight, is not simulated."""
     for f in ("scen.json", "jobs.json"):
         shutil.copy(workdir / f, tmp_path / f)
     assert run("plan", "--scenario", tmp_path / "scen.json", "--jobs", tmp_path / "jobs.json",
@@ -440,10 +460,7 @@ def test_sweep_single_truck_only_run(tmp_path):
     out = tmp_path / "single"
     assert run("sweep", "--out", out, "--sets", 1, "--drones", "0",
                "--prioritize", "off", "--seed", 3) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["runs"]) == 1
-    assert manifest["runs"][0]["drones"] == 0
-    assert manifest["runs"][0]["prioritized"] is False
+    assert configs_in_summary(out) == [(0, 0)]
 
 
 def test_partial_failure_isolation(tmp_path):

@@ -4,8 +4,8 @@ Each valid document below (scenario, delivery sets, plan, trace sidecar and
 sweep config) gets one value, at any JSON path, replaced by an arbitrary JSON
 value. The parser must then return, or raise ParseError, ConfigError or
 InvariantViolation: never a TypeError, KeyError or other exception. A plan
-parsed so and passed by check_plan must simulate, giving each truck job the
-plan's completion bit for bit, or raise PlanConsistencyError.
+parsed so and passed by check_plan must simulate, giving every served job a
+completion and each truck job the plan's completion bit for bit.
 """
 import copy
 import json
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridfleet import fields
-from hybridfleet.errors import ConfigError, InvariantViolation, ParseError, PlanConsistencyError
+from hybridfleet.errors import ConfigError, InvariantViolation, ParseError
 from hybridfleet.experiment import ExperimentConfig
 from hybridfleet.hybrid import (FleetConfig, check_plan, plan_from_dict, plan_hybrid,
                                plan_to_dict)
@@ -114,7 +114,7 @@ _PLAN_DOC = plan_to_dict(_PLAN, _FLEET)
 @given(st.sampled_from(list(_paths(_PLAN_DOC))), _json_value | st.integers(-2, 40))
 @example(("truck", "stops", 0, "path_index"), 99)
 @example(("sorties", 0, "drone_id"), -1)
-def test_a_plan_check_plan_passes_simulates_or_raises_plan_consistency_error(path, value):
+def test_a_plan_check_plan_passes_simulates_every_served_job(path, value):
     try:
         plan, fleet = plan_from_dict(_replaced(_PLAN_DOC, path, value))
     except ParseError:
@@ -123,10 +123,8 @@ def test_a_plan_check_plan_passes_simulates_or_raises_plan_consistency_error(pat
     problems = check_plan(plan, _WORLD, _SETS[0], fleet)
     assert isinstance(problems, list)
     if not problems:
-        try:
-            trace = simulate(_WORLD, plan, fleet)
-        except PlanConsistencyError:
-            return
+        trace = simulate(_WORLD, plan, fleet)
+        assert trace.completion.keys() == set(plan.truck_stops) | {s.job_id for s in plan.sorties}
         for j in plan.truck_stops:
             assert trace.completion[j] == plan.completion[j]
 

@@ -132,15 +132,18 @@ def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
                                      if n != nodes[plan.stop_positions[stop]])
     problems = check_plan(plan, grid8, grid8_set, fleet)
     # the moved stop also moves the truck's service, so the timetable and the
-    # job's completion no longer follow from the stops
+    # job's completion no longer follow from the stops; the shifted target
+    # also changes the sortie the planner flies
     assert sorted(p.split(":")[0] for p in problems if p.startswith("job ")) == sorted(
-        [f"job {sortie.job_id}", f"job {stop}", f"job {stop}"])
+        [f"job {sortie.job_id}", f"job {sortie.job_id}", f"job {stop}", f"job {stop}"])
     assert any("sortie target" in p for p in problems)
+    assert any(p.startswith(f"job {sortie.job_id}: sortie is not the planner's flight ")
+               and "deliver_time " in p for p in problems)
     assert any("is not the job's delivery node" in p for p in problems)
     assert any(p.startswith(f"job {stop}: completion ") for p in problems)
     assert [p for p in problems if not p.startswith("job ")] == [
         p for p in problems if p.startswith("truck timetable at path position ")]
-    assert len(problems) == 4
+    assert len(problems) == 5
 
 
 def test_check_plan_rejects_inconsistent_plan():
