@@ -312,6 +312,15 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     drone from its best launch node; the step committing the largest
     reduction of summed completion times wins, smallest job id then drone id
     on ties. Stops when no candidate reduces the objective.
+
+    A scan for a drone free at time f is skipped when its bound
+    ``total - (partial + (f + drone_service))`` is at most the best reduction
+    found so far in the step (or the 1e-9 threshold before any). The kernel
+    launches only at departures at or after f and flies a non-negative time,
+    and float rounding is monotone, so the scan's completion is at least
+    ``f + drone_service`` and its reduction at most the bound. A skipped
+    scan could therefore not have won, ties included, and the plans are
+    bit-identical to those of the exhaustive loop.
     """
     validate_fleet(fleet)
     ctx = _PlanContext(scenario, dset, fleet)
@@ -324,6 +333,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     if fleet.drone_count > 0:
         while True:
             best = None  # (reduction, job, drone, launch_node)
+            floor = _EPS  # a candidate must reduce by more than this to win
             for j in sorted(truck_jobs):
                 # the tour without stop k: splice stop k-1 to stop k+1
                 k = truck_jobs.index(j)
@@ -341,6 +351,11 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                     if built.free[d] in scanned:
                         continue
                     scanned.add(built.free[d])
+                    # best_sortie's completion is at least free + service, so no
+                    # reduction of this scan can exceed the bound
+                    bound = current.total - (partial + (built.free[d] + fleet.drone_service))
+                    if bound <= floor:
+                        continue
                     li, r, comp, _, _, _ = kernels.best_sortie(
                         built.path_x, built.path_y, built.path, built.arrive, built.depart,
                         built.free[d], tx, ty,
@@ -348,7 +363,8 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                     if li < 0:
                         continue
                     reduction = current.total - (partial + comp)
-                    if reduction > _EPS and (best is None or reduction > best[0]):
+                    if reduction > floor:
+                        floor = reduction
                         best = (reduction, j, d, built.path[li])
             if best is None:
                 break

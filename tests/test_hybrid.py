@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridfleet import kernels
+from hybridfleet import experiment, kernels
 from hybridfleet.errors import ParameterError
 from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, TruckTimetable,
                                 _PlanContext, check_plan, load_plan, plan_hybrid,
@@ -329,6 +329,8 @@ class _OraclePlanContext:
 
 
 def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
+    # exhaustive on purpose: it scans every (job, drone) with no bound and no
+    # de-duplication of equal free times, as the reference for both
     ctx = _OraclePlanContext(scenario, dset, fleet)
     base = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
             else plain_schedule(scenario, dset, ctx.nodes_of, solver))
@@ -380,6 +382,37 @@ def test_plans_match_full_rebuild_oracle(block):
     for case in range(100 * block, 100 * block + 100):
         sc, dset, fleet, prioritize = random_world(case)
         _assert_plans_identical(sc, dset, fleet, prioritize)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_plans_match_full_rebuild_oracle_with_many_jobs_and_drones(case):
+    # sizes at which the planner's bound skips most sortie scans
+    sc, dset, fleet, prioritize = random_world(case, max_jobs=41, max_drones=8)
+    _assert_plans_identical(sc, dset, fleet, prioritize)
+
+
+def test_bound_skips_at_least_half_the_sortie_scans(monkeypatch):
+    cfg = experiment.ExperimentConfig(grid_rows=16, grid_cols=16, n_sets=1, per_set=40,
+                                      medical_per_set=13, drone_counts=[8], net_models=[],
+                                      base_seed=0)
+    sc = experiment.build_scenario(cfg)
+    dset = experiment.build_sets(cfg, sc)[0]
+    fleet = cfg.fleet_for(8)
+    scan = kernels.best_sortie
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return scan(*args)
+
+    monkeypatch.setattr(kernels, "best_sortie", counted)
+    got = plan_hybrid(sc, dset, fleet, True)
+    planned = len(calls)
+    want = _oracle_plan(sc, dset, fleet, True)
+    exhaustive = len(calls) - planned
+    assert json.dumps(plan_to_dict(got, fleet)) == json.dumps(plan_to_dict(want, fleet))
+    assert got.sorties
+    assert planned <= exhaustive / 2, (planned, exhaustive)
 
 
 def _splices_match_full_builds(sc, dset, fleet, prioritize):

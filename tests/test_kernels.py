@@ -6,7 +6,9 @@ element, the scalar per-segment x per-building loop kept below as its
 oracle, on random segments, on segments grazing the buildings' boxes and on
 the hops of a planned trace. The numpy timetable and pairwise distances
 must match the scalar loops kept below bit for bit. The sortie kernels must return the same bits on Python lists,
-as the planner passes them, and on numpy arrays.
+as the planner passes them, and on numpy arrays, and ``best_sortie`` must
+never complete before its free time plus the drone service, the bound the
+planner prunes its scans with.
 """
 import itertools
 import math
@@ -203,6 +205,23 @@ def test_sortie_kernels_same_bits_on_lists_and_arrays(path, launch, tx, ty, spee
     best_arrays = kernels.best_sortie(x, y, np.array(nodes, np.int64), arr, dep, free_time,
                                       tx, ty, speed, service, endurance)
     assert _bits(best_lists) == _bits(best_arrays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=_truck_path(), data=st.data(), speed=st.floats(1.0, 30.0),
+       service=st.floats(0.0, 60.0), endurance=st.floats(10.0, 3000.0))
+def test_best_sortie_completes_no_earlier_than_free_time_plus_service(path, data, speed,
+                                                                      service, endurance):
+    # plan_hybrid skips a scan whose reduction bound, taken from this lower
+    # bound on the completion, cannot beat the best candidate so far
+    nodes, xs, ys, arrive, depart = path
+    free_time = data.draw(st.floats(0.0, 3000.0) | st.sampled_from(depart))
+    tx, ty = data.draw(st.tuples(_coord, _coord) | st.sampled_from(list(zip(xs, ys))))
+    li, _, completion, _, _, _ = kernels.best_sortie(xs, ys, nodes, arrive, depart, free_time,
+                                                     tx, ty, speed, service, endurance)
+    if li >= 0:
+        assert depart[li] >= free_time
+        assert completion >= free_time + service
 
 
 # ---------------------------------------------------------------------------
