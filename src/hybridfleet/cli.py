@@ -18,9 +18,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .hybrid import FleetConfig, _first_of, check_plan, load_plan, plan_hybrid, save_plan
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
-from .netmodel import (ChannelConfig, check_requirements, default_models, model_seed,
-                       run_cam_traffic, write_net_results_csv,
-                       write_net_summary_csv)
+from .netmodel import MODELS, ChannelConfig, evaluate_links
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import load_trace, save_trace, simulate
 
@@ -73,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     net = sub.add_parser("netsim", help="evaluate fleet links over a trace")
     net.add_argument("--scenario", required=True)
     net.add_argument("--trace", required=True)
-    net.add_argument("--models", default="centralized,csma,sps")
+    net.add_argument("--models", default=",".join(MODELS))
     net.add_argument("--seed", type=int, default=0)
     net.add_argument("--out", required=True, help="output directory")
 
@@ -172,23 +170,8 @@ def _dispatch(args) -> int:
         sc = load_scenario(args.scenario)
         trace = load_trace(args.trace)
         wanted = [m.strip() for m in args.models.split(",") if m.strip()]
-        models = {m.name: m for m in default_models()}
-        for name in wanted:
-            if name not in models:
-                raise ConfigError(f"unknown model {name!r}")
-        os.makedirs(args.out, exist_ok=True)
-        stats_list = []
-        for name in wanted:
-            stats = run_cam_traffic(trace, sc, models[name], ChannelConfig(),
-                                    seed=model_seed(args.seed, name))
-            stats_list.append(stats)
-            if stats.sent:
-                for line in check_requirements(stats).lines():
-                    print(line)
-            else:
-                print(f"[{name}] no CAM traffic in trace")
-        write_net_results_csv(stats_list, os.path.join(args.out, "net_results.csv"))
-        write_net_summary_csv(stats_list, os.path.join(args.out, "net_summary.csv"))
+        for line in evaluate_links(trace, sc, wanted, ChannelConfig(), args.seed, args.out):
+            print(line)
         print(f"wrote {args.out}/net_results.csv and net_summary.csv")
         return 0
 

@@ -22,14 +22,10 @@ from .hybrid import FleetConfig, _first_of, check_plan, plan_hybrid, read_fleet
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
-from .netmodel import (Centralized, ChannelConfig, Csma, Sps, check_requirements,
-                       model_seed, run_cam_traffic, write_net_results_csv,
-                       write_net_summary_csv)
+from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import save_trace, simulate
-
-_MODEL_FACTORIES = {"centralized": Centralized, "csma": Csma, "sps": Sps}
 
 # seed stream tags
 _STREAM_SCENARIO = 0
@@ -48,7 +44,7 @@ class ExperimentConfig:
     medical_per_set: int = 5
     drone_counts: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4, 5])
     prioritize_flags: list[bool] = field(default_factory=lambda: [False, True])
-    net_models: list[str] = field(default_factory=lambda: ["centralized", "csma", "sps"])
+    net_models: list[str] = field(default_factory=lambda: list(MODELS))
     net_trace_set: int = 0
     net_trace_drones: int | None = None      # default: max of drone_counts
     net_trace_prioritized: bool = True
@@ -77,9 +73,7 @@ class ExperimentConfig:
             raise ConfigError("drone_counts must be non-empty, non-negative")
         if not self.prioritize_flags:
             raise ConfigError("prioritize_flags must be non-empty")
-        for m in self.net_models:
-            if m not in _MODEL_FACTORIES:
-                raise ConfigError(f"unknown net model {m!r}")
+        check_model_names(self.net_models)
         if self.solver not in ("exact", "heuristic"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.workers < 1:
@@ -269,18 +263,5 @@ def _run_net(cfg: ExperimentConfig, scenario, dsets) -> list[str]:
     _, trace, _ = run_one(cfg, scenario, dsets[cfg.net_trace_set], drones,
                           cfg.net_trace_prioritized)
     save_trace(trace, os.path.join(cfg.out_dir, "net_trace.csv"))
-    channel = ChannelConfig(**cfg.channel)
-    stats_list = []
-    lines = []
-    for model_name in cfg.net_models:
-        mac = _MODEL_FACTORIES[model_name]()
-        stats = run_cam_traffic(trace, scenario, mac, channel,
-                                seed=model_seed(cfg.base_seed, model_name))
-        stats_list.append(stats)
-        if stats.sent:
-            lines.extend(check_requirements(stats).lines())
-        else:
-            lines.append(f"[{model_name}] no CAM traffic on the selected trace")
-    write_net_results_csv(stats_list, os.path.join(cfg.out_dir, "net_results.csv"))
-    write_net_summary_csv(stats_list, os.path.join(cfg.out_dir, "net_summary.csv"))
-    return lines
+    return evaluate_links(trace, scenario, cfg.net_models, ChannelConfig(**cfg.channel),
+                          cfg.base_seed, cfg.out_dir)

@@ -21,7 +21,7 @@ import numpy as np
 from . import fields, kernels
 from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
-from .routing import (Solver, Tour, job_nodes, plain_schedule, priority_schedule,
+from .routing import (Solver, job_nodes, plain_schedule, priority_schedule,
                       routing_cache)
 from .scenario import Scenario
 
@@ -324,9 +324,8 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     """
     validate_fleet(fleet)
     ctx = _PlanContext(scenario, dset, fleet)
-    base: Tour = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
+    truck_jobs = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
                   else plain_schedule(scenario, dset, ctx.nodes_of, solver))
-    truck_jobs = list(base.stops)
     assignments: dict[int, list[tuple[int, int]]] = {d: [] for d in range(fleet.drone_count)}
     current = ctx.assemble(assignments, truck_jobs)
 
@@ -356,7 +355,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                     bound = current.total - (partial + (built.free[d] + fleet.drone_service))
                     if bound <= floor:
                         continue
-                    li, r, comp, _, _, _ = kernels.best_sortie(
+                    li, comp = kernels.best_sortie(
                         built.path_x, built.path_y, built.path, built.arrive, built.depart,
                         built.free[d], tx, ty,
                         fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)

@@ -338,16 +338,12 @@ def best_sortie(path_x, path_y, path, arrive, depart,
     A candidate launch node (an id in ``path``) is represented by its first
     path occurrence whose departure is at or after free_time (the same rule
     the plan builder uses to re-anchor committed sorties). Returns
-    (launch_idx, rdv_idx, completion, deliver_time, rdv_arrival, rdv_time)
-    with launch_idx = -1 when no feasible sortie exists.
+    (launch_idx, completion) with launch_idx = -1 and completion = inf when
+    no feasible sortie exists.
     """
     seen = set()
     best_completion = math.inf
     b_li = -1
-    b_r = -1
-    b_deliver = 0.0
-    b_arr = 0.0
-    b_rdv = 0.0
     for li in range(len(path_x) - 1):
         t0 = depart[li]
         if t0 < free_time:
@@ -358,18 +354,14 @@ def best_sortie(path_x, path_y, path, arrive, depart,
         if nid in seen:
             continue
         seen.add(nid)
-        status, r, t_deliver, t_arr, t_rdv = sortie_from_launch(
+        status, _, t_deliver, _, _ = sortie_from_launch(
             path_x, path_y, arrive, depart, li, tx, ty, speed, service, endurance)
         if status == SORTIE_OK:
             completion = t_deliver + service
             if completion < best_completion:
                 best_completion = completion
                 b_li = li
-                b_r = r
-                b_deliver = t_deliver
-                b_arr = t_arr
-                b_rdv = t_rdv
-    return b_li, b_r, best_completion, b_deliver, b_arr, b_rdv
+    return b_li, best_completion
 
 
 def build_timetable(step_times, services, start=0.0):

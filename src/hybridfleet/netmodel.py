@@ -18,27 +18,18 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .rng import generator, mix
 from .scenario import Scenario, los_blocked_many
 from .simcore import DeliveryTrace
-
-# Per-model seed tag: selects each model's own random stream inside
-# run_cam_traffic and, through model_seed, each model's seed in a run.
-MODEL_TAG = {"centralized": 0, "csma": 1, "sps": 2}
-
-
-def model_seed(seed: int, name: str) -> int:
-    """The seed that a run seeded ``seed`` gives model ``name``'s
-    run_cam_traffic: the sweep's net phase and `hybridfleet netsim` use it."""
-    return mix(seed, 3, MODEL_TAG[name])
-
 
 # Seed substreams. For one seed, Centralized and Csma share the per-sender
 # generation phases, and all three models share the per-(sender, period)
@@ -46,8 +37,8 @@ def model_seed(seed: int, name: str) -> int:
 # not at the generation phases, so only the channel draws are shared with it:
 # its PDR differs from the other models' also through the instants (and so the
 # positions) at which the channel is sampled, not through medium access alone.
-# The draws are shared only between runs given the same seed; the sweep's net
-# phase and `hybridfleet netsim` derive a separate seed for each model.
+# The draws are shared only between runs given the same seed; evaluate_links
+# derives a separate seed for each model (model_seed).
 _STREAM_PHASE = 10
 _STREAM_CHANNEL = 11
 _STREAM_CHANNEL2 = 12
@@ -108,10 +99,6 @@ class Sps:
 MacModel = Centralized | Csma | Sps
 
 
-def default_models() -> list[MacModel]:
-    return [Centralized(), Csma(), Sps()]
-
-
 @dataclass
 class NetStats:
     """One model's beacons as columns, one row per beacon, ordered by
@@ -168,16 +155,19 @@ class RequirementsReport:
     pdr: float
     pdr_ok: bool
     drone_delivery_latency_ok: bool
+    profile: RequirementsProfile    # the bounds the checks were made against
 
     def lines(self) -> list[str]:
+        prof = self.profile
         return [
             f"[{self.model}] p95 latency {self.p95_latency_ms:.3f} ms "
-            f"{'<=' if self.cc_latency_ok else '>'} 50 ms C&C bound: "
-            f"{'pass' if self.cc_latency_ok else 'FAIL'}",
+            f"{'<=' if self.cc_latency_ok else '>'} {prof.cc_latency_bound_ms:g} ms "
+            f"C&C bound: {'pass' if self.cc_latency_ok else 'FAIL'}",
             f"[{self.model}] PDR {self.pdr:.4f} "
-            f"{'>=' if self.pdr_ok else '<'} 0.99 target: "
+            f"{'>=' if self.pdr_ok else '<'} {prof.pdr_target:g} target: "
             f"{'pass' if self.pdr_ok else 'FAIL'}",
-            f"[{self.model}] p95 latency vs 500 ms drone-delivery bound: "
+            f"[{self.model}] p95 latency vs {prof.drone_delivery_latency_ms:g} ms "
+            f"drone-delivery bound: "
             f"{'pass' if self.drone_delivery_latency_ok else 'FAIL'}",
         ]
 
@@ -195,6 +185,7 @@ def check_requirements(stats: NetStats,
         pdr=stats.pdr,
         pdr_ok=stats.pdr >= profile.pdr_target,
         drone_delivery_latency_ok=p95 <= profile.drone_delivery_latency_ms,
+        profile=profile,
     )
 
 
@@ -227,26 +218,21 @@ def run_cam_traffic(trace: DeliveryTrace, scenario: Scenario, mac: MacModel,
 
     Sender and receiver positions are sampled from the trace at transmission
     instants; stowed drones do not transmit. Deterministic for a fixed seed.
-    Each MAC model supplies its schedule and collision rule; the channel
-    stage and the result columns are shared.
+    Each MAC model supplies its schedule and collision rule (see MODELS),
+    drawing from its own generator; the channel stage and the result columns
+    are shared.
     """
     if not trace.events:
         raise ParameterError("trace is empty")
     cfg.validate()
+    spec = MODELS.get(getattr(mac, "name", None))
+    if spec is None or not isinstance(mac, spec.params):
+        raise ParameterError(f"unknown MAC model {mac!r}")
     windows = trace.airborne_windows()
     senders = sorted(windows)
-    if isinstance(mac, Sps):
-        if abs(mac.n_slots * mac.slot_ms - period_ms) > 1e-9:
-            raise ParameterError("Sps slot grid must span exactly one CAM period")
-        schedule = _sps_schedule
-    elif isinstance(mac, Csma):
-        schedule = _csma_schedule
-    elif isinstance(mac, Centralized):
-        schedule = _centralized_schedule
-    else:
-        raise ParameterError(f"unknown MAC model {mac!r}")
     period_s = period_ms / 1000.0
-    sched = schedule(trace, scenario, mac, cfg, seed, windows, senders, period_s)
+    sched = spec.schedule(trace, scenario, mac, cfg, seed, generator(seed, spec.tag),
+                          windows, senders, period_s)
     if sched is None:
         return _empty_stats(mac.name, size_bytes)
     return _evaluate(mac.name, trace, scenario, cfg, seed, senders, period_s,
@@ -381,7 +367,7 @@ def _empty_stats(name: str, size_bytes: int) -> NetStats:
                     size_bytes)
 
 
-def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, windows,
+def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, rng, windows,
                           senders, period_s) -> _Schedule | None:
     """Granted uplink: no contention; sender -> base station -> truck."""
     beacons = _phase_beacons(trace, windows, senders, seed, period_s)
@@ -392,13 +378,13 @@ def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, windows,
     rxpos = _interp_positions(trace, "truck", gen)
     bs = scenario.base_station
     bspos = np.tile([bs.x, bs.y, bs.z], (n, 1))
-    grant = generator(seed, MODEL_TAG["centralized"]).uniform(0.0, mac.grant_period_ms, n)
+    grant = rng.uniform(0.0, mac.grant_period_ms, n)
     latency = grant + 2.0 * mac.processing_ms + mac.backhaul_ms + 2.0 * mac.airtime_ms
     return _Schedule(gen, sidx, _gen_period(gen, period_s),
                      [(spos, bspos), (bspos, rxpos)], np.ones(n, bool), latency)
 
 
-def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, windows, senders,
+def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, rng, windows, senders,
                    period_s) -> _Schedule | None:
     beacons = _phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
@@ -406,7 +392,7 @@ def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, windows, senders,
     gen, sidx, spos = beacons
     air_s = mac.airtime_ms * 1e-3
     cs2 = cfg.carrier_sense_m ** 2
-    backoffs = generator(seed, MODEL_TAG["csma"]).integers(0, mac.cw_slots + 1, gen.size)
+    backoffs = rng.integers(0, mac.cw_slots + 1, gen.size)
     tx_start = _listen_before_talk(gen, spos, backoffs, mac.aifs_us * 1e-6,
                                    mac.slot_us * 1e-6, air_s, cs2)
     rxpos = _interp_positions(trace, "truck", tx_start)
@@ -518,12 +504,13 @@ def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
         t = idle_end
 
 
-def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, windows, senders,
+def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
                   period_s) -> _Schedule | None:
+    if abs(mac.n_slots * mac.slot_ms - period_s * 1000.0) > 1e-9:
+        raise ParameterError("Sps slot grid must span exactly one CAM period")
     n_senders = len(senders)
     if n_senders == 0:
         return None
-    rng = generator(seed, MODEL_TAG["sps"])
     slot_s = mac.slot_ms / 1000.0
     cs2 = cfg.carrier_sense_m ** 2
     tracks = [trace.trajectories[s] for s in senders]
@@ -600,6 +587,41 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, windows, senders,
 
 
 # ---------------------------------------------------------------------------
+# model table
+
+
+class _ModelSpec(NamedTuple):
+    params: type                     # the model's parameter dataclass
+    tag: int                         # its random stream, in a run and in model_seed
+    schedule: Callable[..., _Schedule | None]   # called by run_cam_traffic
+
+
+# The one list of MAC models: every lookup by name, each model's random
+# stream and its dispatch read this table. Keys equal each class's ``name``.
+MODELS = {
+    "centralized": _ModelSpec(Centralized, 0, _centralized_schedule),
+    "csma": _ModelSpec(Csma, 1, _csma_schedule),
+    "sps": _ModelSpec(Sps, 2, _sps_schedule),
+}
+
+
+def default_models() -> list[MacModel]:
+    return [spec.params() for spec in MODELS.values()]
+
+
+def model_seed(seed: int, name: str) -> int:
+    """The seed that a run seeded ``seed`` gives model ``name``'s
+    run_cam_traffic in evaluate_links."""
+    return mix(seed, 3, MODELS[name].tag)
+
+
+def check_model_names(names) -> None:
+    for name in names:
+        if name not in MODELS:
+            raise ConfigError(f"unknown net model {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # CSV outputs
 
 
@@ -629,3 +651,31 @@ def write_net_summary_csv(stats_list: list[NetStats], path) -> None:
             w.writerow([st.model, st.sent, st.delivered, repr(st.pdr),
                         repr(st.latency_percentile(50)) if has else "",
                         repr(st.latency_percentile(95)) if has else ""])
+
+
+# ---------------------------------------------------------------------------
+# driver
+
+
+def evaluate_links(trace: DeliveryTrace, scenario: Scenario, names: list[str],
+                   channel: ChannelConfig, seed: int, out_dir: str) -> list[str]:
+    """Run each named model over the trace with its model_seed, write
+    net_results.csv and net_summary.csv into out_dir and return the
+    requirement lines. Every name is checked before any model runs or any
+    file is written. The sweep's net phase and `hybridfleet netsim` call it.
+    """
+    check_model_names(names)
+    stats_list = []
+    lines = []
+    for name in names:
+        stats = run_cam_traffic(trace, scenario, MODELS[name].params(), channel,
+                                seed=model_seed(seed, name))
+        stats_list.append(stats)
+        if stats.sent:
+            lines.extend(check_requirements(stats).lines())
+        else:
+            lines.append(f"[{name}] no CAM traffic in the trace")
+    os.makedirs(out_dir, exist_ok=True)
+    write_net_results_csv(stats_list, os.path.join(out_dir, "net_results.csv"))
+    write_net_summary_csv(stats_list, os.path.join(out_dir, "net_summary.csv"))
+    return lines

@@ -8,7 +8,6 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -20,13 +19,6 @@ from .scenario import RoadGraph, Scenario, nearest_nodes
 
 EXACT_TSP_LIMIT = 12
 Solver = Literal["exact", "heuristic"]
-
-
-@dataclass
-class Tour:
-    start: int             # depot node id
-    stops: list[int]       # job ids in service order
-    closed: bool = True
 
 
 def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
@@ -198,8 +190,9 @@ def job_nodes(scenario: Scenario, dset: DeliverySet) -> dict[int, int]:
 
 
 def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
-                      solver: Solver = "heuristic") -> Tour:
-    """Medical-first tour: open TSP over medical jobs from the depot, then an
+                      solver: Solver = "heuristic") -> list[int]:
+    """Job ids in service order of the medical-first tour, which starts and
+    ends at the depot: open TSP over medical jobs from the depot, then an
     open TSP over standard jobs starting at the last medical stop, closed by
     the return to the depot. Falls back to a plain closed TSP when either
     category is empty. nodes_of maps each job id to its road node, as
@@ -212,10 +205,10 @@ def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int,
     if not medical or not std:
         jobs = medical or std
         if not jobs:
-            return Tour(depot, [], True)
+            return []
         mat = travel_time_matrix(scenario, [depot] + [nodes_of[j] for j in jobs])
         order, _ = _solve(mat, True, solver)
-        return Tour(depot, [jobs[i - 1] for i in order[1:]], True)
+        return [jobs[i - 1] for i in order[1:]]
 
     mat_m = travel_time_matrix(scenario, [depot] + [nodes_of[j] for j in medical])
     order_m, _ = _solve(mat_m, False, solver)
@@ -226,16 +219,16 @@ def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int,
     order_s, _ = _solve(mat_s, False, solver)
     std_seq = [std[i - 1] for i in order_s[1:]]
 
-    return Tour(depot, med_seq + std_seq, True)
+    return med_seq + std_seq
 
 
 def plain_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
-                   solver: Solver = "heuristic") -> Tour:
-    """Closed TSP over all jobs from the depot, ignoring categories; nodes_of
-    as for ``priority_schedule``."""
+                   solver: Solver = "heuristic") -> list[int]:
+    """Job ids in service order of the closed TSP over all jobs from the
+    depot, ignoring categories; nodes_of as for ``priority_schedule``."""
     jobs = [j.id for j in dset.jobs]
     if not jobs:
-        return Tour(scenario.depot, [], True)
+        return []
     mat = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in jobs])
     order, _ = _solve(mat, True, solver)
-    return Tour(scenario.depot, [jobs[i - 1] for i in order[1:]], True)
+    return [jobs[i - 1] for i in order[1:]]

@@ -137,6 +137,7 @@ def test_config_error_exit_code(workdir, capsys):
     ({"channel": {"logistic_width_db": 0}}, "logistic width must be positive"),
     pytest.param([1, 2], "config: must be an object, got [1, 2]",
                  id="config14-config must be a JSON object"),
+    ({"net_models": ["bogus"]}, "unknown net model 'bogus'"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -216,6 +217,49 @@ def chain(workdir):
     assert run("simulate", "--scenario", workdir / "scen.json", "--plan",
                workdir / "chain_plan.json", "--out", workdir / "chain_trace.csv") == 0
     return workdir
+
+
+def test_netsim_unknown_model_exit_2_before_any_output(chain, tmp_path, capsys):
+    out = tmp_path / "net"
+    assert run("netsim", "--scenario", chain / "scen.json", "--trace", chain / "chain_trace.csv",
+               "--models", "centralized,bogus", "--out", out) == 2
+    assert "unknown net model 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _netsim_lines(out, capsys, *argv):
+    """netsim's requirement lines on stdout, without its closing 'wrote' line."""
+    capsys.readouterr()
+    assert run("netsim", *argv, "--out", out) == 0
+    *lines, wrote = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {out}/net_results.csv and net_summary.csv"
+    return lines
+
+
+def test_netsim_on_a_sweep_trace_matches_the_sweep(tmp_path, capsys):
+    sweep = tmp_path / "sweep"
+    assert run("sweep", "--out", sweep, "--sets", 1, "--drones", 2, "--prioritize", "on",
+               "--seed", 11) == 0
+    lines = _netsim_lines(tmp_path / "net", capsys, "--scenario", sweep / "scenario.json",
+                          "--trace", sweep / "net_trace.csv", "--seed", 11)
+    for name in ("net_results.csv", "net_summary.csv"):
+        assert (tmp_path / "net" / name).read_bytes() == (sweep / name).read_bytes()
+    manifest = json.loads((sweep / "manifest.json").read_text())
+    assert lines == manifest["requirement_checks"]
+    assert len(lines) == 3 * 3
+
+
+def test_trace_without_airborne_drones_reports_no_traffic(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_rows": 4, "grid_cols": 4, "per_set": 4,
+                               "medical_per_set": 1, "drone_counts": [0, 1],
+                               "net_trace_drones": 0}))
+    sweep = tmp_path / "sweep"
+    assert run("sweep", "--config", cfg, "--sets", 1, "--out", sweep) == 0
+    expected = [f"[{m}] no CAM traffic in the trace" for m in ("centralized", "csma", "sps")]
+    assert json.loads((sweep / "manifest.json").read_text())["requirement_checks"] == expected
+    assert _netsim_lines(tmp_path / "net", capsys, "--scenario", sweep / "scenario.json",
+                         "--trace", sweep / "net_trace.csv") == expected
 
 
 def test_simulate_with_another_set_exit_2(chain, tmp_path, capsys):

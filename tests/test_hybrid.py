@@ -88,7 +88,7 @@ def test_plan_zero_drones_is_pure_truck_tour():
     fleet = FleetConfig(drone_count=0)
     plan = plan_hybrid(sc, dset, fleet, prioritize=False)
     assert plan.sorties == []
-    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset)).stops
+    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset))
     tt = plan.timetable
     for j, pos in plan.stop_positions.items():
         assert plan.completion[j] == pytest.approx(tt.depart[pos])
@@ -332,9 +332,8 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
     # exhaustive on purpose: it scans every (job, drone) with no bound and no
     # de-duplication of equal free times, as the reference for both
     ctx = _OraclePlanContext(scenario, dset, fleet)
-    base = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
-            else plain_schedule(scenario, dset, ctx.nodes_of, solver))
-    truck_jobs = list(base.stops)
+    truck_jobs = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
+                  else plain_schedule(scenario, dset, ctx.nodes_of, solver))
     assignments = {d: [] for d in range(fleet.drone_count)}
     current = ctx.build(truck_jobs, assignments)
     if fleet.drone_count > 0:
@@ -346,7 +345,7 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
                     continue
                 tx, ty = ctx.target_xy[j]
                 for d in range(fleet.drone_count):
-                    li, r, comp, _, _, _ = kernels.best_sortie(
+                    li, comp = kernels.best_sortie(
                         built["path_x"], built["path_y"], built["path"],
                         built["arrive"], built["depart"], built["free"][d], tx, ty,
                         fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)

@@ -217,8 +217,8 @@ def test_best_sortie_completes_no_earlier_than_free_time_plus_service(path, data
     nodes, xs, ys, arrive, depart = path
     free_time = data.draw(st.floats(0.0, 3000.0) | st.sampled_from(depart))
     tx, ty = data.draw(st.tuples(_coord, _coord) | st.sampled_from(list(zip(xs, ys))))
-    li, _, completion, _, _, _ = kernels.best_sortie(xs, ys, nodes, arrive, depart, free_time,
-                                                     tx, ty, speed, service, endurance)
+    li, completion = kernels.best_sortie(xs, ys, nodes, arrive, depart, free_time,
+                                         tx, ty, speed, service, endurance)
     if li >= 0:
         assert depart[li] >= free_time
         assert completion >= free_time + service

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridfleet import netmodel as nm
-from hybridfleet.errors import ParameterError
+from hybridfleet.errors import ConfigError, ParameterError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.netmodel import (Centralized, ChannelConfig, Csma,
                                   NetStats, RequirementsProfile, Sps,
@@ -217,6 +217,51 @@ def test_check_requirements_latency_tiers():
     assert rep.drone_delivery_latency_ok  # 60 ms <= 500 ms
 
 
+def test_requirement_lines_print_the_bounds_they_were_checked_against():
+    stats = _stats([60.0] * 9, 0.9)
+    assert (stats.sent, stats.delivered) == (10, 9)
+    rep = check_requirements(stats, RequirementsProfile(cc_latency_bound_ms=100.0,
+                                                        pdr_target=0.8))
+    assert rep.lines() == [
+        "[test] p95 latency 60.000 ms <= 100 ms C&C bound: pass",
+        "[test] PDR 0.9000 >= 0.8 target: pass",
+        "[test] p95 latency vs 500 ms drone-delivery bound: pass",
+    ]
+    # the default profile keeps the wording of every earlier manifest
+    assert check_requirements(stats).lines() == [
+        "[test] p95 latency 60.000 ms > 50 ms C&C bound: FAIL",
+        "[test] PDR 0.9000 < 0.99 target: FAIL",
+        "[test] p95 latency vs 500 ms drone-delivery bound: pass",
+    ]
+
+
+def test_model_table_names_each_model_once():
+    assert [m.name for m in nm.default_models()] == list(nm.MODELS)
+    assert [type(m) for m in nm.default_models()] == [Centralized, Csma, Sps]
+    assert sorted(spec.tag for spec in nm.MODELS.values()) == [0, 1, 2]
+
+
+def test_unknown_mac_model_rejected():
+    @dataclass
+    class Aloha:
+        name: str = "aloha"
+
+    sc, trace = make_trace(1)
+    for mac in (Aloha(), Aloha(name="csma")):
+        with pytest.raises(ParameterError, match="unknown MAC model"):
+            run_cam_traffic(trace, sc, mac, ChannelConfig(), seed=1)
+
+
+def test_evaluate_links_checks_every_name_before_any_run(tmp_path, monkeypatch):
+    sc, trace = make_trace(1)
+    ran = []
+    monkeypatch.setattr(nm, "run_cam_traffic", lambda *args, **kw: ran.append(args))
+    with pytest.raises(ConfigError, match="unknown net model 'bogus'"):
+        nm.evaluate_links(trace, sc, ["csma", "bogus"], ChannelConfig(), 1, tmp_path)
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_requirements_profile_constants():
     prof = RequirementsProfile()
     assert prof.cc_latency_bound_ms == 50.0
@@ -285,7 +330,7 @@ def _oracle_collect(senders, sidx, gen, delivered, latency_ms, los, size_bytes):
 
 
 def _oracle_centralized(trace, scenario, mac, cfg, period_s, seed, windows, senders):
-    rng = generator(seed, nm.MODEL_TAG["centralized"])
+    rng = generator(seed, nm.MODELS["centralized"].tag)
     beacons = nm._phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
         return [], {}
@@ -309,7 +354,7 @@ def _oracle_centralized(trace, scenario, mac, cfg, period_s, seed, windows, send
 
 
 def _oracle_csma(trace, scenario, mac, cfg, period_s, seed, windows, senders):
-    rng = generator(seed, nm.MODEL_TAG["csma"])
+    rng = generator(seed, nm.MODELS["csma"].tag)
     slot_s = mac.slot_us * 1e-6
     aifs_s = mac.aifs_us * 1e-6
     air_s = mac.airtime_ms * 1e-3
@@ -357,7 +402,7 @@ def _oracle_csma(trace, scenario, mac, cfg, period_s, seed, windows, senders):
 
 
 def _oracle_sps(trace, scenario, mac, cfg, period_s, seed, windows, senders):
-    rng = generator(seed, nm.MODEL_TAG["sps"])
+    rng = generator(seed, nm.MODELS["sps"].tag)
     slot_s = mac.slot_ms / 1000.0
     n_senders = len(senders)
     if n_senders == 0:

@@ -299,34 +299,32 @@ def world_with_jobs(per_set, medical, seed=6):
 
 def test_priority_schedule_forced_order():
     sc, dset = world_with_jobs(2, 1)
-    tour = priority_schedule(sc, dset, job_nodes(sc, dset))
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset))
     medical = [j.id for j in dset.medical()]
     standard = [j.id for j in dset.standard()]
-    assert tour.stops == medical + standard
-    assert tour.closed
-    assert tour.start == sc.depot
+    assert stops == medical + standard
 
 
 def test_priority_schedule_no_medical_equals_plain():
     sc, dset = world_with_jobs(6, 0)
     nodes_of = job_nodes(sc, dset)
-    assert priority_schedule(sc, dset, nodes_of).stops == plain_schedule(sc, dset, nodes_of).stops
+    assert priority_schedule(sc, dset, nodes_of) == plain_schedule(sc, dset, nodes_of)
 
 
 def test_priority_schedule_all_medical_first():
     sc, dset = world_with_jobs(15, 5)
-    tour = priority_schedule(sc, dset, job_nodes(sc, dset))
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset))
     medical = {j.id for j in dset.medical()}
-    positions = {j: i for i, j in enumerate(tour.stops)}
+    positions = {j: i for i, j in enumerate(stops)}
     worst_medical = max(positions[j] for j in medical)
-    best_standard = min(positions[j] for j in tour.stops if j not in medical)
+    best_standard = min(positions[j] for j in stops if j not in medical)
     assert worst_medical < best_standard
-    assert sorted(tour.stops) == sorted(j.id for j in dset.jobs)
+    assert sorted(stops) == sorted(j.id for j in dset.jobs)
 
 
 @pytest.mark.parametrize("solver", ["exact", "heuristic"])
 def test_priority_schedule_solvers_agree_on_structure(solver):
     sc, dset = world_with_jobs(8, 3)
-    tour = priority_schedule(sc, dset, job_nodes(sc, dset), solver)
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset), solver)
     medical = [j.id for j in dset.medical()]
-    assert set(tour.stops[:len(medical)]) == set(medical)
+    assert set(stops[:len(medical)]) == set(medical)
