@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__, fields
 from .errors import ConfigError, ParameterError, ParseError, PlanConsistencyError
-from .hybrid import FleetConfig, _first_of, check_plan, plan_hybrid, read_fleet
+from .hybrid import (_MAX_DRONES, FleetConfig, _first_of, check_plan, plan_hybrid,
+                     read_fleet)
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
@@ -69,8 +70,8 @@ class ExperimentConfig:
             raise ConfigError("need n_sets >= 1 and per_set >= 1")
         if self.medical_per_set > self.per_set or self.medical_per_set < 0:
             raise ConfigError("0 <= medical_per_set <= per_set required")
-        if not self.drone_counts or any(d < 0 for d in self.drone_counts):
-            raise ConfigError("drone_counts must be non-empty, non-negative")
+        if not self.drone_counts or any(not 0 <= d <= _MAX_DRONES for d in self.drone_counts):
+            raise ConfigError(f"drone_counts must be non-empty, each >= 0 and <= {_MAX_DRONES}")
         if not self.prioritize_flags:
             raise ConfigError("prioritize_flags must be non-empty")
         check_model_names(self.net_models)
@@ -85,8 +86,8 @@ class ExperimentConfig:
         if self.net_models and not 0 <= self.net_trace_set < self.n_sets:
             raise ConfigError(f"net_trace_set {self.net_trace_set} out of range "
                               f"(0..{self.n_sets - 1})")
-        if self.net_trace_drones is not None and self.net_trace_drones < 0:
-            raise ConfigError("net_trace_drones must be >= 0")
+        if self.net_trace_drones is not None and not 0 <= self.net_trace_drones <= _MAX_DRONES:
+            raise ConfigError(f"net_trace_drones must be >= 0 and <= {_MAX_DRONES}")
         if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
             raise ConfigError(f"grid_spacing must be positive and finite, got "
                               f"{self.grid_spacing!r}")

@@ -14,7 +14,7 @@ improves.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -226,15 +226,15 @@ class _PlanContext:
         The stops are base's first ``keep`` stops, then the jobs of
         ``route``, and then, when ``resume`` is given, base's stops after its
         stop ``resume``, which must be route's last job. Without a base the
-        state is built from the depot. A base must have been assembled for
-        the same assignments. Of it, these parts are reused as they are,
-        because the same float operations would give them again: the path
-        and timetable up to the position p of its last kept stop (the depot
-        when keep is 0), the path after its stop ``resume``, and each sortie
-        that meets the truck by p and starts from the same drone free time.
-        Only the route's segments are spliced in, the timetable is resumed
-        from base's arrival at p, and the other sorties are flown anew, in
-        the order a build from the depot would take.
+        state is built from the depot. A base must have been assembled or
+        committed for the same assignments. Of it, these parts are reused as
+        they are, because the same float operations would give them again:
+        the path and timetable up to the position p of its last kept stop
+        (the depot when keep is 0), the path after its stop ``resume``, and
+        each sortie that meets the truck by p and starts from the same drone
+        free time. Only the route's segments are spliced in, the timetable
+        is resumed from base's arrival at p, and the other sorties are flown
+        anew, in the order a build from the depot would take.
         """
         fleet = self.fleet
         if base is None:
@@ -274,8 +274,8 @@ class _PlanContext:
             services += [0.0] * len(seg_nodes)
 
         arrive_p, depart_p = kernels.build_timetable(steps[p:], services[p:], base.arrive[p])
-        arrive = base.arrive[:p] + arrive_p.tolist()
-        depart = base.depart[:p] + depart_p.tolist()
+        arrive = base.arrive[:p] + arrive_p
+        depart = base.depart[:p] + depart_p
         truck_sum = math.fsum([depart[pos] for pos in stop_pos])
 
         reusable = iter(base.flights)
@@ -302,6 +302,32 @@ class _PlanContext:
         return _Built(stop_pos, path, path_x, path_y, steps, services,
                       arrive, depart, flights, free, truck_sum, drone_sum)
 
+    def commit(self, built: _Built, drone: int, job: int, lnode: int) -> _Built:
+        """built plus drone's sortie for job from lnode, flown after the
+        drone's other sorties.
+
+        built must be the state assemble gives for the committed assignments
+        with job off the truck, and the sortie one that best_sortie found
+        feasible on it. The result then equals a build from the depot with
+        the sortie assigned: the truck part and every other flight are
+        built's, the new flight leaves from built's free time of the drone
+        and joins the flights in drone id, then assignment order, and the
+        drone sum is added anew in that order.
+        """
+        fleet = self.fleet
+        tx, ty = self.target_xy[job]
+        t_free = built.free[drone]
+        _, r, sortie = _fly(built.path, built.path_x, built.path_y, built.arrive, built.depart,
+                            lnode, t_free, drone, job, tx, ty, fleet)
+        at = sum(1 for f in built.flights if f[0].drone_id <= drone)
+        flights = built.flights[:at] + [(sortie, r, t_free)] + built.flights[at:]
+        drone_sum = 0.0
+        for f in flights:
+            drone_sum += f[0].deliver_time + fleet.drone_service
+        free = dict(built.free)
+        free[drone] = sortie.rendezvous_time + fleet.turnaround
+        return replace(built, flights=flights, free=free, drone_sum=drone_sum)
+
 
 def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                 prioritize: bool = True, solver: Solver = "heuristic") -> HybridPlan:
@@ -311,7 +337,9 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     the tour (remaining order kept, path re-spliced) and flying it with every
     drone from its best launch node; the step committing the largest
     reduction of summed completion times wins, smallest job id then drone id
-    on ties. Stops when no candidate reduces the objective.
+    on ties. Stops when no candidate reduces the objective. The state a step
+    commits is the winning candidate plus its one new flight
+    (``_PlanContext.commit``), so the plan is built from the depot once.
 
     A scan for a drone free at time f is skipped when its bound
     ``total - (partial + (f + drone_service))`` is at most the best reduction
@@ -320,7 +348,9 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     and float rounding is monotone, so the scan's completion is at least
     ``f + drone_service`` and its reduction at most the bound. A skipped
     scan could therefore not have won, ties included, and the plans are
-    bit-identical to those of the exhaustive loop.
+    bit-identical to those of the exhaustive loop. The bound cannot rise as
+    f rises, so a candidate whose bound at its earliest drone free time is
+    at most that floor is skipped whole.
     """
     validate_fleet(fleet)
     ctx = _PlanContext(scenario, dset, fleet)
@@ -331,8 +361,9 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
 
     if fleet.drone_count > 0:
         while True:
-            best = None  # (reduction, job, drone, launch_node)
+            best = None  # (job, drone, launch_node, candidate state)
             floor = _EPS  # a candidate must reduce by more than this to win
+            total = current.total
             for j in sorted(truck_jobs):
                 # the tour without stop k: splice stop k-1 to stop k+1
                 k = truck_jobs.index(j)
@@ -342,6 +373,10 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                 if built is None:
                     continue
                 partial = built.truck_sum + built.drone_sum
+                # the bound below falls as the free time rises: no drone's
+                # scan can win when the earliest free drone's cannot
+                if total - (partial + (min(built.free.values()) + fleet.drone_service)) <= floor:
+                    continue
                 tx, ty = ctx.target_xy[j]
                 # Drones free at the same time get the same best sortie, and
                 # the lower drone id keeps a tie, so one scan serves them all.
@@ -352,7 +387,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                     scanned.add(built.free[d])
                     # best_sortie's completion is at least free + service, so no
                     # reduction of this scan can exceed the bound
-                    bound = current.total - (partial + (built.free[d] + fleet.drone_service))
+                    bound = total - (partial + (built.free[d] + fleet.drone_service))
                     if bound <= floor:
                         continue
                     li, comp = kernels.best_sortie(
@@ -361,18 +396,16 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                         fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
                     if li < 0:
                         continue
-                    reduction = current.total - (partial + comp)
+                    reduction = total - (partial + comp)
                     if reduction > floor:
                         floor = reduction
-                        best = (reduction, j, d, built.path[li])
+                        best = (j, d, built.path[li], built)
             if best is None:
                 break
-            _, j, d, lnode = best
+            j, d, lnode, built = best
             truck_jobs.remove(j)
             assignments[d].append((j, lnode))
-            current = ctx.assemble(assignments, truck_jobs)
-            if current is None:  # cannot happen: the candidate was just built
-                raise RuntimeError("committed candidate failed to rebuild")
+            current = ctx.commit(built, d, j, lnode)
 
     completion = {j: current.depart[pos] for j, pos in zip(truck_jobs, current.stop_pos)}
     for s in current.sorties:
@@ -474,7 +507,7 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                     seen_standard = True
 
     services = [fleet.truck_service if pos in stop_at else 0.0 for pos in range(len(nodes))]
-    arrive, depart = kernels.build_timetable(steps, services)
+    arrive, depart = (np.array(t, np.float64) for t in kernels.build_timetable(steps, services))
     for i in np.flatnonzero((arrive != tt.arrive) | (depart != tt.depart))[:1]:
         problems.append(f"truck timetable at path position {i} is ({tt.arrive[i]}, "
                         f"{tt.depart[i]}); the road, the fleet and the stops give "

@@ -1,11 +1,12 @@
 """Hot numerical kernels.
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
-are numpy-vectorized over segments, the pairwise distances over point
-pairs, and the truck timetable is a numpy prefix sum. The sortie and TSP
-kernels are scalar loops over Python lists (a cost matrix is a list of
-rows), because CPython indexes a list several times faster than it reads a
-numpy scalar; the sortie kernels return the same bits on numpy arrays.
+are numpy-vectorized over segments and the pairwise distances over point
+pairs. The truck timetable, the sortie and the TSP kernels are scalar loops
+over Python lists (a cost matrix is a list of rows), because CPython
+indexes a list several times faster than it reads a numpy scalar; the
+timetable is a left fold that returns lists, and the sortie kernels return
+the same bits on numpy arrays.
 
 Kernels take primitive lists and arrays only; the domain modules own all
 object <-> array conversion.
@@ -368,18 +369,21 @@ def build_timetable(step_times, services, start=0.0):
     """Arrive/depart times along a path from per-step travel and service times.
 
     step_times[i] is the travel time from position i to i+1; services[i] is
-    the stop time spent at position i; the truck arrives at position 0 at
-    ``start``. The times are one left fold over
-    [start, services[0], step_times[0], services[1], ...]: ``np.add.accumulate``
-    adds strictly in sequence, so every time matches the simulator's event
-    arithmetic exactly, and a fold resumed from arrive[p] of an earlier
-    timetable continues it bit for bit. The two arrays returned are strided
-    views of one buffer.
+    the stop time spent at position i, so there is one more service than
+    steps; the truck arrives at position 0 at ``start``. The times are one
+    left fold over [start, services[0], step_times[0], services[1], ...],
+    adding strictly in sequence as ``np.add.accumulate`` would, so every time
+    matches the simulator's event arithmetic exactly, and a fold resumed from
+    arrive[p] of an earlier timetable continues it bit for bit. Returns the
+    arrive and depart lists.
     """
-    n = len(services)
-    seq = np.empty(2 * n, np.float64)
-    seq[0] = start
-    seq[1::2] = services
-    seq[2::2] = step_times
-    times = np.add.accumulate(seq)
-    return times[0::2], times[1::2]
+    t = start
+    arrive = [t]
+    depart = []
+    for step, service in zip(step_times, services):
+        t += service
+        depart.append(t)
+        t += step
+        arrive.append(t)
+    depart.append(t + services[-1])
+    return arrive, depart

@@ -105,6 +105,10 @@ def test_report_prints_table(workdir, capsys):
 
 def test_config_error_exit_code(workdir, capsys):
     assert run("sweep", "--drones", "zero", "--out", workdir / "x") == 2
+    # more drones than the planner keeps state for: rejected before any run
+    assert run("sweep", "--drones", "1,2000", "--out", workdir / "x") == 2
+    assert "drone_counts must be non-empty, each >= 0 and <= 1000" in capsys.readouterr().err
+    assert not (workdir / "x").exists()
     assert run("sweep", "--sets", 0, "--out", workdir / "x") == 2
     missing = workdir / "does_not_exist.json"
     assert run("scenario", "validate", missing) == 2
@@ -138,6 +142,8 @@ def test_config_error_exit_code(workdir, capsys):
     pytest.param([1, 2], "config: must be an object, got [1, 2]",
                  id="config14-config must be a JSON object"),
     ({"net_models": ["bogus"]}, "unknown net model 'bogus'"),
+    ({"net_trace_drones": 2000}, "net_trace_drones must be >= 0 and <= 1000"),
+    ({"drone_counts": [0, 1001]}, "drone_counts must be non-empty, each >= 0 and <= 1000"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

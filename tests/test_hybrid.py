@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -368,8 +369,45 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
         objective=current["total"], makespan=float(current["arrive"][-1]))
 
 
+def _assert_same_state(got, want):
+    """Two plan states agree: path, stops, every float list bit for bit,
+    flights, drone free times and both sums."""
+    assert got.path == want.path and got.stop_pos == want.stop_pos
+    for name in ("path_x", "path_y", "steps", "services", "arrive", "depart"):
+        # the values, bit for bit
+        assert (np.array(getattr(got, name), np.float64).tobytes()
+                == np.array(getattr(want, name), np.float64).tobytes()), name
+    assert got.sorties == want.sorties
+    assert [f[1:] for f in got.flights] == [f[1:] for f in want.flights]
+    assert (got.free, got.truck_sum, got.drone_sum) == \
+        (want.free, want.truck_sum, want.drone_sum)
+
+
+def _plan_checking_commits(sc, dset, fleet, prioritize, solver="heuristic"):
+    """plan_hybrid, with every state it commits checked against a build
+    from the depot of the stops and assignments at that step."""
+    ctx = _PlanContext(sc, dset, fleet)
+    truck_jobs = (priority_schedule(sc, dset, ctx.nodes_of, solver) if prioritize
+                  else plain_schedule(sc, dset, ctx.nodes_of, solver))
+    assignments = {d: [] for d in range(fleet.drone_count)}
+    commit = _PlanContext.commit
+
+    def checked(self, built, drone, job, lnode):
+        state = commit(self, built, drone, job, lnode)
+        truck_jobs.remove(job)
+        assignments[drone].append((job, lnode))
+        _assert_same_state(state, ctx.assemble(assignments, truck_jobs))
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_PlanContext, "commit", checked)
+        plan = plan_hybrid(sc, dset, fleet, prioritize, solver)
+    assert plan.truck_stops == truck_jobs  # the commits took exactly the sortie jobs
+    return plan
+
+
 def _assert_plans_identical(sc, dset, fleet, prioritize, solver="heuristic"):
-    got = plan_hybrid(sc, dset, fleet, prioritize, solver)
+    got = _plan_checking_commits(sc, dset, fleet, prioritize, solver)
     want = _oracle_plan(sc, dset, fleet, prioritize, solver)
     assert json.dumps(plan_to_dict(got, fleet)) == json.dumps(plan_to_dict(want, fleet))
     assert list(got.completion) == list(want.completion)
@@ -414,6 +452,31 @@ def test_bound_skips_at_least_half_the_sortie_scans(monkeypatch):
     assert planned <= exhaustive / 2, (planned, exhaustive)
 
 
+def test_one_build_from_the_depot_per_plan(monkeypatch, grid8, grid8_set):
+    # every other state is a candidate spliced from the current one, or the
+    # committed winner, which commit extends without a new timetable
+    assemble = _PlanContext.assemble
+    fold = kernels.build_timetable
+    calls = collections.Counter()
+
+    def counted_assemble(self, assignments, route, base=None, *rest):
+        calls["from depot" if base is None else "candidate"] += 1
+        return assemble(self, assignments, route, base, *rest)
+
+    def counted_fold(*args):
+        calls["timetable"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(_PlanContext, "assemble", counted_assemble)
+    monkeypatch.setattr(kernels, "build_timetable", counted_fold)
+    for prioritize in (False, True):
+        calls.clear()
+        plan = plan_hybrid(grid8, grid8_set, FleetConfig(drone_count=3), prioritize)
+        assert len(plan.sorties) > 1
+        assert calls["from depot"] == 1
+        assert calls["timetable"] == calls["candidate"] + 1
+
+
 def _splices_match_full_builds(sc, dset, fleet, prioritize):
     """Every candidate the greedy loop splices equals a build from the depot."""
     ctx = _PlanContext(sc, dset, fleet)
@@ -430,15 +493,7 @@ def _splices_match_full_builds(sc, dset, fleet, prioritize):
         assert (spliced is None) == (full is None)
         if full is None:
             continue
-        assert spliced.path == full.path and spliced.stop_pos == full.stop_pos
-        for name in ("path_x", "path_y", "steps", "services", "arrive", "depart"):
-            # the values, bit for bit
-            assert (np.array(getattr(spliced, name), np.float64).tobytes()
-                    == np.array(getattr(full, name), np.float64).tobytes()), name
-        assert spliced.sorties == full.sorties
-        assert [f[1:] for f in spliced.flights] == [f[1:] for f in full.flights]
-        assert (spliced.free, spliced.truck_sum, spliced.drone_sum) == \
-            (full.free, full.truck_sum, full.drone_sum)
+        _assert_same_state(spliced, full)
     return plan
 
 

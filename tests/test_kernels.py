@@ -4,9 +4,10 @@ The TSP kernels are checked against exhaustive enumeration and the 2-opt
 local-optimum property. The numpy LOS kernel must match, element for
 element, the scalar per-segment x per-building loop kept below as its
 oracle, on random segments, on segments grazing the buildings' boxes and on
-the hops of a planned trace. The numpy timetable and pairwise distances
-must match the scalar loops kept below bit for bit. The sortie kernels must return the same bits on Python lists,
-as the planner passes them, and on numpy arrays, and ``best_sortie`` must
+the hops of a planned trace. The timetable fold, which returns lists, and
+the numpy pairwise distances must match the scalar loops kept below bit for
+bit. The sortie kernels must return the same bits on Python lists, as the
+planner passes them, and on numpy arrays, and ``best_sortie`` must
 never complete before its free time plus the drone service, the bound the
 planner prunes its scans with.
 """
@@ -101,7 +102,7 @@ def test_pairwise_distances_same_bits_as_scalar_loop(points):
 
 
 def _oracle_build_timetable(step_times, services, start=0.0):
-    """The scalar recurrence the numpy timetable replaced (with a start time)."""
+    """The scalar recurrence over numpy arrays (with a start time)."""
     n = services.shape[0]
     arrive = np.empty(n, np.float64)
     depart = np.empty(n, np.float64)
@@ -120,37 +121,40 @@ def test_build_timetable_matches_scalar_loop():
         steps = rng.uniform(0.0, 300.0, n - 1) * rng.integers(0, 2, n - 1)
         services = rng.uniform(0.0, 90.0, n) * rng.integers(0, 2, n)
         start = float(rng.uniform(0.0, 5000.0)) if trial % 2 else 0.0
-        got = kernels.build_timetable(steps, services, start)
+        got = kernels.build_timetable(steps.tolist(), services.tolist(), start)
         want = _oracle_build_timetable(steps, services, start)
         for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes(), trial
+            assert type(g) is list and all(type(t) is float for t in g), trial
+            assert np.array(g, np.float64).tobytes() == w.tobytes(), trial
 
 
 def test_build_timetable_resumes_bit_for_bit():
     rng = np.random.default_rng(13)
     for _ in range(200):
         n = int(rng.integers(2, 80))
-        steps = rng.uniform(0.0, 300.0, n - 1)
-        services = rng.uniform(0.0, 90.0, n) * rng.integers(0, 2, n)
+        steps = rng.uniform(0.0, 300.0, n - 1).tolist()
+        services = (rng.uniform(0.0, 90.0, n) * rng.integers(0, 2, n)).tolist()
         arrive, depart = kernels.build_timetable(steps, services)
         p = int(rng.integers(0, n))
         tail_arrive, tail_depart = kernels.build_timetable(steps[p:], services[p:], arrive[p])
-        assert tail_arrive.tobytes() == arrive[p:].tobytes()
-        assert tail_depart.tobytes() == depart[p:].tobytes()
+        assert (np.array(tail_arrive, np.float64).tobytes()
+                == np.array(arrive[p:], np.float64).tobytes())
+        assert (np.array(tail_depart, np.float64).tobytes()
+                == np.array(depart[p:], np.float64).tobytes())
 
 
 def test_build_timetable_recurrence():
-    steps = np.array([10.0, 5.0, 20.0])
-    services = np.array([0.0, 60.0, 0.0, 30.0])
+    steps = [10.0, 5.0, 20.0]
+    services = [0.0, 60.0, 0.0, 30.0]
     arrive, depart = kernels.build_timetable(steps, services)
-    assert arrive.tolist() == [0.0, 10.0, 75.0, 95.0]
-    assert depart.tolist() == [0.0, 70.0, 75.0, 125.0]
+    assert arrive == [0.0, 10.0, 75.0, 95.0]
+    assert depart == [0.0, 70.0, 75.0, 125.0]
 
 
 def test_sortie_from_launch_statuses():
     px = np.array([0.0, 100.0, 200.0])
     py_ = np.zeros(3)
-    arrive, depart = kernels.build_timetable(np.array([10.0, 10.0]), np.zeros(3))
+    arrive, depart = kernels.build_timetable([10.0, 10.0], [0.0] * 3)
     ok = kernels.sortie_from_launch(px, py_, arrive, depart, 0, 50.0, 10.0,
                                     20.0, 0.0, 1e9)
     assert ok[0] == kernels.SORTIE_OK
@@ -182,7 +186,7 @@ def _truck_path(draw):
     services = draw(st.lists(st.sampled_from([0.0, 0.0, 45.0, 60.0]), min_size=n, max_size=n))
     start = draw(st.sampled_from([0.0, 125.5]))
     arrive, depart = kernels.build_timetable(steps, services, start)
-    return nodes, xs, ys, arrive.tolist(), depart.tolist()
+    return nodes, xs, ys, arrive, depart
 
 
 @settings(max_examples=300, deadline=None)
