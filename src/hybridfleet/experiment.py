@@ -188,8 +188,8 @@ def _run_set(cfg_json: str, set_idx: int):
     failures = []
     for drones, prio in cfg.configs():
         try:
-            _, trace, stats = run_one(cfg, scenario, dset, drones, prio)
-            rows.append(SweepRow(drones, prio, set_idx, stats, trace.end_time))
+            stats = run_one(cfg, scenario, dset, drones, prio)[2]
+            rows.append(SweepRow(drones, prio, set_idx, stats))
         except Exception as exc:  # isolate failures per run
             failures.append({
                 "set": set_idx, "drones": drones, "prioritized": prio,

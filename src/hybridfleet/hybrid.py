@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from . import fields, kernels
 from .errors import ParameterError, ParseError
 from .jobs import Category, DeliverySet
@@ -75,8 +73,8 @@ class Sortie:
 @dataclass
 class TruckTimetable:
     nodes: list[int]
-    arrive: np.ndarray
-    depart: np.ndarray
+    arrive: list[float]
+    depart: list[float]
 
 
 @dataclass
@@ -414,8 +412,7 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     return HybridPlan(
         truck_stops=list(truck_jobs),
         stop_positions=dict(zip(truck_jobs, current.stop_pos)),
-        timetable=TruckTimetable(current.path, np.array(current.arrive),
-                                 np.array(current.depart)),
+        timetable=TruckTimetable(current.path, current.arrive, current.depart),
         sorties=sorties,
         completion=completion,
         prioritized=prioritize,
@@ -433,17 +430,18 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     """Return a list of violated invariant descriptions (empty when valid).
 
     Raises ParameterError for an invalid fleet. A broken structure (path on
-    the road graph, stop positions distinct and inside it, sorties with a
-    fleet drone and nodes on the path) is returned alone, so no later check
-    follows a bad index. A ``dset`` of None skips the per-job checks
-    (coverage, sortie targets, truck-stop nodes, medical stops first). The
-    timetable must be bit-equal to the planner's fold of the road's edge
-    times and the truck service at the stops, and each completion must be
-    its stop's departure or its sortie's delivery plus drone service. Each
-    drone's sorties, in launch order, must equal field for field what the
-    planner's ``_fly`` gives on that timetable for their launch nodes and
-    targets, the drone free at 0 and then one turnaround after each
-    rendezvous. ``simulate`` executes only plans that pass.
+    the road graph, one arrival and departure per path position, stop
+    positions distinct and inside the path, sorties with a fleet drone and
+    nodes on the path) is returned alone, so no later check follows a bad
+    index. A ``dset`` of None skips the per-job checks (coverage, sortie
+    targets, truck-stop nodes, medical stops first). The timetable must be
+    bit-equal to the planner's fold of the road's edge times and the truck
+    service at the stops, and each completion must be its stop's departure
+    or its sortie's delivery plus drone service. Each drone's sorties, in
+    launch order, must equal field for field what the planner's ``_fly``
+    gives on that timetable for their launch nodes and targets, the drone
+    free at 0 and then one turnaround after each rendezvous. ``simulate``
+    executes only plans that pass.
     """
     validate_fleet(fleet)
     g = scenario.graph
@@ -452,6 +450,9 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     if not nodes:
         return ["plan has an empty truck path"]
     problems = [f"path node {n} not in scenario graph" for n in nodes if n not in g.nodes]
+    if not len(tt.arrive) == len(tt.depart) == len(nodes):
+        problems.append(f"truck timetable has {len(tt.arrive)} arrivals and "
+                        f"{len(tt.depart)} departures for {len(nodes)} path nodes")
     # each road edge's truck time, as the planner's _segment computes it
     edge_time = {(e.a, e.b): e.length / min(fleet.truck_speed, e.speed_limit) for e in g.edges}
     steps = [0.0 if u == v else edge_time.get((u, v), edge_time.get((v, u)))
@@ -507,8 +508,10 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
                     seen_standard = True
 
     services = [fleet.truck_service if pos in stop_at else 0.0 for pos in range(len(nodes))]
-    arrive, depart = (np.array(t, np.float64) for t in kernels.build_timetable(steps, services))
-    for i in np.flatnonzero((arrive != tt.arrive) | (depart != tt.depart))[:1]:
+    arrive, depart = kernels.build_timetable(steps, services)
+    if (arrive, depart) != (tt.arrive, tt.depart):
+        i = next(i for i, times in enumerate(zip(arrive, depart, tt.arrive, tt.depart))
+                 if times[:2] != times[2:])
         problems.append(f"truck timetable at path position {i} is ({tt.arrive[i]}, "
                         f"{tt.depart[i]}); the road, the fleet and the stops give "
                         f"({arrive[i]}, {depart[i]})")
@@ -523,10 +526,9 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
 
     path_x = [g.nodes[n].x for n in nodes]
     path_y = [g.nodes[n].y for n in nodes]
-    arrive, depart = tt.arrive.tolist(), tt.depart.tolist()
     free: dict[int, float] = {}
     for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
-        status, _, flown = _fly(nodes, path_x, path_y, arrive, depart, s.launch_node,
+        status, _, flown = _fly(nodes, path_x, path_y, tt.arrive, tt.depart, s.launch_node,
                                 free.get(s.drone_id, 0.0), s.drone_id, s.job_id,
                                 s.target_x, s.target_y, fleet)
         if flown != s:
@@ -556,10 +558,10 @@ def plan_to_dict(plan: HybridPlan, fleet: FleetConfig | None = None) -> dict:
             "stops": [{"job": j, "path_index": plan.stop_positions[j]}
                       for j in plan.truck_stops],
             "node_path": list(tt.nodes),
-            "timetable": [[float(a), float(d)] for a, d in zip(tt.arrive, tt.depart)],
+            "timetable": [[a, d] for a, d in zip(tt.arrive, tt.depart)],
         },
         "sorties": [asdict(s) for s in plan.sorties],
-        "completion": {str(j): float(t) for j, t in sorted(plan.completion.items())},
+        "completion": {str(j): t for j, t in sorted(plan.completion.items())},
         "prioritized": plan.prioritized,
         "objective": plan.objective,
         "makespan": plan.makespan,
@@ -597,14 +599,14 @@ def plan_from_dict(data) -> tuple[HybridPlan, FleetConfig | None]:
     if not nodes or len(rows) != len(nodes):
         raise ParseError(f"plan.truck: timetable has {len(rows)} rows for a node_path of "
                          f"{len(nodes)} nodes (at least 1)")
-    arrive, depart = (np.array(column, np.float64) for column in zip(*rows))
+    arrive, depart = (list(column) for column in zip(*rows))
     sorties = fields.get(data, "sorties", "plan", fields.list_of(_sortie), [])
     plan = HybridPlan([j for j, _ in stops], dict(stops), TruckTimetable(nodes, arrive, depart),
                       sorties, completion,
                       fields.get(data, "prioritized", "plan", fields.boolean, False),
                       fields.get(data, "objective", "plan", fields.finite,
                                  float(sum(completion.values()))),
-                      fields.get(data, "makespan", "plan", fields.finite, float(arrive[-1])))
+                      fields.get(data, "makespan", "plan", fields.finite, arrive[-1]))
     return plan, fields.get(data, "fleet", "plan", read_fleet, None)
 
 

@@ -6,6 +6,8 @@ service time included.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,19 @@ ALL = "all"
 
 @dataclass
 class CategoryStats:
-    n: int
-    mean: float
-    median: float
-    samples: np.ndarray      # sorted, seconds
+    samples: list[float]     # sorted, seconds
+
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.samples))
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self.samples))
 
 
 @dataclass
@@ -31,11 +42,6 @@ class WaitingStats:
 
     def get(self, key: str) -> CategoryStats | None:
         return self.categories.get(key)
-
-
-def _cat_stats(samples: list[float]) -> CategoryStats:
-    arr = np.sort(np.array(samples, np.float64))
-    return CategoryStats(arr.size, float(arr.mean()), float(np.median(arr)), arr)
 
 
 def waiting_stats(trace: DeliveryTrace, dset: DeliverySet) -> WaitingStats:
@@ -50,7 +56,7 @@ def waiting_stats(trace: DeliveryTrace, dset: DeliverySet) -> WaitingStats:
             raise PlanConsistencyError(f"job {job.id} completed at negative time")
         buckets[job.category.value].append(t)
         buckets[ALL].append(t)
-    return WaitingStats({k: _cat_stats(v) for k, v in buckets.items() if v})
+    return WaitingStats({k: CategoryStats(sorted(v)) for k, v in buckets.items() if v})
 
 
 def capacity_at(stats: WaitingStats, threshold: float) -> float:
@@ -58,7 +64,7 @@ def capacity_at(stats: WaitingStats, threshold: float) -> float:
     cat = stats.get(ALL)
     if cat is None or cat.n == 0:
         raise ParameterError("no samples")
-    return float(np.searchsorted(cat.samples, threshold, side="right")) / cat.n
+    return bisect_right(cat.samples, threshold) / cat.n
 
 
 def prioritization_effect(base: WaitingStats, prio: WaitingStats
@@ -90,7 +96,6 @@ class SweepRow:
     prioritized: bool
     set_id: int
     stats: WaitingStats
-    makespan: float
 
 
 @dataclass
@@ -133,11 +138,11 @@ def summarize_sweep(result: SweepResult) -> SweepSummary:
         pooled: dict[str, list[float]] = {}
         for r in rows:
             for key, cat in r.stats.categories.items():
-                pooled.setdefault(key, []).extend(cat.samples.tolist())
-        pooled_stats = WaitingStats({k: _cat_stats(v) for k, v in pooled.items() if v})
+                pooled.setdefault(key, []).extend(cat.samples)
+        pooled_stats = WaitingStats({k: CategoryStats(sorted(v)) for k, v in pooled.items() if v})
         cap20 = capacity_at(pooled_stats, 20 * 60.0)
         all_cat = pooled_stats.get(ALL)
-        max_minute = int(np.ceil(all_cat.samples[-1] / 60.0)) if all_cat.n else 0
+        max_minute = math.ceil(all_cat.samples[-1] / 60.0)
         curves[(drones, prio)] = [capacity_at(pooled_stats, 60.0 * m)
                                   for m in range(max_minute + 1)]
         for key in (Category.MEDICAL.value, Category.STANDARD.value, ALL):

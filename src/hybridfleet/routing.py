@@ -10,8 +10,6 @@ import math
 from array import array
 from typing import Literal
 
-import numpy as np
-
 from . import kernels
 from .errors import RoutingError, TspSizeError
 from .jobs import DeliverySet
@@ -128,47 +126,44 @@ def routing_cache(scenario: Scenario) -> RoutingCache:
     return scenario._routes
 
 
-def travel_time_matrix(scenario: Scenario, stops: list[int]) -> np.ndarray:
-    """Symmetric matrix of shortest-path travel times between stop nodes."""
+def travel_time_matrix(scenario: Scenario, stops: list[int]) -> list[list[float]]:
+    """Symmetric matrix, as a list of rows, of shortest-path travel times
+    between stop nodes."""
     routes = routing_cache(scenario)
     n = len(stops)
     for s in stops:
         routes._compact(s)
-    mat = np.zeros((n, n), np.float64)
+    mat = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            t = routes.time(stops[i], stops[j])
-            mat[i, j] = t
-            mat[j, i] = t
+            mat[i][j] = mat[j][i] = routes.time(stops[i], stops[j])
     return mat
 
 
-def tsp_exact(matrix: np.ndarray, start_index: int = 0,
+def tsp_exact(matrix: list[list[float]], start_index: int = 0,
               closed: bool = True) -> tuple[list[int], float]:
-    """Globally optimal tour over the cost matrix from start_index.
+    """Globally optimal tour over the cost matrix (a list of rows) from
+    start_index.
 
     Held-Karp subset DP; ties broken to the lexicographically smallest
     order. Limited to 12 cities.
     """
-    matrix = np.asarray(matrix, np.float64)
-    n = matrix.shape[0]
+    n = len(matrix)
     if n > EXACT_TSP_LIMIT:
         raise TspSizeError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got {n}")
     perm = _rotation(n, start_index)
-    order, cost = kernels.held_karp(matrix[np.ix_(perm, perm)].tolist(), closed)
+    order, cost = kernels.held_karp([[matrix[i][j] for j in perm] for i in perm], closed)
     return [perm[i] for i in order], cost
 
 
-def tsp_heuristic(matrix: np.ndarray, start_index: int = 0,
+def tsp_heuristic(matrix: list[list[float]], start_index: int = 0,
                   closed: bool = True) -> tuple[list[int], float]:
-    """Nearest-neighbor construction plus 2-opt to a local optimum."""
-    matrix = np.asarray(matrix, np.float64)
-    n = matrix.shape[0]
-    if n == 1:
+    """Nearest-neighbor construction plus 2-opt to a local optimum, over the
+    cost matrix (a list of rows)."""
+    if len(matrix) == 1:
         return [start_index], 0.0
-    rows = matrix.tolist()
-    order = kernels.nearest_neighbor_order(rows, start_index)
-    return order, kernels.two_opt(rows, order, closed)
+    order = kernels.nearest_neighbor_order(matrix, start_index)
+    return order, kernels.two_opt(matrix, order, closed)
 
 
 def _rotation(n: int, start: int) -> list[int]:
@@ -177,7 +172,7 @@ def _rotation(n: int, start: int) -> list[int]:
     return [start] + [i for i in range(n) if i != start]
 
 
-def _solve(matrix: np.ndarray, closed: bool, solver: Solver) -> tuple[list[int], float]:
+def _solve(matrix: list[list[float]], closed: bool, solver: Solver) -> tuple[list[int], float]:
     if solver == "exact":
         return tsp_exact(matrix, 0, closed)
     return tsp_heuristic(matrix, 0, closed)

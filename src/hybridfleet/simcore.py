@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,8 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     """
     npos = scenario.graph.nodes
     nodes = plan.timetable.nodes
-    arrive = plan.timetable.arrive.tolist()
-    depart = plan.timetable.depart.tolist()
+    arrive = plan.timetable.arrive
+    depart = plan.timetable.depart
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
 
     # (sortie, rendezvous position) by launch position: the launch is the
@@ -118,7 +119,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
 
     raw_events: list[tuple] = []
     completion: dict[int, float] = {}
-    truck_frames: list[tuple[float, float, float]] = []  # (t, x, y)
+    truck_frames: list[tuple[float, float, float, float]] = []  # (t, x, y, z)
     sortie_frames: dict[int, list[list[tuple]]] = {d: [] for d in range(fleet.drone_count)}
 
     def emit(time, kind, vehicle, job, node, x, y, z):
@@ -132,7 +133,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     for pos, node in enumerate(nodes):
         p = npos[node]
         t = arrive[pos]
-        truck_frames.append((t, p.x, p.y))
+        truck_frames.append((t, p.x, p.y, 0.0))
         if pos > 0:
             emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
         for d, t_rdv, s in rendezvous_at.pop(pos, []):
@@ -141,7 +142,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         if pos in job_at_pos:
             emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
             completion[job_at_pos[pos]] = t
-            truck_frames.append((t, p.x, p.y))
+            truck_frames.append((t, p.x, p.y, 0.0))
         if pos + 1 == len(nodes):
             emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
             break
@@ -169,35 +170,37 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     if not (plan.stop_positions or plan.sorties):
         events = [ev for ev in events if ev.kind == KIND_TOUR_COMPLETE]
 
-    trajectories = _build_trajectories(truck_frames, sortie_frames, fleet, depart[-1])
+    trajectories = _build_trajectories(truck_frames, sortie_frames, fleet)
     return DeliveryTrace(events, completion, trajectories)
 
 
-def _build_trajectories(truck_frames, sortie_frames, fleet: FleetConfig,
-                        tour_end: float) -> dict[str, Trajectory]:
-    tf = _dedupe(truck_frames)
-    if tf[-1][0] < tour_end:
-        tf.append((tour_end, tf[-1][1], tf[-1][2]))
-    t_t = np.array([f[0] for f in tf])
-    t_x = np.array([f[1] for f in tf])
-    t_y = np.array([f[2] for f in tf])
-    out = {"truck": Trajectory(t_t, t_x, t_y, np.zeros(len(tf)))}
+def _build_trajectories(truck_frames, sortie_frames,
+                        fleet: FleetConfig) -> dict[str, Trajectory]:
+    """The truck's frames, and per drone its flights' frames with the truck's
+    frames strictly between them while it rides aboard.
 
+    A flight's end frames are at its launch and rendezvous, where a plan
+    that ``check_plan`` accepts has the truck at the flight's end nodes, on
+    a truck frame or within a stop's dwell; so they also give the truck's
+    position at those times.
+    """
+    tf = _dedupe(truck_frames)
+    times = [f[0] for f in tf]
+    out = {"truck": _trajectory(tf)}
     for d, flights in sortie_frames.items():
-        frames: list[tuple[float, float, float, float]] = []
-        t_cursor = 0.0
+        frames = []
+        lo = 0
         for fl in flights:
-            launch_t = fl[0][0]
-            frames.extend(_truck_slice(t_t, t_x, t_y, t_cursor, launch_t))
-            frames.extend(_with_altitude(_dedupe(fl), fleet.drone_altitude))
-            t_cursor = fl[-1][0]
-        frames.extend(_truck_slice(t_t, t_x, t_y, t_cursor, tour_end))
-        ded = _dedupe(frames)
-        out[f"drone{d}"] = Trajectory(np.array([f[0] for f in ded]),
-                                      np.array([f[1] for f in ded]),
-                                      np.array([f[2] for f in ded]),
-                                      np.array([f[3] for f in ded]))
+            frames += tf[lo:bisect_left(times, fl[0][0])]
+            frames += _with_altitude(_dedupe(fl), fleet.drone_altitude)
+            lo = bisect_right(times, fl[-1][0])
+        frames += tf[lo:]
+        out[f"drone{d}"] = _trajectory(_dedupe(frames))
     return out
+
+
+def _trajectory(frames) -> Trajectory:
+    return Trajectory(*(np.array(column) for column in zip(*frames)))
 
 
 def _dedupe(frames):
@@ -227,30 +230,11 @@ def _with_altitude(fl, alt: float):
         breakpoints = {t0 + tc, te - tc}
     else:
         breakpoints = {(t0 + te) / 2.0}
-    ts = np.array([f[0] for f in fl])
-    xs = np.array([f[1] for f in fl])
-    ys = np.array([f[2] for f in fl])
-    all_t = sorted(set(ts.tolist()) | breakpoints)
-    frames = []
-    for t in all_t:
-        z = alt * min(1.0, (t - t0) / tc, (te - t) / tc)
-        frames.append((t, float(np.interp(t, ts, xs)), float(np.interp(t, ts, ys)),
-                       max(0.0, z)))
-    return frames
-
-
-def _truck_slice(t_t, t_x, t_y, t_lo, t_hi):
-    """Truck position frames covering [t_lo, t_hi], z = 0."""
-    if t_hi < t_lo:
-        t_hi = t_lo
-    frames = [(t_lo, float(np.interp(t_lo, t_t, t_x)),
-               float(np.interp(t_lo, t_t, t_y)), 0.0)]
-    for i in range(len(t_t)):
-        if t_lo < t_t[i] < t_hi:
-            frames.append((float(t_t[i]), float(t_x[i]), float(t_y[i]), 0.0))
-    frames.append((t_hi, float(np.interp(t_hi, t_t, t_x)),
-                   float(np.interp(t_hi, t_t, t_y)), 0.0))
-    return frames
+    ts, xs, ys = zip(*fl)
+    all_t = sorted(set(ts) | breakpoints)
+    zs = [max(0.0, alt * min(1.0, (t - t0) / tc, (te - t) / tc)) for t in all_t]
+    return list(zip(all_t, np.interp(all_t, ts, xs).tolist(),
+                    np.interp(all_t, ts, ys).tolist(), zs))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +278,12 @@ def load_trace(csv_path) -> DeliveryTrace:
                 float(row["x"]), float(row["y"]), float(row["z"])))
         except ValueError as exc:
             raise ParseError(f"{csv_path}: bad event row: {exc}") from exc
-    return DeliveryTrace(events, *_read_sidecar(fields.read_json(trace_sidecar_path(csv_path))))
+    completion, trajectories = _read_sidecar(fields.read_json(trace_sidecar_path(csv_path)))
+    launched = {ev.vehicle for ev in events if ev.kind == KIND_DRONE_LAUNCH}
+    for veh in ["truck", *sorted(launched)]:
+        if veh not in trajectories:
+            raise ParseError(f"sidecar.trajectories: missing vehicle {veh!r}")
+    return DeliveryTrace(events, completion, trajectories)
 
 
 def _read_sidecar(data) -> tuple[dict[int, float], dict[str, Trajectory]]:

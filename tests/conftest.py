@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly
@@ -22,8 +21,7 @@ def line_timetable(scenario: Scenario, truck_speed=10.0) -> TruckTimetable:
     for a, b in zip(nodes, nodes[1:]):
         p, q = scenario.graph.nodes[a], scenario.graph.nodes[b]
         times.append(times[-1] + p.dist2d(q) / truck_speed)
-    arr = np.array(times)
-    return TruckTimetable(nodes, arr, arr.copy())
+    return TruckTimetable(nodes, times, list(times))
 
 
 def job_at(x, y, job_id=0, category=Category.STANDARD) -> DeliveryJob:
@@ -36,9 +34,8 @@ def fly(scenario, timetable, launch_node, job, fleet, free_at=0.0, drone_id=0):
     nodes = timetable.nodes
     xs = [float(scenario.graph.nodes[n].x) for n in nodes]
     ys = [float(scenario.graph.nodes[n].y) for n in nodes]
-    status, _, sortie = _fly(list(nodes), xs, ys, timetable.arrive.tolist(),
-                             timetable.depart.tolist(), launch_node, free_at, drone_id, job.id,
-                             job.target.x, job.target.y, fleet)
+    status, _, sortie = _fly(nodes, xs, ys, timetable.arrive, timetable.depart, launch_node,
+                             free_at, drone_id, job.id, job.target.x, job.target.y, fleet)
     return status, sortie
 
 
@@ -49,7 +46,7 @@ def sortie_plan(scenario, timetable, sorties, fleet) -> HybridPlan:
         truck_stops=[], stop_positions={}, timetable=timetable, sorties=sorties,
         completion=completion, prioritized=False,
         objective=sum(completion.values()),
-        makespan=float(timetable.arrive[-1]))
+        makespan=timetable.arrive[-1])
 
 
 def random_world(case: int, *, max_jobs=9, max_drones=3):

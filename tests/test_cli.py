@@ -403,6 +403,10 @@ def test_simulate_plan_off_its_timetable_exit_2(workdir, tmp_path, capsys, drone
     pytest.param(_SIDECAR, lambda d: d["trajectories"]["truck"]["t"].reverse(),
                  "sidecar.trajectories.truck.t: must be strictly increasing",
                  id="sidecar-reversed-t"),
+    pytest.param(_SIDECAR, lambda d: d["trajectories"].pop("truck"),
+                 "sidecar.trajectories: missing vehicle 'truck'", id="sidecar-no-truck"),
+    pytest.param(_SIDECAR, lambda d: d.update(trajectories={"truck": d["trajectories"]["truck"]}),
+                 "sidecar.trajectories: missing vehicle 'drone0'", id="sidecar-no-drone"),
 ])
 def test_malformed_input_file_exit_2(chain, tmp_path, capsys, name, edit, message):
     """A malformed file ends in exit 2 with an error naming the path of the bad value."""

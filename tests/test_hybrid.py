@@ -153,6 +153,11 @@ def test_check_plan_rejects_inconsistent_plan():
     plan.timetable.nodes[0] = 10 ** 6  # node not in the graph
     for jobs in (dset, None):
         assert check_plan(plan, sc, jobs, fleet)[0] == "path node 1000000 not in scenario graph"
+    plan = plan_hybrid(sc, dset, fleet, False)
+    plan.timetable.depart.pop()
+    n = len(plan.timetable.nodes)
+    assert check_plan(plan, sc, dset, fleet) == [
+        f"truck timetable has {n} arrivals and {n - 1} departures for {n} path nodes"]
 
 
 @pytest.mark.parametrize("case", range(25))

@@ -94,7 +94,7 @@ def sweep_of(rows):
 
 def test_summarize_single_run_echoes_it():
     stats = stats_for({0: 100.0, 1: 200.0}, [0], [1])
-    summary = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats, 500.0)]))
+    summary = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats)]))
     by_cat = {r["category"]: r for r in summary.rows}
     assert by_cat["medical"]["mean_s"] == 100.0
     assert by_cat["standard"]["mean_s"] == 200.0
@@ -103,16 +103,16 @@ def test_summarize_single_run_echoes_it():
 
 def test_summarize_two_identical_runs_same_mean():
     stats = stats_for({0: 100.0, 1: 200.0}, [0], [1])
-    one = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats, 1.0)]))
-    two = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats, 1.0),
-                                    SweepRow(0, False, 1, stats, 1.0)]))
+    one = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats)]))
+    two = summarize_sweep(sweep_of([SweepRow(0, False, 0, stats),
+                                    SweepRow(0, False, 1, stats)]))
     for a, b in zip(one.rows, two.rows):
         assert a["mean_s"] == b["mean_s"]
 
 
 def test_summarize_row_count_is_configs_times_categories():
     stats = stats_for({0: 100.0, 1: 200.0}, [0], [1])
-    rows = [SweepRow(d, p, 0, stats, 1.0) for d in (0, 1) for p in (False, True)]
+    rows = [SweepRow(d, p, 0, stats) for d in (0, 1) for p in (False, True)]
     summary = summarize_sweep(sweep_of(rows))
     assert len(summary.rows) == 4 * 3  # medical, standard, all per config
 
@@ -120,8 +120,8 @@ def test_summarize_row_count_is_configs_times_categories():
 def test_summary_means_within_contributing_range():
     lo = stats_for({0: 100.0, 1: 100.0}, [0], [1])
     hi = stats_for({0: 300.0, 1: 300.0}, [0], [1])
-    summary = summarize_sweep(sweep_of([SweepRow(0, False, 0, lo, 1.0),
-                                        SweepRow(0, False, 1, hi, 1.0)]))
+    summary = summarize_sweep(sweep_of([SweepRow(0, False, 0, lo),
+                                        SweepRow(0, False, 1, hi)]))
     for r in summary.rows:
         assert 100.0 <= r["mean_s"] <= 300.0
 
@@ -129,13 +129,13 @@ def test_summary_means_within_contributing_range():
 def test_duplicate_sweep_row_rejected():
     stats = stats_for({0: 1.0}, [], [0])
     with pytest.raises(ParameterError):
-        sweep_of([SweepRow(0, False, 0, stats, 1.0),
-                  SweepRow(0, False, 0, stats, 1.0)])
+        sweep_of([SweepRow(0, False, 0, stats),
+                  SweepRow(0, False, 0, stats)])
 
 
 def test_summary_csv_format(tmp_path):
     stats = stats_for({0: 100.0, 1: 200.0}, [0], [1])
-    summary = summarize_sweep(sweep_of([SweepRow(2, True, 0, stats, 1.0)]))
+    summary = summarize_sweep(sweep_of([SweepRow(2, True, 0, stats)]))
     path = tmp_path / "summary.csv"
     write_summary_csv(summary, path)
     lines = path.read_text().splitlines()

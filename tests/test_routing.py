@@ -92,29 +92,29 @@ def test_shortest_path_unknown_node():
 
 def test_matrix_single_stop():
     sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
-    assert travel_time_matrix(sc, [0]).tolist() == [[0.0]]
+    assert travel_time_matrix(sc, [0]) == [[0.0]]
 
 
 def test_matrix_two_stops_single_edge():
     g = RoadGraph({0: Point(0, 0), 1: Point(100, 0)}, [Edge(0, 1, 100.0, 10.0)])
     sc = Scenario(g, [], depot=0, base_station=Point(50, 0, 30.0))
     m = travel_time_matrix(sc, [0, 1])
-    assert m[0, 1] == pytest.approx(10.0)
-    assert m[1, 0] == pytest.approx(10.0)
-    assert m[0, 0] == m[1, 1] == 0.0
+    assert m[0][1] == pytest.approx(10.0)
+    assert m[1][0] == pytest.approx(10.0)
+    assert m[0][0] == m[1][1] == 0.0
 
 
 def test_matrix_triangle_inequality_vs_pairwise_dijkstra():
     sc = generate_grid_scenario(4, 4, 90.0, 0, seed=2)
     stops = [0, 3, 5, 10, 15]
     m = travel_time_matrix(sc, stops)
-    assert np.allclose(m, m.T)
+    assert m == [list(column) for column in zip(*m)]
     for i, a in enumerate(stops):
         for j, b in enumerate(stops):
-            assert m[i, j] == pytest.approx(
+            assert m[i][j] == pytest.approx(
                 cached_walk(sc.graph, a, b)[2], abs=1e-9)
             for k in range(len(stops)):
-                assert m[i, j] <= m[i, k] + m[k, j] + 1e-9
+                assert m[i][j] <= m[i][k] + m[k][j] + 1e-9
 
 
 def _oracle_shortest_path(graph, a, b):
@@ -168,7 +168,7 @@ def test_routing_cache_matches_old_walk_and_maps(seed):
         maps = {s: dijkstra_times(sc.graph, s) for s in stops}
         want = [[0.0 if i == j else maps[stops[min(i, j)]][stops[max(i, j)]]
                  for j in range(len(stops))] for i in range(len(stops))]
-        assert travel_time_matrix(sc, stops).tolist() == want
+        assert travel_time_matrix(sc, stops) == want
 
 
 def test_routing_cache_one_dijkstra_per_node(monkeypatch):

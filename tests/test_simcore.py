@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from hybridfleet import simcore
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import DeliverySet
 from hybridfleet.netmodel import _interp_positions
 from hybridfleet.scenario import generate_grid_scenario
 from hybridfleet.simcore import (KIND_DRONE_DELIVER, KIND_DRONE_LAUNCH,
                                  KIND_DRONE_RENDEZVOUS, KIND_TOUR_COMPLETE,
-                                 KIND_TRUCK_SERVE, load_trace, save_trace, simulate)
+                                 KIND_TRUCK_SERVE, _dedupe, load_trace, save_trace,
+                                 simulate)
 
 from conftest import (fly, job_at, line_scenario, line_timetable, random_world,
                       sortie_plan)
@@ -194,3 +196,81 @@ def test_trace_file_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.trajectories[veh].times,
                                       trace.trajectories[veh].times)
     assert loaded.airborne_windows() == trace.airborne_windows()
+
+
+def _scalar_with_altitude(fl, alt):
+    """simcore._with_altitude with one scalar np.interp per frame and axis."""
+    t0, te = fl[0][0], fl[-1][0]
+    if te <= t0:
+        return [(t0, fl[-1][1], fl[-1][2], 0.0)]
+    tc = alt / 10.0
+    breakpoints = {t0 + tc, te - tc} if 2.0 * tc < te - t0 else {(t0 + te) / 2.0}
+    ts, xs, ys = (np.array(c) for c in zip(*fl))
+    return [(t, float(np.interp(t, ts, xs)), float(np.interp(t, ts, ys)),
+             max(0.0, alt * min(1.0, (t - t0) / tc, (te - t) / tc)))
+            for t in sorted(set(ts.tolist()) | breakpoints)]
+
+
+def _truck_slice(t_t, t_x, t_y, t_lo, t_hi):
+    """Truck position frames covering [t_lo, t_hi], z = 0."""
+    if t_hi < t_lo:
+        t_hi = t_lo
+    frames = [(t_lo, float(np.interp(t_lo, t_t, t_x)), float(np.interp(t_lo, t_t, t_y)), 0.0)]
+    for i in range(len(t_t)):
+        if t_lo < t_t[i] < t_hi:
+            frames.append((float(t_t[i]), float(t_x[i]), float(t_y[i]), 0.0))
+    frames.append((t_hi, float(np.interp(t_hi, t_t, t_x)), float(np.interp(t_hi, t_t, t_y)), 0.0))
+    return frames
+
+
+def _interpolated_trajectories(truck_frames, sortie_frames, fleet, tour_end):
+    """Oracle: trajectories with the truck's position at each end of a drone's
+    ride aboard interpolated over the truck's frames, and the truck's frames
+    extended to the tour's end."""
+    tf = _dedupe([f[:3] for f in truck_frames])
+    if tf[-1][0] < tour_end:
+        tf.append((tour_end, tf[-1][1], tf[-1][2]))
+    t_t, t_x, t_y = (np.array(c) for c in zip(*tf))
+    out = {"truck": (t_t, t_x, t_y, np.zeros(len(tf)))}
+    for d, flights in sortie_frames.items():
+        frames = []
+        t_cursor = 0.0
+        for fl in flights:
+            frames += _truck_slice(t_t, t_x, t_y, t_cursor, fl[0][0])
+            frames += _scalar_with_altitude(_dedupe(fl), fleet.drone_altitude)
+            t_cursor = fl[-1][0]
+        frames += _truck_slice(t_t, t_x, t_y, t_cursor, tour_end)
+        out[f"drone{d}"] = tuple(np.array(c) for c in zip(*_dedupe(frames)))
+    return out
+
+
+def test_trajectories_match_interpolating_oracle(monkeypatch):
+    """Trajectories taken from the plan's frames are bit-equal to those
+    interpolated over the truck's path, with and without drone service and
+    with stops at the node the truck is on."""
+    frames = {}
+    build = simcore._build_trajectories
+
+    def spy(truck_frames, sortie_frames, fleet):
+        frames["args"] = (truck_frames, sortie_frames, fleet)
+        return build(truck_frames, sortie_frames, fleet)
+
+    monkeypatch.setattr(simcore, "_build_trajectories", spy)
+    repeated_stop_node = flights = 0
+    for case in range(80):
+        for drone_service in (None, 0.0):
+            sc, dset, fleet, prioritize = random_world(case, max_jobs=15, max_drones=5)
+            if drone_service is not None:
+                fleet.drone_service = drone_service
+            plan = plan_hybrid(sc, dset, fleet, prioritize)
+            trace = simulate(sc, plan, fleet)
+            want = _interpolated_trajectories(*frames["args"], plan.timetable.depart[-1])
+            assert sorted(trace.trajectories) == sorted(want)
+            for veh, tr in trace.trajectories.items():
+                for got, expect in zip((tr.times, tr.x, tr.y, tr.z), want[veh]):
+                    assert got.tobytes() == expect.tobytes(), (case, drone_service, veh)
+            nodes = plan.timetable.nodes
+            repeated_stop_node += any(nodes[p] == nodes[p - 1]
+                                      for p in plan.stop_positions.values() if p > 0)
+            flights += len(plan.sorties)
+    assert repeated_stop_node > 0 and flights > 0
