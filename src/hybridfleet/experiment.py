@@ -203,12 +203,14 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
     """All (set, drone count, prioritized) runs; deterministic merge order."""
     cfg_json = _config_json(cfg)
     set_indices = list(range(cfg.n_sets))
-    results = []
-    if cfg.workers <= 1:
-        for i in set_indices:
-            results.append(_run_set(cfg_json, i))
+    # cfg.workers is an upper bound: the pool may start a process for every
+    # set it queues while none is idle, and processes beyond one per set or
+    # per CPU gain nothing
+    workers = min(cfg.workers, cfg.n_sets, os.cpu_count() or 1)
+    if workers <= 1:
+        results = [_run_set(cfg_json, i) for i in set_indices]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_set, [cfg_json] * len(set_indices),
                                   set_indices))
     sweep = SweepResult({})

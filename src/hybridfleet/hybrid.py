@@ -14,6 +14,7 @@ improves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 
 from . import fields, kernels
@@ -327,6 +328,72 @@ class _PlanContext:
         return replace(built, flights=flights, free=free, drone_sum=drone_sum)
 
 
+def _candidate_bounds(ctx: _PlanContext, current: _Built,
+                      truck_jobs: list[int]) -> list[tuple[float, float, float]]:
+    """Per truck stop k, lower bounds on the candidate without stop k that
+    assemble would build from current: (truck sum, drone sum, earliest
+    drone free time), with no build.
+
+    Let p be stop k-1's path position (the depot's when k is 0). The stops
+    before k keep their departures, and in real arithmetic every stop after
+    k departs delta earlier, where delta is current's arrival at stop k+1
+    less the departure at p plus the steps of the segment that now joins p
+    to stop k+1. So the truck sum is exact up to float error, and the truck
+    bound subtracts a margin of 1e-9 * (1 + abs(current.total)) for it.
+    Every departure, here and in the candidate, is a left fold of at most L
+    non-negative times over a path of L positions, the prefix sums add n
+    more terms for n stops, and delta is the difference of two such times,
+    counted at most n times. The error is then below about (2L + 3n) * 2**-53
+    of the larger of the two truck sums, and only a candidate whose truck
+    sum is below current's total can reduce it; so the margin exceeds the
+    error while 2L + 3n stays below about 10**7, far beyond any road tour.
+
+    Per drone, the leading flights that meet the truck by p are the ones
+    assemble reuses, and they count exactly. Any later flight launches at
+    or after the drone's free time f and returns after its service, so it
+    counts f + drone_service, and f moves on by drone_service + turnaround.
+    The terms are added in assemble's order and float rounding is monotone,
+    so the drone sum and every free time are lower bounds in floats too.
+    """
+    fleet = ctx.fleet
+    service, turnaround = fleet.drone_service, fleet.turnaround
+    stop_pos, path, arrive, depart = current.stop_pos, current.path, current.arrive, current.depart
+    n = len(stop_pos)
+    margin = 1e-9 * (1 + abs(current.total))
+    prefix = [0.0]  # prefix[i]: the departures of stops 0..i-1, summed
+    for pos in stop_pos:
+        prefix.append(prefix[-1] + depart[pos])
+    # the drone bounds change with p only where p passes a rendezvous
+    rendezvous = sorted(f[1] for f in current.flights)
+    met = -1  # how many rendezvous the drone bounds below were made for
+    bounds = []
+    for k in range(n):
+        p = stop_pos[k - 1] if k else 0
+        truck = prefix[k] - margin
+        if k + 1 < n:
+            steps = ctx._segment(path[p], ctx.nodes_of[truck_jobs[k + 1]])[3]
+            delta = arrive[stop_pos[k + 1]] - (depart[p] + sum(steps))
+            truck += (prefix[n] - prefix[k + 1]) - (n - k - 1) * delta
+        count = bisect_right(rendezvous, p)
+        if count != met:
+            met = count
+            drone = 0.0
+            free = dict.fromkeys(current.free, 0.0)
+            reused = set(free)  # drones whose flights so far are all reused
+            for sortie, r, _ in current.flights:
+                d = sortie.drone_id
+                if d in reused and r <= p:
+                    drone += sortie.deliver_time + service
+                    free[d] = sortie.rendezvous_time + turnaround
+                else:
+                    reused.discard(d)
+                    drone += free[d] + service
+                    free[d] = free[d] + service + turnaround
+            free_min = min(free.values())
+        bounds.append((truck, drone, free_min))
+    return bounds
+
+
 def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                 prioritize: bool = True, solver: Solver = "heuristic") -> HybridPlan:
     """Plan the full delivery: base truck tour, then greedy drone offloading.
@@ -349,6 +416,16 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     bit-identical to those of the exhaustive loop. The bound cannot rise as
     f rises, so a candidate whose bound at its earliest drone free time is
     at most that floor is skipped whole.
+
+    Most candidates fail that test, so it is first made without building
+    the candidate: ``_candidate_bounds`` gives each candidate lower bounds
+    on its truck sum, its drone sum and its earliest drone free time from
+    the current state alone, and a candidate whose bound
+    ``total - (truck + drone + (free + drone_service))`` is at most the
+    floor is not built. Each lower bound makes the bound at least the one
+    the build would give (the truck's float error is covered by a margin),
+    so a candidate skipped unbuilt would have been skipped once built, and
+    the plans stay bit-identical.
     """
     validate_fleet(fleet)
     ctx = _PlanContext(scenario, dset, fleet)
@@ -362,9 +439,15 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
             best = None  # (job, drone, launch_node, candidate state)
             floor = _EPS  # a candidate must reduce by more than this to win
             total = current.total
+            bounds = _candidate_bounds(ctx, current, truck_jobs)
             for j in sorted(truck_jobs):
                 # the tour without stop k: splice stop k-1 to stop k+1
                 k = truck_jobs.index(j)
+                # the minimum-free-time skip below, tested first on lower
+                # bounds, so that most candidates are never built
+                truck_lb, drone_lb, free_lb = bounds[k]
+                if total - (truck_lb + drone_lb + (free_lb + fleet.drone_service)) <= floor:
+                    continue
                 after = truck_jobs[k + 1:k + 2]
                 built = ctx.assemble(assignments, after, current, k,
                                      k + 1 if after else None)

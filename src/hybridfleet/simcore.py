@@ -283,7 +283,23 @@ def load_trace(csv_path) -> DeliveryTrace:
     for veh in ["truck", *sorted(launched)]:
         if veh not in trajectories:
             raise ParseError(f"sidecar.trajectories: missing vehicle {veh!r}")
-    return DeliveryTrace(events, completion, trajectories)
+    trace = DeliveryTrace(events, completion, trajectories)
+    # positions are interpolated over the log's times, and np.interp would
+    # hold a trajectory's end samples beyond it
+    spans = trace.airborne_windows()
+    if events:
+        spans["truck"] = [(events[0].time, trace.end_time)]
+    for veh, windows in sorted(spans.items()):
+        first, last = float(trajectories[veh].times[0]), float(trajectories[veh].times[-1])
+        for lo, hi in windows:
+            if lo < first:
+                gap = f"starts at {first!r} s, after the event log's {lo!r} s"
+            elif hi > last:
+                gap = f"ends at {last!r} s, before the event log's {hi!r} s"
+            else:
+                continue
+            raise ParseError(f"sidecar.trajectories.{veh}.t: {gap}")
+    return trace
 
 
 def _read_sidecar(data) -> tuple[dict[int, float], dict[str, Trajectory]]:

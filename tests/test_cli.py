@@ -1,10 +1,11 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from hybridfleet import cli
+from hybridfleet import cli, experiment
 from hybridfleet.cli import main
 
 
@@ -308,6 +309,12 @@ def _put(path, key, value):
     return edit
 
 
+def _cut(trajectory, n):
+    """Keep a sidecar trajectory's first n samples."""
+    for axis in "txyz":
+        del trajectory[axis][n:]
+
+
 def _slow_parallel_edges(scenario):
     scenario["edges"] += [dict(e, speed_mps=e["speed_mps"] / 2) for e in scenario["edges"]]
 
@@ -407,6 +414,10 @@ def test_simulate_plan_off_its_timetable_exit_2(workdir, tmp_path, capsys, drone
                  "sidecar.trajectories: missing vehicle 'truck'", id="sidecar-no-truck"),
     pytest.param(_SIDECAR, lambda d: d.update(trajectories={"truck": d["trajectories"]["truck"]}),
                  "sidecar.trajectories: missing vehicle 'drone0'", id="sidecar-no-drone"),
+    pytest.param(_SIDECAR, lambda d: _cut(d["trajectories"]["truck"], 2),
+                 "sidecar.trajectories.truck.t: ends at ", id="sidecar-short-truck"),
+    pytest.param(_SIDECAR, lambda d: _cut(d["trajectories"]["drone0"], 2),
+                 "sidecar.trajectories.drone0.t: ends at ", id="sidecar-short-drone"),
 ])
 def test_malformed_input_file_exit_2(chain, tmp_path, capsys, name, edit, message):
     """A malformed file ends in exit 2 with an error naming the path of the bad value."""
@@ -568,3 +579,44 @@ def test_parallel_workers_match_serial(tmp_path):
     assert run("sweep", "--out", b, "--sets", 2, "--drones", "0,1",
                "--seed", 5, "--workers", 2) == 0
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and runs
+    the tasks in this process, so no test starts a pool of that size."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers,n_sets,cpus,pool", [
+    (64, 3, 4, 3),       # no more processes than sets
+    (64, 10, 4, 4),      # nor than CPUs
+    (2, 10, 4, 2),       # nor than asked for
+    (64, 10, None, None),  # an unknown CPU count runs in-process
+    (5, 1, 4, None),     # so does a single set
+])
+def test_sweep_pool_is_capped(tmp_path, monkeypatch, workers, n_sets, cpus, pool):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = experiment.ExperimentConfig(grid_rows=4, grid_cols=4, n_sets=n_sets, per_set=4,
+                                      medical_per_set=1, drone_counts=[0, 1], net_models=[],
+                                      base_seed=3, out_dir=str(tmp_path / "out"),
+                                      workers=workers)
+    assert experiment.run_experiment(cfg) == 0
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["workers"] == workers
+    serial = experiment.run_sweep(replace(cfg, workers=1))[0]
+    assert experiment.run_sweep(cfg)[0] == serial

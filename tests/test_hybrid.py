@@ -8,8 +8,8 @@ import pytest
 from hybridfleet import experiment, kernels
 from hybridfleet.errors import ParameterError
 from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, TruckTimetable,
-                                _PlanContext, check_plan, load_plan, plan_hybrid,
-                                plan_to_dict, save_plan)
+                                _candidate_bounds, _PlanContext, check_plan, load_plan,
+                                plan_hybrid, plan_to_dict, save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.routing import dijkstra_times, job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
@@ -480,6 +480,83 @@ def test_one_build_from_the_depot_per_plan(monkeypatch, grid8, grid8_set):
         assert len(plan.sorties) > 1
         assert calls["from depot"] == 1
         assert calls["timetable"] == calls["candidate"] + 1
+
+
+def _plan_checking_bounds(sc, dset, fleet, prioritize):
+    """Runs plan_hybrid with every candidate of every step built and held to
+    the lower bounds _candidate_bounds gave for it; returns the number of
+    candidates built."""
+    built_count = 0
+
+    def checked(ctx, current, truck_jobs):
+        nonlocal built_count
+        bounds = _candidate_bounds(ctx, current, truck_jobs)
+        assert len(bounds) == len(truck_jobs)
+        assignments = {d: [] for d in current.free}
+        for s in current.sorties:
+            assignments[s.drone_id].append((s.job_id, s.launch_node))
+        total, service = current.total, fleet.drone_service
+        margin = 1e-9 * (1 + abs(total))
+        for k, (truck, drone, free) in enumerate(bounds):
+            after = truck_jobs[k + 1:k + 2]
+            built = ctx.assemble(assignments, after, current, k, k + 1 if after else None)
+            if built is None:
+                continue
+            built_count += 1
+            earliest = min(built.free.values())
+            # lower bounds, the drone parts exactly in floats; the truck one
+            # within its margin of the truck sum
+            assert truck <= built.truck_sum <= truck + 2 * margin
+            assert drone <= built.drone_sum
+            assert free <= earliest
+            # so the bound before the build is at least the one after it
+            assert (total - (truck + drone + (free + service))
+                    >= total - (built.truck_sum + built.drone_sum + (earliest + service)))
+        return bounds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hybridfleet.hybrid._candidate_bounds", checked)
+        plan_hybrid(sc, dset, fleet, prioritize)
+    return built_count
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_candidate_bounds_hold_on_every_candidate(block):
+    built = 0
+    for case in range(50 * block, 50 * block + 50):
+        sc, dset, fleet, prioritize = random_world(case, max_jobs=41, max_drones=8)
+        built += _plan_checking_bounds(sc, dset, fleet, prioritize)
+    assert built > 1000
+
+
+def test_bounds_skip_a_third_of_the_candidate_builds(monkeypatch):
+    cfg = experiment.ExperimentConfig(grid_rows=16, grid_cols=16, n_sets=1, per_set=40,
+                                      medical_per_set=13, drone_counts=[8], net_models=[],
+                                      base_seed=0)
+    sc = experiment.build_scenario(cfg)
+    dset = experiment.build_sets(cfg, sc)[0]
+    fleet = cfg.fleet_for(8)
+    assemble = _PlanContext.assemble
+    calls = collections.Counter()
+
+    def counted(self, assignments, route, base=None, *rest):
+        calls["candidate" if base is not None else "from depot"] += 1
+        return assemble(self, assignments, route, base, *rest)
+
+    monkeypatch.setattr(_PlanContext, "assemble", counted)
+    for prioritize in (False, True):
+        calls.clear()
+        got = plan_hybrid(sc, dset, fleet, prioritize)
+        skipping = calls["candidate"]
+        with monkeypatch.context() as mp:
+            # bounds that never skip: every candidate is built
+            mp.setattr("hybridfleet.hybrid._candidate_bounds",
+                       lambda ctx, current, truck_jobs: [(-math.inf, 0.0, 0.0)] * len(truck_jobs))
+            want = plan_hybrid(sc, dset, fleet, prioritize)
+        building = calls["candidate"] - skipping
+        assert json.dumps(plan_to_dict(got, fleet)) == json.dumps(plan_to_dict(want, fleet))
+        assert got.sorties
+        assert skipping <= building * 2 / 3, (skipping, building)
 
 
 def _splices_match_full_builds(sc, dset, fleet, prioritize):
