@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__, fields
 from .errors import ConfigError, ParameterError, ParseError, PlanConsistencyError
 from .hybrid import (_MAX_DRONES, FleetConfig, _first_of, check_plan, plan_hybrid,
-                     read_fleet)
+                     plan_hybrid_counts, read_fleet)
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
@@ -74,6 +74,11 @@ class ExperimentConfig:
             raise ConfigError(f"drone_counts must be non-empty, each >= 0 and <= {_MAX_DRONES}")
         if not self.prioritize_flags:
             raise ConfigError("prioritize_flags must be non-empty")
+        # each (count, flag) is one sweep run, planned once
+        for name in ("drone_counts", "prioritize_flags"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
         check_model_names(self.net_models)
         if self.solver not in ("exact", "heuristic"):
             raise ConfigError(f"unknown solver {self.solver!r}")
@@ -173,6 +178,11 @@ def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
     set; a plan that breaks an invariant raises PlanConsistencyError."""
     fleet = cfg.fleet_for(drone_count)
     plan = plan_hybrid(scenario, dset, fleet, prioritized, cfg.solver)
+    return _run_plan(scenario, dset, fleet, plan)
+
+
+def _run_plan(scenario, dset, fleet: FleetConfig, plan):
+    """check -> simulate -> waiting stats for one plan."""
     problems = check_plan(plan, scenario, dset, fleet)
     if problems:
         raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
@@ -182,20 +192,34 @@ def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
 
 
 def _run_set(cfg_json: str, set_idx: int):
+    """Every run of one set, as run_one would make them, with one greedy run
+    per priority flag planning every drone count."""
     cfg, scenario, dsets = _world(cfg_json)
     dset = dsets[set_idx]
+    counts = sorted(cfg.drone_counts)
+    planned = {}
+    for prio in sorted(cfg.prioritize_flags):
+        try:
+            planned[prio] = plan_hybrid_counts(scenario, dset, cfg.fleet_for(counts[-1]),
+                                               counts, prio, cfg.solver)
+        except Exception as exc:  # the shared part failed every count of the flag
+            planned[prio] = dict.fromkeys(counts, exc)
     rows = []
     failures = []
     for drones, prio in cfg.configs():
-        try:
-            stats = run_one(cfg, scenario, dset, drones, prio)[2]
-            rows.append(SweepRow(drones, prio, set_idx, stats))
-        except Exception as exc:  # isolate failures per run
-            failures.append({
-                "set": set_idx, "drones": drones, "prioritized": prio,
-                "error": f"{type(exc).__name__}: {exc}",
-                "trace": traceback.format_exc(limit=5),
-            })
+        result = planned[prio][drones]
+        if not isinstance(result, Exception):
+            try:
+                stats = _run_plan(scenario, dset, cfg.fleet_for(drones), result)[2]
+                rows.append(SweepRow(drones, prio, set_idx, stats))
+                continue
+            except Exception as exc:  # isolate failures per run
+                result = exc
+        failures.append({
+            "set": set_idx, "drones": drones, "prioritized": prio,
+            "error": f"{type(result).__name__}: {result}",
+            "trace": "".join(traceback.format_exception(result, limit=5)),
+        })
     return set_idx, rows, failures
 
 

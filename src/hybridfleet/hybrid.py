@@ -396,7 +396,8 @@ def _candidate_bounds(ctx: _PlanContext, current: _Built,
 
 def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
                 prioritize: bool = True, solver: Solver = "heuristic") -> HybridPlan:
-    """Plan the full delivery: base truck tour, then greedy drone offloading.
+    """Plan the full delivery for the fleet's drone count: base truck tour,
+    then greedy drone offloading (``plan_hybrid_counts`` with that one count).
 
     Each improvement step evaluates, for every truck job, removing it from
     the tour (remaining order kept, path re-spliced) and flying it with every
@@ -427,75 +428,158 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     so a candidate skipped unbuilt would have been skipped once built, and
     the plans stay bit-identical.
     """
+    plan = plan_hybrid_counts(scenario, dset, fleet, [fleet.drone_count], prioritize,
+                              solver)[fleet.drone_count]
+    if isinstance(plan, Exception):
+        raise plan
+    return plan
+
+
+def plan_hybrid_counts(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
+                       drone_counts: list[int], prioritize: bool = True,
+                       solver: Solver = "heuristic") -> dict[int, HybridPlan | Exception]:
+    """plan_hybrid's plan for each of the distinct drone counts (each from 0
+    to fleet.drone_count, the fleet otherwise as given), from one greedy run.
+
+    An idle drone is free at 0, the step scans one drone per free time and
+    ties go to the lower drone id, so the drones take their first sorties in
+    id order. While a plan for c drones still has an idle drone, the plan
+    for more drones has one too, at the same free time, and every other
+    drone flies the same flights: both plans build the same candidates, with
+    the same bounds, floor and winner. So the c-drone plan takes the larger
+    plan's steps up to the one that gives drone c-1 its first sortie.
+    Counting on that, one greedy run plans the largest count, and right
+    after that step takes a snapshot for c: the state with its free times
+    limited to drones below c, and copies of the truck jobs and of those
+    drones' assignments. The c-drone plan is then finished from its
+    snapshot by the same loop. The 0-drone plan is the tour before any
+    step, and a count whose drones are never all used ends where the large
+    run ends. The routing cache, the segments, the schedule and the first
+    build are made once for every count.
+
+    The shared part (the schedule, a repeated job id) raises. An error in
+    a step maps every count that shares the step to it, and an error in a
+    count's own steps maps that count alone; the other counts keep their
+    plans. No two plans share a list or a sortie.
+    """
     validate_fleet(fleet)
+    counts = sorted(drone_counts)
+    if (not counts or len(set(counts)) < len(counts)
+            or not 0 <= counts[0] <= counts[-1] <= fleet.drone_count):
+        raise ParameterError(f"drone counts {drone_counts} must be distinct, each from 0 to "
+                             f"the fleet's {fleet.drone_count}")
     ctx = _PlanContext(scenario, dset, fleet)
     truck_jobs = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
                   else plain_schedule(scenario, dset, ctx.nodes_of, solver))
-    assignments: dict[int, list[tuple[int, int]]] = {d: [] for d in range(fleet.drone_count)}
-    current = ctx.assemble(assignments, truck_jobs)
+    most = counts[-1]
+    current = ctx.assemble({d: [] for d in range(most)}, truck_jobs)
+    plans: dict[int, HybridPlan | Exception] = {}
+    if counts[0] == 0:
+        plans[0] = _plan_of(current, truck_jobs, prioritize, fleet)
+    flying = [c for c in counts if c > 0]
+    if not flying:
+        return plans
 
-    if fleet.drone_count > 0:
-        while True:
-            best = None  # (job, drone, launch_node, candidate state)
-            floor = _EPS  # a candidate must reduce by more than this to win
-            total = current.total
-            bounds = _candidate_bounds(ctx, current, truck_jobs)
-            for j in sorted(truck_jobs):
-                # the tour without stop k: splice stop k-1 to stop k+1
-                k = truck_jobs.index(j)
-                # the minimum-free-time skip below, tested first on lower
-                # bounds, so that most candidates are never built
-                truck_lb, drone_lb, free_lb = bounds[k]
-                if total - (truck_lb + drone_lb + (free_lb + fleet.drone_service)) <= floor:
-                    continue
-                after = truck_jobs[k + 1:k + 2]
-                built = ctx.assemble(assignments, after, current, k,
-                                     k + 1 if after else None)
-                if built is None:
-                    continue
-                partial = built.truck_sum + built.drone_sum
-                # the bound below falls as the free time rises: no drone's
-                # scan can win when the earliest free drone's cannot
-                if total - (partial + (min(built.free.values()) + fleet.drone_service)) <= floor:
-                    continue
-                tx, ty = ctx.target_xy[j]
-                # Drones free at the same time get the same best sortie, and
-                # the lower drone id keeps a tie, so one scan serves them all.
-                scanned = set()
-                for d in range(fleet.drone_count):
-                    if built.free[d] in scanned:
-                        continue
-                    scanned.add(built.free[d])
-                    # best_sortie's completion is at least free + service, so no
-                    # reduction of this scan can exceed the bound
-                    bound = total - (partial + (built.free[d] + fleet.drone_service))
-                    if bound <= floor:
-                        continue
-                    li, comp = kernels.best_sortie(
-                        built.path_x, built.path_y, built.path, built.arrive, built.depart,
-                        built.free[d], tx, ty,
-                        fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
-                    if li < 0:
-                        continue
-                    reduction = total - (partial + comp)
-                    if reduction > floor:
-                        floor = reduction
-                        best = (j, d, built.path[li], built)
-            if best is None:
-                break
-            j, d, lnode, built = best
-            truck_jobs.remove(j)
-            assignments[d].append((j, lnode))
-            current = ctx.commit(built, d, j, lnode)
+    snapshots = dict.fromkeys(flying[:-1])
+    try:
+        final = _improve(ctx, current, truck_jobs, {d: [] for d in range(most)}, snapshots)
+    except Exception as exc:  # every count without a snapshot shares the failed step
+        final = exc
+    for c in flying:
+        snapshot = snapshots.get(c)
+        if snapshot is None:  # c shares every step of the large run
+            plans[c] = (final if isinstance(final, Exception)
+                        else _plan_of(final, truck_jobs, prioritize, fleet))
+            continue
+        state, jobs, assignments = snapshot
+        try:
+            plans[c] = _plan_of(_improve(ctx, state, jobs, assignments, {}),
+                                jobs, prioritize, fleet)
+        except Exception as exc:  # count c's own steps fail count c alone
+            plans[c] = exc
+    return plans
 
+
+def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
+             assignments: dict[int, list[tuple[int, int]]],
+             snapshots: dict[int, tuple | None]) -> _Built:
+    """The greedy loop from current with the drones of assignments (at least
+    one), which it updates in place together with truck_jobs; returns the
+    final state. For each count c keyed in snapshots, the step that gives
+    drone c-1 its first sortie stores c's snapshot there."""
+    fleet = ctx.fleet
+    drones = range(len(assignments))
+    while True:
+        best = None  # (job, drone, launch_node, candidate state)
+        floor = _EPS  # a candidate must reduce by more than this to win
+        total = current.total
+        bounds = _candidate_bounds(ctx, current, truck_jobs)
+        for j in sorted(truck_jobs):
+            # the tour without stop k: splice stop k-1 to stop k+1
+            k = truck_jobs.index(j)
+            # the minimum-free-time skip below, tested first on lower
+            # bounds, so that most candidates are never built
+            truck_lb, drone_lb, free_lb = bounds[k]
+            if total - (truck_lb + drone_lb + (free_lb + fleet.drone_service)) <= floor:
+                continue
+            after = truck_jobs[k + 1:k + 2]
+            built = ctx.assemble(assignments, after, current, k,
+                                 k + 1 if after else None)
+            if built is None:
+                continue
+            partial = built.truck_sum + built.drone_sum
+            # the bound below falls as the free time rises: no drone's
+            # scan can win when the earliest free drone's cannot
+            if total - (partial + (min(built.free.values()) + fleet.drone_service)) <= floor:
+                continue
+            tx, ty = ctx.target_xy[j]
+            # Drones free at the same time get the same best sortie, and
+            # the lower drone id keeps a tie, so one scan serves them all.
+            scanned = set()
+            for d in drones:
+                if built.free[d] in scanned:
+                    continue
+                scanned.add(built.free[d])
+                # best_sortie's completion is at least free + service, so no
+                # reduction of this scan can exceed the bound
+                bound = total - (partial + (built.free[d] + fleet.drone_service))
+                if bound <= floor:
+                    continue
+                li, comp = kernels.best_sortie(
+                    built.path_x, built.path_y, built.path, built.arrive, built.depart,
+                    built.free[d], tx, ty,
+                    fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+                if li < 0:
+                    continue
+                reduction = total - (partial + comp)
+                if reduction > floor:
+                    floor = reduction
+                    best = (j, d, built.path[li], built)
+        if best is None:
+            return current
+        j, d, lnode, built = best
+        first_sortie = not assignments[d]
+        truck_jobs.remove(j)
+        assignments[d].append((j, lnode))
+        current = ctx.commit(built, d, j, lnode)
+        if first_sortie and d + 1 in snapshots:
+            snapshots[d + 1] = (replace(current, free={e: current.free[e] for e in range(d + 1)}),
+                                list(truck_jobs),
+                                {e: list(assignments[e]) for e in range(d + 1)})
+
+
+def _plan_of(current: _Built, truck_jobs: list[int], prioritize: bool,
+             fleet: FleetConfig) -> HybridPlan:
     completion = {j: current.depart[pos] for j, pos in zip(truck_jobs, current.stop_pos)}
     for s in current.sorties:
         completion[s.job_id] = s.deliver_time + fleet.drone_service
-    sorties = sorted(current.sorties, key=lambda s: (s.drone_id, s.launch_time))
+    # the plan owns its lists and sorties: states and other plans share them
+    sorties = sorted(map(replace, current.sorties), key=lambda s: (s.drone_id, s.launch_time))
     return HybridPlan(
         truck_stops=list(truck_jobs),
         stop_positions=dict(zip(truck_jobs, current.stop_pos)),
-        timetable=TruckTimetable(current.path, current.arrive, current.depart),
+        timetable=TruckTimetable(list(current.path), list(current.arrive),
+                                 list(current.depart)),
         sorties=sorties,
         completion=completion,
         prioritized=prioritize,

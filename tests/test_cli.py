@@ -546,19 +546,50 @@ def test_partial_failure_isolation(tmp_path):
     assert len(rows) == 1 + 3  # one surviving config x three categories
 
 
+def test_failed_schedule_fails_every_drone_count_that_shares_it(tmp_path):
+    # one greedy run plans all drone counts of a (set, priority) pair; the
+    # exact solver's limit stops its shared schedule, so each count fails
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_sets": 2, "per_set": 15, "medical_per_set": 5,
+                               "drone_counts": [0, 1, 2], "solver": "exact",
+                               "prioritize_flags": [False, True]}))
+    out = tmp_path / "out"
+    assert run("sweep", "--config", cfg, "--out", out) == 1
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [(f["set"], f["drones"], f["prioritized"]) for f in failures] == [
+        (s, d, False) for s in (0, 1) for d in (0, 1, 2)]
+    assert all("exact solver" in f["error"] and "Traceback" in f["trace"] for f in failures)
+    assert configs_in_summary(out) == [(0, 1), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["--drones", "1,1"], None, "drone_counts must not repeat a value, got [1, 1]"),
+    ([], {"prioritize_flags": [True, True]},
+     "prioritize_flags must not repeat a value, got [True, True]"),
+], ids=["drones", "prioritize_flags"])
+def test_repeated_sweep_value_exit_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", tmp_path / "cfg.json"]
+    assert run("sweep", "--sets", 1, "--seed", 3, *argv, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_run_breaking_an_invariant_fails_alone(tmp_path, monkeypatch):
     from hybridfleet import experiment
-    real = experiment.plan_hybrid
+    real = experiment.plan_hybrid_counts
     shifted = []
 
     def shift_a_target(*args):
-        plan = real(*args)
-        if plan.sorties and not shifted:
-            plan.sorties[0].target_x += 1.0
-            shifted.append(True)
-        return plan
+        plans = real(*args)
+        for plan in plans.values():
+            if plan.sorties and not shifted:
+                plan.sorties[0].target_x += 1.0
+                shifted.append(True)
+        return plans
 
-    monkeypatch.setattr(experiment, "plan_hybrid", shift_a_target)
+    monkeypatch.setattr(experiment, "plan_hybrid_counts", shift_a_target)
     out = tmp_path / "o"
     cfg = experiment.ExperimentConfig(grid_rows=4, grid_cols=4, n_sets=2, per_set=4,
                                       medical_per_set=1, drone_counts=[0, 1], net_models=[],

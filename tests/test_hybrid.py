@@ -1,20 +1,22 @@
 import collections
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hybridfleet import experiment, kernels
+from hybridfleet import experiment, hybrid, kernels
 from hybridfleet.errors import ParameterError
 from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, TruckTimetable,
                                 _candidate_bounds, _PlanContext, check_plan, load_plan,
-                                plan_hybrid, plan_to_dict, save_plan)
+                                plan_hybrid, plan_hybrid_counts, plan_to_dict, save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.routing import dijkstra_times, job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
 from conftest import fly, job_at, line_scenario, line_timetable, random_world
+from test_golden_plans import GOLDEN, plan_digest, _world as golden_world
 from test_kernels import _oracle_build_timetable
 
 
@@ -661,3 +663,173 @@ def test_repeated_job_id_rejected():
                            DeliveryJob(1, 0, Point(300.0, 10.0), S)])
     with pytest.raises(ParameterError, match="repeats a job id"):
         plan_hybrid(sc, dset, FleetConfig(drone_count=1), False)
+
+
+# ---------------------------------------------------------------------------
+# every drone count of a set from one greedy run
+
+
+def _assert_counts_match_single_plans(sc, dset, fleet, counts, prioritize, solver="heuristic"):
+    """plan_hybrid_counts gives, for every count, plan_hybrid's plan and the
+    oracle's, field for field; returns its plans by count."""
+    plans = plan_hybrid_counts(sc, dset, replace(fleet, drone_count=max(counts)), counts,
+                               prioritize, solver)
+    assert list(plans) == sorted(counts)
+    for c, got in plans.items():
+        one = replace(fleet, drone_count=c)
+        want = plan_hybrid(sc, dset, one, prioritize, solver)
+        assert got == want and list(got.completion) == list(want.completion), c
+        oracle = _oracle_plan(sc, dset, one, prioritize, solver)
+        assert json.dumps(plan_to_dict(got, one)) == json.dumps(plan_to_dict(oracle, one)), c
+    # no two plans share a sortie or a timetable list
+    sorties = [id(s) for plan in plans.values() for s in plan.sorties]
+    assert len(set(sorties)) == len(sorties)
+    assert len({id(plan.timetable.depart) for plan in plans.values()}) == len(plans)
+    return plans
+
+
+_COUNT_LISTS = ([3, 0, 5], [1, 8], [0], [2], [4, 1, 2, 0, 3], [6, 1])
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_all_counts_from_one_run_match_single_plans(block):
+    for case in range(50 * block, 50 * block + 50):
+        sc, dset, fleet, prioritize = random_world(case)
+        _assert_counts_match_single_plans(sc, dset, fleet, _COUNT_LISTS[case % 6], prioritize)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_all_counts_from_one_run_match_single_plans_with_many_jobs(case):
+    sc, dset, fleet, prioritize = random_world(case, max_jobs=41)
+    counts = ([3, 0, 5], [1, 8], [4, 1, 2, 0, 3], [6, 1], [8, 2, 5], [7, 0])[case % 6]
+    plans = _assert_counts_match_single_plans(sc, dset, fleet, counts, prioritize)
+    assert any(plan.sorties for plan in plans.values())
+
+
+@pytest.mark.parametrize("prioritize", [False, True])
+def test_all_counts_from_one_run_on_a_large_world(prioritize):
+    cfg = experiment.ExperimentConfig(grid_rows=16, grid_cols=16, n_sets=1, per_set=40,
+                                      medical_per_set=13, net_models=[], base_seed=0)
+    sc = experiment.build_scenario(cfg)
+    dset = experiment.build_sets(cfg, sc)[0]
+    plans = plan_hybrid_counts(sc, dset, cfg.fleet_for(8), list(range(9)), prioritize)
+    for c, got in plans.items():
+        assert got == plan_hybrid(sc, dset, cfg.fleet_for(c), prioritize), c
+    assert len({s.drone_id for s in plans[8].sorties}) == 8
+
+
+@pytest.mark.parametrize("base_seed", sorted({key[0] for key in GOLDEN}))
+def test_all_counts_from_one_run_on_golden_sets(base_seed):
+    cfg, sc, dsets = golden_world(base_seed)
+    for set_index in range(3):
+        for prioritize in (False, True):
+            plans = _assert_counts_match_single_plans(sc, dsets[set_index], cfg.fleet_for(5),
+                                                      list(range(6)), prioritize)
+            for c, plan in plans.items():
+                want = GOLDEN.get((base_seed, set_index, c, prioritize))
+                if want is not None:
+                    assert plan_digest(plan, cfg.fleet_for(c)) == want[0]
+
+
+def test_all_counts_share_one_schedule_and_first_build(monkeypatch, grid8, grid8_set):
+    assemble = _PlanContext.assemble
+    calls = collections.Counter()
+
+    def counted(self, assignments, route, base=None, *rest):
+        calls["from depot" if base is None else "candidate"] += 1
+        return assemble(self, assignments, route, base, *rest)
+
+    def counted_schedule(schedule):
+        def wrapper(*args):
+            calls["schedule"] += 1
+            return schedule(*args)
+        return wrapper
+
+    monkeypatch.setattr(_PlanContext, "assemble", counted)
+    for name in ("plain_schedule", "priority_schedule"):
+        monkeypatch.setattr(hybrid, name, counted_schedule(getattr(hybrid, name)))
+    for prioritize in (False, True):
+        calls.clear()
+        plans = plan_hybrid_counts(grid8, grid8_set, FleetConfig(drone_count=5),
+                                   list(range(6)), prioritize)
+        shared = calls["candidate"]
+        assert calls["from depot"] == calls["schedule"] == 1
+        for c in range(6):
+            plan_hybrid(grid8, grid8_set, FleetConfig(drone_count=c), prioritize)
+        assert calls["from depot"] == calls["schedule"] == 7
+        # the counts' common opening steps are built once
+        assert shared < calls["candidate"] - shared
+        assert all(len({s.drone_id for s in plans[c].sorties}) == c for c in range(1, 6))
+
+
+_COMMIT = _PlanContext.commit
+
+
+def test_each_count_resumes_from_its_own_plans_state(monkeypatch, grid8, grid8_set):
+    # the snapshot a count is finished from is, free times included, the
+    # state its own greedy run commits at the same step
+    improve = hybrid._improve
+    starts = []
+
+    def recorded(ctx, current, truck_jobs, assignments, snapshots):
+        starts.append((len(assignments), current))
+        return improve(ctx, current, truck_jobs, assignments, snapshots)
+
+    monkeypatch.setattr(hybrid, "_improve", recorded)
+    plan_hybrid_counts(grid8, grid8_set, FleetConfig(drone_count=4), [0, 1, 2, 3, 4], False)
+    resumed = starts[1:]
+    assert [c for c, _ in resumed] == [1, 2, 3]
+    for c, start in resumed:
+        committed = []
+
+        def kept(self, built, drone, job, lnode):
+            committed.append(_COMMIT(self, built, drone, job, lnode))
+            return committed[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_PlanContext, "commit", kept)
+            plan_hybrid(grid8, grid8_set, FleetConfig(drone_count=c), False)
+        assert {s.drone_id for s in start.sorties} == set(range(c)) == set(start.free)
+        _assert_same_state(start, committed[len(start.sorties) - 1])
+
+
+def _failing_commit(monkeypatch, fails):
+    """Makes _PlanContext.commit raise where fails(the state's drone count,
+    the commits of that count so far) is true."""
+    calls = collections.Counter()
+
+    def faulty(self, built, drone, job, lnode):
+        calls[len(built.free)] += 1
+        if fails(len(built.free), calls[len(built.free)]):
+            raise RuntimeError(f"injected in a {len(built.free)}-drone step")
+        return _COMMIT(self, built, drone, job, lnode)
+
+    monkeypatch.setattr(_PlanContext, "commit", faulty)
+
+
+def test_a_failed_step_fails_the_counts_that_share_it(monkeypatch, grid8, grid8_set):
+    want = {c: plan_hybrid(grid8, grid8_set, FleetConfig(drone_count=c), False)
+            for c in range(4)}
+    # a fault in a step of count 2's own tail fails count 2 alone
+    _failing_commit(monkeypatch, lambda drones, n: drones == 2)
+    plans = plan_hybrid_counts(grid8, grid8_set, FleetConfig(drone_count=3), [0, 1, 2, 3],
+                               False)
+    assert str(plans[2]) == "injected in a 2-drone step"
+    assert {c: p for c, p in plans.items() if c != 2} == {c: want[c] for c in (0, 1, 3)}
+    # a fault in the large run's second step, which counts 2 and 3 share
+    # and count 1 does not, fails those two
+    _failing_commit(monkeypatch, lambda drones, n: drones == 3 and n == 2)
+    plans = plan_hybrid_counts(grid8, grid8_set, FleetConfig(drone_count=3), [0, 1, 2, 3],
+                               False)
+    assert plans[2] is plans[3] and str(plans[3]) == "injected in a 3-drone step"
+    assert (plans[0], plans[1]) == (want[0], want[1])
+    # plan_hybrid raises its one count's error
+    _failing_commit(monkeypatch, lambda drones, n: drones == 3 and n == 2)
+    with pytest.raises(RuntimeError, match="injected in a 3-drone step"):
+        plan_hybrid(grid8, grid8_set, FleetConfig(drone_count=3), False)
+
+
+@pytest.mark.parametrize("counts", [[], [1, 1], [-1, 2], [4], [0, 2, 4]])
+def test_drone_counts_must_be_distinct_and_within_the_fleet(grid8, grid8_set, counts):
+    with pytest.raises(ParameterError, match="must be distinct, each from 0 to the fleet's 3"):
+        plan_hybrid_counts(grid8, grid8_set, FleetConfig(drone_count=3), counts, False)
