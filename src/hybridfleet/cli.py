@@ -160,7 +160,7 @@ def _dispatch(args) -> int:
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
-            stats = waiting_stats(trace, dset)
+            stats = waiting_stats(trace.completion, dset)
             means = {k: f"{v.mean:.0f}s" for k, v in stats.categories.items()}
             msg += f", mean waits {means}"
         print(msg)

@@ -1,8 +1,9 @@
-"""End-to-end experiment orchestration: plan, simulate, aggregate, evaluate.
+"""End-to-end experiment orchestration: plan, score, aggregate, evaluate.
 
 A sweep runs every (delivery set, drone count, prioritized) combination,
-aggregates waiting-time statistics, and evaluates the fleet links on one
-selected trace. Planning and simulation are deterministic, so every run is
+aggregates waiting-time statistics from the checked plans' completion
+times, and simulates one selected run to evaluate the fleet links on its
+trace. Planning and simulation are deterministic, so every run is
 reproducible from the world alone, which the base seed generates; the
 manifest written next to the results echoes the fully resolved
 configuration.
@@ -25,8 +26,8 @@ from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
-from .scenario import generate_grid_scenario, load_scenario, save_scenario
-from .simcore import save_trace, simulate
+from .scenario import check_spacing, generate_grid_scenario, load_scenario, save_scenario
+from .simcore import completion_times, save_trace, simulate
 
 # seed stream tags
 _STREAM_SCENARIO = 0
@@ -96,6 +97,11 @@ class ExperimentConfig:
         if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
             raise ConfigError(f"grid_spacing must be positive and finite, got "
                               f"{self.grid_spacing!r}")
+        if self.scenario_path is None:
+            try:
+                check_spacing(self.grid_spacing, self.buildings_per_cell)
+            except ParameterError as exc:
+                raise ConfigError(f"bad grid: {exc}") from exc
         if "drone_count" in self.fleet:
             raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
         try:
@@ -175,25 +181,27 @@ def _world(cfg_json: str):
 def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
             prioritized: bool):
     """plan -> check -> simulate -> waiting stats for one configuration of one
-    set; a plan that breaks an invariant raises PlanConsistencyError."""
+    set; returns (plan, trace, stats). A plan that breaks an invariant raises
+    PlanConsistencyError. The sweep scores its runs as ``_run_set`` does,
+    from the same completion times without the trace."""
     fleet = cfg.fleet_for(drone_count)
     plan = plan_hybrid(scenario, dset, fleet, prioritized, cfg.solver)
-    return _run_plan(scenario, dset, fleet, plan)
+    _check(plan, scenario, dset, fleet)
+    trace = simulate(scenario, plan, fleet)
+    return plan, trace, waiting_stats(trace.completion, dset)
 
 
-def _run_plan(scenario, dset, fleet: FleetConfig, plan):
-    """check -> simulate -> waiting stats for one plan."""
+def _check(plan, scenario, dset, fleet: FleetConfig) -> None:
     problems = check_plan(plan, scenario, dset, fleet)
     if problems:
         raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
-    trace = simulate(scenario, plan, fleet)
-    stats = waiting_stats(trace, dset)
-    return plan, trace, stats
 
 
 def _run_set(cfg_json: str, set_idx: int):
-    """Every run of one set, as run_one would make them, with one greedy run
-    per priority flag planning every drone count."""
+    """Every run of one set, with the stats run_one would give: one greedy
+    run per priority flag plans every drone count, and each checked plan is
+    scored from ``completion_times``, the simulator's completion arithmetic
+    without the events and trajectories that no sweep output reads."""
     cfg, scenario, dsets = _world(cfg_json)
     dset = dsets[set_idx]
     counts = sorted(cfg.drone_counts)
@@ -210,7 +218,9 @@ def _run_set(cfg_json: str, set_idx: int):
         result = planned[prio][drones]
         if not isinstance(result, Exception):
             try:
-                stats = _run_plan(scenario, dset, cfg.fleet_for(drones), result)[2]
+                fleet = cfg.fleet_for(drones)
+                _check(result, scenario, dset, fleet)
+                stats = waiting_stats(completion_times(scenario, result, fleet), dset)
                 rows.append(SweepRow(drones, prio, set_idx, stats))
                 continue
             except Exception as exc:  # isolate failures per run

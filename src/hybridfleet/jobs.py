@@ -51,6 +51,8 @@ def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
         raise ParameterError("scenario has no buildings to deliver to")
     if medical_per_set > per_set:
         raise ParameterError("medical_per_set cannot exceed per_set")
+    if medical_per_set < 0:
+        raise ParameterError(f"medical_per_set must be >= 0, got {medical_per_set}")
     if n_sets < 0 or per_set < 1:
         raise ParameterError("need n_sets >= 0 and per_set >= 1")
     by_id = {b.id: b for b in scenario.buildings}

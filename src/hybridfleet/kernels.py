@@ -340,7 +340,12 @@ def best_sortie(path_x, path_y, path, arrive, depart,
     path occurrence whose departure is at or after free_time (the same rule
     the plan builder uses to re-anchor committed sorties). Returns
     (launch_idx, completion) with launch_idx = -1 and completion = inf when
-    no feasible sortie exists.
+    no feasible sortie exists; of equal completions the earliest launch wins.
+
+    A launch's completion does not depend on its rendezvous, so it is
+    computed first, with the same float operations as
+    ``sortie_from_launch``; a launch that cannot beat the best so far is
+    skipped without scanning for its rendezvous.
     """
     seen = set()
     best_completion = math.inf
@@ -355,6 +360,10 @@ def best_sortie(path_x, path_y, path, arrive, depart,
         if nid in seen:
             continue
         seen.add(nid)
+        dx = path_x[li] - tx
+        dy = path_y[li] - ty
+        if (t0 + math.sqrt(dx * dx + dy * dy) / speed) + service >= best_completion:
+            continue
         status, _, t_deliver, _, _ = sortie_from_launch(
             path_x, path_y, arrive, depart, li, tx, ty, speed, service, endurance)
         if status == SORTIE_OK:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ParameterError, PlanConsistencyError
 from .jobs import Category, DeliverySet
-from .simcore import DeliveryTrace
 
 ALL = "all"
 
@@ -44,14 +43,15 @@ class WaitingStats:
         return self.categories.get(key)
 
 
-def waiting_stats(trace: DeliveryTrace, dset: DeliverySet) -> WaitingStats:
-    """Per-category waiting times of a simulated delivery set."""
+def waiting_stats(completion: dict[int, float], dset: DeliverySet) -> WaitingStats:
+    """Per-category waiting times of a delivery set from its jobs' completion
+    times (``simcore.completion_times``, or a trace's ``completion``)."""
     buckets: dict[str, list[float]] = {Category.MEDICAL.value: [],
                                        Category.STANDARD.value: [], ALL: []}
     for job in dset.jobs:
-        if job.id not in trace.completion:
-            raise PlanConsistencyError(f"job {job.id} has no completion in the trace")
-        t = trace.completion[job.id]
+        if job.id not in completion:
+            raise PlanConsistencyError(f"job {job.id} has no completion time")
+        t = completion[job.id]
         if t < 0:
             raise PlanConsistencyError(f"job {job.id} completed at negative time")
         buckets[job.category.value].append(t)

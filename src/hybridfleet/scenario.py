@@ -148,6 +148,15 @@ class _Geometry:
 # generation
 
 
+def check_spacing(spacing: float, buildings_per_cell: int) -> None:
+    """Raise ParameterError when a grid cell has no room for its buildings,
+    which keep CELL_MARGIN_M from the roads on every side."""
+    least = 2.0 * CELL_MARGIN_M
+    if buildings_per_cell > 0 and not spacing > least:
+        raise ParameterError(f"spacing must be above {least} m (twice the {CELL_MARGIN_M} m "
+                             f"building margin) when cells hold buildings, got {spacing}")
+
+
 def generate_grid_scenario(rows: int, cols: int, spacing: float,
                            buildings_per_cell: int, seed: int) -> Scenario:
     """Synthetic rows x cols street grid with randomly placed buildings.
@@ -165,6 +174,7 @@ def generate_grid_scenario(rows: int, cols: int, spacing: float,
         raise ParameterError(f"spacing must be positive, got {spacing}")
     if buildings_per_cell < 0:
         raise ParameterError("buildings_per_cell must be >= 0")
+    check_spacing(spacing, buildings_per_cell)
 
     nodes = {}
     for r in range(rows):

@@ -7,9 +7,10 @@ launches and rejoins the truck at the path positions of its sortie, which
 equals the planner's ``_fly`` for its launch node and target. Only the
 drones' flight seconds are recomputed, from the sorties' targets, the road
 nodes and the fleet configuration, so completion-time agreement with the
-planner cross-checks them. One pass over the truck's path positions emits
-every event. A single run is sequential; separate runs share only immutable
-inputs.
+planner cross-checks them. ``completion_times`` gives a run's completions
+alone, by the same arithmetic, for callers that read no trace. One pass over
+the truck's path positions emits every event. A single run is sequential;
+separate runs share only immutable inputs.
 """
 from __future__ import annotations
 
@@ -87,6 +88,42 @@ class DeliveryTrace:
         return out
 
 
+def completion_times(scenario: Scenario, plan: HybridPlan,
+                     fleet: FleetConfig) -> dict[int, float]:
+    """Job id -> completion time of a plan that ``hybrid.check_plan``
+    accepts, as ``simulate`` gives it, without building its trace."""
+    return _executed(scenario, plan, fleet)[0]
+
+
+def _executed(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig):
+    """The completion times, and (sortie, launch position, deliver time) per
+    sortie in (drone, launch time) order: the simulator's one completion
+    arithmetic.
+
+    A truck job completes at its stop's departure. A sortie launches at the
+    first pass over its launch node that departs once its drone is free (at
+    0, then one turnaround after each rendezvous), delivers its outbound
+    leg's ``math.hypot`` meters later at drone speed, and completes drone
+    service after delivering.
+    """
+    npos = scenario.graph.nodes
+    nodes = plan.timetable.nodes
+    depart = plan.timetable.depart
+    completion = {j: depart[pos] for j, pos in plan.stop_positions.items()}
+    flights: list[tuple[Sortie, int, float]] = []
+    free: dict[int, float] = {}
+    for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
+        li = first_pass(nodes, depart, s.launch_node, free.get(s.drone_id, 0.0),
+                        0, len(nodes) - 1)
+        p = npos[s.launch_node]
+        out_d = math.hypot(p.x - s.target_x, p.y - s.target_y)
+        t_deliver = depart[li] + out_d / fleet.drone_speed
+        completion[s.job_id] = t_deliver + fleet.drone_service
+        flights.append((s, li, t_deliver))
+        free[s.drone_id] = s.rendezvous_time + fleet.turnaround
+    return completion, flights
+
+
 def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> DeliveryTrace:
     """Execute a plan that ``hybrid.check_plan`` accepts for this scenario
     and fleet; returns events, completions, and trajectories.
@@ -94,31 +131,26 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     Truck jobs are served at their stops' path positions. Each drone launches
     and rejoins the truck at the path positions its proven sortie gives; only
     its flight seconds to and from the sortie's ``target_x``/``target_y``
-    are recomputed.
+    are recomputed. The completions are ``completion_times``'.
     """
     npos = scenario.graph.nodes
     nodes = plan.timetable.nodes
     arrive = plan.timetable.arrive
     depart = plan.timetable.depart
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
+    completion, flights = _executed(scenario, plan, fleet)
 
-    # (sortie, rendezvous position) by launch position: the launch is the
-    # first pass over its node that departs once the drone is free, the
-    # rendezvous the first later pass over its node that departs at or
-    # after the rendezvous time
-    launch_at: dict[int, list[tuple[Sortie, int]]] = {}
-    free: dict[int, float] = {}
-    for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
-        li = first_pass(nodes, depart, s.launch_node, free.get(s.drone_id, 0.0),
-                        0, len(nodes) - 1)
+    # (sortie, rendezvous position, deliver time) by launch position: the
+    # rendezvous is the first pass over its node after the launch that
+    # departs at or after the rendezvous time
+    launch_at: dict[int, list[tuple[Sortie, int, float]]] = {}
+    for s, li, t_deliver in flights:
         r = first_pass(nodes, depart, s.rendezvous_node, s.rendezvous_time,
                        li + 1, len(nodes))
-        launch_at.setdefault(li, []).append((s, r))
-        free[s.drone_id] = s.rendezvous_time + fleet.turnaround
+        launch_at.setdefault(li, []).append((s, r, t_deliver))
     rendezvous_at: dict[int, list[tuple[int, float, Sortie]]] = {}
 
     raw_events: list[tuple] = []
-    completion: dict[int, float] = {}
     truck_frames: list[tuple[float, float, float, float]] = []  # (t, x, y, z)
     sortie_frames: dict[int, list[list[tuple]]] = {d: [] for d in range(fleet.drone_count)}
 
@@ -141,21 +173,17 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         t = depart[pos]
         if pos in job_at_pos:
             emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
-            completion[job_at_pos[pos]] = t
             truck_frames.append((t, p.x, p.y, 0.0))
         if pos + 1 == len(nodes):
             emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
             break
-        for s, r in launch_at.get(pos, []):
+        for s, r, t_deliver in launch_at.get(pos, []):
             d = s.drone_id
             txy = (s.target_x, s.target_y)
-            out_d = math.hypot(p.x - txy[0], p.y - txy[1])
-            t_deliver = t + out_d / fleet.drone_speed
-            t_complete = t_deliver + fleet.drone_service
+            t_complete = completion[s.job_id]
             emit(t, KIND_DRONE_LAUNCH, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
             emit(t_complete, KIND_DRONE_DELIVER, f"drone{d}", s.job_id, None,
                  txy[0], txy[1], fleet.drone_altitude)
-            completion[s.job_id] = t_complete
             rp = npos[s.rendezvous_node]
             back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
             t_arr = t_complete + back_d / fleet.drone_speed

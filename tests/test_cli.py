@@ -145,6 +145,10 @@ def test_config_error_exit_code(workdir, capsys):
     ({"net_models": ["bogus"]}, "unknown net model 'bogus'"),
     ({"net_trace_drones": 2000}, "net_trace_drones must be >= 0 and <= 1000"),
     ({"drone_counts": [0, 1001]}, "drone_counts must be non-empty, each >= 0 and <= 1000"),
+    pytest.param({"grid_spacing": 1.0}, "bad grid: spacing must be above 10.0 m",
+                 id="grid_spacing-below-the-building-margins"),
+    pytest.param({"grid_spacing": 10.0}, "bad grid: spacing must be above 10.0 m",
+                 id="grid_spacing-at-the-building-margins"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -487,6 +491,13 @@ def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
                  "medical_per_set cannot exceed per_set", id="jobs-medical-above-per-set"),
     pytest.param(["scenario", "gen", "--rows", 1, "--out", "{t}/scen.json"],
                  "grid needs rows >= 2", id="scenario-one-row"),
+    pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--medical", -1,
+                  "--out", "{t}/jobs.json"],
+                 "medical_per_set must be >= 0, got -1", id="jobs-negative-medical"),
+    pytest.param(["scenario", "gen", "--spacing", 5, "--out", "{t}/scen.json"],
+                 "spacing must be above 10.0 m", id="scenario-spacing-below-the-building-margins"),
+    pytest.param(["scenario", "gen", "--spacing", 10, "--out", "{t}/scen.json"],
+                 "spacing must be above 10.0 m", id="scenario-spacing-at-the-building-margins"),
 ])
 def test_flag_precondition_exit_2(workdir, tmp_path, capsys, argv, message):
     argv = [str(a).format(d=workdir, t=tmp_path) for a in argv]

@@ -1,10 +1,13 @@
-"""Golden plans and traces: SHA-256 digests for seeded default-world sets.
+"""Golden plans, traces and sweep summaries: SHA-256 digests for seeded
+default-world sets.
 
 The default sweep world (8x8 grid, 15 jobs per set of which 5 medical) is
 planned for a few sets with 0, 1 and 3 drones, priority off and on. Each
 plan file's canonical JSON is hashed, and so are the bytes ``save_trace``
 writes for the plan's simulation: the event CSV followed by its sidecar. A
-planner or simulator change that is meant to keep its outputs byte-identical
+small default sweep's ``summary.csv`` and ``capacity_curves.csv`` are hashed
+too, as the sweep scores its runs without simulating them. A planner,
+simulator or sweep change that is meant to keep its outputs byte-identical
 must leave every digest as recorded; a change that is meant to alter them
 must re-record them and say why.
 """
@@ -14,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from hybridfleet.cli import main
 from hybridfleet.experiment import ExperimentConfig, build_scenario, build_sets
-from hybridfleet.hybrid import plan_hybrid, plan_to_dict
-from hybridfleet.simcore import save_trace, simulate, trace_sidecar_path
+from hybridfleet.hybrid import check_plan, plan_hybrid, plan_to_dict
+from hybridfleet.simcore import completion_times, save_trace, simulate, trace_sidecar_path
 
 GOLDEN = {
     # (base_seed, set index, drones, prioritized):
@@ -96,6 +100,13 @@ GOLDEN = {
 }
 
 
+# file -> sha256 of what `sweep --seed 42 --sets 4` writes
+GOLDEN_SWEEP = {
+    "summary.csv": "df3f578f0b0440cc8f249d314f19c88220acf31dd90eb5142b7528cae8a918d1",
+    "capacity_curves.csv": "895f119f5e247beef0ed1228c667b2fa78337267537905ee9bd309ea66b27fe4",
+}
+
+
 def _world(base_seed):
     cfg = ExperimentConfig(base_seed=base_seed, n_sets=3, net_models=[])
     scenario = build_scenario(cfg)
@@ -119,16 +130,34 @@ def _cases(base_seed):
         if seed == base_seed:
             fleet = cfg.fleet_for(drones)
             plan = plan_hybrid(scenario, dsets[set_index], fleet, prioritize, cfg.solver)
-            yield (seed, set_index, drones, prioritize), scenario, plan, fleet, want
+            yield ((seed, set_index, drones, prioritize), scenario, dsets[set_index], plan,
+                   fleet, want)
 
 
 @pytest.mark.parametrize("base_seed", sorted({key[0] for key in GOLDEN}))
 def test_plans_match_recorded_digests(base_seed):
-    for key, _, plan, fleet, (want, _) in _cases(base_seed):
+    for key, _, _, plan, fleet, (want, _) in _cases(base_seed):
         assert plan_digest(plan, fleet) == want, key
 
 
 @pytest.mark.parametrize("base_seed", sorted({key[0] for key in GOLDEN}))
 def test_traces_match_recorded_digests(base_seed, tmp_path):
-    for key, scenario, plan, fleet, (_, want) in _cases(base_seed):
+    for key, scenario, _, plan, fleet, (_, want) in _cases(base_seed):
         assert trace_digest(scenario, plan, fleet, tmp_path / "trace.csv") == want, key
+
+
+@pytest.mark.parametrize("base_seed", sorted({key[0] for key in GOLDEN}))
+def test_completion_pass_equals_the_simulators_completions(base_seed):
+    sorties = 0
+    for key, scenario, dset, plan, fleet, _ in _cases(base_seed):
+        assert check_plan(plan, scenario, dset, fleet) == [], key
+        got = completion_times(scenario, plan, fleet)
+        assert got == simulate(scenario, plan, fleet).completion, key
+        sorties += len(plan.sorties)
+    assert sorties > 0
+
+
+def test_sweep_summaries_match_recorded_digests(tmp_path):
+    assert main(["sweep", "--seed", "42", "--sets", "4", "--out", str(tmp_path)]) == 0
+    for name, want in GOLDEN_SWEEP.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name

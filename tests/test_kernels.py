@@ -7,9 +7,10 @@ oracle, on random segments, on segments grazing the buildings' boxes and on
 the hops of a planned trace. The timetable fold, which returns lists, and
 the numpy pairwise distances must match the scalar loops kept below bit for
 bit. The sortie kernels must return the same bits on Python lists, as the
-planner passes them, and on numpy arrays, and ``best_sortie`` must
-never complete before its free time plus the drone service, the bound the
-planner prunes its scans with.
+planner passes them, and on numpy arrays; ``best_sortie`` must return the
+bits of the rendezvous scan of every candidate launch kept below as its
+oracle, and never complete before its free time plus the drone service, the
+bound the planner prunes its scans with.
 """
 import itertools
 import math
@@ -226,6 +227,56 @@ def test_best_sortie_completes_no_earlier_than_free_time_plus_service(path, data
     if li >= 0:
         assert depart[li] >= free_time
         assert completion >= free_time + service
+
+
+def _oracle_best_sortie(xs, ys, nodes, arrive, depart, free_time, tx, ty, speed, service,
+                        endurance):
+    """The first least completion over every node's first launch departing
+    at or after free_time, each scanned for its rendezvous."""
+    best = (-1, math.inf)
+    seen = set()
+    for li in range(len(xs) - 1):
+        if depart[li] < free_time or nodes[li] in seen:
+            continue
+        seen.add(nodes[li])
+        status, _, t_deliver, _, _ = kernels.sortie_from_launch(
+            xs, ys, arrive, depart, li, tx, ty, speed, service, endurance)
+        if status == kernels.SORTIE_OK and t_deliver + service < best[1]:
+            best = (li, t_deliver + service)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=_truck_path(), data=st.data(), speed=st.floats(1.0, 30.0),
+       service=st.floats(0.0, 60.0), endurance=st.floats(10.0, 3000.0))
+def test_best_sortie_equals_scanning_every_launch(path, data, speed, service, endurance):
+    nodes, xs, ys, arrive, depart = path
+    free_time = data.draw(st.floats(0.0, 3000.0) | st.sampled_from(depart))
+    tx, ty = data.draw(st.tuples(_coord, _coord) | st.sampled_from(list(zip(xs, ys))))
+    args = (xs, ys, nodes, arrive, depart, free_time, tx, ty, speed, service, endurance)
+    assert _bits(kernels.best_sortie(*args)) == _bits(_oracle_best_sortie(*args))
+
+
+@pytest.mark.parametrize("drone_speed", [10.0, 9.99, 9.9])
+def test_best_sortie_equals_scanning_every_launch_near_ties(drone_speed):
+    """A straight road driven at 10 m/s toward the targets: each later launch
+    gains 100/drone_speed - 10 s per 100 m, less the further the target lies
+    off the road, so completions are tied (at 10 m/s) or a later launch wins
+    by a small margin. Beyond x = 1000 m the truck stops at every node, so
+    the drone catches up with it."""
+    xs = [100.0 * i for i in range(21)]
+    ys = [0.0] * 21
+    arrive, depart = kernels.build_timetable([10.0] * 20, [0.0] * 11 + [60.0] * 10)
+    compared = 0
+    for tx in (450.0, 950.0, 1000.0):
+        for ty in (0.0, 3.0, 40.0, 250.0):
+            for free_time in (0.0, 25.0, 30.0):
+                args = (xs, ys, list(range(21)), arrive, depart, free_time, tx, ty,
+                        drone_speed, 30.0, 3000.0)
+                got = kernels.best_sortie(*args)
+                assert _bits(got) == _bits(_oracle_best_sortie(*args)), (tx, ty, free_time)
+                compared += got[0] >= 0
+    assert compared == 36
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,8 @@ from hybridfleet.jobs import Category, DeliverySet
 from hybridfleet.metrics import (ALL, SweepResult, SweepRow, capacity_at,
                                  prioritization_effect, summarize_sweep,
                                  waiting_stats, write_summary_csv)
-from hybridfleet.simcore import DeliveryTrace
 
 from conftest import job_at
-
-
-def trace_with(completion):
-    return DeliveryTrace([], completion, {})
 
 
 def set_with(medical_ids, standard_ids):
@@ -22,7 +17,7 @@ def set_with(medical_ids, standard_ids):
 
 
 def stats_for(completion, medical_ids, standard_ids):
-    return waiting_stats(trace_with(completion), set_with(medical_ids, standard_ids))
+    return waiting_stats(completion, set_with(medical_ids, standard_ids))
 
 
 def test_waiting_stats_category_means():

@@ -46,6 +46,15 @@ def test_grid_invalid_spacing():
         generate_grid_scenario(2, 2, 0.0, 0, seed=1)
 
 
+def test_grid_spacing_must_leave_room_for_buildings():
+    for spacing in (1.0, 5.0, 10.0):
+        with pytest.raises(ParameterError, match="spacing must be above 10.0 m"):
+            generate_grid_scenario(3, 3, spacing, 1, seed=1)
+    # without buildings a cell needs no room; just above the margins it has some
+    assert generate_grid_scenario(3, 3, 5.0, 0, seed=1).buildings == []
+    assert len(generate_grid_scenario(3, 3, 10.5, 2, seed=1).buildings) == 8
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_scenarios_satisfy_invariants(seed):
     sc = generate_grid_scenario(4, 5, 80.0, 2, seed=seed)

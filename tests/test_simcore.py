@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from hybridfleet import simcore
-from hybridfleet.hybrid import FleetConfig, plan_hybrid
+from hybridfleet.hybrid import FleetConfig, check_plan, plan_hybrid
 from hybridfleet.jobs import DeliverySet
 from hybridfleet.netmodel import _interp_positions
 from hybridfleet.scenario import generate_grid_scenario
 from hybridfleet.simcore import (KIND_DRONE_DELIVER, KIND_DRONE_LAUNCH,
                                  KIND_DRONE_RENDEZVOUS, KIND_TOUR_COMPLETE,
-                                 KIND_TRUCK_SERVE, _dedupe, load_trace, save_trace,
-                                 simulate)
+                                 KIND_TRUCK_SERVE, _dedupe, completion_times, load_trace,
+                                 save_trace, simulate)
 
 from conftest import (fly, job_at, line_scenario, line_timetable, random_world,
                       sortie_plan)
@@ -274,3 +274,18 @@ def test_trajectories_match_interpolating_oracle(monkeypatch):
                                       for p in plan.stop_positions.values() if p > 0)
             flights += len(plan.sorties)
     assert repeated_stop_node > 0 and flights > 0
+
+
+def test_completion_pass_equals_the_simulators_completions():
+    """completion_times gives simulate's completions, keys and values with
+    ==, on checked plans with several sorties per drone and hover waits."""
+    repeat_flights = hovers = 0
+    for case in range(150):
+        sc, dset, fleet, prioritize = random_world(case, max_jobs=15, max_drones=4)
+        plan = plan_hybrid(sc, dset, fleet, prioritize)
+        assert check_plan(plan, sc, dset, fleet) == [], case
+        assert completion_times(sc, plan, fleet) == simulate(sc, plan, fleet).completion, case
+        drones = [s.drone_id for s in plan.sorties]
+        repeat_flights += len(drones) > len(set(drones))
+        hovers += any(s.hover_wait > 0 for s in plan.sorties)
+    assert repeat_flights > 10 and hovers > 10
