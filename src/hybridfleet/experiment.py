@@ -26,6 +26,7 @@ from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
                       write_capacity_curves_csv, write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
+from .routing import EXACT_TSP_LIMIT, largest_tour
 from .scenario import check_spacing, generate_grid_scenario, load_scenario, save_scenario
 from .simcore import completion_times, save_trace, simulate
 
@@ -83,6 +84,13 @@ class ExperimentConfig:
         check_model_names(self.net_models)
         if self.solver not in ("exact", "heuristic"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.solver == "exact":
+            stops = max(largest_tour(self.per_set, self.medical_per_set, p)
+                        for p in self.prioritize_flags)
+            if stops > EXACT_TSP_LIMIT:
+                raise ConfigError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got "
+                                  f"{stops} (per_set {self.per_set}, medical_per_set "
+                                  f"{self.medical_per_set})")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.scenario_path is None and (self.grid_rows < 2 or self.grid_cols < 2):

@@ -414,19 +414,19 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     and float rounding is monotone, so the scan's completion is at least
     ``f + drone_service`` and its reduction at most the bound. A skipped
     scan could therefore not have won, ties included, and the plans are
-    bit-identical to those of the exhaustive loop. The bound cannot rise as
-    f rises, so a candidate whose bound at its earliest drone free time is
-    at most that floor is skipped whole.
+    bit-identical to those of the exhaustive loop.
 
-    Most candidates fail that test, so it is first made without building
-    the candidate: ``_candidate_bounds`` gives each candidate lower bounds
-    on its truck sum, its drone sum and its earliest drone free time from
-    the current state alone, and a candidate whose bound
+    The bound cannot rise as f rises, so when the bound at a candidate's
+    earliest drone free time is at most the floor, every scan of it is
+    skipped. Most candidates are like that, so the test is made without
+    building the candidate: ``_candidate_bounds`` gives each candidate lower
+    bounds on its truck sum, its drone sum and its earliest drone free time
+    from the current state alone, and a candidate whose bound
     ``total - (truck + drone + (free + drone_service))`` is at most the
     floor is not built. Each lower bound makes the bound at least the one
     the build would give (the truck's float error is covered by a margin),
-    so a candidate skipped unbuilt would have been skipped once built, and
-    the plans stay bit-identical.
+    so a candidate skipped unbuilt would have had all its scans skipped once
+    built, and the plans stay bit-identical.
     """
     plan = plan_hybrid_counts(scenario, dset, fleet, [fleet.drone_count], prioritize,
                               solver)[fleet.drone_count]
@@ -517,8 +517,8 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
         for j in sorted(truck_jobs):
             # the tour without stop k: splice stop k-1 to stop k+1
             k = truck_jobs.index(j)
-            # the minimum-free-time skip below, tested first on lower
-            # bounds, so that most candidates are never built
+            # no scan of the built candidate could beat the floor when this
+            # bound, from lower bounds at its earliest free time, cannot
             truck_lb, drone_lb, free_lb = bounds[k]
             if total - (truck_lb + drone_lb + (free_lb + fleet.drone_service)) <= floor:
                 continue
@@ -528,10 +528,6 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
             if built is None:
                 continue
             partial = built.truck_sum + built.drone_sum
-            # the bound below falls as the free time rises: no drone's
-            # scan can win when the earliest free drone's cannot
-            if total - (partial + (min(built.free.values()) + fleet.drone_service)) <= floor:
-                continue
             tx, ty = ctx.target_xy[j]
             # Drones free at the same time get the same best sortie, and
             # the lower drone id keeps a tie, so one scan serves them all.

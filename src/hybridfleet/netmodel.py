@@ -619,6 +619,8 @@ def check_model_names(names) -> None:
     for name in names:
         if name not in MODELS:
             raise ConfigError(f"unknown net model {name!r}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"net models must not repeat a name, got {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +663,12 @@ def evaluate_links(trace: DeliveryTrace, scenario: Scenario, names: list[str],
                    channel: ChannelConfig, seed: int, out_dir: str) -> list[str]:
     """Run each named model over the trace with its model_seed, write
     net_results.csv and net_summary.csv into out_dir and return the
-    requirement lines. Every name is checked before any model runs or any
-    file is written. The sweep's net phase and `hybridfleet netsim` call it.
+    requirement lines. Every name is checked, and at least one is required,
+    before any model runs or any file is written. The sweep's net phase and
+    `hybridfleet netsim` call it.
     """
+    if not names:
+        raise ConfigError("need at least one net model")
     check_model_names(names)
     stats_list = []
     lines = []

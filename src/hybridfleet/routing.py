@@ -19,6 +19,15 @@ EXACT_TSP_LIMIT = 12
 Solver = Literal["exact", "heuristic"]
 
 
+def largest_tour(per_set: int, medical: int, prioritize: bool) -> int:
+    """The most stops of one TSP that scheduling a set of per_set jobs, medical
+    of them medical, solves: the depot and every job, or with prioritize and
+    both categories present the larger category and the stop it starts from."""
+    if prioritize and 0 < medical < per_set:
+        return max(medical, per_set - medical) + 1
+    return per_set + 1
+
+
 def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
     """Travel time (s) from source to every reachable node."""
     adj = graph.adjacency()
@@ -195,17 +204,10 @@ def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int,
     """
     medical = [j.id for j in dset.medical()]
     std = [j.id for j in dset.standard()]
-    depot = scenario.depot
+    if not medical or not std:  # the other category holds every job in set order
+        return plain_schedule(scenario, dset, nodes_of, solver)
 
-    if not medical or not std:
-        jobs = medical or std
-        if not jobs:
-            return []
-        mat = travel_time_matrix(scenario, [depot] + [nodes_of[j] for j in jobs])
-        order, _ = _solve(mat, True, solver)
-        return [jobs[i - 1] for i in order[1:]]
-
-    mat_m = travel_time_matrix(scenario, [depot] + [nodes_of[j] for j in medical])
+    mat_m = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in medical])
     order_m, _ = _solve(mat_m, False, solver)
     med_seq = [medical[i - 1] for i in order_m[1:]]
 

@@ -132,16 +132,10 @@ class _Geometry:
         self.vert_y = np.array(vy, np.float64)
         self.offsets = np.array(offsets, np.int64)
         self.heights = np.array(heights, np.float64)
-        if sc.buildings:
-            self.bb_minx = np.array([min(p.x for p in b.footprint) for b in sc.buildings])
-            self.bb_maxx = np.array([max(p.x for p in b.footprint) for b in sc.buildings])
-            self.bb_miny = np.array([min(p.y for p in b.footprint) for b in sc.buildings])
-            self.bb_maxy = np.array([max(p.y for p in b.footprint) for b in sc.buildings])
-        else:
-            self.bb_minx = np.empty(0)
-            self.bb_maxx = np.empty(0)
-            self.bb_miny = np.empty(0)
-            self.bb_maxy = np.empty(0)
+        self.bb_minx = np.array([min(p.x for p in b.footprint) for b in sc.buildings], np.float64)
+        self.bb_maxx = np.array([max(p.x for p in b.footprint) for b in sc.buildings], np.float64)
+        self.bb_miny = np.array([min(p.y for p in b.footprint) for b in sc.buildings], np.float64)
+        self.bb_maxy = np.array([max(p.y for p in b.footprint) for b in sc.buildings], np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ equals the planner's ``_fly`` for its launch node and target. Only the
 drones' flight seconds are recomputed, from the sorties' targets, the road
 nodes and the fleet configuration, so completion-time agreement with the
 planner cross-checks them. ``completion_times`` gives a run's completions
-alone, by the same arithmetic, for callers that read no trace. One pass over
-the truck's path positions emits every event. A single run is sequential;
-separate runs share only immutable inputs.
+alone, by the same arithmetic, for callers that read no trace. One loop over
+the truck's path positions emits the truck's events, and one over the executed
+flights each drone's; a final sort orders them all. A single run is
+sequential; separate runs share only immutable inputs.
 """
 from __future__ import annotations
 
@@ -140,16 +141,6 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
     completion, flights = _executed(scenario, plan, fleet)
 
-    # (sortie, rendezvous position, deliver time) by launch position: the
-    # rendezvous is the first pass over its node after the launch that
-    # departs at or after the rendezvous time
-    launch_at: dict[int, list[tuple[Sortie, int, float]]] = {}
-    for s, li, t_deliver in flights:
-        r = first_pass(nodes, depart, s.rendezvous_node, s.rendezvous_time,
-                       li + 1, len(nodes))
-        launch_at.setdefault(li, []).append((s, r, t_deliver))
-    rendezvous_at: dict[int, list[tuple[int, float, Sortie]]] = {}
-
     raw_events: list[tuple] = []
     truck_frames: list[tuple[float, float, float, float]] = []  # (t, x, y, z)
     sortie_frames: dict[int, list[list[tuple]]] = {d: [] for d in range(fleet.drone_count)}
@@ -158,40 +149,36 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
         raw_events.append((time, _KIND_RANK[kind], vehicle, len(raw_events),
                            kind, job, node, x, y, z))
 
-    # At each path position: the truck arrives, the drones due there rejoin
-    # it, it serves its stop and departs, and drones launch as it departs.
-    # The final sort by (time, kind rank, vehicle, emission index) orders
-    # events across positions.
+    # The final sort by (time, kind rank, vehicle, emission index) orders the
+    # events; the index only decides between one vehicle's events of one time
+    # and rank. The truck emits in path order, and a drone's launches,
+    # deliveries and rendezvous each rise strictly in time (turnaround > 0).
     for pos, node in enumerate(nodes):
         p = npos[node]
-        t = arrive[pos]
-        truck_frames.append((t, p.x, p.y, 0.0))
+        truck_frames.append((arrive[pos], p.x, p.y, 0.0))
         if pos > 0:
-            emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
-        for d, t_rdv, s in rendezvous_at.pop(pos, []):
-            emit(t_rdv, KIND_DRONE_RENDEZVOUS, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
-        t = depart[pos]
+            emit(arrive[pos], KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
         if pos in job_at_pos:
-            emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
-            truck_frames.append((t, p.x, p.y, 0.0))
-        if pos + 1 == len(nodes):
-            emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
-            break
-        for s, r, t_deliver in launch_at.get(pos, []):
-            d = s.drone_id
-            txy = (s.target_x, s.target_y)
-            t_complete = completion[s.job_id]
-            emit(t, KIND_DRONE_LAUNCH, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
-            emit(t_complete, KIND_DRONE_DELIVER, f"drone{d}", s.job_id, None,
-                 txy[0], txy[1], fleet.drone_altitude)
-            rp = npos[s.rendezvous_node]
-            back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
-            t_arr = t_complete + back_d / fleet.drone_speed
-            t_rdv = arrive[r] if arrive[r] > t_arr else t_arr
-            rendezvous_at.setdefault(r, []).append((d, t_rdv, s))
-            sortie_frames[d].append([
-                (t, p.x, p.y), (t_deliver, txy[0], txy[1]),
-                (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y), (t_rdv, rp.x, rp.y)])
+            emit(depart[pos], KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
+            truck_frames.append((depart[pos], p.x, p.y, 0.0))
+    emit(depart[-1], KIND_TOUR_COMPLETE, "truck", None, nodes[-1], p.x, p.y, 0.0)
+
+    # a drone rejoins the truck at the first pass over the rendezvous node
+    # after its launch that departs at or after the rendezvous time
+    for s, li, t_deliver in flights:
+        lp, rp = npos[s.launch_node], npos[s.rendezvous_node]
+        t, t_complete = depart[li], completion[s.job_id]
+        r = first_pass(nodes, depart, s.rendezvous_node, s.rendezvous_time, li + 1, len(nodes))
+        t_arr = t_complete + math.hypot(rp.x - s.target_x, rp.y - s.target_y) / fleet.drone_speed
+        t_rdv = arrive[r] if arrive[r] > t_arr else t_arr
+        vehicle = f"drone{s.drone_id}"
+        emit(t, KIND_DRONE_LAUNCH, vehicle, s.job_id, s.launch_node, lp.x, lp.y, 0.0)
+        emit(t_complete, KIND_DRONE_DELIVER, vehicle, s.job_id, None,
+             s.target_x, s.target_y, fleet.drone_altitude)
+        emit(t_rdv, KIND_DRONE_RENDEZVOUS, vehicle, s.job_id, s.rendezvous_node, rp.x, rp.y, 0.0)
+        sortie_frames[s.drone_id].append([
+            (t, lp.x, lp.y), (t_deliver, s.target_x, s.target_y),
+            (t_complete, s.target_x, s.target_y), (t_arr, rp.x, rp.y), (t_rdv, rp.x, rp.y)])
 
     events = [SimEvent(e[0], e[4], e[2], e[5], e[6], e[7], e[8], e[9])
               for e in sorted(raw_events)]

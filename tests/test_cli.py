@@ -149,6 +149,14 @@ def test_config_error_exit_code(workdir, capsys):
                  id="grid_spacing-below-the-building-margins"),
     pytest.param({"grid_spacing": 10.0}, "bad grid: spacing must be above 10.0 m",
                  id="grid_spacing-at-the-building-margins"),
+    pytest.param({"solver": "exact", "n_sets": 2, "per_set": 15, "net_models": []},
+                 "exact solver limited to 12 stops, got 16", id="exact-solver-unprioritized"),
+    pytest.param({"solver": "exact", "per_set": 25, "medical_per_set": 5,
+                  "prioritize_flags": [True]},
+                 "exact solver limited to 12 stops, got 21", id="exact-solver-prioritized"),
+    pytest.param({"solver": "exact", "per_set": 12, "medical_per_set": 0,
+                  "prioritize_flags": [True]},
+                 "exact solver limited to 12 stops, got 13", id="exact-solver-no-medical"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -156,6 +164,14 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_exact_solver_config_counts_the_prioritized_subtours():
+    # a prioritized set of 15 with 5 medical solves tours of 6 and 11 stops
+    cfg = experiment.ExperimentConfig.from_dict({"solver": "exact", "per_set": 15,
+                                                 "medical_per_set": 5,
+                                                 "prioritize_flags": [True]})
+    assert cfg.solver == "exact"
 
 
 def test_nonfinite_spacing_exit_2(tmp_path, capsys):
@@ -235,6 +251,19 @@ def test_netsim_unknown_model_exit_2_before_any_output(chain, tmp_path, capsys):
     assert run("netsim", "--scenario", chain / "scen.json", "--trace", chain / "chain_trace.csv",
                "--models", "centralized,bogus", "--out", out) == 2
     assert "unknown net model 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models,message", [
+    ("csma,csma", "net models must not repeat a name, got ['csma', 'csma']"),
+    ("", "need at least one net model"),
+], ids=["repeated", "empty"])
+def test_netsim_bad_model_list_exit_2_before_any_output(chain, tmp_path, capsys, models,
+                                                        message):
+    out = tmp_path / "net"
+    assert run("netsim", "--scenario", chain / "scen.json", "--trace", chain / "chain_trace.csv",
+               "--models", models, "--out", out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -539,9 +568,11 @@ def test_sweep_single_truck_only_run(tmp_path):
     assert configs_in_summary(out) == [(0, 0)]
 
 
-def test_partial_failure_isolation(tmp_path):
+def test_partial_failure_isolation(tmp_path, monkeypatch):
     # the exact solver handles the prioritized subproblems (6 and 11 stops)
-    # but rejects the unprioritized 16-stop tour, so half the runs fail
+    # but rejects the unprioritized 16-stop tour, so half the runs fail; the
+    # config check would reject the sweep, so it is bypassed to fail at run time
+    monkeypatch.setattr(experiment, "largest_tour", lambda *args: 0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_sets": 2, "per_set": 15, "medical_per_set": 5,
                                "drone_counts": [0], "solver": "exact",
@@ -557,9 +588,11 @@ def test_partial_failure_isolation(tmp_path):
     assert len(rows) == 1 + 3  # one surviving config x three categories
 
 
-def test_failed_schedule_fails_every_drone_count_that_shares_it(tmp_path):
+def test_failed_schedule_fails_every_drone_count_that_shares_it(tmp_path, monkeypatch):
     # one greedy run plans all drone counts of a (set, priority) pair; the
     # exact solver's limit stops its shared schedule, so each count fails
+    # (with the config check that would reject the sweep bypassed)
+    monkeypatch.setattr(experiment, "largest_tour", lambda *args: 0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_sets": 2, "per_set": 15, "medical_per_set": 5,
                                "drone_counts": [0, 1, 2], "solver": "exact",
@@ -577,7 +610,9 @@ def test_failed_schedule_fails_every_drone_count_that_shares_it(tmp_path):
     (["--drones", "1,1"], None, "drone_counts must not repeat a value, got [1, 1]"),
     ([], {"prioritize_flags": [True, True]},
      "prioritize_flags must not repeat a value, got [True, True]"),
-], ids=["drones", "prioritize_flags"])
+    ([], {"net_models": ["csma", "csma"]},
+     "net models must not repeat a name, got ['csma', 'csma']"),
+], ids=["drones", "prioritize_flags", "net_models"])
 def test_repeated_sweep_value_exit_2(tmp_path, capsys, argv, config, message):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

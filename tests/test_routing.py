@@ -8,8 +8,8 @@ from hybridfleet import routing
 from hybridfleet.errors import RoutingError, TspSizeError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import generate_delivery_sets
-from hybridfleet.routing import (RoutingCache, dijkstra_times, job_nodes, priority_schedule,
-                                 plain_schedule, routing_cache,
+from hybridfleet.routing import (RoutingCache, dijkstra_times, job_nodes, largest_tour,
+                                 priority_schedule, plain_schedule, routing_cache,
                                  travel_time_matrix, tsp_exact, tsp_heuristic)
 from hybridfleet.scenario import DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
@@ -309,6 +309,30 @@ def test_priority_schedule_no_medical_equals_plain():
     sc, dset = world_with_jobs(6, 0)
     nodes_of = job_nodes(sc, dset)
     assert priority_schedule(sc, dset, nodes_of) == plain_schedule(sc, dset, nodes_of)
+
+
+def test_priority_schedule_only_medical_equals_plain():
+    sc, dset = world_with_jobs(6, 6)
+    nodes_of = job_nodes(sc, dset)
+    assert priority_schedule(sc, dset, nodes_of) == plain_schedule(sc, dset, nodes_of)
+
+
+@pytest.mark.parametrize("per_set,medical", [(1, 0), (1, 1), (6, 0), (6, 6), (7, 2), (8, 4),
+                                             (15, 5), (15, 11)])
+def test_largest_tour_is_the_largest_matrix_solved(monkeypatch, per_set, medical):
+    sizes = []
+    solve = routing._solve
+
+    def spy(matrix, closed, solver):
+        sizes.append(len(matrix))
+        return solve(matrix, closed, solver)
+
+    monkeypatch.setattr(routing, "_solve", spy)
+    sc, dset = world_with_jobs(per_set, medical)
+    for prioritize, schedule in ((True, priority_schedule), (False, plain_schedule)):
+        sizes.clear()
+        schedule(sc, dset, job_nodes(sc, dset))
+        assert max(sizes) == largest_tour(per_set, medical, prioritize), prioritize
 
 
 def test_priority_schedule_all_medical_first():

@@ -1,15 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hybridfleet import simcore
-from hybridfleet.hybrid import FleetConfig, check_plan, plan_hybrid
+from hybridfleet.hybrid import FleetConfig, Sortie, check_plan, first_pass, plan_hybrid
 from hybridfleet.jobs import DeliverySet
 from hybridfleet.netmodel import _interp_positions
 from hybridfleet.scenario import generate_grid_scenario
-from hybridfleet.simcore import (KIND_DRONE_DELIVER, KIND_DRONE_LAUNCH,
+from hybridfleet.simcore import (_KIND_RANK, KIND_DRONE_DELIVER, KIND_DRONE_LAUNCH,
                                  KIND_DRONE_RENDEZVOUS, KIND_TOUR_COMPLETE,
-                                 KIND_TRUCK_SERVE, _dedupe, completion_times, load_trace,
-                                 save_trace, simulate)
+                                 KIND_TRUCK_ARRIVE, KIND_TRUCK_SERVE, DeliveryTrace,
+                                 SimEvent, _build_trajectories, _dedupe, _executed,
+                                 completion_times, load_trace, save_trace, simulate)
 
 from conftest import (fly, job_at, line_scenario, line_timetable, random_world,
                       sortie_plan)
@@ -289,3 +293,101 @@ def test_completion_pass_equals_the_simulators_completions():
         repeat_flights += len(drones) > len(set(drones))
         hovers += any(s.hover_wait > 0 for s in plan.sorties)
     assert repeat_flights > 10 and hovers > 10
+
+
+def _position_loop_simulate(scenario, plan, fleet):
+    """The simulator as one pass over the truck's path positions, which
+    emitted every vehicle's events at the positions where they happen: kept
+    as the reference for the loop per vehicle."""
+    npos = scenario.graph.nodes
+    nodes = plan.timetable.nodes
+    arrive = plan.timetable.arrive
+    depart = plan.timetable.depart
+    job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
+    completion, flights = _executed(scenario, plan, fleet)
+
+    # (sortie, rendezvous position, deliver time) by launch position: the
+    # rendezvous is the first pass over its node after the launch that
+    # departs at or after the rendezvous time
+    launch_at: dict[int, list[tuple[Sortie, int, float]]] = {}
+    for s, li, t_deliver in flights:
+        r = first_pass(nodes, depart, s.rendezvous_node, s.rendezvous_time,
+                       li + 1, len(nodes))
+        launch_at.setdefault(li, []).append((s, r, t_deliver))
+    rendezvous_at: dict[int, list[tuple[int, float, Sortie]]] = {}
+
+    raw_events: list[tuple] = []
+    truck_frames: list[tuple[float, float, float, float]] = []  # (t, x, y, z)
+    sortie_frames: dict[int, list[list[tuple]]] = {d: [] for d in range(fleet.drone_count)}
+
+    def emit(time, kind, vehicle, job, node, x, y, z):
+        raw_events.append((time, _KIND_RANK[kind], vehicle, len(raw_events),
+                           kind, job, node, x, y, z))
+
+    # At each path position: the truck arrives, the drones due there rejoin
+    # it, it serves its stop and departs, and drones launch as it departs.
+    # The final sort by (time, kind rank, vehicle, emission index) orders
+    # events across positions.
+    for pos, node in enumerate(nodes):
+        p = npos[node]
+        t = arrive[pos]
+        truck_frames.append((t, p.x, p.y, 0.0))
+        if pos > 0:
+            emit(t, KIND_TRUCK_ARRIVE, "truck", None, node, p.x, p.y, 0.0)
+        for d, t_rdv, s in rendezvous_at.pop(pos, []):
+            emit(t_rdv, KIND_DRONE_RENDEZVOUS, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
+        t = depart[pos]
+        if pos in job_at_pos:
+            emit(t, KIND_TRUCK_SERVE, "truck", job_at_pos[pos], node, p.x, p.y, 0.0)
+            truck_frames.append((t, p.x, p.y, 0.0))
+        if pos + 1 == len(nodes):
+            emit(t, KIND_TOUR_COMPLETE, "truck", None, node, p.x, p.y, 0.0)
+            break
+        for s, r, t_deliver in launch_at.get(pos, []):
+            d = s.drone_id
+            txy = (s.target_x, s.target_y)
+            t_complete = completion[s.job_id]
+            emit(t, KIND_DRONE_LAUNCH, f"drone{d}", s.job_id, node, p.x, p.y, 0.0)
+            emit(t_complete, KIND_DRONE_DELIVER, f"drone{d}", s.job_id, None,
+                 txy[0], txy[1], fleet.drone_altitude)
+            rp = npos[s.rendezvous_node]
+            back_d = math.hypot(rp.x - txy[0], rp.y - txy[1])
+            t_arr = t_complete + back_d / fleet.drone_speed
+            t_rdv = arrive[r] if arrive[r] > t_arr else t_arr
+            rendezvous_at.setdefault(r, []).append((d, t_rdv, s))
+            sortie_frames[d].append([
+                (t, p.x, p.y), (t_deliver, txy[0], txy[1]),
+                (t_complete, txy[0], txy[1]), (t_arr, rp.x, rp.y), (t_rdv, rp.x, rp.y)])
+
+    events = [SimEvent(e[0], e[4], e[2], e[5], e[6], e[7], e[8], e[9])
+              for e in sorted(raw_events)]
+    if not (plan.stop_positions or plan.sorties):
+        events = [ev for ev in events if ev.kind == KIND_TOUR_COMPLETE]
+
+    trajectories = _build_trajectories(truck_frames, sortie_frames, fleet)
+    return DeliveryTrace(events, completion, trajectories)
+
+
+def test_loop_per_vehicle_equals_the_position_loop():
+    """simulate's events, completions and trajectories are field-identical
+    to the position loop's, with the fleet as drawn and with zero truck or
+    drone service, which gives one vehicle several events at one time."""
+    same_time = 0
+    for case in range(400):
+        sc, dset, drawn, prioritize = random_world(case, max_jobs=15, max_drones=5)
+        for fleet in (drawn, replace(drawn, truck_service=0.0),
+                      replace(drawn, drone_service=0.0)):
+            plan = plan_hybrid(sc, dset, fleet, prioritize)
+            got = simulate(sc, plan, fleet)
+            want = _position_loop_simulate(sc, plan, fleet)
+            # repr round-trips every float, so -0.0 and 0.0 differ too
+            assert repr(got.events) == repr(want.events), case
+            assert repr(got.completion) == repr(want.completion), case
+            assert sorted(got.trajectories) == sorted(want.trajectories), case
+            for veh, tr in got.trajectories.items():
+                ref = want.trajectories[veh]
+                for a, b in zip((tr.times, tr.x, tr.y, tr.z), (ref.times, ref.x, ref.y, ref.z)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, veh)
+            keys = [(e.time, e.vehicle) for e in got.events]
+            same_time += len(keys) > len(set(keys))
+    assert same_time > 100
