@@ -180,7 +180,7 @@ class _PlanContext:
 
     def __init__(self, scenario: Scenario, dset: DeliverySet, fleet: FleetConfig):
         self.fleet = fleet
-        self.routes = routing_cache(scenario)
+        self.routes = routing_cache(scenario, fleet.truck_speed)
         geom = scenario.geometry()
         self.node_x = geom.node_x.tolist()
         self.node_y = geom.node_y.tolist()
@@ -206,10 +206,8 @@ class _PlanContext:
             if u == v:
                 nodes, steps = [v], [0.0]
             else:
-                path, edges = self.routes.walk(u, v)
+                path, steps = self.routes.walk(u, v)
                 nodes = path[1:]
-                truck_speed = self.fleet.truck_speed
-                steps = [length / min(truck_speed, speed) for length, speed in edges]
             index = [self.node_index[n] for n in nodes]
             seg = (nodes, [self.node_x[i] for i in index], [self.node_y[i] for i in index],
                    steps, [0.0] * (len(nodes) - 1) + [self.fleet.truck_service])
@@ -469,8 +467,8 @@ def plan_hybrid_counts(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig
         raise ParameterError(f"drone counts {drone_counts} must be distinct, each from 0 to "
                              f"the fleet's {fleet.drone_count}")
     ctx = _PlanContext(scenario, dset, fleet)
-    truck_jobs = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
-                  else plain_schedule(scenario, dset, ctx.nodes_of, solver))
+    truck_jobs = (priority_schedule if prioritize else plain_schedule)(
+        scenario, dset, ctx.nodes_of, fleet.truck_speed, solver)
     most = counts[-1]
     current = ctx.assemble({d: [] for d in range(most)}, truck_jobs)
     plans: dict[int, HybridPlan | Exception] = {}
@@ -616,10 +614,9 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     if not len(tt.arrive) == len(tt.depart) == len(nodes):
         problems.append(f"truck timetable has {len(tt.arrive)} arrivals and "
                         f"{len(tt.depart)} departures for {len(nodes)} path nodes")
-    # each road edge's truck time, as the planner's _segment computes it
-    edge_time = {(e.a, e.b): e.length / min(fleet.truck_speed, e.speed_limit) for e in g.edges}
-    steps = [0.0 if u == v else edge_time.get((u, v), edge_time.get((v, u)))
-             for u, v in zip(nodes, nodes[1:])]
+    # each road edge's truck time, from the routing cache the planner walks
+    edge_time = routing_cache(scenario, fleet.truck_speed).edge_time
+    steps = [0.0 if u == v else edge_time(u, v) for u, v in zip(nodes, nodes[1:])]
     problems += [f"path step {u}->{v} is not a road edge"
                  for u, v, t in zip(nodes, nodes[1:], steps) if t is None]
     stop_at = {}

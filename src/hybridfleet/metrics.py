@@ -16,6 +16,9 @@ from .errors import ParameterError, PlanConsistencyError
 from .jobs import Category, DeliverySet
 
 ALL = "all"
+# the capacity curve has one point per minute up to the slowest delivery, so
+# a sweep whose slowest delivery is later than this is rejected before it
+CURVE_HORIZON_S = 7 * 24 * 3600.0   # one week
 
 
 @dataclass
@@ -122,8 +125,9 @@ def summarize_sweep(result: SweepResult) -> SweepSummary:
 
     Means/medians pool the per-set samples; the capacity curve samples
     capacity_at on the pooled samples at one-minute steps up to the slowest
-    delivery. capacity_20min repeats the configuration's pooled 20-minute
-    capacity on each of its category rows.
+    delivery, which must be within CURVE_HORIZON_S. capacity_20min repeats
+    the configuration's pooled 20-minute capacity on each of its category
+    rows.
     """
     if not result.rows:
         raise ParameterError("empty sweep result")
@@ -141,8 +145,12 @@ def summarize_sweep(result: SweepResult) -> SweepSummary:
                 pooled.setdefault(key, []).extend(cat.samples)
         pooled_stats = WaitingStats({k: CategoryStats(sorted(v)) for k, v in pooled.items() if v})
         cap20 = capacity_at(pooled_stats, 20 * 60.0)
-        all_cat = pooled_stats.get(ALL)
-        max_minute = math.ceil(all_cat.samples[-1] / 60.0)
+        slowest = pooled_stats.get(ALL).samples[-1]
+        if not slowest <= CURVE_HORIZON_S:
+            raise ParameterError(
+                f"slowest delivery of {drones} drones, prioritized {prio}, completes at "
+                f"{slowest} s, past the capacity curve's horizon of {CURVE_HORIZON_S} s")
+        max_minute = math.ceil(slowest / 60.0)
         curves[(drones, prio)] = [capacity_at(pooled_stats, 60.0 * m)
                                   for m in range(max_minute + 1)]
         for key in (Category.MEDICAL.value, Category.STANDARD.value, ALL):

@@ -59,7 +59,9 @@ class ChannelConfig:
             raise ParameterError("NLOS exponent must be >= LOS exponent")
         if not self.logistic_width_db > 0:
             raise ParameterError("logistic width must be positive")
-        for name in ("ref_loss_db", "loss_threshold_db", "carrier_sense_m"):
+        if not self.carrier_sense_m > 0:
+            raise ParameterError(f"carrier_sense_m must be positive, got {self.carrier_sense_m}")
+        for name in ("ref_loss_db", "loss_threshold_db"):
             if math.isnan(getattr(self, name)):
                 raise ParameterError(f"{name} must not be NaN")
 
@@ -391,7 +393,7 @@ def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, rng, windows, senders,
         return None
     gen, sidx, spos = beacons
     air_s = mac.airtime_ms * 1e-3
-    cs2 = cfg.carrier_sense_m ** 2
+    cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
     backoffs = rng.integers(0, mac.cw_slots + 1, gen.size)
     tx_start = _listen_before_talk(gen, spos, backoffs, mac.aifs_us * 1e-6,
                                    mac.slot_us * 1e-6, air_s, cs2)
@@ -512,7 +514,7 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
     if n_senders == 0:
         return None
     slot_s = mac.slot_ms / 1000.0
-    cs2 = cfg.carrier_sense_m ** 2
+    cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
     tracks = [trace.trajectories[s] for s in senders]
     wins = [windows[s] for s in senders]
 

@@ -1,7 +1,7 @@
 """Road-graph shortest paths, travel-time matrices, TSP solving, scheduling.
 
-Tour construction minimizes truck travel time (edge length / edge speed
-limit). All tie-breaking is lexicographic so results are deterministic.
+Tours minimize the truck's time, edge length / min(truck speed, speed limit).
+All tie-breaking is lexicographic so results are deterministic.
 """
 from __future__ import annotations
 
@@ -28,12 +28,11 @@ def largest_tour(per_set: int, medical: int, prioritize: bool) -> int:
     return per_set + 1
 
 
-def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
-    """Travel time (s) from source to every reachable node."""
-    adj = graph.adjacency()
-    if source not in adj:
-        raise RoutingError(f"unknown node {source}")
-    dist = {source: 0.0}
+def dijkstra_times(adj: list[dict[int, float]], source: int) -> array:
+    """Truck travel time (s) from compact index source to every node, by
+    compact index (inf where unreachable), over a ``RoutingCache``'s ``adj``."""
+    dist = array("d", [math.inf]) * len(adj)
+    dist[source] = 0.0
     heap = [(0.0, source)]
     done = set()
     while heap:
@@ -41,36 +40,35 @@ def dijkstra_times(graph: RoadGraph, source: int) -> dict[int, float]:
         if u in done:
             continue
         done.add(u)
-        for v, length, speed in adj[u]:
-            nd = d + length / speed
-            if v not in dist or nd < dist[v]:
+        for v, t in adj[u].items():
+            nd = d + t
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
 
 
 class RoutingCache:
-    """Shortest-path data of one road graph, filled on first use.
+    """Shortest-path data of one road graph for a truck of one speed.
 
-    It holds the adjacency sorted by neighbour id, built once; the
-    ``dijkstra_times`` map of every node queried so far, stored as a flat
-    float64 array over the compact node index (sorted node ids; inf where
-    unreachable); and the lexicographically smallest shortest-path walk over
-    them. The road graph, and so the scenario that holds the cache, must stay
-    unchanged after the first query: nothing is ever invalidated. Memory is
-    bounded by (distinct nodes queried) x nodes x 8 B; planning queries only
-    job nodes and the depot, so on a scenario it is at most
-    (distinct job nodes + 1) x nodes x 8 B.
-    """
+    ``adj`` maps each compact node index (sorted node ids) to its neighbours'
+    compact indices, in order, and the truck's time over each edge: the one
+    place that time is computed. The cache fills in the ``dijkstra_times``
+    array of each node on its first query and walks the lexicographically
+    smallest shortest path over them. The road graph must stay unchanged:
+    nothing is ever invalidated. Memory, per truck speed on a scenario, is
+    (distinct nodes queried) x nodes x 8 B; planning queries only job nodes
+    and the depot."""
 
-    def __init__(self, graph: RoadGraph):
-        self.graph = graph
-        self.index = {nid: i for i, nid in enumerate(sorted(graph.nodes))}
-        index = self.index
-        # (neighbour, its compact index, length, speed, travel time), by neighbour
-        self._adj = {u: [(v, index[v], length, speed, length / speed)
-                         for v, length, speed in sorted(vs)]
-                     for u, vs in graph.adjacency().items()}
+    def __init__(self, graph: RoadGraph, truck_speed: float):
+        self.nodes = sorted(graph.nodes)
+        self.index = index = {nid: i for i, nid in enumerate(self.nodes)}
+        arcs: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        for e in graph.edges:
+            t = e.length / min(truck_speed, e.speed_limit)
+            arcs[index[e.a]].append((index[e.b], t))
+            arcs[index[e.b]].append((index[e.a], t))
+        self.adj = [dict(sorted(vs)) for vs in arcs]
         self._times: dict[int, array] = {}
 
     def _compact(self, node: int) -> int:
@@ -84,11 +82,7 @@ class RoutingCache:
         two-way, so the walk reads them as the times to node."""
         cached = self._times.get(node)
         if cached is None:
-            dist = dijkstra_times(self.graph, node)
-            cached = array("d", [math.inf]) * len(self.index)
-            for v, t in dist.items():
-                cached[self.index[v]] = t
-            self._times[node] = cached
+            cached = self._times[node] = dijkstra_times(self.adj, self._compact(node))
         return cached
 
     def time(self, a: int, b: int) -> float:
@@ -98,47 +92,53 @@ class RoutingCache:
             raise RoutingError(f"node {b} unreachable from {a}")
         return t
 
-    def walk(self, a: int, b: int) -> tuple[list[int], list[tuple[float, float]]]:
+    def edge_time(self, u: int, v: int) -> float | None:
+        """The truck's time over the road edge u-v; None when there is none."""
+        iu, iv = self.index.get(u), self.index.get(v)
+        return None if iu is None or iv is None else self.adj[iu].get(iv)
+
+    def walk(self, a: int, b: int) -> tuple[list[int], list[float]]:
         """Fastest path a -> b, lexicographically smallest on ties: its nodes
-        and the (length, speed limit) of each edge on it.
+        and the truck's time over each edge on it.
 
         The walk follows the shortest-path DAG induced by the times to b,
         always taking the smallest eligible neighbour; eligibility re-evaluates
         the exact float sums Dijkstra minimized, so ties resolve exactly. A
-        reachable node's time is a neighbour's time plus the same
-        length / speed that ``_adj`` stores, so an exact successor exists.
+        reachable node's time is a neighbour's time plus the same edge time
+        that ``adj`` stores, so an exact successor exists.
         """
         dist = self.times(b)
-        du = dist[self._compact(a)]
+        iu = self._compact(a)
+        du = dist[iu]
         if du == math.inf:
             raise RoutingError(f"node {b} unreachable from {a}")
         path = [a]
-        edges = []
-        u = a
-        while u != b:
-            for step in self._adj[u]:
-                if dist[step[1]] + step[4] == du:
+        steps = []
+        while path[-1] != b:
+            for iv, t in self.adj[iu].items():
+                if dist[iv] + t == du:
                     break
             else:
-                raise RoutingError(f"no shortest-path successor at node {u}")
-            u, iu, length, speed, _ = step
-            du = dist[iu]
-            path.append(u)
-            edges.append((length, speed))
-        return path, edges
+                raise RoutingError(f"no shortest-path successor at node {path[-1]}")
+            iu, du = iv, dist[iv]
+            path.append(self.nodes[iv])
+            steps.append(t)
+        return path, steps
 
 
-def routing_cache(scenario: Scenario) -> RoutingCache:
-    """The scenario's routing cache, built on first use and kept on it."""
-    if scenario._routes is None:
-        scenario._routes = RoutingCache(scenario.graph)
-    return scenario._routes
+def routing_cache(scenario: Scenario, truck_speed: float) -> RoutingCache:
+    """The scenario's routing cache for truck_speed, built on first use and kept on it."""
+    routes = scenario._routes.get(truck_speed)
+    if routes is None:
+        routes = scenario._routes[truck_speed] = RoutingCache(scenario.graph, truck_speed)
+    return routes
 
 
-def travel_time_matrix(scenario: Scenario, stops: list[int]) -> list[list[float]]:
-    """Symmetric matrix, as a list of rows, of shortest-path travel times
-    between stop nodes."""
-    routes = routing_cache(scenario)
+def travel_time_matrix(scenario: Scenario, stops: list[int],
+                       truck_speed: float) -> list[list[float]]:
+    """Symmetric matrix, as a list of rows, of a truck's shortest-path
+    travel times between stop nodes."""
+    routes = routing_cache(scenario, truck_speed)
     n = len(stops)
     for s in stops:
         routes._compact(s)
@@ -194,25 +194,26 @@ def job_nodes(scenario: Scenario, dset: DeliverySet) -> dict[int, int]:
 
 
 def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
-                      solver: Solver = "heuristic") -> list[int]:
+                      truck_speed: float, solver: Solver = "heuristic") -> list[int]:
     """Job ids in service order of the medical-first tour, which starts and
     ends at the depot: open TSP over medical jobs from the depot, then an
     open TSP over standard jobs starting at the last medical stop, closed by
     the return to the depot. Falls back to a plain closed TSP when either
     category is empty. nodes_of maps each job id to its road node, as
-    ``job_nodes`` gives it.
+    ``job_nodes`` gives it; travel times are a truck's of truck_speed.
     """
     medical = [j.id for j in dset.medical()]
     std = [j.id for j in dset.standard()]
     if not medical or not std:  # the other category holds every job in set order
-        return plain_schedule(scenario, dset, nodes_of, solver)
+        return plain_schedule(scenario, dset, nodes_of, truck_speed, solver)
 
-    mat_m = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in medical])
+    mat_m = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in medical],
+                               truck_speed)
     order_m, _ = _solve(mat_m, False, solver)
     med_seq = [medical[i - 1] for i in order_m[1:]]
 
     anchor = nodes_of[med_seq[-1]]
-    mat_s = travel_time_matrix(scenario, [anchor] + [nodes_of[j] for j in std])
+    mat_s = travel_time_matrix(scenario, [anchor] + [nodes_of[j] for j in std], truck_speed)
     order_s, _ = _solve(mat_s, False, solver)
     std_seq = [std[i - 1] for i in order_s[1:]]
 
@@ -220,12 +221,14 @@ def priority_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int,
 
 
 def plain_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, int],
-                   solver: Solver = "heuristic") -> list[int]:
+                   truck_speed: float, solver: Solver = "heuristic") -> list[int]:
     """Job ids in service order of the closed TSP over all jobs from the
-    depot, ignoring categories; nodes_of as for ``priority_schedule``."""
+    depot, ignoring categories; nodes_of and truck_speed as for
+    ``priority_schedule``."""
     jobs = [j.id for j in dset.jobs]
     if not jobs:
         return []
-    mat = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in jobs])
+    mat = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in jobs],
+                             truck_speed)
     order, _ = _solve(mat, True, solver)
     return [jobs[i - 1] for i in order[1:]]

@@ -2,8 +2,9 @@
 
 Coordinates are local planar meters (x east, y north, z up). The world is
 immutable after construction and safe to share across parallel runs; the
-derived geometry arrays used by the kernels and the routing cache
-(``routing.routing_cache``) are built lazily and kept on the scenario.
+derived geometry arrays used by the kernels and the routing caches
+(``routing.routing_cache``, one per truck speed) are built lazily and kept on
+the scenario.
 """
 from __future__ import annotations
 
@@ -95,7 +96,8 @@ class Scenario:
     depot: int                  # node id
     base_station: Point         # z = antenna height
     _geom: "_Geometry | None" = field(default=None, repr=False, compare=False)
-    _routes: "RoutingCache | None" = field(default=None, repr=False, compare=False)
+    _routes: "dict[float, RoutingCache]" = field(default_factory=dict, repr=False,
+                                                 compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):

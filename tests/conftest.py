@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly
@@ -12,6 +14,27 @@ def line_scenario(n_nodes=11, spacing=100.0, speed=10.0) -> Scenario:
     edges = [Edge(i, i + 1, spacing, speed) for i in range(n_nodes - 1)]
     return Scenario(RoadGraph(nodes, edges), [], depot=0,
                     base_station=Point(n_nodes * spacing / 2, 0.0, 30.0))
+
+
+def truck_dijkstra(graph: RoadGraph, truck_speed: float, source: int) -> dict[int, float]:
+    """Truck travel time from source to every reachable node, each edge at
+    length / min(truck_speed, speed_limit): a plain Dijkstra over node ids,
+    independent of the routing cache."""
+    adj = graph.adjacency()
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, length, speed in adj[u]:
+            nd = d + length / min(truck_speed, speed)
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def line_timetable(scenario: Scenario, truck_speed=10.0) -> TruckTimetable:

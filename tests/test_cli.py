@@ -157,6 +157,10 @@ def test_config_error_exit_code(workdir, capsys):
     pytest.param({"solver": "exact", "per_set": 12, "medical_per_set": 0,
                   "prioritize_flags": [True]},
                  "exact solver limited to 12 stops, got 13", id="exact-solver-no-medical"),
+    pytest.param({"channel": {"carrier_sense_m": -800}},
+                 "carrier_sense_m must be positive, got -800", id="negative-carrier-sense"),
+    pytest.param({"channel": {"carrier_sense_m": 0}},
+                 "carrier_sense_m must be positive, got 0", id="zero-carrier-sense"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -164,6 +168,33 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
     assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+_TINY_SWEEP = {"grid_rows": 3, "grid_cols": 3, "n_sets": 2, "per_set": 4,
+               "medical_per_set": 1, "drone_counts": [0, 1]}
+
+
+def test_huge_carrier_sense_range_runs_the_net_phase(tmp_path, capsys):
+    # the range is squared as cs * cs, which gives inf where ** 2 overflowed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_TINY_SWEEP, "channel": {"carrier_sense_m": 1e308}}))
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["net_error"] is None
+    assert (tmp_path / "o" / "net_summary.csv").exists()
+
+
+def test_slow_truck_sweep_exit_2_before_the_capacity_curve(tmp_path, capsys):
+    # a truck at 1e-9 m/s completes after ~5e11 s: a curve of one point per
+    # minute up to there would exhaust memory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_TINY_SWEEP, "net_models": [],
+                               "fleet": {"truck_speed": 1e-9}}))
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "past the capacity curve's horizon of 604800.0 s" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "capacity_curves.csv").exists()
 
 
 def test_exact_solver_config_counts_the_prioritized_subtours():

@@ -12,10 +12,10 @@ from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, Tru
                                 _candidate_bounds, _PlanContext, check_plan, load_plan,
                                 plan_hybrid, plan_hybrid_counts, plan_to_dict, save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
-from hybridfleet.routing import dijkstra_times, job_nodes, plain_schedule, priority_schedule
+from hybridfleet.routing import job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
 
-from conftest import fly, job_at, line_scenario, line_timetable, random_world
+from conftest import fly, job_at, line_scenario, line_timetable, random_world, truck_dijkstra
 from test_golden_plans import GOLDEN, plan_digest, _world as golden_world
 from test_kernels import _oracle_build_timetable
 
@@ -91,7 +91,7 @@ def test_plan_zero_drones_is_pure_truck_tour():
     fleet = FleetConfig(drone_count=0)
     plan = plan_hybrid(sc, dset, fleet, prioritize=False)
     assert plan.sorties == []
-    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset))
+    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset), fleet.truck_speed)
     tt = plan.timetable
     for j, pos in plan.stop_positions.items():
         assert plan.completion[j] == pytest.approx(tt.depart[pos])
@@ -236,7 +236,8 @@ class _OraclePlanContext:
         self.target_xy = {j.id: (j.target.x, j.target.y) for j in dset.jobs}
         self.depot = scenario.depot
         relevant = {self.depot} | set(self.nodes_of.values())
-        self._dist_maps = {n: dijkstra_times(scenario.graph, n) for n in relevant}
+        self._dist_maps = {n: truck_dijkstra(scenario.graph, fleet.truck_speed, n)
+                           for n in relevant}
         adj = scenario.graph.adjacency()
         self._adj_sorted = {u: sorted(vs) for u, vs in adj.items()}
         self._seg_cache = {}
@@ -255,12 +256,13 @@ class _OraclePlanContext:
             nxt = None
             length = speed = 0.0
             for w, ln, sp in self._adj_sorted[cur]:
-                if w in dist_v and dist_v[w] + ln / sp == dist_v[cur]:
+                if w in dist_v and dist_v[w] + ln / min(truck_speed, sp) == dist_v[cur]:
                     nxt, length, speed = w, ln, sp
                     break
             if nxt is None:
                 for w, ln, sp in self._adj_sorted[cur]:
-                    if w in dist_v and abs(dist_v[w] + ln / sp - dist_v[cur]) <= 1e-9:
+                    if (w in dist_v and
+                            abs(dist_v[w] + ln / min(truck_speed, sp) - dist_v[cur]) <= 1e-9):
                         nxt, length, speed = w, ln, sp
                         break
             steps.append(length / min(truck_speed, speed))
@@ -340,8 +342,8 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
     # exhaustive on purpose: it scans every (job, drone) with no bound and no
     # de-duplication of equal free times, as the reference for both
     ctx = _OraclePlanContext(scenario, dset, fleet)
-    truck_jobs = (priority_schedule(scenario, dset, ctx.nodes_of, solver) if prioritize
-                  else plain_schedule(scenario, dset, ctx.nodes_of, solver))
+    truck_jobs = (priority_schedule if prioritize else plain_schedule)(
+        scenario, dset, ctx.nodes_of, fleet.truck_speed, solver)
     assignments = {d: [] for d in range(fleet.drone_count)}
     current = ctx.build(truck_jobs, assignments)
     if fleet.drone_count > 0:
@@ -394,8 +396,8 @@ def _plan_checking_commits(sc, dset, fleet, prioritize, solver="heuristic"):
     """plan_hybrid, with every state it commits checked against a build
     from the depot of the stops and assignments at that step."""
     ctx = _PlanContext(sc, dset, fleet)
-    truck_jobs = (priority_schedule(sc, dset, ctx.nodes_of, solver) if prioritize
-                  else plain_schedule(sc, dset, ctx.nodes_of, solver))
+    truck_jobs = (priority_schedule if prioritize else plain_schedule)(
+        sc, dset, ctx.nodes_of, fleet.truck_speed, solver)
     assignments = {d: [] for d in range(fleet.drone_count)}
     commit = _PlanContext.commit
 

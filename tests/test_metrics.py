@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hybridfleet.errors import ParameterError, PlanConsistencyError
 from hybridfleet.jobs import Category, DeliverySet
-from hybridfleet.metrics import (ALL, SweepResult, SweepRow, capacity_at,
+from hybridfleet.metrics import (ALL, CURVE_HORIZON_S, SweepResult, SweepRow, capacity_at,
                                  prioritization_effect, summarize_sweep,
                                  waiting_stats, write_summary_csv)
 
@@ -94,6 +96,17 @@ def test_summarize_single_run_echoes_it():
     assert by_cat["medical"]["mean_s"] == 100.0
     assert by_cat["standard"]["mean_s"] == 200.0
     assert by_cat[ALL]["mean_s"] == 150.0
+
+
+def test_summarize_bounds_the_capacity_curve_before_building_it():
+    at = stats_for({0: 100.0, 1: CURVE_HORIZON_S}, [0], [1])
+    curve = summarize_sweep(sweep_of([SweepRow(0, False, 0, at)])).capacity_curves[(0, False)]
+    assert len(curve) == CURVE_HORIZON_S / 60 + 1 and curve[-1] == 1.0
+    for late in (math.nextafter(CURVE_HORIZON_S, math.inf), 7e11, math.inf):
+        stats = stats_for({0: 100.0, 1: late}, [0], [1])
+        with pytest.raises(ParameterError, match=f"completes at {late} s, past the capacity "
+                                                 f"curve's horizon of {CURVE_HORIZON_S} s"):
+            summarize_sweep(sweep_of([SweepRow(2, True, 0, stats)]))
 
 
 def test_summarize_two_identical_runs_same_mean():

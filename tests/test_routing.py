@@ -3,15 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from hybridfleet import routing
 from hybridfleet.errors import RoutingError, TspSizeError
-from hybridfleet.hybrid import FleetConfig, plan_hybrid
-from hybridfleet.jobs import generate_delivery_sets
-from hybridfleet.routing import (RoutingCache, dijkstra_times, job_nodes, largest_tour,
+from hybridfleet.hybrid import FleetConfig, check_plan, plan_hybrid
+from hybridfleet.jobs import Category, DeliverySet, generate_delivery_sets
+from hybridfleet.routing import (RoutingCache, job_nodes, largest_tour,
                                  priority_schedule, plain_schedule, routing_cache,
                                  travel_time_matrix, tsp_exact, tsp_heuristic)
-from hybridfleet.scenario import DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario, generate_grid_scenario
+from hybridfleet.scenario import (DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario,
+                                  generate_grid_scenario, validate_scenario)
+
+from conftest import job_at, truck_dijkstra
 
 
 def brute_force_tsp(matrix, closed):
@@ -40,12 +47,17 @@ def square_matrix():
     return m
 
 
-def cached_walk(graph, a, b):
+def cached_walk(graph, a, b, truck_speed=DEFAULT_SPEED_MPS):
     """(nodes, length, travel time) of the routing cache's walk a -> b on a
-    fresh cache; the time is Dijkstra's from b, which the walk follows."""
-    routes = RoutingCache(graph)
-    path, edges = routes.walk(a, b)
-    return path, sum((length for length, _ in edges), 0.0), routes.time(b, a)
+    fresh cache for truck_speed; the time is Dijkstra's from b, which the
+    walk follows."""
+    routes = RoutingCache(graph, truck_speed)
+    path, _ = routes.walk(a, b)
+    length_of = {}
+    for e in graph.edges:
+        length_of[(e.a, e.b)] = length_of[(e.b, e.a)] = e.length
+    return (path, sum((length_of[step] for step in zip(path, path[1:])), 0.0),
+            routes.time(b, a))
 
 
 def test_shortest_path_grid_manhattan():
@@ -65,7 +77,7 @@ def test_shortest_path_identity():
 
 def test_shortest_path_single_edge():
     g = RoadGraph({0: Point(0, 0), 1: Point(100, 0)}, [Edge(0, 1, 100.0, 10.0)])
-    nodes, _, time = cached_walk(g, 0, 1)
+    nodes, _, time = cached_walk(g, 0, 1, truck_speed=10.0)
     assert nodes == [0, 1]
     assert time == pytest.approx(10.0)
 
@@ -92,13 +104,13 @@ def test_shortest_path_unknown_node():
 
 def test_matrix_single_stop():
     sc = generate_grid_scenario(2, 2, 100.0, 0, seed=1)
-    assert travel_time_matrix(sc, [0]) == [[0.0]]
+    assert travel_time_matrix(sc, [0], DEFAULT_SPEED_MPS) == [[0.0]]
 
 
 def test_matrix_two_stops_single_edge():
     g = RoadGraph({0: Point(0, 0), 1: Point(100, 0)}, [Edge(0, 1, 100.0, 10.0)])
     sc = Scenario(g, [], depot=0, base_station=Point(50, 0, 30.0))
-    m = travel_time_matrix(sc, [0, 1])
+    m = travel_time_matrix(sc, [0, 1], 10.0)
     assert m[0][1] == pytest.approx(10.0)
     assert m[1][0] == pytest.approx(10.0)
     assert m[0][0] == m[1][1] == 0.0
@@ -107,7 +119,7 @@ def test_matrix_two_stops_single_edge():
 def test_matrix_triangle_inequality_vs_pairwise_dijkstra():
     sc = generate_grid_scenario(4, 4, 90.0, 0, seed=2)
     stops = [0, 3, 5, 10, 15]
-    m = travel_time_matrix(sc, stops)
+    m = travel_time_matrix(sc, stops, DEFAULT_SPEED_MPS)
     assert m == [list(column) for column in zip(*m)]
     for i, a in enumerate(stops):
         for j, b in enumerate(stops):
@@ -117,12 +129,12 @@ def test_matrix_triangle_inequality_vs_pairwise_dijkstra():
                 assert m[i][j] <= m[i][k] + m[k][j] + 1e-9
 
 
-def _oracle_shortest_path(graph, a, b):
+def _oracle_shortest_path(graph, a, b, truck_speed):
     """The shortest-path walk before the routing cache: a fresh Dijkstra
     map from b, and sorted(adjacency) scanned on every step."""
     if a == b:
         return [a], 0.0, 0.0
-    dist_b = dijkstra_times(graph, b)
+    dist_b = truck_dijkstra(graph, truck_speed, b)
     adj = graph.adjacency()
     length_of = {}
     for e in graph.edges:
@@ -133,12 +145,13 @@ def _oracle_shortest_path(graph, a, b):
     while u != b:
         nxt = None
         for v, length, speed in sorted(adj[u]):
-            if v in dist_b and dist_b[v] + length / speed == dist_b[u]:
+            if v in dist_b and dist_b[v] + length / min(truck_speed, speed) == dist_b[u]:
                 nxt = v
                 break
         if nxt is None:
             for v, length, speed in sorted(adj[u]):
-                if v in dist_b and abs(dist_b[v] + length / speed - dist_b[u]) <= 1e-9:
+                if (v in dist_b
+                        and abs(dist_b[v] + length / min(truck_speed, speed) - dist_b[u]) <= 1e-9):
                     nxt = v
                     break
         total_len += length_of[(u, nxt)]
@@ -159,16 +172,20 @@ def _random_speed_world(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_routing_cache_matches_old_walk_and_maps(seed):
-    for sc in (_random_speed_world(seed), generate_grid_scenario(4, 5, 90.0, 0, seed=seed)):
+    # at 20 m/s the truck reaches every limit, so edges take length / limit
+    for sc, truck_speed in itertools.product(
+            (_random_speed_world(seed), generate_grid_scenario(4, 5, 90.0, 0, seed=seed)),
+            (DEFAULT_SPEED_MPS, 20.0)):
         nodes = sorted(sc.graph.nodes)
         for a in nodes:
             for b in nodes:
-                assert cached_walk(sc.graph, a, b) == _oracle_shortest_path(sc.graph, a, b)
+                assert (cached_walk(sc.graph, a, b, truck_speed)
+                        == _oracle_shortest_path(sc.graph, a, b, truck_speed))
         stops = [nodes[i] for i in np.random.default_rng(seed).choice(len(nodes), 9)]
-        maps = {s: dijkstra_times(sc.graph, s) for s in stops}
+        maps = {s: truck_dijkstra(sc.graph, truck_speed, s) for s in stops}
         want = [[0.0 if i == j else maps[stops[min(i, j)]][stops[max(i, j)]]
                  for j in range(len(stops))] for i in range(len(stops))]
-        assert travel_time_matrix(sc, stops) == want
+        assert travel_time_matrix(sc, stops, truck_speed) == want
 
 
 def test_routing_cache_one_dijkstra_per_node(monkeypatch):
@@ -177,18 +194,18 @@ def test_routing_cache_one_dijkstra_per_node(monkeypatch):
     calls = []
     original = routing.dijkstra_times
     monkeypatch.setattr(routing, "dijkstra_times",
-                        lambda graph, source: calls.append(source) or original(graph, source))
+                        lambda adj, source: calls.append(source) or original(adj, source))
     fleet = FleetConfig(drone_count=2)
     for dset in dsets:
         plan_hybrid(sc, dset, fleet, True)
     assert len(calls) == len(set(calls))
+    cache = routing_cache(sc, fleet.truck_speed)
     nodes = {sc.depot} | {n for d in dsets for n in job_nodes(sc, d).values()}
-    assert set(calls) <= nodes
+    assert {cache.nodes[i] for i in calls} <= nodes
     calls.clear()
     plan_hybrid(sc, dsets[0], fleet, False)
     assert calls == []  # a second plan on the scenario reuses every map
-    cache = routing_cache(sc)
-    assert cache is routing_cache(sc)
+    assert cache is routing_cache(sc, fleet.truck_speed)
     assert all(m.typecode == "d" and len(m) == len(sc.graph.nodes)
                for m in cache._times.values())
 
@@ -196,8 +213,8 @@ def test_routing_cache_one_dijkstra_per_node(monkeypatch):
 def test_routing_cache_unknown_and_unreachable_nodes():
     g = RoadGraph({0: Point(0, 0), 1: Point(1, 0), 2: Point(5, 0), 3: Point(6, 0)},
                   [Edge(0, 1, 1.0, 1.0), Edge(2, 3, 1.0, 1.0)])
-    cache = RoutingCache(g)
-    assert cache.walk(0, 1) == ([0, 1], [(1.0, 1.0)])
+    cache = RoutingCache(g, 1.0)
+    assert cache.walk(0, 1) == ([0, 1], [1.0])
     assert cache.time(1, 0) == 1.0
     with pytest.raises(RoutingError, match="unreachable"):
         cache.walk(0, 3)
@@ -209,9 +226,84 @@ def test_routing_cache_unknown_and_unreachable_nodes():
         cache.walk(7, 0)
     sc = Scenario(g, [], depot=0, base_station=Point(0, 0, 30.0))
     with pytest.raises(RoutingError, match="unknown node 7"):
-        travel_time_matrix(sc, [7])
+        travel_time_matrix(sc, [7], 1.0)
     with pytest.raises(RoutingError, match="unreachable"):
-        travel_time_matrix(sc, [0, 2])
+        travel_time_matrix(sc, [0, 2], 1.0)
+
+
+def fast_detour_map():
+    """A direct road 0-3 of 200 m at the default truck speed, and a detour
+    0-1-2-3 of three 100 m roads whose limit, 20 m/s, the truck cannot use."""
+    nodes = {0: Point(0, 0), 1: Point(50, 50), 2: Point(150, 50), 3: Point(200, 0)}
+    edges = [Edge(0, 3, 200.0, DEFAULT_SPEED_MPS), Edge(0, 1, 100.0, 20.0),
+             Edge(1, 2, 100.0, 20.0), Edge(2, 3, 100.0, 20.0)]
+    sc = Scenario(RoadGraph(nodes, edges), [], depot=0, base_station=Point(100, 0, 30.0))
+    validate_scenario(sc)
+    return sc
+
+
+def test_truck_drives_the_direct_road_past_a_faster_limit_detour():
+    sc = fast_detour_map()
+    # 200 / 8.33 = 24.01 s direct, against 300 / 8.33 = 36.01 s by the detour
+    assert routing_cache(sc, DEFAULT_SPEED_MPS).walk(0, 3) == ([0, 3], [200.0 / DEFAULT_SPEED_MPS])
+    # a truck of 25 m/s drives the detour at its 20 m/s limit: 15 s
+    assert routing_cache(sc, 25.0).walk(0, 3) == ([0, 1, 2, 3], [5.0, 5.0, 5.0])
+    fleet = FleetConfig()
+    plan = plan_hybrid(sc, DeliverySet(0, [job_at(200.0, 0.0)]), fleet, False)
+    assert plan.timetable.nodes == [0, 3, 0]
+    assert plan.completion == {0: 200.0 / DEFAULT_SPEED_MPS + fleet.truck_service}
+    assert check_plan(plan, sc, DeliverySet(0, [job_at(200.0, 0.0)]), fleet) == []
+
+
+@st.composite
+def _limit_worlds(draw):
+    """A small connected road map whose speed limits lie both above and
+    below the truck's speed, with a few jobs at its nodes."""
+    n = draw(st.integers(2, 7))
+    xy = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       min_size=n, max_size=n, unique=True))
+    nodes = {i: Point(100.0 * x, 100.0 * y) for i, (x, y) in enumerate(xy)}
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a spanning tree
+    pairs |= set(draw(st.lists(st.sampled_from([(a, b) for b in range(n) for a in range(b)]),
+                               max_size=2 * n)))
+    truck_speed = draw(st.sampled_from([4.0, DEFAULT_SPEED_MPS, 12.5]))
+    edges = [Edge(a, b, nodes[a].dist2d(nodes[b]) * draw(st.sampled_from([1.0, 1.25, 2.0])),
+                  truck_speed * draw(st.sampled_from([0.5, 0.8, 1.0, 1.6, 3.0])))
+             for a, b in sorted(pairs)]
+    sc = Scenario(RoadGraph(nodes, edges), [], depot=0, base_station=Point(0, 0, 30.0))
+    validate_scenario(sc)
+    stops = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    dset = DeliverySet(0, [job_at(nodes[v].x + 3.0, nodes[v].y, j,
+                                  Category.MEDICAL if j % 3 == 0 else Category.STANDARD)
+                           for j, v in enumerate(stops)])
+    return sc, dset, truck_speed
+
+
+@settings(max_examples=120, deadline=None)
+@given(_limit_worlds(), st.integers(0, 2), st.booleans(), st.sampled_from(["exact", "heuristic"]))
+def test_truck_times_on_random_speed_limits(world, drones, prioritize, solver):
+    sc, dset, truck_speed = world
+    routes = routing_cache(sc, truck_speed)
+    n = len(sc.graph.nodes)
+    rows, cols, times = [], [], []
+    for e in sc.graph.edges:
+        t = e.length / min(truck_speed, e.speed_limit)
+        rows += [e.a, e.b]
+        cols += [e.b, e.a]
+        times += [t, t]
+    want = scipy_dijkstra(csr_matrix((times, (rows, cols)), shape=(n, n)))
+    for a in range(n):
+        for b in range(n):
+            # Dijkstra from a added the steps of the walk b -> a starting at a
+            _, steps = routes.walk(b, a)
+            fold = 0.0
+            for t in reversed(steps):
+                fold += t
+            assert routes.time(a, b) == fold
+            assert routes.time(a, b) == pytest.approx(want[a, b], rel=0, abs=1e-9)
+    fleet = FleetConfig(drone_count=drones, truck_speed=truck_speed)
+    plan = plan_hybrid(sc, dset, fleet, prioritize, solver)
+    assert check_plan(plan, sc, dset, fleet) == []
 
 
 def test_tsp_exact_square_perimeter():
@@ -299,7 +391,7 @@ def world_with_jobs(per_set, medical, seed=6):
 
 def test_priority_schedule_forced_order():
     sc, dset = world_with_jobs(2, 1)
-    stops = priority_schedule(sc, dset, job_nodes(sc, dset))
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset), DEFAULT_SPEED_MPS)
     medical = [j.id for j in dset.medical()]
     standard = [j.id for j in dset.standard()]
     assert stops == medical + standard
@@ -308,13 +400,15 @@ def test_priority_schedule_forced_order():
 def test_priority_schedule_no_medical_equals_plain():
     sc, dset = world_with_jobs(6, 0)
     nodes_of = job_nodes(sc, dset)
-    assert priority_schedule(sc, dset, nodes_of) == plain_schedule(sc, dset, nodes_of)
+    assert (priority_schedule(sc, dset, nodes_of, DEFAULT_SPEED_MPS)
+            == plain_schedule(sc, dset, nodes_of, DEFAULT_SPEED_MPS))
 
 
 def test_priority_schedule_only_medical_equals_plain():
     sc, dset = world_with_jobs(6, 6)
     nodes_of = job_nodes(sc, dset)
-    assert priority_schedule(sc, dset, nodes_of) == plain_schedule(sc, dset, nodes_of)
+    assert (priority_schedule(sc, dset, nodes_of, DEFAULT_SPEED_MPS)
+            == plain_schedule(sc, dset, nodes_of, DEFAULT_SPEED_MPS))
 
 
 @pytest.mark.parametrize("per_set,medical", [(1, 0), (1, 1), (6, 0), (6, 6), (7, 2), (8, 4),
@@ -331,13 +425,13 @@ def test_largest_tour_is_the_largest_matrix_solved(monkeypatch, per_set, medical
     sc, dset = world_with_jobs(per_set, medical)
     for prioritize, schedule in ((True, priority_schedule), (False, plain_schedule)):
         sizes.clear()
-        schedule(sc, dset, job_nodes(sc, dset))
+        schedule(sc, dset, job_nodes(sc, dset), DEFAULT_SPEED_MPS)
         assert max(sizes) == largest_tour(per_set, medical, prioritize), prioritize
 
 
 def test_priority_schedule_all_medical_first():
     sc, dset = world_with_jobs(15, 5)
-    stops = priority_schedule(sc, dset, job_nodes(sc, dset))
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset), DEFAULT_SPEED_MPS)
     medical = {j.id for j in dset.medical()}
     positions = {j: i for i, j in enumerate(stops)}
     worst_medical = max(positions[j] for j in medical)
@@ -349,6 +443,6 @@ def test_priority_schedule_all_medical_first():
 @pytest.mark.parametrize("solver", ["exact", "heuristic"])
 def test_priority_schedule_solvers_agree_on_structure(solver):
     sc, dset = world_with_jobs(8, 3)
-    stops = priority_schedule(sc, dset, job_nodes(sc, dset), solver)
+    stops = priority_schedule(sc, dset, job_nodes(sc, dset), DEFAULT_SPEED_MPS, solver)
     medical = [j.id for j in dset.medical()]
     assert set(stops[:len(medical)]) == set(medical)
