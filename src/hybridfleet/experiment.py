@@ -266,17 +266,19 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Full pipeline; writes artifacts into cfg.out_dir. Returns exit status
-    (0 ok, 1 when any run failed)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    (0 ok, 1 when any run failed). The sweep and its summary run before
+    cfg.out_dir is created, so a summary that raises (a completion past the
+    capacity curve's horizon) leaves no files behind."""
     # the sweep's own runs (workers=1) and the net phase share this world and
     # its routing cache
     _, scenario, dsets = _world(_config_json(cfg))
+    sweep, failures = run_sweep(cfg)
+    summary = summarize_sweep(sweep) if sweep.rows else None
+
+    os.makedirs(cfg.out_dir, exist_ok=True)
     save_scenario(scenario, os.path.join(cfg.out_dir, "scenario.json"))
     save_sets(dsets, os.path.join(cfg.out_dir, "jobs.json"))
-
-    sweep, failures = run_sweep(cfg)
-    if sweep.rows:
-        summary = summarize_sweep(sweep)
+    if summary is not None:
         write_summary_csv(summary, os.path.join(cfg.out_dir, "summary.csv"))
         write_capacity_curves_csv(summary,
                                   os.path.join(cfg.out_dir, "capacity_curves.csv"))

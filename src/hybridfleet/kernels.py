@@ -1,12 +1,12 @@
 """Hot numerical kernels.
 
 The LOS test (``los_blocked_batch``) and the geometric predicates under it
-are numpy-vectorized over segments and the pairwise distances over point
-pairs. The truck timetable, the sortie and the TSP kernels are scalar loops
-over Python lists (a cost matrix is a list of rows), because CPython
-indexes a list several times faster than it reads a numpy scalar; the
-timetable is a left fold that returns lists, and the sortie kernels return
-the same bits on numpy arrays.
+are numpy-vectorized over segments and, by broadcasting, over a footprint's
+edges; the pairwise distances over point pairs. The truck timetable, the
+sortie and the TSP kernels are scalar loops over Python lists (a cost
+matrix is a list of rows), because CPython indexes a list several times
+faster than it reads a numpy scalar; the timetable is a left fold that
+returns lists, and the sortie kernels return the same bits on numpy arrays.
 
 Kernels take primitive lists and arrays only; the domain modules own all
 object <-> array conversion.
@@ -56,13 +56,15 @@ def _ray_crossings(px, py, x1, y1, x2, y2):
 
 
 def _point_in_poly(px, py, vx, vy):
-    """Even-odd rule: per point, True iff it lies inside polygon (vx, vy)."""
-    inside = np.zeros(np.broadcast(px, py).shape, np.bool_)
-    j = vx.shape[0] - 1
-    for i in range(vx.shape[0]):
-        inside ^= _ray_crossings(px, py, vx[i], vy[i], vx[j], vy[j])
-        j = i
-    return inside
+    """Even-odd rule: True where point (px, py) lies inside polygon (vx, vy).
+
+    The points broadcast against a last axis of the polygon's edges, edge i
+    running from vertex i to vertex i-1, and the crossings reduce by parity
+    over that axis, so a point's result is its own whatever the others.
+    """
+    crossings = _ray_crossings(np.asarray(px)[..., None], np.asarray(py)[..., None],
+                               vx, vy, np.roll(vx, 1), np.roll(vy, 1))
+    return np.logical_xor.reduce(crossings, axis=-1)
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -103,7 +105,9 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     projection crosses a footprint edge. Before those footprint tests, a
     candidate is dropped when its clipped range misses the x or y slab of
     the building's padded bounding box; the footprint tests then run on the
-    range the altitude clip gave, so the slab only saves work.
+    range the altitude clip gave, so the slab only saves work. They test the
+    survivors as a column against the footprint's edges as a row, with the
+    operands a loop over the edges would use.
     """
     out = np.zeros(ax.shape[0], np.bool_)
     sminx = _min(ax, bx)
@@ -169,12 +173,12 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
         p1y = kay + ey * t1
         vx = vert_x[offsets[b]:offsets[b + 1]]
         vy = vert_y[offsets[b]:offsets[b + 1]]
-        hit = _point_in_poly(p0x, p0y, vx, vy) | _point_in_poly(p1x, p1y, vx, vy)
-        j = vx.shape[0] - 1
-        for i in range(vx.shape[0]):
-            hit |= _segments_intersect(p0x, p0y, p1x, p1y, vx[j], vy[j], vx[i], vy[i])
-            j = i
-        out[k] = hit
+        # one broadcast over the footprint's edges, edge i from vertex i-1 to i
+        crosses = _segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
+                                      p1y[:, None], np.roll(vx, 1), np.roll(vy, 1),
+                                      vx, vy).any(axis=1)
+        out[k] = (_point_in_poly(p0x, p0y, vx, vy) | _point_in_poly(p1x, p1y, vx, vy)
+                  | crosses)
     return out
 
 

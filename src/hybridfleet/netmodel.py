@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -283,6 +284,23 @@ def _sender_positions(trace: DeliveryTrace, senders, sidx: np.ndarray,
     return pos
 
 
+def _interp_at(ts: list[float], xs: list[float], t: float) -> float:
+    """np.interp(t, ts, xs) for one time, in plain Python, bit for bit.
+
+    The scalar counterpart of _interp_positions, for strictly increasing
+    finite knots ts. With j = bisect_right(ts, t) - 1 it is np.interp's own
+    formula: xs[0] before the first knot, xs[j] at or after the last knot
+    or on knot j, and otherwise
+    ``((xs[j+1] - xs[j]) / (ts[j+1] - ts[j])) * (t - ts[j]) + xs[j]``.
+    """
+    j = bisect_right(ts, t) - 1
+    if j < 0:
+        return xs[0]
+    if j >= len(ts) - 1 or ts[j] == t:
+        return xs[j]
+    return ((xs[j + 1] - xs[j]) / (ts[j + 1] - ts[j])) * (t - ts[j]) + xs[j]
+
+
 def _in_range(a_xyz: np.ndarray, b_xyz: np.ndarray, cs2: float) -> np.ndarray:
     return np.sum((a_xyz - b_xyz) ** 2, axis=1) <= cs2
 
@@ -346,7 +364,10 @@ def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
 
 
 def _in_window(windows, t: float) -> bool:
-    return any(lo <= t < hi for lo, hi in windows)
+    for lo, hi in windows:
+        if lo <= t < hi:
+            return True
+    return False
 
 
 def _collect(model_name, senders, sidx, gen, delivered, latency_ms, los,
@@ -515,7 +536,9 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
         return None
     slot_s = mac.slot_ms / 1000.0
     cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
-    tracks = [trace.trajectories[s] for s in senders]
+    # per sender: its track's knots and coordinates as lists, for _interp_at
+    tracks = [(tr.times.tolist(), tr.x.tolist(), tr.y.tolist(), tr.z.tolist())
+              for tr in (trace.trajectories[s] for s in senders)]
     wins = [windows[s] for s in senders]
 
     # airborne[k][si]: sender si is airborne at the start of period k
@@ -530,18 +553,27 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
     keep = [0] * n_senders
 
     def select_slot(si, t):
-        holders = [sj for sj in range(n_senders) if sj != si and slot[sj] >= 0]
+        """A slot that no other holder within carrier-sense range of sender
+        si holds at t; any slot when all are held. The squared distance
+        dx * dx + dy * dy + dz * dz adds in np.sum's order over three terms."""
+        ts, xs, ys, zs = tracks[si]
+        x, y, z = _interp_at(ts, xs, t), _interp_at(ts, ys, t), _interp_at(ts, zs, t)
         occupied = set()
-        if holders:
-            pos = np.array([[np.interp(t, tr.times, tr.x), np.interp(t, tr.times, tr.y),
-                             np.interp(t, tr.times, tr.z)]
-                            for tr in [tracks[si]] + [tracks[sj] for sj in holders]])
-            d2 = np.sum((pos[1:] - pos[0]) ** 2, axis=1).tolist()
-            occupied = {slot[sj] for sj, d in zip(holders, d2) if d <= cs2}
-        free = [sl for sl in range(mac.n_slots) if sl not in occupied]
-        if not free:
-            free = list(range(mac.n_slots))
-        return free[int(rng.integers(0, len(free)))]
+        for sj in range(n_senders):
+            sl = slot[sj]
+            if sl < 0 or sj == si:
+                continue
+            tj, xj, yj, zj = tracks[sj]
+            dx = _interp_at(tj, xj, t) - x
+            dy = _interp_at(tj, yj, t) - y
+            dz = _interp_at(tj, zj, t) - z
+            if dx * dx + dy * dy + dz * dz <= cs2:
+                occupied.add(sl)
+        if occupied:
+            free = [sl for sl in range(mac.n_slots) if sl not in occupied]
+            if free:
+                return free[int(rng.integers(0, len(free)))]
+        return int(rng.integers(0, mac.n_slots))
 
     # Sequential by design: slot choices and lifetimes draw from one stream in
     # (period, sender) order, and that order fixes every slot.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridfleet import experiment
 from hybridfleet import netmodel as nm
 from hybridfleet.errors import ConfigError, ParameterError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
@@ -574,3 +575,67 @@ def test_planned_worlds_match_oracle(tmp_path, case):
         stats = _assert_matches_oracle(trace, sc, mac, ChannelConfig(), 100.0, case,
                                        tmp_path)
         assert stats.sent > 0
+
+
+def test_dense_sps_matches_oracle(tmp_path):
+    """netsim-dense's first pool trace (10x10 grid, 9 jobs of which 3
+    medical, 8 drones, priority on, base seed 7), planned as its set-up plans
+    it: slot selections weigh up to seven holders, each placed by the
+    scalar evaluator, against the oracle's np.interp positions."""
+    cfg = experiment.ExperimentConfig(grid_rows=10, grid_cols=10, n_sets=4, per_set=9,
+                                      medical_per_set=3, drone_counts=[8], base_seed=7,
+                                      workers=1)
+    cfg.validate()
+    sc = experiment.build_scenario(cfg)
+    _, trace, _ = experiment.run_one(cfg, sc, experiment.build_sets(cfg, sc)[0], 8, True)
+    windows = trace.airborne_windows()
+    assert len(windows) == 8
+    # all eight airborne at once, so a selection can see seven holders
+    assert max(sum(nm._in_window(ws, lo) for ws in windows.values())
+               for w in windows.values() for lo, _ in w) == 8
+    stats = _assert_matches_oracle(trace, sc, Sps(), ChannelConfig(), 100.0, 3, tmp_path)
+    assert stats.sent > 5000
+
+
+# ---------------------------------------------------------------------------
+# the scalar track evaluator of SPS slot selection
+
+
+def _ulps(x, n):
+    """x moved n ulps towards +inf (n > 0) or -inf (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def _knots(draw):
+    """Strictly increasing finite knots, 1 to 25, some gaps a few ulps wide,
+    with one finite value per knot."""
+    t = draw(st.floats(-1e4, 1e4))
+    ts = [t]
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.booleans()):
+            t = _ulps(t, draw(st.integers(1, 4)))
+        else:
+            t = t + draw(st.floats(1e-3, 1e3))
+        ts.append(t)
+    xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ts), max_size=len(ts)))
+    return ts, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knots(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_interp_at_equals_np_interp_bit_for_bit(knots, fractions):
+    ts, xs = knots
+    queries = [ts[0] - 1e3, ts[-1] + 1e3]
+    for t in ts:
+        queries += [_ulps(t, -1), t, _ulps(t, 1)]
+    for a, b in zip(ts, ts[1:]):
+        queries += [a + f * (b - a) for f in fractions]
+    t_arr, x_arr = np.array(ts), np.array(xs)
+    array = np.interp(np.array(queries), t_arr, x_arr).tolist()
+    for q, from_array in zip(queries, array):
+        got = nm._interp_at(ts, xs, q)
+        assert type(got) is float
+        assert got.hex() == float(np.interp(q, t_arr, x_arr)).hex() == from_array.hex(), q
