@@ -264,11 +264,28 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
     return sweep, failures
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise ConfigError unless path is a writable directory or could be
+    made one: its nearest existing ancestor must be a writable directory.
+    Creates nothing."""
+    target = os.path.abspath(path)
+    p = target
+    while not os.path.exists(p):
+        p = os.path.dirname(p)
+    if not os.path.isdir(p):
+        raise ConfigError(f"cannot write outputs to {path}: {p} is not a directory")
+    if not os.access(p, os.W_OK | os.X_OK):
+        what = "directory" if p == target else "parent directory"
+        raise ConfigError(f"cannot write outputs to {path}: {what} {p} is not writable")
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Full pipeline; writes artifacts into cfg.out_dir. Returns exit status
     (0 ok, 1 when any run failed). The sweep and its summary run before
     cfg.out_dir is created, so a summary that raises (a completion past the
-    capacity curve's horizon) leaves no files behind."""
+    capacity curve's horizon) leaves no files behind; an out_dir that cannot
+    be written fails before the sweep."""
+    _check_out_dir(cfg.out_dir)
     # the sweep's own runs (workers=1) and the net phase share this world and
     # its routing cache
     _, scenario, dsets = _world(_config_json(cfg))

@@ -80,19 +80,12 @@ def _on_segment(ax, ay, bx, by, px, py):
 
 
 def _segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
-    """Closed segments a-b and c-d share a point (touching counts).
-
-    A proper crossing needs strictly opposite turns on both sides; a zero
-    turn counts only through the bounding-box test. In exact arithmetic
-    this equals ``o1 != o2 and o3 != o4``, but a turn rounded to zero, as for
-    a segment lying along an edge's line beyond the edge, would pass that
-    test and mark two disjoint segments as crossing.
-    """
+    """Closed segments a-b and c-d share a point (touching counts)."""
     o1 = _orient(ax, ay, bx, by, cx, cy)
     o2 = _orient(ax, ay, bx, by, dx, dy)
     o3 = _orient(cx, cy, dx, dy, ax, ay)
     o4 = _orient(cx, cy, dx, dy, bx, by)
-    return (((o1 * o2 < 0) & (o3 * o4 < 0))
+    return (((o1 != o2) & (o3 != o4))
             | ((o1 == 0) & _on_segment(ax, ay, bx, by, cx, cy))
             | ((o2 == 0) & _on_segment(ax, ay, bx, by, dx, dy))
             | ((o3 == 0) & _on_segment(cx, cy, dx, dy, ax, ay))
@@ -125,11 +118,10 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     # Rounding in the slab clip and in the footprint tests moves a point by a
     # few ulps of the largest coordinate M in play (about 1e-15 * M), and
     # underflow by less than 1e-300. The pad 1e-6 * (1 + M) exceeds both by
-    # orders of magnitude, and a turn rounded to zero cannot make a crossing
-    # (_segments_intersect), so the slab cannot reject a segment the
-    # footprint tests would block; on a 1-km world it is 1 mm. fmax skips
-    # NaN (such a segment's slab bounds are NaN, which keeps it); an infinite
-    # coordinate makes the pad infinite, and then the slab rejects nothing.
+    # orders of magnitude, so the slab cannot reject a segment the footprint
+    # tests would block; on a 1-km world it is 1 mm. fmax skips NaN (such a
+    # segment's slab bounds are NaN, which keeps it); an infinite coordinate
+    # makes the pad infinite, and then the slab rejects nothing.
     pad = 1e-6 * (1.0 + max(np.fmax.reduce(np.abs(c), initial=0.0)
                             for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
     for b in range(offsets.shape[0] - 1):

@@ -364,10 +364,7 @@ def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
 
 
 def _in_window(windows, t: float) -> bool:
-    for lo, hi in windows:
-        if lo <= t < hi:
-            return True
-    return False
+    return any(lo <= t < hi for lo, hi in windows)
 
 
 def _collect(model_name, senders, sidx, gen, delivered, latency_ms, los,

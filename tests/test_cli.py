@@ -198,6 +198,17 @@ def test_slow_truck_sweep_exit_2_before_the_capacity_curve(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("out", ["f", "f/o"])
+def test_sweep_out_under_a_regular_file_exits_2_before_the_sweep(tmp_path, capsys,
+                                                                  monkeypatch, out):
+    (tmp_path / "f").write_text("")
+    monkeypatch.setattr(experiment, "run_sweep", lambda cfg: pytest.fail("sweep ran"))
+    assert run("sweep", "--sets", 1, "--out", tmp_path / out) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'f'} is not a directory" in err
+    assert "Traceback" not in err
+
+
 def test_exact_solver_config_counts_the_prioritized_subtours():
     # a prioritized set of 15 with 5 medical solves tours of 6 and 11 stops
     cfg = experiment.ExperimentConfig.from_dict({"solver": "exact", "per_set": 15,
