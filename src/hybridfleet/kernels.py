@@ -55,15 +55,19 @@ def _ray_crossings(px, py, x1, y1, x2, y2):
     return ((y1 > py) != (y2 > py)) & (px < xcross)
 
 
-def _point_in_poly(px, py, vx, vy):
+def _point_in_poly(px, py, vx, vy, ux=None, uy=None):
     """Even-odd rule: True where point (px, py) lies inside polygon (vx, vy).
 
     The points broadcast against a last axis of the polygon's edges, edge i
     running from vertex i to vertex i-1, and the crossings reduce by parity
     over that axis, so a point's result is its own whatever the others.
+    (ux, uy) are each vertex's predecessor, ``np.roll(v, 1)``; a caller that
+    already has them passes them.
     """
+    if ux is None:
+        ux, uy = np.roll(vx, 1), np.roll(vy, 1)
     crossings = _ray_crossings(np.asarray(px)[..., None], np.asarray(py)[..., None],
-                               vx, vy, np.roll(vx, 1), np.roll(vy, 1))
+                               vx, vy, ux, uy)
     return np.logical_xor.reduce(crossings, axis=-1)
 
 
@@ -85,11 +89,44 @@ def _segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
     o2 = _orient(ax, ay, bx, by, dx, dy)
     o3 = _orient(cx, cy, dx, dy, ax, ay)
     o4 = _orient(cx, cy, dx, dy, bx, by)
-    return (((o1 != o2) & (o3 != o4))
+    hit = (o1 != o2) & (o3 != o4)
+    if np.all(o1 * o2 * o3 * o4):  # no turn is zero, so no collinear case
+        return hit
+    return (hit
             | ((o1 == 0) & _on_segment(ax, ay, bx, by, cx, cy))
             | ((o2 == 0) & _on_segment(ax, ay, bx, by, dx, dy))
             | ((o3 == 0) & _on_segment(cx, cy, dx, dy, ax, ay))
             | ((o4 == 0) & _on_segment(cx, cy, dx, dy, bx, by)))
+
+
+def _altitude_clip(az, dz, height):
+    """Parameter range [t0, t1] of each segment a + (b - a) t at altitudes
+    [0, height], with dz = bz - az, and where that range is empty.
+
+    A flat segment keeps [0, 1] and spans those altitudes only if its z does.
+    """
+    flat = dz == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ta = (0.0 - az) / dz
+        tb = (height - az) / dz
+    swap = ta > tb
+    lo_t = np.where(swap, tb, ta)
+    hi_t = np.where(swap, ta, tb)
+    t0 = np.where(flat, 0.0, np.where(lo_t > 0.0, lo_t, 0.0))
+    t1 = np.where(flat, 1.0, np.where(hi_t < 1.0, hi_t, 1.0))
+    return t0, t1, (t0 > t1) | (flat & ((az < 0.0) | (az > height)))
+
+
+def _narrowed_bounds(a, b, e, t0, t1, pad):
+    """Bounds of each segment a-b on one axis (e = b - a), narrowed to the
+    points at parameters t0 to t1 widened by pad.
+
+    _max and _min keep the segment's own bound where a narrowed one is NaN.
+    """
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+        p0 = a + e * t0
+        p1 = a + e * t1
+        return _max(_min(a, b), _min(p0, p1) - pad), _min(_max(a, b), _max(p0, p1) + pad)
 
 
 def los_blocked_batch(ax, ay, az, bx, by, bz,
@@ -97,24 +134,31 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
                       bb_minx, bb_maxx, bb_miny, bb_maxy):
     """True per segment iff it pierces any extruded building footprint.
 
-    Loops over buildings and tests all segments at once. Against building b,
-    only candidates are tested: segments that are not yet blocked, overlap its
-    bounding box and do not pass wholly above its roof. A candidate's
-    parameter range is clipped to altitudes [0, height]; it is blocked if
-    either clipped endpoint lies inside the footprint or the clipped 2D
-    projection crosses a footprint edge. Before those footprint tests, a
-    candidate is dropped when its clipped range misses the x or y slab of
-    the building's padded bounding box; the footprint tests then run on the
-    range the altitude clip gave, so the slab only saves work. They test the
-    survivors as a column against the footprint's edges as a row, with the
-    operands a loop over the edges would use.
+    First clips every segment's parameter range once to altitudes [0, top],
+    top the tallest roof; a segment whose range comes out empty is blocked
+    by no building, and the rest (the live segments) go on. Then loops over
+    buildings and tests the live segments at once. Against building b, only
+    candidates are tested: live segments that are not yet blocked, whose
+    bounding box overlaps b's and does not pass wholly above b's roof. A
+    live segment's box is narrowed to the box of its range clipped to the
+    tallest roof, padded as the slab below is. A candidate's parameter range
+    is clipped to altitudes [0, height]; it is blocked if either clipped
+    endpoint lies inside the footprint or the clipped 2D projection crosses
+    a footprint edge. Before those footprint tests, a candidate is dropped
+    when its clipped range misses the x or y slab of the building's padded
+    bounding box; the footprint tests then run on the range the altitude
+    clip gave, so the slab only saves work. They test the survivors as a
+    column against the footprint's edges as a row, with the operands a loop
+    over the edges would use.
+
+    Every building's range lies inside the tallest roof's, because float
+    subtraction and division are monotone, and a + e t is monotone in t, so
+    the first clip and the narrowed box drop only segments that the altitude
+    clip or the slab would drop at every building.
     """
     out = np.zeros(ax.shape[0], np.bool_)
-    sminx = _min(ax, bx)
-    smaxx = _max(ax, bx)
-    sminy = _min(ay, by)
-    smaxy = _max(ay, by)
-    szmin = _min(az, bz)
+    if offsets.shape[0] < 2:
+        return out
     # Rounding in the slab clip and in the footprint tests moves a point by a
     # few ulps of the largest coordinate M in play (about 1e-15 * M), and
     # underflow by less than 1e-300. The pad 1e-6 * (1 + M) exceeds both by
@@ -124,40 +168,50 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     # makes the pad infinite, and then the slab rejects nothing.
     pad = 1e-6 * (1.0 + max(np.fmax.reduce(np.abs(c), initial=0.0)
                             for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
+    t0, t1, empty = _altitude_clip(az, bz - az, np.fmax.reduce(heights))
+    live = np.flatnonzero(~empty)
+    if live.size == 0:
+        return out
+    ax, ay, az, bx, by, bz, t0, t1 = (c[live] for c in (ax, ay, az, bx, by, bz, t0, t1))
+    del empty
+    ex = bx - ax
+    ey = by - ay
+    dz = bz - az
+    sminx, smaxx = _narrowed_bounds(ax, bx, ex, t0, t1, pad)
+    sminy, smaxy = _narrowed_bounds(ay, by, ey, t0, t1, pad)
+    szmin = _min(az, bz)
+    del bx, by, bz, t0, t1
+    # each footprint vertex's predecessor, np.roll(v, 1) within its footprint
+    prev = np.arange(-1, vert_x.shape[0] - 1)
+    has = offsets[:-1] < offsets[1:]
+    prev[offsets[:-1][has]] = offsets[1:][has] - 1
+    prev_x = vert_x[prev]
+    prev_y = vert_y[prev]
+    hit = np.zeros(live.size, np.bool_)
     for b in range(offsets.shape[0] - 1):
         height = heights[b]
-        k = np.flatnonzero(~(out | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
+        k = np.flatnonzero(~(hit | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
                              | (smaxy < bb_miny[b]) | (sminy > bb_maxy[b])
                              | (szmin > height)))
         if k.size == 0:
             continue
-        kaz = az[k]
-        dz = bz[k] - kaz
-        flat = dz == 0.0
+        t0, t1, empty = _altitude_clip(az[k], dz[k], height)
         kax = ax[k]
         kay = ay[k]
-        ex = bx[k] - kax
-        ey = by[k] - kay
+        kex = ex[k]
+        key = ey[k]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ta = (0.0 - kaz) / dz
-            tb = (height - kaz) / dz
             # Slab bounds. The prefilter put a segment with e == 0 on an axis
             # inside the box on that axis, so the padded bounds divide to -inf
             # and +inf there and that axis does not clip.
-            xa = (bb_minx[b] - pad - kax) / ex
-            xb = (bb_maxx[b] + pad - kax) / ex
-            ya = (bb_miny[b] - pad - kay) / ey
-            yb = (bb_maxy[b] + pad - kay) / ey
-        swap = ta > tb
-        lo_t = np.where(swap, tb, ta)
-        hi_t = np.where(swap, ta, tb)
-        t0 = np.where(flat, 0.0, np.where(lo_t > 0.0, lo_t, 0.0))
-        t1 = np.where(flat, 1.0, np.where(hi_t < 1.0, hi_t, 1.0))
+            xa = (bb_minx[b] - pad - kax) / kex
+            xb = (bb_maxx[b] + pad - kax) / kex
+            ya = (bb_miny[b] - pad - kay) / key
+            yb = (bb_maxy[b] + pad - kay) / key
         # np.maximum and np.minimum propagate NaN, and ~(NaN > x) keeps
         s0 = np.maximum(np.maximum(t0, np.minimum(xa, xb)), np.minimum(ya, yb))
         s1 = np.minimum(np.minimum(t1, np.maximum(xa, xb)), np.maximum(ya, yb))
-        # a flat segment spans the volume's altitudes only if its z does
-        keep = ~((t0 > t1) | (flat & ((kaz < 0.0) | (kaz > height))) | (s0 > s1))
+        keep = ~(empty | (s0 > s1))
         k = k[keep]
         if k.size == 0:
             continue
@@ -165,20 +219,25 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
         t1 = t1[keep]
         kax = kax[keep]
         kay = kay[keep]
-        ex = ex[keep]
-        ey = ey[keep]
-        p0x = kax + ex * t0
-        p0y = kay + ey * t0
-        p1x = kax + ex * t1
-        p1y = kay + ey * t1
-        vx = vert_x[offsets[b]:offsets[b + 1]]
-        vy = vert_y[offsets[b]:offsets[b + 1]]
-        # one broadcast over the footprint's edges, edge i from vertex i-1 to i
+        kex = kex[keep]
+        key = key[keep]
+        p0x = kax + kex * t0
+        p0y = kay + key * t0
+        p1x = kax + kex * t1
+        p1y = kay + key * t1
+        lo, hi = offsets[b], offsets[b + 1]
+        vx = vert_x[lo:hi]
+        vy = vert_y[lo:hi]
+        ux = prev_x[lo:hi]
+        uy = prev_y[lo:hi]
+        # both clipped endpoints in one even-odd test, then one broadcast
+        # over the footprint's edges, edge i from vertex i-1 to i
+        inside = _point_in_poly(np.concatenate((p0x, p1x)), np.concatenate((p0y, p1y)),
+                                vx, vy, ux, uy)
         crosses = _segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
-                                      p1y[:, None], np.roll(vx, 1), np.roll(vy, 1),
-                                      vx, vy).any(axis=1)
-        out[k] = (_point_in_poly(p0x, p0y, vx, vy) | _point_in_poly(p1x, p1y, vx, vy)
-                  | crosses)
+                                      p1y[:, None], ux, uy, vx, vy).any(axis=1)
+        hit[k] = inside[:k.size] | inside[k.size:] | crosses
+    out[live] = hit
     return out
 
 

@@ -24,7 +24,7 @@ from hybridfleet import kernels, netmodel
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import generate_delivery_sets
 from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_grid_scenario,
-                                 los_blocked_many, scenario_from_dict)
+                                 los_blocked_many, scenario_from_dict, scenario_to_dict)
 from hybridfleet.simcore import simulate
 
 
@@ -581,6 +581,139 @@ def test_los_batch_matches_oracle_on_segments_grazing_the_boxes(segs):
     a = np.array([s[0] for s in segs], np.float64)
     b = np.array([s[1] for s in segs], np.float64)
     _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+
+
+def _boxes(sc):
+    """(minx, maxx, miny, maxy, height) of each building of sc."""
+    return [(min(p.x for p in b.footprint), max(p.x for p in b.footprint),
+             min(p.y for p in b.footprint), max(p.y for p in b.footprint), b.height)
+            for b in sc.buildings]
+
+
+def _tall_world():
+    """A generated world (roofs 6-24 m) with one building raised to 90 m."""
+    data = scenario_to_dict(generate_grid_scenario(3, 3, 100.0, 2, seed=5))
+    data["buildings"][4]["height_m"] = 90.0
+    return scenario_from_dict(data)
+
+
+_TALL_WORLD = _tall_world()
+
+
+@st.composite
+def _tallest_roof_segment(draw, boxes):
+    """A segment whose xy ends lie on, or within an ulp of, a box face, with
+    its z placed against the tallest roof."""
+    top = max(box[4] for box in boxes)
+    ax, ay, az = draw(_box_point(draw(st.sampled_from(boxes))))
+    bx, by, bz = draw(_box_point(draw(st.sampled_from(boxes))))
+    kind = draw(st.sampled_from(["across", "at-top", "flat-top", "underground",
+                                 "non-finite"]))
+    near_top = st.integers(-1, 1).map(lambda steps: _nudged(top, steps))
+    if kind == "across":  # one end above every roof, one below the tallest
+        az = draw(st.floats(top, top + 60.0, exclude_min=True) | st.just(_nudged(top, 1)))
+        bz = draw(st.floats(-5.0, top, exclude_max=True) | st.just(_nudged(top, -1))
+                  | st.sampled_from([0.0] + [box[4] for box in boxes]))
+    elif kind == "at-top":
+        az = draw(near_top)
+        bz = draw(st.floats(-5.0, top + 60.0) | near_top)
+    elif kind == "flat-top":
+        az = bz = draw(near_top)
+    elif kind == "underground":
+        below = st.floats(-50.0, 0.0, exclude_max=True) | st.just(-5e-324)
+        az = draw(below)
+        bz = draw(below | st.just(az))
+    a = [ax, ay, az]
+    b = [bx, by, bz]
+    if kind == "non-finite":
+        draw(st.sampled_from([a, b]))[draw(st.integers(0, 2))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    if draw(st.booleans()):
+        a, b = b, a
+    return tuple(a), tuple(b)
+
+
+@pytest.mark.parametrize("world", [_CONCAVE_WORLD, _TALL_WORLD], ids=["concave", "tall"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_los_batch_matches_oracle_across_the_tallest_roof(world, data):
+    # the one clip to the tallest roof may only drop what every building drops
+    segs = data.draw(st.lists(_tallest_roof_segment(_boxes(world)), min_size=1, max_size=30))
+    a = np.array([s[0] for s in segs], np.float64)
+    b = np.array([s[1] for s in segs], np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on infinite coordinates
+        _assert_matches_oracle(world, a, b)
+
+
+def test_los_batch_above_the_tallest_roof_is_clear():
+    # no segment reaches the tallest roof (20 m), so none is tested
+    a = np.array([[10.0, 10.0, 20.5], [45.0, 20.0, 30.0], [-10.0, 15.0, _nudged(20.0, 1)]])
+    b = np.array([[60.0, 5.0, 25.0], [4.0, 60.0, 30.0], [30.0, 15.0, _nudged(20.0, 1)]])
+    got = _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+    assert got.dtype == np.bool_ and got.shape == (3,) and not got.any()
+
+
+def test_los_batch_puts_each_result_at_its_segment():
+    # segments above every roof, which the first clip drops, between the
+    # ones that reach the buildings
+    above = ([0.0, 0.0, 21.0], [70.0, 70.0, 22.0])
+    segs = [above,
+            ([10.0, 10.0, 5.0], [10.0, 10.0, 5.0]),    # inside the 12-m box
+            above, above,
+            ([60.0, 20.0, 1.0], [60.0, 20.0, 1.0]),    # in the L's notch
+            ([35.0, 5.0, 15.0], [75.0, 5.0, 15.0]),    # through the L, above three roofs
+            above,
+            ([-10.0, 15.0, 8.0], [30.0, 15.0, 8.0])]   # through the 12-m box
+    a = np.array([s[0] for s in segs])
+    b = np.array([s[1] for s in segs])
+    got = _assert_matches_oracle(_CONCAVE_WORLD, a, b)
+    assert got.tolist() == [False, True, False, False, False, True, False, True]
+
+
+def test_los_batch_pads_the_narrowed_box_against_rounding():
+    # The even-odd rule rounds the slanted edge's crossing at y = py to
+    # 0.09999999999999998, so it counts the point (px, py), an ulp left of
+    # the box, as inside. The steep segment leaves that point and reaches
+    # x = 0.1 only far above the roof, so only the pad keeps it a candidate.
+    sc = _world([([(0.4, 0.3), (1.0, 0.3), (1.0, 1.0), (0.1, 1.0)], 20.0)])
+    px, py = 0.09999999999999999, 0.9999999999999999
+    a = np.array([[px, py, 5.0]])
+    b = np.array([[0.5, py, 3e18]])
+    assert _assert_matches_oracle(sc, a, b).tolist() == [True]
+
+
+def test_narrowed_bounds_keep_the_segments_own_where_nan():
+    a = np.array([10.0, 10.0, -math.inf, 10.0, math.nan])
+    b = np.array([math.inf, 30.0, 5.0, 30.0, 30.0])
+    t0 = np.array([0.0, 0.25, 0.5, 0.0, 0.0])
+    t1 = np.array([0.5, 0.5, 1.0, 1.0, 1.0])
+    lo, hi = kernels._narrowed_bounds(a, b, b - a, t0, t1, 1.0)
+    # inf * 0 and inf - inf give NaN narrowed bounds; a narrowed bound never widens
+    assert lo.tolist()[:4] == [10.0, 14.0, -math.inf, 10.0]
+    assert hi.tolist()[:4] == [math.inf, 21.0, 5.0, 30.0]
+    assert math.isnan(lo[4]) and math.isnan(hi[4])
+
+
+# (a, b, c, d, intersect?) mixing rows with and without zero turns
+_SEGMENT_PAIRS = [
+    ((0, 0), (2, 2), (2, 2), (4, 0), True),    # touch at a vertex
+    ((0, 0), (4, 0), (2, 0), (6, 0), True),    # collinear overlap
+    ((0, 0), (1, 0), (2, 0), (3, 0), False),   # collinear, disjoint
+    ((0, 0), (2, 2), (0, 2), (2, 0), True),    # proper crossing
+    ((0, 0), (1, 0), (0, 1), (1, 2), False),   # clear miss
+]
+
+
+def test_segments_intersect_matches_oracle_with_and_without_zero_turns():
+    for r in range(1, len(_SEGMENT_PAIRS) + 1):
+        for rows in itertools.combinations(_SEGMENT_PAIRS, r):
+            cols = [np.array([float(row[i // 2][i % 2]) for row in rows]) for i in range(8)]
+            want = [_oracle_segments_intersect(*map(float, (*p, *q, *c, *d)))
+                    for p, q, c, d, _ in rows]
+            assert want == [row[4] for row in rows]
+            assert kernels._segments_intersect(*cols).tolist() == want
+            assert [bool(kernels._segments_intersect(*map(float, (*p, *q, *c, *d))))
+                    for p, q, c, d, _ in rows] == want
 
 
 def test_los_batch_matches_oracle_on_planned_hops(monkeypatch):
