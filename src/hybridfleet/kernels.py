@@ -170,21 +170,20 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
                             for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
     t0, t1, empty = _altitude_clip(az, bz - az, np.fmax.reduce(heights))
     live = np.flatnonzero(~empty)
+    del empty  # the loop keeps only live-length arrays
     if live.size == 0:
         return out
     ax, ay, az, bx, by, bz, t0, t1 = (c[live] for c in (ax, ay, az, bx, by, bz, t0, t1))
-    del empty
     ex = bx - ax
     ey = by - ay
     dz = bz - az
     sminx, smaxx = _narrowed_bounds(ax, bx, ex, t0, t1, pad)
     sminy, smaxy = _narrowed_bounds(ay, by, ey, t0, t1, pad)
     szmin = _min(az, bz)
-    del bx, by, bz, t0, t1
     # each footprint vertex's predecessor, np.roll(v, 1) within its footprint
+    # (a scenario's footprints have at least 3 vertices)
     prev = np.arange(-1, vert_x.shape[0] - 1)
-    has = offsets[:-1] < offsets[1:]
-    prev[offsets[:-1][has]] = offsets[1:][has] - 1
+    prev[offsets[:-1]] = offsets[1:] - 1
     prev_x = vert_x[prev]
     prev_y = vert_y[prev]
     hit = np.zeros(live.size, np.bool_)

@@ -3,10 +3,10 @@
 The TSP kernels are checked against exhaustive enumeration and the 2-opt
 local-optimum property. The numpy LOS kernel must match, element for
 element, the scalar per-segment x per-building loop kept below as its
-oracle, on random segments, on segments grazing the buildings' boxes and on
-the hops of a planned trace. The timetable fold, which returns lists, and
-the numpy pairwise distances must match the scalar loops kept below bit for
-bit. The sortie kernels must return the same bits on Python lists, as the
+oracle, on random segments, on segments grazing the buildings' boxes or
+crossing the tallest roof, and on the hops of a planned trace. The
+timetable fold, which returns lists, and the numpy pairwise distances must
+match the scalar loops kept below bit for bit. The sortie kernels must return the same bits on Python lists, as the
 planner passes them, and on numpy arrays; ``best_sortie`` must return the
 bits of the rendezvous scan of every candidate launch kept below as its
 oracle, and never complete before its free time plus the drone service, the
@@ -537,10 +537,14 @@ def _nudged(v, steps):
     return float(v)
 
 
-# (minx, maxx, miny, maxy, height) of each building of the concave world
-_BOXES = [(min(p.x for p in b.footprint), max(p.x for p in b.footprint),
-           min(p.y for p in b.footprint), max(p.y for p in b.footprint), b.height)
-          for b in _CONCAVE_WORLD.buildings]
+def _boxes(sc):
+    """(minx, maxx, miny, maxy, height) of each building of sc."""
+    return [(min(p.x for p in b.footprint), max(p.x for p in b.footprint),
+             min(p.y for p in b.footprint), max(p.y for p in b.footprint), b.height)
+            for b in sc.buildings]
+
+
+_BOXES = _boxes(_CONCAVE_WORLD)
 
 
 @st.composite
@@ -581,13 +585,6 @@ def test_los_batch_matches_oracle_on_segments_grazing_the_boxes(segs):
     a = np.array([s[0] for s in segs], np.float64)
     b = np.array([s[1] for s in segs], np.float64)
     _assert_matches_oracle(_CONCAVE_WORLD, a, b)
-
-
-def _boxes(sc):
-    """(minx, maxx, miny, maxy, height) of each building of sc."""
-    return [(min(p.x for p in b.footprint), max(p.x for p in b.footprint),
-             min(p.y for p in b.footprint), max(p.y for p in b.footprint), b.height)
-            for b in sc.buildings]
 
 
 def _tall_world():
@@ -661,7 +658,7 @@ def test_los_batch_puts_each_result_at_its_segment():
             ([10.0, 10.0, 5.0], [10.0, 10.0, 5.0]),    # inside the 12-m box
             above, above,
             ([60.0, 20.0, 1.0], [60.0, 20.0, 1.0]),    # in the L's notch
-            ([35.0, 5.0, 15.0], [75.0, 5.0, 15.0]),    # through the L, above three roofs
+            ([35.0, 5.0, 15.0], [75.0, 5.0, 15.0]),    # through the 20-m L, above 8 m and 12 m
             above,
             ([-10.0, 15.0, 8.0], [30.0, 15.0, 8.0])]   # through the 12-m box
     a = np.array([s[0] for s in segs])
