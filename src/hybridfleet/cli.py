@@ -12,10 +12,10 @@ import os
 import sys
 
 from . import __version__, fields
-from .errors import (ConfigError, HybridFleetError, InvariantViolation, ParameterError,
-                     ParseError, PlanConsistencyError)
+from .errors import ConfigError, HybridFleetError, InvariantViolation, ParameterError, ParseError
 from .experiment import ExperimentConfig, run_experiment
-from .hybrid import FleetConfig, _first_of, check_plan, load_plan, plan_hybrid, save_plan
+from .hybrid import (FleetConfig, _first_of, check_new_plan, check_plan, load_plan,
+                     plan_hybrid, save_plan)
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
 from .netmodel import MODELS, ChannelConfig, evaluate_links
@@ -134,9 +134,7 @@ def _dispatch(args) -> int:
         dset = _pick_set(sets, args.set_index)
         fleet = FleetConfig(drone_count=args.drones)
         plan = plan_hybrid(sc, dset, fleet, args.prioritize, args.solver)
-        problems = check_plan(plan, sc, dset, fleet)
-        if problems:
-            raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
+        check_new_plan(plan, sc, dset, fleet)
         save_plan(plan, args.out, fleet)
         print(f"wrote {args.out}: {len(plan.truck_stops)} truck stops, "
               f"{len(plan.sorties)} sorties, objective {plan.objective:.1f} s")

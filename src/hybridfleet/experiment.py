@@ -18,8 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, fields
-from .errors import ConfigError, ParameterError, ParseError, PlanConsistencyError
-from .hybrid import (_MAX_DRONES, FleetConfig, _first_of, check_plan, plan_hybrid,
+from .errors import ConfigError, ParameterError, ParseError
+from .hybrid import (_MAX_DRONES, FleetConfig, check_new_plan, plan_hybrid,
                      plan_hybrid_counts, read_fleet)
 from .jobs import generate_delivery_sets, save_sets
 from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
@@ -194,15 +194,9 @@ def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
     from the same completion times without the trace."""
     fleet = cfg.fleet_for(drone_count)
     plan = plan_hybrid(scenario, dset, fleet, prioritized, cfg.solver)
-    _check(plan, scenario, dset, fleet)
+    check_new_plan(plan, scenario, dset, fleet)
     trace = simulate(scenario, plan, fleet)
     return plan, trace, waiting_stats(trace.completion, dset)
-
-
-def _check(plan, scenario, dset, fleet: FleetConfig) -> None:
-    problems = check_plan(plan, scenario, dset, fleet)
-    if problems:
-        raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
 
 
 def _run_set(cfg_json: str, set_idx: int):
@@ -227,7 +221,7 @@ def _run_set(cfg_json: str, set_idx: int):
         if not isinstance(result, Exception):
             try:
                 fleet = cfg.fleet_for(drones)
-                _check(result, scenario, dset, fleet)
+                check_new_plan(result, scenario, dset, fleet)
                 stats = waiting_stats(completion_times(scenario, result, fleet), dset)
                 rows.append(SweepRow(drones, prio, set_idx, stats))
                 continue

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 
 from . import fields, kernels
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, PlanConsistencyError
 from .jobs import Category, DeliverySet
 from .routing import (Solver, job_nodes, plain_schedule, priority_schedule,
                       routing_cache)
@@ -67,8 +67,8 @@ class Sortie:
     leg_back_m: float         # target -> rendezvous
     hover_wait: float         # s waiting at the rendezvous node
     deliver_time: float       # arrival at the target
-    target_x: float = 0.0     # delivery point, for executors of the plan
-    target_y: float = 0.0
+    target_x: float           # delivery point, for executors of the plan
+    target_y: float
 
 
 @dataclass
@@ -707,13 +707,22 @@ def _first_of(problems: list[str]) -> str:
     return problems[0] + more
 
 
+def check_new_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
+                   fleet: FleetConfig) -> None:
+    """Raise PlanConsistencyError when a plan the planner just made fails
+    ``check_plan``: a planner fault, not bad input."""
+    problems = check_plan(plan, scenario, dset, fleet)
+    if problems:
+        raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
+
+
 # ---------------------------------------------------------------------------
 # plan file format
 
 
-def plan_to_dict(plan: HybridPlan, fleet: FleetConfig | None = None) -> dict:
+def plan_to_dict(plan: HybridPlan, fleet: FleetConfig) -> dict:
     tt = plan.timetable
-    out = {
+    return {
         "truck": {
             "stops": [{"job": j, "path_index": plan.stop_positions[j]}
                       for j in plan.truck_stops],
@@ -725,10 +734,8 @@ def plan_to_dict(plan: HybridPlan, fleet: FleetConfig | None = None) -> dict:
         "prioritized": plan.prioritized,
         "objective": plan.objective,
         "makespan": plan.makespan,
+        "fleet": asdict(fleet),
     }
-    if fleet is not None:
-        out["fleet"] = asdict(fleet)
-    return out
 
 
 def read_fleet(value, where: str) -> FleetConfig:
@@ -770,7 +777,7 @@ def plan_from_dict(data) -> tuple[HybridPlan, FleetConfig | None]:
     return plan, fields.get(data, "fleet", "plan", read_fleet, None)
 
 
-def save_plan(plan: HybridPlan, path, fleet: FleetConfig | None = None) -> None:
+def save_plan(plan: HybridPlan, path, fleet: FleetConfig) -> None:
     fields.write_json(plan_to_dict(plan, fleet), path, indent=1)
 
 

@@ -1,7 +1,7 @@
 """Delivery request generation and spatial-distribution checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,7 +29,6 @@ class DeliveryJob:
 class DeliverySet:
     id: int
     jobs: list[DeliveryJob]
-    sampled_with_replacement: bool = field(default=False)
 
     def medical(self) -> list[DeliveryJob]:
         return [j for j in self.jobs if j.category == Category.MEDICAL]
@@ -43,9 +42,9 @@ def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
     """Sample delivery sets over the scenario's buildings.
 
     Buildings are drawn uniformly without replacement within a set (falling
-    back to replacement when there are fewer buildings than jobs, flagged on
-    the set). Exactly medical_per_set jobs per set are marked medical, chosen
-    uniformly. Each set uses the substream (seed, set index).
+    back to replacement when there are fewer buildings than jobs). Exactly
+    medical_per_set jobs per set are marked medical, chosen uniformly. Each
+    set uses the substream (seed, set index).
     """
     if not scenario.buildings:
         raise ParameterError("scenario has no buildings to deliver to")
@@ -68,7 +67,7 @@ def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
             b = by_id[ids[bix]]
             cat = Category.MEDICAL if k in medical_slots else Category.STANDARD
             jobs.append(DeliveryJob(k, b.id, b.access_point, cat))
-        sets.append(DeliverySet(s, jobs, sampled_with_replacement=replace))
+        sets.append(DeliverySet(s, jobs))
     return sets
 
 

@@ -55,17 +55,14 @@ def _ray_crossings(px, py, x1, y1, x2, y2):
     return ((y1 > py) != (y2 > py)) & (px < xcross)
 
 
-def _point_in_poly(px, py, vx, vy, ux=None, uy=None):
+def _point_in_poly(px, py, vx, vy, ux, uy):
     """Even-odd rule: True where point (px, py) lies inside polygon (vx, vy).
 
     The points broadcast against a last axis of the polygon's edges, edge i
     running from vertex i to vertex i-1, and the crossings reduce by parity
     over that axis, so a point's result is its own whatever the others.
-    (ux, uy) are each vertex's predecessor, ``np.roll(v, 1)``; a caller that
-    already has them passes them.
+    (ux, uy) are each vertex's predecessor, ``np.roll(v, 1)``.
     """
-    if ux is None:
-        ux, uy = np.roll(vx, 1), np.roll(vy, 1)
     crossings = _ray_crossings(np.asarray(px)[..., None], np.asarray(py)[..., None],
                                vx, vy, ux, uy)
     return np.logical_xor.reduce(crossings, axis=-1)
@@ -168,38 +165,39 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     # makes the pad infinite, and then the slab rejects nothing.
     pad = 1e-6 * (1.0 + max(np.fmax.reduce(np.abs(c), initial=0.0)
                             for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
-    t0, t1, empty = _altitude_clip(az, bz - az, np.fmax.reduce(heights))
-    live = np.flatnonzero(~empty)
-    del empty  # the loop keeps only live-length arrays
-    if live.size == 0:
-        return out
-    ax, ay, az, bx, by, bz, t0, t1 = (c[live] for c in (ax, ay, az, bx, by, bz, t0, t1))
-    ex = bx - ax
-    ey = by - ay
-    dz = bz - az
-    sminx, smaxx = _narrowed_bounds(ax, bx, ex, t0, t1, pad)
-    sminy, smaxy = _narrowed_bounds(ay, by, ey, t0, t1, pad)
-    szmin = _min(az, bz)
-    # each footprint vertex's predecessor, np.roll(v, 1) within its footprint
-    # (a scenario's footprints have at least 3 vertices)
-    prev = np.arange(-1, vert_x.shape[0] - 1)
-    prev[offsets[:-1]] = offsets[1:] - 1
-    prev_x = vert_x[prev]
-    prev_y = vert_y[prev]
-    hit = np.zeros(live.size, np.bool_)
-    for b in range(offsets.shape[0] - 1):
-        height = heights[b]
-        k = np.flatnonzero(~(hit | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
-                             | (smaxy < bb_miny[b]) | (sminy > bb_maxy[b])
-                             | (szmin > height)))
-        if k.size == 0:
-            continue
-        t0, t1, empty = _altitude_clip(az[k], dz[k], height)
-        kax = ax[k]
-        kay = ay[k]
-        kex = ex[k]
-        key = ey[k]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # the slab divides by e == 0, and an infinite coordinate gives inf - inf and inf * 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t0, t1, empty = _altitude_clip(az, bz - az, np.fmax.reduce(heights))
+        live = np.flatnonzero(~empty)
+        del empty  # the loop keeps only live-length arrays
+        if live.size == 0:
+            return out
+        ax, ay, az, bx, by, bz, t0, t1 = (c[live] for c in (ax, ay, az, bx, by, bz, t0, t1))
+        ex = bx - ax
+        ey = by - ay
+        dz = bz - az
+        sminx, smaxx = _narrowed_bounds(ax, bx, ex, t0, t1, pad)
+        sminy, smaxy = _narrowed_bounds(ay, by, ey, t0, t1, pad)
+        szmin = _min(az, bz)
+        # each footprint vertex's predecessor, np.roll(v, 1) within its footprint
+        # (a scenario's footprints have at least 3 vertices)
+        prev = np.arange(-1, vert_x.shape[0] - 1)
+        prev[offsets[:-1]] = offsets[1:] - 1
+        prev_x = vert_x[prev]
+        prev_y = vert_y[prev]
+        hit = np.zeros(live.size, np.bool_)
+        for b in range(offsets.shape[0] - 1):
+            height = heights[b]
+            k = np.flatnonzero(~(hit | (smaxx < bb_minx[b]) | (sminx > bb_maxx[b])
+                                 | (smaxy < bb_miny[b]) | (sminy > bb_maxy[b])
+                                 | (szmin > height)))
+            if k.size == 0:
+                continue
+            t0, t1, empty = _altitude_clip(az[k], dz[k], height)
+            kax = ax[k]
+            kay = ay[k]
+            kex = ex[k]
+            key = ey[k]
             # Slab bounds. The prefilter put a segment with e == 0 on an axis
             # inside the box on that axis, so the padded bounds divide to -inf
             # and +inf there and that axis does not clip.
@@ -207,37 +205,37 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
             xb = (bb_maxx[b] + pad - kax) / kex
             ya = (bb_miny[b] - pad - kay) / key
             yb = (bb_maxy[b] + pad - kay) / key
-        # np.maximum and np.minimum propagate NaN, and ~(NaN > x) keeps
-        s0 = np.maximum(np.maximum(t0, np.minimum(xa, xb)), np.minimum(ya, yb))
-        s1 = np.minimum(np.minimum(t1, np.maximum(xa, xb)), np.maximum(ya, yb))
-        keep = ~(empty | (s0 > s1))
-        k = k[keep]
-        if k.size == 0:
-            continue
-        t0 = t0[keep]
-        t1 = t1[keep]
-        kax = kax[keep]
-        kay = kay[keep]
-        kex = kex[keep]
-        key = key[keep]
-        p0x = kax + kex * t0
-        p0y = kay + key * t0
-        p1x = kax + kex * t1
-        p1y = kay + key * t1
-        lo, hi = offsets[b], offsets[b + 1]
-        vx = vert_x[lo:hi]
-        vy = vert_y[lo:hi]
-        ux = prev_x[lo:hi]
-        uy = prev_y[lo:hi]
-        # both clipped endpoints in one even-odd test, then one broadcast
-        # over the footprint's edges, edge i from vertex i-1 to i
-        inside = _point_in_poly(np.concatenate((p0x, p1x)), np.concatenate((p0y, p1y)),
-                                vx, vy, ux, uy)
-        crosses = _segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
-                                      p1y[:, None], ux, uy, vx, vy).any(axis=1)
-        hit[k] = inside[:k.size] | inside[k.size:] | crosses
-    out[live] = hit
-    return out
+            # np.maximum and np.minimum propagate NaN, and ~(NaN > x) keeps
+            s0 = np.maximum(np.maximum(t0, np.minimum(xa, xb)), np.minimum(ya, yb))
+            s1 = np.minimum(np.minimum(t1, np.maximum(xa, xb)), np.maximum(ya, yb))
+            keep = ~(empty | (s0 > s1))
+            k = k[keep]
+            if k.size == 0:
+                continue
+            t0 = t0[keep]
+            t1 = t1[keep]
+            kax = kax[keep]
+            kay = kay[keep]
+            kex = kex[keep]
+            key = key[keep]
+            p0x = kax + kex * t0
+            p0y = kay + key * t0
+            p1x = kax + kex * t1
+            p1y = kay + key * t1
+            lo, hi = offsets[b], offsets[b + 1]
+            vx = vert_x[lo:hi]
+            vy = vert_y[lo:hi]
+            ux = prev_x[lo:hi]
+            uy = prev_y[lo:hi]
+            # both clipped endpoints in one even-odd test, then one broadcast
+            # over the footprint's edges, edge i from vertex i-1 to i
+            inside = _point_in_poly(np.concatenate((p0x, p1x)), np.concatenate((p0y, p1y)),
+                                    vx, vy, ux, uy)
+            crosses = _segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
+                                          p1y[:, None], ux, uy, vx, vy).any(axis=1)
+            hit[k] = inside[:k.size] | inside[k.size:] | crosses
+        out[live] = hit
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +251,13 @@ def tour_cost(matrix, order, closed):
     return c
 
 
-def nearest_neighbor_order(matrix, start):
+def nearest_neighbor_order(matrix):
+    """Greedy tour from city 0: each step goes to the nearest unvisited city."""
     n = len(matrix)
-    order = [start]
+    order = [0]
     used = [False] * n
-    used[start] = True
-    cur = start
+    used[0] = True
+    cur = 0
     for _ in range(1, n):
         row = matrix[cur]
         best = -1

@@ -119,18 +119,12 @@ class NetStats:
     delivered: int = field(init=False)
     pdr: float = field(init=False)
     latencies_ms: np.ndarray = field(init=False)   # delivered only, ascending
-    per_link: dict[str, dict] = field(init=False)
 
     def __post_init__(self) -> None:
         self.sent = int(self.msg_sender.size)
         self.delivered = int(np.count_nonzero(self.msg_delivered))
         self.pdr = self.delivered / self.sent if self.sent else 1.0
         self.latencies_ms = np.sort(self.msg_latency_ms[self.msg_delivered])
-        n = len(self.senders)
-        sent = np.bincount(self.msg_sender, minlength=n).tolist()
-        dlv = np.bincount(self.msg_sender[self.msg_delivered], minlength=n).tolist()
-        self.per_link = {s: {"sent": a, "delivered": b, "pdr": b / a if a else 1.0}
-                         for s, a, b in zip(self.senders, sent, dlv)}
 
     def latency_percentile(self, q: float) -> float:
         if self.latencies_ms.size == 0:
@@ -142,12 +136,8 @@ class NetStats:
 class RequirementsProfile:
     """Static link requirements for command-and-control and drone delivery."""
     cc_latency_bound_ms: float = 50.0
-    cc_rate_kbps: tuple[float, float] = (60.0, 100.0)
-    cc_per: float = 1e-3
     pdr_target: float = 0.99
     drone_delivery_latency_ms: float = 500.0
-    drone_delivery_rate_dl_kbps: float = 300.0
-    drone_delivery_rate_ul_kbps: float = 200.0
 
 
 @dataclass
@@ -544,7 +534,7 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
     wins = [windows[s] for s in senders]
 
     # airborne[k][si]: sender si is airborne at the start of period k
-    n_periods = int(math.ceil(trace.end_time / period_s)) + 1
+    n_periods = _n_periods(trace, period_s)
     t_period = np.arange(n_periods) * period_s
     airborne = np.zeros((n_periods, n_senders), bool)
     for si, ws in enumerate(wins):

@@ -149,10 +149,9 @@ def travel_time_matrix(scenario: Scenario, stops: list[int],
     return mat
 
 
-def tsp_exact(matrix: list[list[float]], start_index: int = 0,
-              closed: bool = True) -> tuple[list[int], float]:
+def tsp_exact(matrix: list[list[float]], closed: bool = True) -> tuple[list[int], float]:
     """Globally optimal tour over the cost matrix (a list of rows) from
-    start_index.
+    stop 0.
 
     Held-Karp subset DP; ties broken to the lexicographically smallest
     order. Limited to 12 cities.
@@ -160,31 +159,22 @@ def tsp_exact(matrix: list[list[float]], start_index: int = 0,
     n = len(matrix)
     if n > EXACT_TSP_LIMIT:
         raise TspSizeError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got {n}")
-    perm = _rotation(n, start_index)
-    order, cost = kernels.held_karp([[matrix[i][j] for j in perm] for i in perm], closed)
-    return [perm[i] for i in order], cost
+    return kernels.held_karp(matrix, closed)
 
 
-def tsp_heuristic(matrix: list[list[float]], start_index: int = 0,
-                  closed: bool = True) -> tuple[list[int], float]:
-    """Nearest-neighbor construction plus 2-opt to a local optimum, over the
-    cost matrix (a list of rows)."""
+def tsp_heuristic(matrix: list[list[float]], closed: bool = True) -> tuple[list[int], float]:
+    """Nearest-neighbor construction from stop 0 plus 2-opt to a local
+    optimum, over the cost matrix (a list of rows)."""
     if len(matrix) == 1:
-        return [start_index], 0.0
-    order = kernels.nearest_neighbor_order(matrix, start_index)
+        return [0], 0.0
+    order = kernels.nearest_neighbor_order(matrix)
     return order, kernels.two_opt(matrix, order, closed)
-
-
-def _rotation(n: int, start: int) -> list[int]:
-    if not 0 <= start < n:
-        raise RoutingError(f"start_index {start} out of range for {n} stops")
-    return [start] + [i for i in range(n) if i != start]
 
 
 def _solve(matrix: list[list[float]], closed: bool, solver: Solver) -> tuple[list[int], float]:
     if solver == "exact":
-        return tsp_exact(matrix, 0, closed)
-    return tsp_heuristic(matrix, 0, closed)
+        return tsp_exact(matrix, closed)
+    return tsp_heuristic(matrix, closed)
 
 
 def job_nodes(scenario: Scenario, dset: DeliverySet) -> dict[int, int]:

@@ -89,7 +89,7 @@ class Building:
         return Point(cx / (6.0 * a), cy / (6.0 * a))
 
 
-@dataclass(eq=False)
+@dataclass
 class Scenario:
     graph: RoadGraph
     buildings: list[Building]
@@ -98,12 +98,6 @@ class Scenario:
     _geom: "_Geometry | None" = field(default=None, repr=False, compare=False)
     _routes: "dict[float, RoutingCache]" = field(default_factory=dict, repr=False,
                                                  compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (self.graph == other.graph and self.buildings == other.buildings
-                and self.depot == other.depot and self.base_station == other.base_station)
 
     def geometry(self) -> "_Geometry":
         if self._geom is None:
@@ -240,8 +234,6 @@ def los_blocked_many(scenario: Scenario, a_xyz: np.ndarray, b_xyz: np.ndarray) -
     from the ground to their height; an endpoint inside a volume counts as
     blocked.
     """
-    if not scenario.buildings:
-        return np.zeros(len(a_xyz), bool)
     geom = scenario.geometry()
     return kernels.los_blocked_batch(
         np.ascontiguousarray(a_xyz[:, 0]), np.ascontiguousarray(a_xyz[:, 1]),

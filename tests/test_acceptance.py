@@ -179,11 +179,11 @@ def test_acceptance_5_tsp_oracle_equivalence():
         m = rng.integers(1, 1000, (n, n)).astype(float)
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
-        order, cost = tsp_exact(m, 0, closed)
+        order, cost = tsp_exact(m, closed)
         oracle_order, oracle_cost = _enumerate_tsp(m, closed)
         assert cost == oracle_cost, f"case {case}: cost {cost} != {oracle_cost}"
         assert order == oracle_order, f"case {case}: order mismatch"
-        _, h_cost = tsp_heuristic(m, 0, closed)
+        _, h_cost = tsp_heuristic(m, closed)
         ratios.append(h_cost / oracle_cost)
     elapsed = time.perf_counter() - t0
     mean_ratio = float(np.mean(ratios))

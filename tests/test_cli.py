@@ -265,6 +265,8 @@ def test_plan_repeated_job_id_exit_2(workdir, capsys):
                  "uses drone 5 outside fleet of 1", id="sortie-drone-outside-fleet"),
     pytest.param(lambda p: p["sorties"][0].update(launch_node=999),
                  "references nodes off the truck path", id="sortie-node-off-path"),
+    pytest.param(lambda p: [s.pop(k) for s in p["sorties"] for k in ("target_x", "target_y")],
+                 "plan.sorties[0]: missing field 'target_x'", id="sortie-without-target"),
 ])
 def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message):
     assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
@@ -343,6 +345,24 @@ def test_trace_without_airborne_drones_reports_no_traffic(tmp_path, capsys):
     assert json.loads((sweep / "manifest.json").read_text())["requirement_checks"] == expected
     assert _netsim_lines(tmp_path / "net", capsys, "--scenario", sweep / "scenario.json",
                          "--trace", sweep / "net_trace.csv") == expected
+
+
+def test_simulate_plan_without_fleet_needs_drones(chain, tmp_path, capsys):
+    """A plan file without a fleet simulates only with --drones, and then as
+    with the fleet it had."""
+    data = json.loads((chain / "chain_plan.json").read_text())
+    drones = data.pop("fleet")["drone_count"]
+    bare = tmp_path / "plan.json"
+    bare.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("simulate", "--scenario", chain / "scen.json", "--plan", bare,
+               "--out", tmp_path / "trace.csv") == 2
+    assert "plan file lacks a fleet; pass --drones" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bare]
+    assert run("simulate", "--scenario", chain / "scen.json", "--plan", bare,
+               "--drones", drones, "--out", tmp_path / "trace.csv") == 0
+    for name in ("trace.csv", "trace.csv.traj.json"):
+        assert (tmp_path / name).read_bytes() == (chain / f"chain_{name}").read_bytes()
 
 
 def test_simulate_with_another_set_exit_2(chain, tmp_path, capsys):

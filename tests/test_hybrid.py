@@ -213,7 +213,7 @@ def test_plan_file_round_trip(tmp_path):
     save_plan(plan, path, fleet)
     loaded, loaded_fleet = load_plan(path)
     assert loaded_fleet == fleet
-    assert plan_to_dict(loaded) == plan_to_dict(plan)
+    assert plan_to_dict(loaded, loaded_fleet) == plan_to_dict(plan, fleet)
 
 
 def test_fleet_validation():

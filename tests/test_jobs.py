@@ -24,7 +24,7 @@ def test_default_generation_counts(world):
         assert len(s.jobs) == 15
         assert sum(j.category == Category.MEDICAL for j in s.jobs) == 5
         assert len({j.id for j in s.jobs}) == 15
-        assert not s.sampled_with_replacement
+        assert len({j.building_id for j in s.jobs}) == 15
 
 
 def test_single_standard_job(world):
@@ -50,8 +50,7 @@ def test_no_duplicate_buildings_within_set(world):
 def test_replacement_flagged_when_buildings_scarce():
     small = generate_grid_scenario(2, 2, 100.0, 1, seed=2)  # one building
     sets = generate_delivery_sets(small, 1, 3, 1, seed=5)
-    assert sets[0].sampled_with_replacement
-    assert len(sets[0].jobs) == 3
+    assert [j.building_id for j in sets[0].jobs] == [small.buildings[0].id] * 3
 
 
 def test_targets_are_access_points(world):

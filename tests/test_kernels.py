@@ -14,6 +14,7 @@ bound the planner prunes its scans with.
 """
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_two_opt_not_worse_than_nearest_neighbor():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = random_matrix(rng, 15).tolist()
-        order = kernels.nearest_neighbor_order(m, 0)
+        order = kernels.nearest_neighbor_order(m)
         nn_cost = kernels.tour_cost(m, order.copy(), True)
         assert kernels.two_opt(m, order, True) <= nn_cost + 1e-9
 
@@ -497,8 +498,9 @@ def test_geometric_predicates_match_scalar_oracle(pairs):
         vx = np.array([v.x for v in b.footprint])
         vy = np.array([v.y for v in b.footprint])
         want = [_oracle_point_in_poly(x, y, vx, vy, 0, len(vx)) for x, y in p]
-        assert kernels._point_in_poly(p[:, 0], p[:, 1], vx, vy).tolist() == want
-        assert bool(kernels._point_in_poly(float(p[0, 0]), float(p[0, 1]), vx, vy)) == want[0]
+        ux, uy = np.roll(vx, 1), np.roll(vy, 1)
+        assert kernels._point_in_poly(p[:, 0], p[:, 1], vx, vy, ux, uy).tolist() == want
+        assert bool(kernels._point_in_poly(*p[0].tolist(), vx, vy, ux, uy)) == want[0]
     for c, d in _EDGES:
         want = [_oracle_segments_intersect(a[0], a[1], e[0], e[1], c.x, c.y, d.x, d.y)
                 for a, e in zip(p, q)]
@@ -640,6 +642,19 @@ def test_los_batch_matches_oracle_across_the_tallest_roof(world, data):
     b = np.array([s[1] for s in segs], np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on infinite coordinates
         _assert_matches_oracle(world, a, b)
+
+
+def test_los_batch_on_infinite_coordinates_does_not_warn():
+    sc = generate_grid_scenario(3, 3, 100.0, 1, 5)
+    c = sc.buildings[0].centroid()
+    a = np.array([[-math.inf, c.y, 1.0], [c.x, -math.inf, 1.0], [math.inf, c.y, 1.0]])
+    b = np.array([[c.x, c.y, 1.0]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = los_blocked_many(sc, a, b)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
+        want = _oracle_los_blocked_batch(*a.T, *b.T, *_geometry_args(sc))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_los_batch_above_the_tallest_roof_is_clear():

@@ -154,7 +154,6 @@ def test_pdr_bounds_and_counts():
         assert 0.0 <= stats.pdr <= 1.0
         assert stats.delivered == int(np.count_nonzero(stats.msg_delivered))
         assert stats.sent == len(stats.msg_sender)
-        assert sum(v["sent"] for v in stats.per_link.values()) == stats.sent
 
 
 def test_sps_slot_grid_must_span_period():
@@ -266,12 +265,8 @@ def test_evaluate_links_checks_every_name_before_any_run(tmp_path, monkeypatch):
 def test_requirements_profile_constants():
     prof = RequirementsProfile()
     assert prof.cc_latency_bound_ms == 50.0
-    assert prof.cc_rate_kbps == (60.0, 100.0)
-    assert prof.cc_per == 1e-3
     assert prof.pdr_target == 0.99
     assert prof.drone_delivery_latency_ms == 500.0
-    assert (prof.drone_delivery_rate_dl_kbps,
-            prof.drone_delivery_rate_ul_kbps) == (300.0, 200.0)
 
 
 def test_csv_outputs(tmp_path):
@@ -317,24 +312,19 @@ def _oracle_collect(senders, sidx, gen, delivered, latency_ms, los, size_bytes):
     order = np.lexsort((sidx, gen))
     messages = []
     seq_per = {s: 0 for s in senders}
-    per_link = {s: {"sent": 0, "delivered": 0} for s in senders}
     for i in order.tolist():
         s = senders[sidx[i]]
         messages.append(_Msg(seq_per[s], s, float(gen[i]), size_bytes,
                              bool(delivered[i]), float(latency_ms[i]), bool(los[i])))
         seq_per[s] += 1
-        per_link[s]["sent"] += 1
-        per_link[s]["delivered"] += int(delivered[i])
-    for rec in per_link.values():
-        rec["pdr"] = rec["delivered"] / rec["sent"] if rec["sent"] else 1.0
-    return messages, per_link
+    return messages
 
 
 def _oracle_centralized(trace, scenario, mac, cfg, period_s, seed, windows, senders):
     rng = generator(seed, nm.MODELS["centralized"].tag)
     beacons = nm._phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
-        return [], {}
+        return []
     gen, sidx, spos = beacons
     n = gen.size
     rxpos = nm._interp_positions(trace, "truck", gen)
@@ -361,7 +351,7 @@ def _oracle_csma(trace, scenario, mac, cfg, period_s, seed, windows, senders):
     air_s = mac.airtime_ms * 1e-3
     beacons = nm._phase_beacons(trace, windows, senders, seed, period_s)
     if beacons is None:
-        return [], {}
+        return []
     gen, sidx, spos = beacons
     n = gen.size
     backoffs = rng.integers(0, mac.cw_slots + 1, n)
@@ -407,7 +397,7 @@ def _oracle_sps(trace, scenario, mac, cfg, period_s, seed, windows, senders):
     slot_s = mac.slot_ms / 1000.0
     n_senders = len(senders)
     if n_senders == 0:
-        return [], {}
+        return []
     cs2 = cfg.carrier_sense_m ** 2
     slot = [-1] * n_senders
     keep = [0] * n_senders
@@ -451,7 +441,7 @@ def _oracle_sps(trace, scenario, mac, cfg, period_s, seed, windows, senders):
                     slot[si] = select_slot(si, t_tx)
                 keep[si] = int(rng.integers(mac.keep_min, mac.keep_max + 1))
     if not msg_t:
-        return [], {}
+        return []
     gen = np.array(msg_t)
     sidx = np.array(msg_sidx, np.int64)
     n = gen.size
@@ -484,13 +474,13 @@ _ORACLES = {"centralized": _oracle_centralized, "csma": _oracle_csma, "sps": _or
 
 
 def _oracle_run(trace, scenario, mac, cfg, period_ms, seed):
-    """(messages, per_link) of the previous per-beacon implementation."""
+    """The messages of the previous per-beacon implementation."""
     windows = trace.airborne_windows()
     senders = sorted(windows)
     out = _ORACLES[mac.name](trace, scenario, mac, cfg, period_ms / 1000.0, seed,
                              windows, senders)
-    if len(out) == 2:
-        return out
+    if not out:
+        return []
     return _oracle_collect(senders, *out, 190)
 
 
@@ -506,7 +496,7 @@ def _oracle_results_csv(model, messages, path):
 
 def _assert_matches_oracle(trace, sc, mac, cfg, period_ms, seed, tmp_path):
     stats = run_cam_traffic(trace, sc, mac, cfg, period_ms, 190, seed)
-    messages, per_link = _oracle_run(trace, sc, mac, cfg, period_ms, seed)
+    messages = _oracle_run(trace, sc, mac, cfg, period_ms, seed)
     want = [[m.sender for m in messages], [m.seq for m in messages],
             [m.generated_at for m in messages], [m.delivered for m in messages],
             [m.latency_ms for m in messages], [m.los for m in messages]]
@@ -514,7 +504,6 @@ def _assert_matches_oracle(trace, sc, mac, cfg, period_ms, seed, tmp_path):
         col.tolist() for col in (stats.msg_seq, stats.msg_gen_s, stats.msg_delivered,
                                  stats.msg_latency_ms, stats.msg_los)]
     assert got == want
-    assert stats.per_link == per_link
     assert stats.sent == len(messages)
     assert stats.delivered == sum(m.delivered for m in messages)
     assert stats.latencies_ms.tolist() == sorted(m.latency_ms for m in messages

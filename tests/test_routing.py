@@ -307,13 +307,13 @@ def test_truck_times_on_random_speed_limits(world, drones, prioritize, solver):
 
 
 def test_tsp_exact_square_perimeter():
-    order, cost = tsp_exact(square_matrix(), 0, closed=True)
+    order, cost = tsp_exact(square_matrix(), closed=True)
     assert cost == pytest.approx(400.0)
     assert order == [0, 1, 2, 3]  # lexicographically smallest optimal tour
 
 
 def test_tsp_exact_single_city():
-    order, cost = tsp_exact(np.zeros((1, 1)), 0, closed=True)
+    order, cost = tsp_exact(np.zeros((1, 1)), closed=True)
     assert order == [0]
     assert cost == 0.0
 
@@ -325,7 +325,7 @@ def test_tsp_exact_matches_enumeration_7_stops(closed):
         m = rng.integers(1, 1000, (7, 7)).astype(float)
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
-        order, cost = tsp_exact(m, 0, closed)
+        order, cost = tsp_exact(m, closed)
         oracle_order, oracle_cost = brute_force_tsp(m, closed)
         assert cost == pytest.approx(oracle_cost, abs=1e-9)
         assert order == oracle_order
@@ -333,19 +333,12 @@ def test_tsp_exact_matches_enumeration_7_stops(closed):
 
 def test_tsp_exact_size_limit():
     with pytest.raises(TspSizeError):
-        tsp_exact(np.zeros((13, 13)), 0, True)
-
-
-def test_tsp_exact_nonzero_start():
-    m = square_matrix()
-    order, cost = tsp_exact(m, 2, closed=True)
-    assert order[0] == 2
-    assert cost == pytest.approx(400.0)
+        tsp_exact(np.zeros((13, 13)), True)
 
 
 def test_tsp_heuristic_square_optimal():
-    order, cost = tsp_heuristic(square_matrix(), 0, closed=True)
-    _, exact_cost = tsp_exact(square_matrix(), 0, closed=True)
+    order, cost = tsp_heuristic(square_matrix(), closed=True)
+    _, exact_cost = tsp_exact(square_matrix(), closed=True)
     assert cost == pytest.approx(exact_cost)
     assert sorted(order) == [0, 1, 2, 3]
 
@@ -353,7 +346,7 @@ def test_tsp_heuristic_square_optimal():
 def test_tsp_heuristic_preserves_optimal_construction():
     # on the square the nearest-neighbor tour is already optimal; 2-opt must
     # leave its cost unchanged
-    order, cost = tsp_heuristic(square_matrix(), 0, closed=True)
+    order, cost = tsp_heuristic(square_matrix(), closed=True)
     assert cost == pytest.approx(400.0)
 
 
@@ -363,8 +356,8 @@ def test_tsp_heuristic_quality_9_stops():
     for _ in range(100):
         pts = rng.uniform(0, 1000, (9, 2))
         m = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        _, h = tsp_heuristic(m, 0, True)
-        _, e = tsp_exact(m, 0, True)
+        _, h = tsp_heuristic(m, True)
+        _, e = tsp_exact(m, True)
         assert h >= e - 1e-9
         ratios.append(h / e)
     assert np.mean(ratios) <= 1.10
@@ -378,7 +371,7 @@ def test_tsp_solvers_permutation_valid(closed):
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0)
         for solver in (tsp_exact, tsp_heuristic):
-            order, _ = solver(m, 0, closed)
+            order, _ = solver(m, closed)
             assert sorted(order) == list(range(n))
             assert order[0] == 0
 

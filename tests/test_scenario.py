@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
+from hybridfleet.routing import routing_cache
 from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario,
                                   generate_grid_scenario, load_scenario, los_blocked_many,
                                   nearest_nodes, save_scenario, scenario_from_dict,
@@ -177,6 +179,20 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(sc, path)
     assert load_scenario(path) == sc
+
+
+def test_equality_ignores_the_caches_and_hash_raises(tmp_path):
+    sc = generate_grid_scenario(3, 3, 100.0, 1, seed=7)
+    path = tmp_path / "scenario.json"
+    save_scenario(sc, path)
+    sc.geometry()
+    routing_cache(sc, 8.33)
+    fresh = load_scenario(path)
+    assert sc == fresh
+    assert fresh == sc
+    assert dataclasses.replace(sc, depot=1) != sc
+    with pytest.raises(TypeError):
+        hash(sc)
 
 
 def test_load_disconnected_graph_names_invariant(tmp_path):

@@ -5,6 +5,11 @@ every public method or property of such a class, must be referenced by name
 (an AST ``Name`` or ``Attribute``) somewhere in ``src/`` outside its own
 definition, or in ``perfbench/``. A second implementation of a concept that
 no pipeline step runs shows up here as an unreferenced name.
+
+Likewise every annotated field of a class in ``src/hybridfleet`` must be read
+by name in ``src/`` or ``perfbench/`` outside its own declaration: as an
+attribute load, or as a string constant, which ``getattr`` and dict keys use.
+A field that is only written shows up here as an unread name.
 """
 import ast
 from pathlib import Path
@@ -18,6 +23,14 @@ ALLOWED = {
     "ipd_distribution": "acceptance criterion 8 compares job placement by it",
     "ks_statistic": "acceptance criterion 8 compares job placement by it",
     "prioritization_effect": "the paper's second result; to be printed by `report`",
+}
+
+# field -> why it stays without a reader in src/ or perfbench/
+FIELDS_ALLOWED = {
+    "leg_out_m": "asdict writes it to plan files, and check_plan compares it",
+    "leg_back_m": "asdict writes it to plan files, and check_plan compares it",
+    "hover_wait": "asdict writes it to plan files, and check_plan compares it",
+    "size_bytes": "perfbench passes it to run_cam_traffic positionally",
 }
 
 
@@ -46,13 +59,33 @@ def _references(tree):
             yield node.attr, node.lineno
 
 
-def _unreferenced() -> list[str]:
+def _fields(tree):
+    """(name, declaration node) of every annotated field of every class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, item
+
+
+def _reads(tree):
+    """(name, line) of every attribute load and every string constant in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _unreferenced(declared, uses) -> list[str]:
+    """module.name of each name that ``declared`` yields for a module of src/
+    and that no ``uses`` pair names outside its own node."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.rglob("*.py"))}
-    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    refs = {path: list(uses(tree)) for path, tree in trees.items()}
     missing = []
     for path in sorted(SRC.glob("*.py")):
-        for name, node in _definitions(trees[path]):
+        for name, node in declared(trees[path]):
             inside = range(node.lineno, node.end_lineno + 1)
             used = any(ref == name and not (other == path and line in inside)
                        for other, pairs in refs.items() for ref, line in pairs)
@@ -62,8 +95,16 @@ def _unreferenced() -> list[str]:
 
 
 def test_every_public_name_has_a_caller():
-    unused = _unreferenced()
+    unused = _unreferenced(_definitions, _references)
     missing = [q for q in unused if q.split(".")[-1] not in ALLOWED]
     assert missing == [], f"public names without a caller in src/ or perfbench/: {missing}"
     # an allowlisted name that gains a caller, or goes away, leaves the list
     assert set(ALLOWED) <= {q.split(".")[-1] for q in unused}
+
+
+def test_every_field_has_a_reader():
+    unread = _unreferenced(_fields, _reads)
+    missing = [q for q in unread if q.split(".")[-1] not in FIELDS_ALLOWED]
+    assert missing == [], f"fields without a reader in src/ or perfbench/: {missing}"
+    # an allowlisted field that gains a reader, or goes away, leaves the list
+    assert set(FIELDS_ALLOWED) <= {q.split(".")[-1] for q in unread}
