@@ -1,15 +1,16 @@
-"""Golden plans, traces and sweep summaries: SHA-256 digests for seeded
+"""Golden plans, traces and sweep outputs: SHA-256 digests for seeded
 default-world sets.
 
 The default sweep world (8x8 grid, 15 jobs per set of which 5 medical) is
 planned for a few sets with 0, 1 and 3 drones, priority off and on. Each
 plan file's canonical JSON is hashed, and so are the bytes ``save_trace``
 writes for the plan's simulation: the event CSV followed by its sidecar. A
-small default sweep's ``summary.csv`` and ``capacity_curves.csv`` are hashed
-too, as the sweep scores its runs without simulating them. A planner,
-simulator or sweep change that is meant to keep its outputs byte-identical
-must leave every digest as recorded; a change that is meant to alter them
-must re-record them and say why.
+small default sweep's eight data files are hashed too (its summaries, as the
+sweep scores its runs without simulating them, its net trace and net CSVs,
+and the world it wrote), and its manifest's requirement lines are compared
+as text. A planner, simulator or sweep change that is meant to keep its
+outputs byte-identical must leave every digest as recorded; a change that is
+meant to alter them must re-record them and say why.
 """
 import hashlib
 import json
@@ -100,11 +101,31 @@ GOLDEN = {
 }
 
 
-# file -> sha256 of what `sweep --seed 42 --sets 4` writes
+# file -> sha256 of what `sweep --seed 42 --sets 4` writes: every data file,
+# that is all but manifest.json, which echoes the output directory
 GOLDEN_SWEEP = {
     "summary.csv": "df3f578f0b0440cc8f249d314f19c88220acf31dd90eb5142b7528cae8a918d1",
     "capacity_curves.csv": "895f119f5e247beef0ed1228c667b2fa78337267537905ee9bd309ea66b27fe4",
+    "net_results.csv": "f6dee905a0778bfc87e7e690d69ae5ceb1fccd05562408b200b70f702c1665f2",
+    "net_summary.csv": "e0aec1ac9f59f31ef7f2a24a8a4bff8494e36e091be7c976afa144c919576f35",
+    "net_trace.csv": "c0c95ef1ea542072fda060c2f94a5a90bc4211848eefb4ba4e6a8b7e2579811d",
+    "net_trace.csv.traj.json": "f81105c3eb2dabf8260a4e742a2fdb26bbe707b9041ba0a0970a52d90a1cda14",
+    "scenario.json": "92c45fa95a5368b6b412d9bc4566011cccce8577c181b13f7e7639fcaafcf7f6",
+    "jobs.json": "1d6f6d8f85a0821a94c06d6edd5c4b4667d8aef204dca20764f19c457472f517",
 }
+
+# the manifest's requirement_checks of that sweep
+GOLDEN_REQUIREMENT_CHECKS = [
+    "[centralized] p95 latency 29.492 ms <= 50 ms C&C bound: pass",
+    "[centralized] PDR 0.6541 < 0.99 target: FAIL",
+    "[centralized] p95 latency vs 500 ms drone-delivery bound: pass",
+    "[csma] p95 latency 0.753 ms <= 50 ms C&C bound: pass",
+    "[csma] PDR 0.7780 < 0.99 target: FAIL",
+    "[csma] p95 latency vs 500 ms drone-delivery bound: pass",
+    "[sps] p95 latency 1.000 ms <= 50 ms C&C bound: pass",
+    "[sps] PDR 0.7757 < 0.99 target: FAIL",
+    "[sps] p95 latency vs 500 ms drone-delivery bound: pass",
+]
 
 
 def _world(base_seed):
@@ -161,3 +182,5 @@ def test_sweep_summaries_match_recorded_digests(tmp_path):
     assert main(["sweep", "--seed", "42", "--sets", "4", "--out", str(tmp_path)]) == 0
     for name, want in GOLDEN_SWEEP.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["requirement_checks"] == GOLDEN_REQUIREMENT_CHECKS
