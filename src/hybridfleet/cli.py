@@ -7,9 +7,10 @@ failure, 2 configuration/input error (a bad file, config value or flag).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__, fields
 from .errors import ConfigError, HybridFleetError, InvariantViolation, ParameterError, ParseError
@@ -107,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "scenario":
         if args.subcommand == "gen":
-            if not math.isfinite(args.spacing):
-                raise ConfigError(f"--spacing must be finite, got {args.spacing}")
             sc = generate_grid_scenario(args.rows, args.cols, args.spacing,
                                         args.buildings_per_cell, args.seed)
             save_scenario(sc, args.out)
@@ -158,8 +157,8 @@ def _dispatch(args) -> int:
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
         if dset is not None:
-            stats = waiting_stats(trace.completion, dset)
-            means = {k: f"{v.mean:.0f}s" for k, v in stats.categories.items()}
+            means = {k: f"{np.mean(v):.0f}s"
+                     for k, v in waiting_stats(trace.completion, dset).items()}
             msg += f", mean waits {means}"
         print(msg)
         return 0

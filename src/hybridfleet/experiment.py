@@ -22,8 +22,8 @@ from .errors import ConfigError, ParameterError, ParseError
 from .hybrid import (_MAX_DRONES, FleetConfig, check_new_plan, plan_hybrid,
                      plan_hybrid_counts, read_fleet)
 from .jobs import generate_delivery_sets, save_sets
-from .metrics import (SweepResult, SweepRow, summarize_sweep, waiting_stats,
-                      write_capacity_curves_csv, write_summary_csv)
+from .metrics import (summarize_sweep, waiting_stats, write_capacity_curves_csv,
+                      write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
 from .routing import EXACT_TSP_LIMIT, largest_tour
@@ -189,7 +189,7 @@ def _world(cfg_json: str):
 def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
             prioritized: bool):
     """plan -> check -> simulate -> waiting stats for one configuration of one
-    set; returns (plan, trace, stats). A plan that breaks an invariant raises
+    set; returns (plan, trace, waits). A plan that breaks an invariant raises
     PlanConsistencyError. The sweep scores its runs as ``_run_set`` does,
     from the same completion times without the trace."""
     fleet = cfg.fleet_for(drone_count)
@@ -200,7 +200,8 @@ def run_one(cfg: ExperimentConfig, scenario, dset, drone_count: int,
 
 
 def _run_set(cfg_json: str, set_idx: int):
-    """Every run of one set, with the stats run_one would give: one greedy
+    """Every run of one set, with the waits run_one would give, keyed
+    (drones, prioritized, set index), and its failures: one greedy
     run per priority flag plans every drone count, and each checked plan is
     scored from ``completion_times``, the simulator's completion arithmetic
     without the events and trajectories that no sweep output reads."""
@@ -214,7 +215,7 @@ def _run_set(cfg_json: str, set_idx: int):
                                                counts, prio, cfg.solver)
         except Exception as exc:  # the shared part failed every count of the flag
             planned[prio] = dict.fromkeys(counts, exc)
-    rows = []
+    runs = {}
     failures = []
     for drones, prio in cfg.configs():
         result = planned[prio][drones]
@@ -222,8 +223,8 @@ def _run_set(cfg_json: str, set_idx: int):
             try:
                 fleet = cfg.fleet_for(drones)
                 check_new_plan(result, scenario, dset, fleet)
-                stats = waiting_stats(completion_times(scenario, result, fleet), dset)
-                rows.append(SweepRow(drones, prio, set_idx, stats))
+                runs[(drones, prio, set_idx)] = waiting_stats(
+                    completion_times(scenario, result, fleet), dset)
                 continue
             except Exception as exc:  # isolate failures per run
                 result = exc
@@ -232,11 +233,12 @@ def _run_set(cfg_json: str, set_idx: int):
             "error": f"{type(result).__name__}: {result}",
             "trace": "".join(traceback.format_exception(result, limit=5)),
         })
-    return set_idx, rows, failures
+    return runs, failures
 
 
-def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
-    """All (set, drone count, prioritized) runs; deterministic merge order."""
+def run_sweep(cfg: ExperimentConfig) -> tuple[dict, list[dict]]:
+    """All (set, drone count, prioritized) runs: their waits, keyed (drones,
+    prioritized, set index), and their failures; deterministic merge order."""
     cfg_json = _config_json(cfg)
     set_indices = list(range(cfg.n_sets))
     # cfg.workers is an upper bound: the pool may start a process for every
@@ -249,11 +251,10 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[SweepResult, list[dict]]:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_set, [cfg_json] * len(set_indices),
                                   set_indices))
-    sweep = SweepResult({})
+    sweep = {}
     failures: list[dict] = []
-    for _, rows, fails in results:
-        for row in rows:
-            sweep.add(row)
+    for runs, fails in results:
+        sweep.update(runs)
         failures.extend(fails)
     return sweep, failures
 
@@ -284,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # its routing cache
     _, scenario, dsets = _world(_config_json(cfg))
     sweep, failures = run_sweep(cfg)
-    summary = summarize_sweep(sweep) if sweep.rows else None
+    summary = summarize_sweep(sweep) if sweep else None
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_scenario(scenario, os.path.join(cfg.out_dir, "scenario.json"))

@@ -21,34 +21,11 @@ ALL = "all"
 CURVE_HORIZON_S = 7 * 24 * 3600.0   # one week
 
 
-@dataclass
-class CategoryStats:
-    samples: list[float]     # sorted, seconds
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.samples))
-
-
-@dataclass
-class WaitingStats:
-    categories: dict[str, CategoryStats]   # keys: medical/standard/all, absent if empty
-
-    def get(self, key: str) -> CategoryStats | None:
-        return self.categories.get(key)
-
-
-def waiting_stats(completion: dict[int, float], dset: DeliverySet) -> WaitingStats:
+def waiting_stats(completion: dict[int, float], dset: DeliverySet) -> dict[str, list[float]]:
     """Per-category waiting times of a delivery set from its jobs' completion
-    times (``simcore.completion_times``, or a trace's ``completion``)."""
+    times (``simcore.completion_times``, or a trace's ``completion``):
+    medical, standard and ALL, each mapped to its sorted waits in seconds; an
+    empty category is left out."""
     buckets: dict[str, list[float]] = {Category.MEDICAL.value: [],
                                        Category.STANDARD.value: [], ALL: []}
     for job in dset.jobs:
@@ -59,18 +36,18 @@ def waiting_stats(completion: dict[int, float], dset: DeliverySet) -> WaitingSta
             raise PlanConsistencyError(f"job {job.id} completed at negative time")
         buckets[job.category.value].append(t)
         buckets[ALL].append(t)
-    return WaitingStats({k: CategoryStats(sorted(v)) for k, v in buckets.items() if v})
+    return {k: sorted(v) for k, v in buckets.items() if v}
 
 
-def capacity_at(stats: WaitingStats, threshold: float) -> float:
+def capacity_at(waits: dict[str, list[float]], threshold: float) -> float:
     """Fraction of all deliveries completed within threshold seconds."""
-    cat = stats.get(ALL)
-    if cat is None or cat.n == 0:
+    samples = waits.get(ALL)
+    if not samples:
         raise ParameterError("no samples")
-    return bisect_right(cat.samples, threshold) / cat.n
+    return bisect_right(samples, threshold) / len(samples)
 
 
-def prioritization_effect(base: WaitingStats, prio: WaitingStats
+def prioritization_effect(base: dict[str, list[float]], prio: dict[str, list[float]]
                           ) -> tuple[float, float]:
     """Relative change of category mean waiting times, (prio - base) / base.
 
@@ -78,38 +55,18 @@ def prioritization_effect(base: WaitingStats, prio: WaitingStats
     standard_change).
     """
     def change(key: str) -> float:
-        b = base.get(key)
-        p = prio.get(key)
-        if b is None or p is None:
+        if key not in base or key not in prio:
             raise ParameterError(f"category {key} missing from one side")
-        if b.mean == 0:
+        b = float(np.mean(base[key]))
+        if b == 0:
             raise ParameterError(f"category {key} has zero baseline mean")
-        return (p.mean - b.mean) / b.mean
+        return (float(np.mean(prio[key])) - b) / b
 
     return change(Category.MEDICAL.value), change(Category.STANDARD.value)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-@dataclass
-class SweepRow:
-    drone_count: int
-    prioritized: bool
-    set_id: int
-    stats: WaitingStats
-
-
-@dataclass
-class SweepResult:
-    rows: dict[tuple[int, bool, int], SweepRow]
-
-    def add(self, row: SweepRow) -> None:
-        key = (row.drone_count, row.prioritized, row.set_id)
-        if key in self.rows:
-            raise ParameterError(f"duplicate sweep row {key}")
-        self.rows[key] = row
 
 
 @dataclass
@@ -120,8 +77,10 @@ class SweepSummary:
     capacity_curves: dict[tuple[int, bool], list[float]]
 
 
-def summarize_sweep(result: SweepResult) -> SweepSummary:
-    """Aggregate sweep rows per configuration.
+def summarize_sweep(result: dict[tuple[int, bool, int], dict[str, list[float]]]
+                    ) -> SweepSummary:
+    """Aggregate a sweep's waits, keyed (drones, prioritized, set index), per
+    configuration.
 
     Means/medians pool the per-set samples; the capacity curve samples
     capacity_at on the pooled samples at one-minute steps up to the slowest
@@ -129,40 +88,37 @@ def summarize_sweep(result: SweepResult) -> SweepSummary:
     the configuration's pooled 20-minute capacity on each of its category
     rows.
     """
-    if not result.rows:
+    if not result:
         raise ParameterError("empty sweep result")
-    configs: dict[tuple[int, bool], list[SweepRow]] = {}
-    for row in result.rows.values():
-        configs.setdefault((row.drone_count, row.prioritized), []).append(row)
+    pooled: dict[tuple[int, bool], dict[str, list[float]]] = {}
+    for (drones, prio, _), waits in result.items():
+        config = pooled.setdefault((drones, prio), {})
+        for key, samples in waits.items():
+            config.setdefault(key, []).extend(samples)
 
     out_rows = []
     curves = {}
-    for (drones, prio) in sorted(configs):
-        rows = configs[(drones, prio)]
-        pooled: dict[str, list[float]] = {}
-        for r in rows:
-            for key, cat in r.stats.categories.items():
-                pooled.setdefault(key, []).extend(cat.samples)
-        pooled_stats = WaitingStats({k: CategoryStats(sorted(v)) for k, v in pooled.items() if v})
-        cap20 = capacity_at(pooled_stats, 20 * 60.0)
-        slowest = pooled_stats.get(ALL).samples[-1]
+    for (drones, prio) in sorted(pooled):
+        waits = {k: sorted(v) for k, v in pooled[(drones, prio)].items()}
+        cap20 = capacity_at(waits, 20 * 60.0)
+        slowest = waits[ALL][-1]
         if not slowest <= CURVE_HORIZON_S:
             raise ParameterError(
                 f"slowest delivery of {drones} drones, prioritized {prio}, completes at "
                 f"{slowest} s, past the capacity curve's horizon of {CURVE_HORIZON_S} s")
         max_minute = math.ceil(slowest / 60.0)
-        curves[(drones, prio)] = [capacity_at(pooled_stats, 60.0 * m)
+        curves[(drones, prio)] = [capacity_at(waits, 60.0 * m)
                                   for m in range(max_minute + 1)]
         for key in (Category.MEDICAL.value, Category.STANDARD.value, ALL):
-            cat = pooled_stats.get(key)
-            if cat is None:
+            samples = waits.get(key)
+            if samples is None:
                 continue
             out_rows.append({
                 "drones": drones,
                 "prioritized": prio,
                 "category": key,
-                "mean_s": cat.mean,
-                "median_s": cat.median,
+                "mean_s": float(np.mean(samples)),
+                "median_s": float(np.median(samples)),
                 "capacity_20min": cap20,
             })
     return SweepSummary(out_rows, curves)

@@ -132,54 +132,32 @@ class NetStats:
         return float(np.percentile(self.latencies_ms, q))
 
 
-@dataclass(frozen=True)
-class RequirementsProfile:
-    """Static link requirements for command-and-control and drone delivery."""
-    cc_latency_bound_ms: float = 50.0
-    pdr_target: float = 0.99
-    drone_delivery_latency_ms: float = 500.0
+# static link requirements for command-and-control (C&C) and drone delivery
+CC_LATENCY_BOUND_MS = 50.0
+PDR_TARGET = 0.99
+DRONE_DELIVERY_LATENCY_MS = 500.0
 
 
-@dataclass
-class RequirementsReport:
-    model: str
-    p95_latency_ms: float
-    cc_latency_ok: bool
-    pdr: float
-    pdr_ok: bool
-    drone_delivery_latency_ok: bool
-    profile: RequirementsProfile    # the bounds the checks were made against
-
-    def lines(self) -> list[str]:
-        prof = self.profile
-        return [
-            f"[{self.model}] p95 latency {self.p95_latency_ms:.3f} ms "
-            f"{'<=' if self.cc_latency_ok else '>'} {prof.cc_latency_bound_ms:g} ms "
-            f"C&C bound: {'pass' if self.cc_latency_ok else 'FAIL'}",
-            f"[{self.model}] PDR {self.pdr:.4f} "
-            f"{'>=' if self.pdr_ok else '<'} {prof.pdr_target:g} target: "
-            f"{'pass' if self.pdr_ok else 'FAIL'}",
-            f"[{self.model}] p95 latency vs {prof.drone_delivery_latency_ms:g} ms "
-            f"drone-delivery bound: "
-            f"{'pass' if self.drone_delivery_latency_ok else 'FAIL'}",
-        ]
-
-
-def check_requirements(stats: NetStats,
-                       profile: RequirementsProfile = RequirementsProfile()
-                       ) -> RequirementsReport:
+def check_requirements(stats: NetStats) -> list[str]:
+    """One model's requirement lines: its p95 latency against the C&C and
+    drone-delivery bounds (inf when nothing was delivered) and its PDR
+    against the target."""
     if stats.sent == 0:
         raise ParameterError("stats are empty")
     p95 = stats.latency_percentile(95) if stats.latencies_ms.size else math.inf
-    return RequirementsReport(
-        model=stats.model,
-        p95_latency_ms=p95,
-        cc_latency_ok=p95 <= profile.cc_latency_bound_ms,
-        pdr=stats.pdr,
-        pdr_ok=stats.pdr >= profile.pdr_target,
-        drone_delivery_latency_ok=p95 <= profile.drone_delivery_latency_ms,
-        profile=profile,
-    )
+    cc_ok = p95 <= CC_LATENCY_BOUND_MS
+    pdr_ok = stats.pdr >= PDR_TARGET
+    return [
+        f"[{stats.model}] p95 latency {p95:.3f} ms "
+        f"{'<=' if cc_ok else '>'} {CC_LATENCY_BOUND_MS:g} ms "
+        f"C&C bound: {'pass' if cc_ok else 'FAIL'}",
+        f"[{stats.model}] PDR {stats.pdr:.4f} "
+        f"{'>=' if pdr_ok else '<'} {PDR_TARGET:g} target: "
+        f"{'pass' if pdr_ok else 'FAIL'}",
+        f"[{stats.model}] p95 latency vs {DRONE_DELIVERY_LATENCY_MS:g} ms "
+        f"drone-delivery bound: "
+        f"{'pass' if p95 <= DRONE_DELIVERY_LATENCY_MS else 'FAIL'}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +681,7 @@ def evaluate_links(trace: DeliveryTrace, scenario: Scenario, names: list[str],
                                 seed=model_seed(seed, name))
         stats_list.append(stats)
         if stats.sent:
-            lines.extend(check_requirements(stats).lines())
+            lines.extend(check_requirements(stats))
         else:
             lines.append(f"[{name}] no CAM traffic in the trace")
     os.makedirs(out_dir, exist_ok=True)

@@ -160,8 +160,8 @@ def generate_grid_scenario(rows: int, cols: int, spacing: float,
     """
     if rows < 2 or cols < 2:
         raise ParameterError(f"grid needs rows >= 2 and cols >= 2, got {rows}x{cols}")
-    if spacing <= 0:
-        raise ParameterError(f"spacing must be positive, got {spacing}")
+    if not 0 < spacing < math.inf:
+        raise ParameterError(f"spacing must be positive and finite, got {spacing}")
     if buildings_per_cell < 0:
         raise ParameterError("buildings_per_cell must be >= 0")
     check_spacing(spacing, buildings_per_cell)

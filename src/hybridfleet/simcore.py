@@ -284,15 +284,20 @@ def save_trace(trace: DeliveryTrace, csv_path) -> None:
 
 def load_trace(csv_path) -> DeliveryTrace:
     events = []
-    for row in fields.read_csv(csv_path, _TRACE_COLUMNS):
+    for i, row in enumerate(fields.read_csv(csv_path, _TRACE_COLUMNS), 1):
         try:
-            events.append(SimEvent(
-                float(row["time_s"]), row["kind"], row["vehicle"],
-                int(row["job"]) if row["job"] else None,
-                int(row["node"]) if row["node"] else None,
-                float(row["x"]), float(row["y"]), float(row["z"])))
+            ev = SimEvent(float(row["time_s"]), row["kind"], row["vehicle"],
+                          int(row["job"]) if row["job"] else None,
+                          int(row["node"]) if row["node"] else None,
+                          float(row["x"]), float(row["y"]), float(row["z"]))
         except ValueError as exc:
-            raise ParseError(f"{csv_path}: bad event row: {exc}") from exc
+            raise ParseError(f"{csv_path}: bad event row {i}: {exc}") from exc
+        if not all(map(math.isfinite, (ev.time, ev.x, ev.y, ev.z))):
+            raise ParseError(f"{csv_path}: row {i}: time and position must be finite")
+        if events and ev.time < events[-1].time:  # end_time is the last row's time
+            raise ParseError(f"{csv_path}: row {i}: time {ev.time!r} s is before "
+                             f"the previous row's {events[-1].time!r} s")
+        events.append(ev)
     completion, trajectories = _read_sidecar(fields.read_json(trace_sidecar_path(csv_path)))
     launched = {ev.vehicle for ev in events if ev.kind == KIND_DRONE_LAUNCH}
     for veh in ["truck", *sorted(launched)]:

@@ -220,7 +220,7 @@ def test_exact_solver_config_counts_the_prioritized_subtours():
 def test_nonfinite_spacing_exit_2(tmp_path, capsys):
     for spacing in ("nan", "inf"):
         assert run("scenario", "gen", "--spacing", spacing, "--out", tmp_path / "s.json") == 2
-        assert "--spacing must be finite" in capsys.readouterr().err
+        assert f"spacing must be positive and finite, got {spacing}" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
 
 
@@ -309,6 +309,46 @@ def test_netsim_bad_model_list_exit_2_before_any_output(chain, tmp_path, capsys,
     assert run("netsim", "--scenario", chain / "scen.json", "--trace", chain / "chain_trace.csv",
                "--models", models, "--out", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set_last_time_nan(rows):
+    rows[-1]["time_s"] = "nan"
+
+
+def _set_an_x_inf(rows):
+    rows[1]["x"] = "inf"
+
+
+def _move_first_row_last(rows):
+    rows.append(rows.pop(0))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_set_last_time_nan, "row {n}: time and position must be finite",
+                 id="nan-time"),
+    pytest.param(_set_an_x_inf, "row 2: time and position must be finite", id="inf-x"),
+    pytest.param(_move_first_row_last, "row {n}: time 0.0 s is before the previous row's ",
+                 id="first-row-last"),
+])
+def test_netsim_bad_trace_rows_exit_2(chain, tmp_path, capsys, edit, message):
+    """A trace row with a non-finite time or position, or a time before the
+    previous row's, ends in exit 2 naming the row, before any output."""
+    with open(chain / "chain_trace.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        header, rows = reader.fieldnames, list(reader)
+    assert rows[0]["time_s"] == "0.0" and rows[0]["kind"] == "drone_launch"
+    edit(rows)
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w", newline="") as f:
+        writer = csv.DictWriter(f, header)
+        writer.writeheader()
+        writer.writerows(rows)
+    shutil.copy(chain / _SIDECAR, tmp_path / "trace.csv.traj.json")
+    out = tmp_path / "net"
+    capsys.readouterr()
+    assert run("netsim", "--scenario", chain / "scen.json", "--trace", trace, "--out", out) == 2
+    assert f"{trace}: " + message.format(n=len(rows)) in capsys.readouterr().err
     assert not out.exists()
 
 

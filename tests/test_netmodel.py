@@ -12,7 +12,7 @@ from hybridfleet import netmodel as nm
 from hybridfleet.errors import ConfigError, ParameterError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.netmodel import (Centralized, ChannelConfig, Csma,
-                                  NetStats, RequirementsProfile, Sps,
+                                  NetStats, Sps,
                                   check_requirements, run_cam_traffic,
                                   write_net_results_csv, write_net_summary_csv)
 from hybridfleet.rng import generator
@@ -200,35 +200,58 @@ def _stats(latencies, pdr):
                     np.ones(sent, bool))
 
 
+def _verdicts(stats):
+    """(C&C latency ok, PDR ok, drone-delivery latency ok) from the stats'
+    requirement lines."""
+    return tuple(line.endswith(": pass") for line in check_requirements(stats))
+
+
 def test_check_requirements_all_pass():
-    rep = check_requirements(_stats([1.0] * 100, 1.0))
-    assert rep.cc_latency_ok and rep.pdr_ok and rep.drone_delivery_latency_ok
+    cc_latency_ok, pdr_ok, drone_delivery_latency_ok = _verdicts(_stats([1.0] * 100, 1.0))
+    assert cc_latency_ok and pdr_ok and drone_delivery_latency_ok
 
 
 def test_check_requirements_pdr_fails():
-    rep = check_requirements(_stats([1.0] * 100, 0.95))
-    assert not rep.pdr_ok
-    assert rep.cc_latency_ok
+    cc_latency_ok, pdr_ok, _ = _verdicts(_stats([1.0] * 100, 0.95))
+    assert not pdr_ok
+    assert cc_latency_ok
 
 
 def test_check_requirements_latency_tiers():
-    rep = check_requirements(_stats([60.0] * 100, 1.0))
-    assert not rep.cc_latency_ok          # 60 ms > 50 ms
-    assert rep.drone_delivery_latency_ok  # 60 ms <= 500 ms
+    cc_latency_ok, _, drone_delivery_latency_ok = _verdicts(_stats([60.0] * 100, 1.0))
+    assert not cc_latency_ok          # 60 ms > 50 ms
+    assert drone_delivery_latency_ok  # 60 ms <= 500 ms
+
+
+def test_check_requirements_when_every_beacon_is_lost():
+    n = 10
+    stats = NetStats("test", ["d"], np.zeros(n, np.int64), np.arange(n), np.arange(n) * 0.1,
+                     np.zeros(n, bool), np.ones(n), np.ones(n, bool))
+    assert (stats.sent, stats.delivered) == (10, 0)
+    assert check_requirements(stats) == [
+        "[test] p95 latency inf ms > 50 ms C&C bound: FAIL",
+        "[test] PDR 0.0000 < 0.99 target: FAIL",
+        "[test] p95 latency vs 500 ms drone-delivery bound: FAIL",
+    ]
+
+
+def test_check_requirements_pass_at_the_bounds():
+    stats = _stats([50.0] * 99, 0.99)
+    assert (stats.sent, stats.delivered) == (100, 99)
+    assert stats.latency_percentile(95) == nm.CC_LATENCY_BOUND_MS
+    assert stats.pdr == nm.PDR_TARGET
+    assert check_requirements(stats) == [
+        "[test] p95 latency 50.000 ms <= 50 ms C&C bound: pass",
+        "[test] PDR 0.9900 >= 0.99 target: pass",
+        "[test] p95 latency vs 500 ms drone-delivery bound: pass",
+    ]
 
 
 def test_requirement_lines_print_the_bounds_they_were_checked_against():
     stats = _stats([60.0] * 9, 0.9)
     assert (stats.sent, stats.delivered) == (10, 9)
-    rep = check_requirements(stats, RequirementsProfile(cc_latency_bound_ms=100.0,
-                                                        pdr_target=0.8))
-    assert rep.lines() == [
-        "[test] p95 latency 60.000 ms <= 100 ms C&C bound: pass",
-        "[test] PDR 0.9000 >= 0.8 target: pass",
-        "[test] p95 latency vs 500 ms drone-delivery bound: pass",
-    ]
-    # the default profile keeps the wording of every earlier manifest
-    assert check_requirements(stats).lines() == [
+    # the bounds keep the wording of every earlier manifest
+    assert check_requirements(stats) == [
         "[test] p95 latency 60.000 ms > 50 ms C&C bound: FAIL",
         "[test] PDR 0.9000 < 0.99 target: FAIL",
         "[test] p95 latency vs 500 ms drone-delivery bound: pass",
@@ -263,10 +286,9 @@ def test_evaluate_links_checks_every_name_before_any_run(tmp_path, monkeypatch):
 
 
 def test_requirements_profile_constants():
-    prof = RequirementsProfile()
-    assert prof.cc_latency_bound_ms == 50.0
-    assert prof.pdr_target == 0.99
-    assert prof.drone_delivery_latency_ms == 500.0
+    assert nm.CC_LATENCY_BOUND_MS == 50.0
+    assert nm.PDR_TARGET == 0.99
+    assert nm.DRONE_DELIVERY_LATENCY_MS == 500.0
 
 
 def test_csv_outputs(tmp_path):
