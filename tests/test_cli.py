@@ -312,24 +312,13 @@ def test_netsim_bad_model_list_exit_2_before_any_output(chain, tmp_path, capsys,
     assert not out.exists()
 
 
-def _set_last_time_nan(rows):
-    rows[-1]["time_s"] = "nan"
-
-
-def _set_an_x_inf(rows):
-    rows[1]["x"] = "inf"
-
-
-def _move_first_row_last(rows):
-    rows.append(rows.pop(0))
-
-
 @pytest.mark.parametrize("edit,message", [
-    pytest.param(_set_last_time_nan, "row {n}: time and position must be finite",
-                 id="nan-time"),
-    pytest.param(_set_an_x_inf, "row 2: time and position must be finite", id="inf-x"),
-    pytest.param(_move_first_row_last, "row {n}: time 0.0 s is before the previous row's ",
-                 id="first-row-last"),
+    pytest.param(lambda rows: rows[-1].update(time_s="nan"),
+                 "row {n}: time and position must be finite", id="nan-time"),
+    pytest.param(lambda rows: rows[1].update(x="inf"),
+                 "row 2: time and position must be finite", id="inf-x"),
+    pytest.param(lambda rows: rows.append(rows.pop(0)),
+                 "row {n}: time 0.0 s is before the previous row's ", id="first-row-last"),
 ])
 def test_netsim_bad_trace_rows_exit_2(chain, tmp_path, capsys, edit, message):
     """A trace row with a non-finite time or position, or a time before the
