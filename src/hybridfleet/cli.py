@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__, fields
 from .errors import ConfigError, HybridFleetError, InvariantViolation, ParameterError, ParseError
 from .experiment import ExperimentConfig, run_experiment
-from .hybrid import (FleetConfig, _first_of, check_new_plan, check_plan, load_plan,
+from .hybrid import (FleetConfig, check_new_plan, check_plan, first_problem, load_plan,
                      plan_hybrid, save_plan)
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import waiting_stats
@@ -152,7 +152,7 @@ def _dispatch(args) -> int:
         problems = check_plan(plan, sc, dset, fleet)
         if problems:  # the plan file does not fit the scenario, fleet or set
             fit = "" if dset is None else f" does not fit set {args.set_index} of {args.jobs}"
-            raise ParseError(f"{args.plan}{fit}: {_first_of(problems)}")
+            raise ParseError(f"{args.plan}{fit}: {first_problem(problems)}")
         trace = simulate(sc, plan, fleet)
         save_trace(trace, args.out)
         msg = f"wrote {args.out}: {len(trace.events)} events, ends {trace.end_time:.1f} s"
@@ -178,13 +178,12 @@ def _dispatch(args) -> int:
         print(f"sweep finished with status {status}; outputs in {cfg.out_dir}")
         return status
 
-    if args.command == "report":
-        return _report(args.in_dir)
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    return _report(args.in_dir)  # argparse admits no other command
 
 
 def _pick_set(sets, index: int):
+    if not sets:
+        raise ConfigError("the jobs file holds no sets")
     if not 0 <= index < len(sets):
         raise ConfigError(f"set index {index} out of range (0..{len(sets) - 1})")
     return sets[index]

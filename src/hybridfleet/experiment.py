@@ -11,7 +11,6 @@ configuration.
 from __future__ import annotations
 
 import json
-import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -19,15 +18,15 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__, fields
 from .errors import ConfigError, ParameterError, ParseError
-from .hybrid import (_MAX_DRONES, FleetConfig, check_new_plan, plan_hybrid,
+from .hybrid import (FleetConfig, check_drone_count, check_new_plan, plan_hybrid,
                      plan_hybrid_counts, read_fleet)
-from .jobs import generate_delivery_sets, save_sets
+from .jobs import check_set_sizes, generate_delivery_sets, save_sets
 from .metrics import (summarize_sweep, waiting_stats, write_capacity_curves_csv,
                       write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
-from .routing import EXACT_TSP_LIMIT, largest_tour
-from .scenario import check_spacing, generate_grid_scenario, load_scenario, save_scenario
+from .routing import check_exact_size, largest_tour
+from .scenario import check_grid, generate_grid_scenario, load_scenario, save_scenario
 from .simcore import completion_times, save_trace, simulate
 
 # seed stream tags
@@ -67,62 +66,39 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        self._check_types()
-        if self.n_sets < 1 or self.per_set < 1:
-            raise ConfigError("need n_sets >= 1 and per_set >= 1")
-        if self.medical_per_set > self.per_set or self.medical_per_set < 0:
-            raise ConfigError("0 <= medical_per_set <= per_set required")
-        if not self.drone_counts or any(not 0 <= d <= _MAX_DRONES for d in self.drone_counts):
-            raise ConfigError(f"drone_counts must be non-empty, each >= 0 and <= {_MAX_DRONES}")
-        if not self.prioritize_flags:
-            raise ConfigError("prioritize_flags must be non-empty")
-        # each (count, flag) is one sweep run, planned once
-        for name in ("drone_counts", "prioritize_flags"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{name} must not repeat a value, got {values}")
-        check_model_names(self.net_models)
-        if self.solver not in ("exact", "heuristic"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.solver == "exact":
-            stops = max(largest_tour(self.per_set, self.medical_per_set, p)
-                        for p in self.prioritize_flags)
-            if stops > EXACT_TSP_LIMIT:
-                raise ConfigError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got "
-                                  f"{stops} (per_set {self.per_set}, medical_per_set "
-                                  f"{self.medical_per_set})")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.scenario_path is None and (self.grid_rows < 2 or self.grid_cols < 2):
-            raise ConfigError("grid needs rows >= 2 and cols >= 2")
-        if self.buildings_per_cell < 0:
-            raise ConfigError("buildings_per_cell must be >= 0")
-        if self.net_models and not 0 <= self.net_trace_set < self.n_sets:
-            raise ConfigError(f"net_trace_set {self.net_trace_set} out of range "
-                              f"(0..{self.n_sets - 1})")
-        if self.net_trace_drones is not None and not 0 <= self.net_trace_drones <= _MAX_DRONES:
-            raise ConfigError(f"net_trace_drones must be >= 0 and <= {_MAX_DRONES}")
-        if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
-            raise ConfigError(f"grid_spacing must be positive and finite, got "
-                              f"{self.grid_spacing!r}")
-        if self.scenario_path is None:
-            try:
-                check_spacing(self.grid_spacing, self.buildings_per_cell)
-            except ParameterError as exc:
-                raise ConfigError(f"bad grid: {exc}") from exc
-        if "drone_count" in self.fleet:
-            raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
+        """Raise ConfigError for a bad field, by the owning layer's check where there is one."""
         try:
-            ChannelConfig(**self.channel).validate()
-        except ParameterError as exc:
-            raise ConfigError(f"bad channel overrides: {exc}") from exc
-
-    def _check_types(self) -> None:
-        """JSON gives any value any type; reject those the pipeline cannot use."""
-        try:
-            for name, read in _FIELD_READERS.items():
+            for name, read in _FIELD_READERS.items():  # JSON gives any value any type
                 read(getattr(self, name), name)
-        except ParseError as exc:
+            if self.n_sets < 1:
+                raise ConfigError(f"n_sets must be >= 1, got {self.n_sets}")
+            # each (count, flag) is one sweep run, planned once
+            for name in ("drone_counts", "prioritize_flags"):
+                values = getattr(self, name)
+                if not values or len(set(values)) < len(values):
+                    raise ConfigError(f"{name} must be non-empty and must not repeat a value, "
+                                      f"got {values}")
+            check_model_names(self.net_models)
+            if self.solver not in ("exact", "heuristic"):
+                raise ConfigError(f"unknown solver {self.solver!r}")
+            if self.workers < 1:
+                raise ConfigError("workers must be >= 1")
+            if self.net_models and not 0 <= self.net_trace_set < self.n_sets:
+                raise ConfigError(f"net_trace_set {self.net_trace_set} out of range "
+                                  f"(0..{self.n_sets - 1})")
+            if "drone_count" in self.fleet:
+                raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
+            check_grid(self.grid_rows, self.grid_cols, self.grid_spacing,
+                       self.buildings_per_cell)
+            check_set_sizes(self.per_set, self.medical_per_set)
+            for i, count in enumerate(self.drone_counts):
+                check_drone_count(count, f"drone_counts[{i}]")
+            if self.net_trace_drones is not None:
+                check_drone_count(self.net_trace_drones, "net_trace_drones")
+            if self.solver == "exact":
+                check_exact_size(max(largest_tour(self.per_set, self.medical_per_set, p)
+                                     for p in self.prioritize_flags))
+        except (ParseError, ParameterError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def fleet_for(self, drone_count: int) -> FleetConfig:
@@ -148,7 +124,7 @@ _FIELD_READERS = {
     **dict.fromkeys(("out_dir", "solver"), fields.string),
     "fleet": read_fleet,
     # numbers, not finite ones: an infinite loss threshold is the ideal channel
-    "channel": fields.record(ChannelConfig, fields.number),
+    "channel": fields.record(ChannelConfig, fields.number, check=ChannelConfig.validate),
 }
 
 

@@ -14,7 +14,7 @@ import reprlib
 import sys
 from dataclasses import MISSING
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 
 _FLOAT_MAX = sys.float_info.max
 _INT_KEY = re.compile(r"-?(0|[1-9][0-9]*)")
@@ -135,10 +135,16 @@ def by_int_key(read):
     return read_object
 
 
-def record(cls, read, ints=()):
-    """Dataclass cls from objects of its fields: those in ints integers, the rest by read."""
+def record(cls, read, ints=(), check=lambda made: None):
+    """Dataclass cls from objects of its fields: those in ints integers, the rest by read.
+    Given check, the record must also pass it: its ParameterError becomes a ParseError."""
     def read_record(value, where: str):
         data = obj(value, where, cls.__dataclass_fields__)
-        return cls(**{name: get(data, name, where, integer if name in ints else read, f.default)
+        made = cls(**{name: get(data, name, where, integer if name in ints else read, f.default)
                       for name, f in cls.__dataclass_fields__.items()})
+        try:
+            check(made)
+        except ParameterError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        return made
     return read_record

@@ -51,8 +51,14 @@ def validate_fleet(fleet: FleetConfig) -> None:
     for name in ("truck_service", "drone_service"):
         if not getattr(fleet, name) >= 0:
             raise ParameterError(f"fleet.{name} must be non-negative")
-    if not isinstance(fleet.drone_count, int) or not 0 <= fleet.drone_count <= _MAX_DRONES:
-        raise ParameterError(f"fleet.drone_count must be an integer >= 0 and <= {_MAX_DRONES}")
+    check_drone_count(fleet.drone_count, "fleet.drone_count")
+
+
+def check_drone_count(count, name: str) -> None:
+    """Raise ParameterError, with name in its message, unless the planner takes count drones."""
+    if not isinstance(count, int) or not 0 <= count <= _MAX_DRONES:
+        raise ParameterError(f"{name} must be an integer >= 0 and <= {_MAX_DRONES}, "
+                             f"got {count!r}")
 
 
 @dataclass
@@ -701,7 +707,7 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     return problems
 
 
-def _first_of(problems: list[str]) -> str:
+def first_problem(problems: list[str]) -> str:
     """check_plan's first problem, and how many follow it."""
     more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
     return problems[0] + more
@@ -713,7 +719,7 @@ def check_new_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet,
     ``check_plan``: a planner fault, not bad input."""
     problems = check_plan(plan, scenario, dset, fleet)
     if problems:
-        raise PlanConsistencyError(f"new plan breaks an invariant: {_first_of(problems)}")
+        raise PlanConsistencyError(f"new plan breaks an invariant: {first_problem(problems)}")
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +744,7 @@ def plan_to_dict(plan: HybridPlan, fleet: FleetConfig) -> dict:
     }
 
 
-def read_fleet(value, where: str) -> FleetConfig:
-    """A FleetConfig from an object of some of its fields, checked by validate_fleet."""
-    fleet = fields.record(FleetConfig, fields.finite, ints=("drone_count",))(value, where)
-    try:
-        validate_fleet(fleet)
-    except ParameterError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return fleet
+read_fleet = fields.record(FleetConfig, fields.finite, ints=("drone_count",), check=validate_fleet)
 
 
 _sortie = fields.record(Sortie, fields.finite,

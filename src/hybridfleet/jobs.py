@@ -37,6 +37,15 @@ class DeliverySet:
         return [j for j in self.jobs if j.category == Category.STANDARD]
 
 
+def check_set_sizes(per_set: int, medical_per_set: int) -> None:
+    """Raise ParameterError unless a set of per_set jobs can hold medical_per_set medical."""
+    if per_set < 1:
+        raise ParameterError(f"per_set must be >= 1, got {per_set}")
+    if not 0 <= medical_per_set <= per_set:
+        raise ParameterError(f"medical_per_set must be >= 0 and <= per_set {per_set}, "
+                             f"got {medical_per_set}")
+
+
 def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
                            medical_per_set: int, seed: int) -> list[DeliverySet]:
     """Sample delivery sets over the scenario's buildings.
@@ -46,14 +55,11 @@ def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
     medical_per_set jobs per set are marked medical, chosen uniformly. Each
     set uses the substream (seed, set index).
     """
+    check_set_sizes(per_set, medical_per_set)
+    if n_sets < 0:
+        raise ParameterError(f"n_sets must be >= 0, got {n_sets}")
     if not scenario.buildings:
         raise ParameterError("scenario has no buildings to deliver to")
-    if medical_per_set > per_set:
-        raise ParameterError("medical_per_set cannot exceed per_set")
-    if medical_per_set < 0:
-        raise ParameterError(f"medical_per_set must be >= 0, got {medical_per_set}")
-    if n_sets < 0 or per_set < 1:
-        raise ParameterError("need n_sets >= 0 and per_set >= 1")
     by_id = {b.id: b for b in scenario.buildings}
     ids = sorted(by_id)
     sets = []

@@ -88,8 +88,6 @@ def summarize_sweep(result: dict[tuple[int, bool, int], dict[str, list[float]]]
     the configuration's pooled 20-minute capacity on each of its category
     rows.
     """
-    if not result:
-        raise ParameterError("empty sweep result")
     pooled: dict[tuple[int, bool], dict[str, list[float]]] = {}
     for (drones, prio, _), waits in result.items():
         config = pooled.setdefault((drones, prio), {})

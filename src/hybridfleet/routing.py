@@ -28,6 +28,12 @@ def largest_tour(per_set: int, medical: int, prioritize: bool) -> int:
     return per_set + 1
 
 
+def check_exact_size(stops: int) -> None:
+    """Raise TspSizeError when tsp_exact cannot solve a tour of stops stops."""
+    if stops > EXACT_TSP_LIMIT:
+        raise TspSizeError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got {stops}")
+
+
 def dijkstra_times(adj: list[dict[int, float]], source: int) -> array:
     """Truck travel time (s) from compact index source to every node, by
     compact index (inf where unreachable), over a ``RoutingCache``'s ``adj``."""
@@ -154,11 +160,9 @@ def tsp_exact(matrix: list[list[float]], closed: bool = True) -> tuple[list[int]
     stop 0.
 
     Held-Karp subset DP; ties broken to the lexicographically smallest
-    order. Limited to 12 cities.
+    order. Limited to EXACT_TSP_LIMIT stops.
     """
-    n = len(matrix)
-    if n > EXACT_TSP_LIMIT:
-        raise TspSizeError(f"exact solver limited to {EXACT_TSP_LIMIT} stops, got {n}")
+    check_exact_size(len(matrix))
     return kernels.held_karp(matrix, closed)
 
 

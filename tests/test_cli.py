@@ -7,6 +7,7 @@ import pytest
 
 from hybridfleet import cli, experiment
 from hybridfleet.cli import main
+from hybridfleet.scenario import MAX_BUILDINGS, MAX_NODES
 
 
 def run(*argv):
@@ -29,6 +30,9 @@ def workdir(tmp_path_factory):
                "--out", d / "jobs.json") == 0
     assert run("jobs", "gen", "--scenario", d / "scen.json", "--sets", 1,
                "--per-set", 15, "--medical", 5, "--seed", 4, "--out", d / "jobs15.json") == 0
+    assert run("plan", "--scenario", d / "scen.json", "--jobs", d / "jobs.json",
+               "--out", d / "plan0.json") == 0
+    (d / "no_sets.json").write_text("[]")
     return d
 
 
@@ -108,16 +112,23 @@ def test_config_error_exit_code(workdir, capsys):
     assert run("sweep", "--drones", "zero", "--out", workdir / "x") == 2
     # more drones than the planner keeps state for: rejected before any run
     assert run("sweep", "--drones", "1,2000", "--out", workdir / "x") == 2
-    assert "drone_counts must be non-empty, each >= 0 and <= 1000" in capsys.readouterr().err
+    assert ("drone_counts[1] must be an integer >= 0 and <= 1000, got 2000"
+            in capsys.readouterr().err)
     assert not (workdir / "x").exists()
     assert run("sweep", "--sets", 0, "--out", workdir / "x") == 2
     missing = workdir / "does_not_exist.json"
     assert run("scenario", "validate", missing) == 2
 
 
+# one set of 4 jobs and no net phase: a sweep that runs in well under a second
+_ONE_SMALL_SET = {"n_sets": 1, "per_set": 4, "medical_per_set": 1, "drone_counts": [0, 1],
+                  "net_models": []}
+
+
 @pytest.mark.parametrize("config,message", [
     # the ids keep the names these cases had before the messages took the
-    # "<path>: must be <kind>, got <value>" form
+    # "<path>: must be <kind>, got <value>" form, or the wording of the check
+    # that owns the bound
     pytest.param({"n_sets": "2"}, "n_sets: must be an integer, got '2'",
                  id="config0-n_sets must be an integer"),
     pytest.param({"n_sets": True}, "n_sets: must be an integer, got True",
@@ -130,10 +141,14 @@ def test_config_error_exit_code(workdir, capsys):
                  id="config4-net_models must be a list of strings"),
     pytest.param({"grid_spacing": "NaN"}, "grid_spacing: must be a number, got 'NaN'",
                  id="config5-grid_spacing must be a number"),
-    ({"grid_spacing": float("nan")}, "grid_spacing must be positive and finite"),
+    pytest.param({"grid_spacing": float("nan")},
+                 "error: spacing must be positive and finite, got nan",
+                 id="config6-grid_spacing must be positive and finite"),
     ({"buildings_per_cell": -1}, "buildings_per_cell must be >= 0"),
     ({"net_trace_set": 2, "n_sets": 2}, "net_trace_set 2 out of range"),
-    ({"net_trace_drones": -1}, "net_trace_drones must be >= 0"),
+    pytest.param({"net_trace_drones": -1},
+                 "net_trace_drones must be an integer >= 0 and <= 1000, got -1",
+                 id="config9-net_trace_drones must be >= 0"),
     ({"fleet": {"drone_speed": -5}}, "fleet.drone_speed must be positive"),
     pytest.param({"fleet": {"drone_speed": "fast"}},
                  "fleet.drone_speed: must be a finite number, got 'fast'",
@@ -143,11 +158,19 @@ def test_config_error_exit_code(workdir, capsys):
     pytest.param([1, 2], "config: must be an object, got [1, 2]",
                  id="config14-config must be a JSON object"),
     ({"net_models": ["bogus"]}, "unknown net model 'bogus'"),
-    ({"net_trace_drones": 2000}, "net_trace_drones must be >= 0 and <= 1000"),
-    ({"drone_counts": [0, 1001]}, "drone_counts must be non-empty, each >= 0 and <= 1000"),
-    pytest.param({"grid_spacing": 1.0}, "bad grid: spacing must be above 10.0 m",
+    pytest.param({"net_trace_drones": 2000},
+                 "net_trace_drones must be an integer >= 0 and <= 1000, got 2000",
+                 id="config16-net_trace_drones must be >= 0 and <= 1000"),
+    pytest.param({"drone_counts": [0, 1001]},
+                 "drone_counts[1] must be an integer >= 0 and <= 1000, got 1001",
+                 id="config17-drone_counts must be non-empty, each >= 0 and <= 1000"),
+    pytest.param({"grid_spacing": 1.0},
+                 "error: spacing must be above 10.0 m (twice the 5.0 m building margin) "
+                 "when cells hold buildings, got 1.0",
                  id="grid_spacing-below-the-building-margins"),
-    pytest.param({"grid_spacing": 10.0}, "bad grid: spacing must be above 10.0 m",
+    pytest.param({"grid_spacing": 10.0},
+                 "error: spacing must be above 10.0 m (twice the 5.0 m building margin) "
+                 "when cells hold buildings, got 10.0",
                  id="grid_spacing-at-the-building-margins"),
     pytest.param({"solver": "exact", "n_sets": 2, "per_set": 15, "net_models": []},
                  "exact solver limited to 12 stops, got 16", id="exact-solver-unprioritized"),
@@ -161,10 +184,24 @@ def test_config_error_exit_code(workdir, capsys):
                  "carrier_sense_m must be positive, got -800", id="negative-carrier-sense"),
     pytest.param({"channel": {"carrier_sense_m": 0}},
                  "carrier_sense_m must be positive, got 0", id="zero-carrier-sense"),
+    # a config is valid only when every field is: the grid fields too when a
+    # scenario file replaces the generated world
+    pytest.param({**_ONE_SMALL_SET, "scenario_path": "{d}/scen.json", "grid_rows": 1},
+                 "grid needs rows >= 2 and cols >= 2, got 1x8", id="scenario-file-one-row"),
+    pytest.param({**_ONE_SMALL_SET, "scenario_path": "{d}/scen.json", "grid_spacing": 5.0},
+                 "spacing must be above 10.0 m", id="scenario-file-spacing-below-the-margins"),
+    # the world-size bound, just above it: rejected before anything is built
+    pytest.param({"grid_rows": MAX_NODES // 100 + 1, "grid_cols": 100, "buildings_per_cell": 0},
+                 f"a {MAX_NODES // 100 + 1}x100 grid with 0 buildings per cell exceeds "
+                 f"{MAX_NODES} nodes", id="grid-above-the-node-bound"),
+    pytest.param({**_ONE_SMALL_SET, "grid_rows": 2, "grid_cols": 2,
+                  "buildings_per_cell": MAX_BUILDINGS + 1},
+                 f"exceeds {MAX_NODES} nodes or {MAX_BUILDINGS} buildings",
+                 id="grid-above-the-building-bound"),
 ])
-def test_bad_config_values_exit_2(tmp_path, capsys, config, message):
+def test_bad_config_values_exit_2(workdir, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(config).replace("{d}", str(workdir)))
     assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -609,16 +646,31 @@ def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
                  "exact solver limited to 12 stops, got 16", id="plan-exact-solver-too-many-stops"),
     pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--medical", 5,
                   "--per-set", 3, "--out", "{t}/jobs.json"],
-                 "medical_per_set cannot exceed per_set", id="jobs-medical-above-per-set"),
+                 "medical_per_set must be >= 0 and <= per_set 3, got 5",
+                 id="jobs-medical-above-per-set"),
     pytest.param(["scenario", "gen", "--rows", 1, "--out", "{t}/scen.json"],
                  "grid needs rows >= 2", id="scenario-one-row"),
     pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--medical", -1,
                   "--out", "{t}/jobs.json"],
-                 "medical_per_set must be >= 0, got -1", id="jobs-negative-medical"),
+                 "medical_per_set must be >= 0 and <= per_set 15, got -1",
+                 id="jobs-negative-medical"),
     pytest.param(["scenario", "gen", "--spacing", 5, "--out", "{t}/scen.json"],
                  "spacing must be above 10.0 m", id="scenario-spacing-below-the-building-margins"),
     pytest.param(["scenario", "gen", "--spacing", 10, "--out", "{t}/scen.json"],
                  "spacing must be above 10.0 m", id="scenario-spacing-at-the-building-margins"),
+    pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/no_sets.json",
+                  "--out", "{t}/plan.json"],
+                 "error: the jobs file holds no sets", id="plan-jobs-file-without-sets"),
+    pytest.param(["simulate", "--scenario", "{d}/scen.json", "--plan", "{d}/plan0.json",
+                  "--jobs", "{d}/no_sets.json", "--out", "{t}/trace.csv"],
+                 "error: the jobs file holds no sets", id="simulate-jobs-file-without-sets"),
+    # the world-size bound, just above it: rejected before anything is built
+    pytest.param(["scenario", "gen", "--rows", MAX_NODES // 100 + 1, "--cols", 100,
+                  "--buildings-per-cell", 0, "--out", "{t}/scen.json"],
+                 f"exceeds {MAX_NODES} nodes", id="scenario-above-the-node-bound"),
+    pytest.param(["scenario", "gen", "--rows", 2, "--cols", 2,
+                  "--buildings-per-cell", MAX_BUILDINGS + 1, "--out", "{t}/scen.json"],
+                 f"{MAX_BUILDINGS} buildings", id="scenario-above-the-building-bound"),
 ])
 def test_flag_precondition_exit_2(workdir, tmp_path, capsys, argv, message):
     argv = [str(a).format(d=workdir, t=tmp_path) for a in argv]
@@ -699,9 +751,10 @@ def test_failed_schedule_fails_every_drone_count_that_shares_it(tmp_path, monkey
 
 
 @pytest.mark.parametrize("argv,config,message", [
-    (["--drones", "1,1"], None, "drone_counts must not repeat a value, got [1, 1]"),
+    (["--drones", "1,1"], None,
+     "drone_counts must be non-empty and must not repeat a value, got [1, 1]"),
     ([], {"prioritize_flags": [True, True]},
-     "prioritize_flags must not repeat a value, got [True, True]"),
+     "prioritize_flags must be non-empty and must not repeat a value, got [True, True]"),
     ([], {"net_models": ["csma", "csma"]},
      "net models must not repeat a name, got ['csma', 'csma']"),
 ], ids=["drones", "prioritize_flags", "net_models"])

@@ -10,6 +10,9 @@ Likewise every annotated field of a class in ``src/hybridfleet`` must be read
 by name in ``src/`` or ``perfbench/`` outside its own declaration: as an
 attribute load, or as a string constant, which ``getattr`` and dict keys use.
 A field that is only written shows up here as an unread name.
+
+And no module of ``src/hybridfleet`` imports another's private name: what two
+modules share is public, with one owner.
 """
 import ast
 from pathlib import Path
@@ -108,3 +111,14 @@ def test_every_field_has_a_reader():
     assert missing == [], f"fields without a reader in src/ or perfbench/: {missing}"
     # an allowlisted field that gains a reader, or goes away, leaves the list
     assert set(FIELDS_ALLOWED) <= {q.split(".")[-1] for q in unread}
+
+
+def test_no_module_imports_a_private_name():
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                # dunders such as __version__ are public
+                imported += [f"{path.stem}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert imported == [], f"private names imported across modules: {imported}"
