@@ -20,7 +20,7 @@ from . import __version__, fields
 from .errors import ConfigError, ParameterError, ParseError
 from .hybrid import (FleetConfig, check_drone_count, check_new_plan, plan_hybrid,
                      plan_hybrid_counts, read_fleet)
-from .jobs import check_set_sizes, generate_delivery_sets, save_sets
+from .jobs import check_buildings, check_set_sizes, generate_delivery_sets, save_sets
 from .metrics import (summarize_sweep, waiting_stats, write_capacity_curves_csv,
                       write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
@@ -90,6 +90,9 @@ class ExperimentConfig:
                 raise ConfigError("fleet overrides cannot set drone_count; use drone_counts")
             check_grid(self.grid_rows, self.grid_cols, self.grid_spacing,
                        self.buildings_per_cell)
+            if not self.scenario_path:  # build_scenario generates the world
+                check_buildings((self.grid_rows - 1) * (self.grid_cols - 1)
+                                * self.buildings_per_cell)
             check_set_sizes(self.per_set, self.medical_per_set)
             for i, count in enumerate(self.drone_counts):
                 check_drone_count(count, f"drone_counts[{i}]")

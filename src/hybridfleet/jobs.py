@@ -46,6 +46,12 @@ def check_set_sizes(per_set: int, medical_per_set: int) -> None:
                              f"got {medical_per_set}")
 
 
+def check_buildings(n_buildings: int) -> None:
+    """Raise ParameterError unless there is a building to deliver to."""
+    if n_buildings < 1:
+        raise ParameterError(f"jobs need at least one building to deliver to, got {n_buildings}")
+
+
 def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
                            medical_per_set: int, seed: int) -> list[DeliverySet]:
     """Sample delivery sets over the scenario's buildings.
@@ -58,8 +64,7 @@ def generate_delivery_sets(scenario: Scenario, n_sets: int, per_set: int,
     check_set_sizes(per_set, medical_per_set)
     if n_sets < 0:
         raise ParameterError(f"n_sets must be >= 0, got {n_sets}")
-    if not scenario.buildings:
-        raise ParameterError("scenario has no buildings to deliver to")
+    check_buildings(len(scenario.buildings))
     by_id = {b.id: b for b in scenario.buildings}
     ids = sorted(by_id)
     sets = []

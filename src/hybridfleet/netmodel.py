@@ -252,21 +252,21 @@ def _sender_positions(trace: DeliveryTrace, senders, sidx: np.ndarray,
     return pos
 
 
-def _interp_at(ts: list[float], xs: list[float], t: float) -> float:
-    """np.interp(t, ts, xs) for one time, in plain Python, bit for bit.
-
-    The scalar counterpart of _interp_positions, for strictly increasing
-    finite knots ts. With j = bisect_right(ts, t) - 1 it is np.interp's own
-    formula: xs[0] before the first knot, xs[j] at or after the last knot
-    or on knot j, and otherwise
-    ``((xs[j+1] - xs[j]) / (ts[j+1] - ts[j])) * (t - ts[j]) + xs[j]``.
+def _track_at(track, t: float) -> tuple[float, float, float]:
+    """np.interp(t, ts, c) for each coordinate c of a track (ts, xs, ys, zs)
+    given as lists, bit for bit, with one bisect. For strictly increasing
+    finite knots and j = bisect_right(ts, t) - 1 it is np.interp's own
+    formula: c[0] before the first knot, c[j] at or after the last knot or
+    on knot j, else ``((c[j+1] - c[j]) / (ts[j+1] - ts[j])) * (t - ts[j]) + c[j]``.
     """
+    ts, xs, ys, zs = track
     j = bisect_right(ts, t) - 1
-    if j < 0:
-        return xs[0]
-    if j >= len(ts) - 1 or ts[j] == t:
-        return xs[j]
-    return ((xs[j + 1] - xs[j]) / (ts[j + 1] - ts[j])) * (t - ts[j]) + xs[j]
+    if j < 0 or j >= len(ts) - 1 or ts[j] == t:
+        j = max(j, 0)
+        return xs[j], ys[j], zs[j]
+    dt, w = ts[j + 1] - ts[j], t - ts[j]
+    return (((xs[j + 1] - xs[j]) / dt) * w + xs[j], ((ys[j + 1] - ys[j]) / dt) * w + ys[j],
+            ((zs[j + 1] - zs[j]) / dt) * w + zs[j])
 
 
 def _in_range(a_xyz: np.ndarray, b_xyz: np.ndarray, cs2: float) -> np.ndarray:
@@ -332,12 +332,7 @@ def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
 
 
 def _in_window(windows, t: float) -> bool:
-    # a plain loop, not any() over a generator: SPS asks once per sender and
-    # period, and building the generator cost about 5 % of a netsim-dense pass
-    for lo, hi in windows:
-        if lo <= t < hi:
-            return True
-    return False
+    return any(lo <= t < hi for lo, hi in windows)
 
 
 def _collect(model_name, senders, sidx, gen, delivered, latency_ms, los,
@@ -499,6 +494,14 @@ def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
 
 def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
                   period_s) -> _Schedule | None:
+    """Slot choices and lifetimes draw from one stream in (period, phase,
+    sender) order, which fixes every slot. The loop keeps that order but
+    visits only the periods where something is decided: where a sender's
+    airborne flag flips (it holds a slot exactly while the flag is set),
+    where a holder's keep expires, and where a holder's slot instant may
+    fall outside its windows. In every other period each holder emits on
+    an unchanged slot, so those beacons are recorded as runs.
+    """
     if abs(mac.n_slots * mac.slot_ms - period_s * 1000.0) > 1e-9:
         raise ParameterError("Sps slot grid must span exactly one CAM period")
     n_senders = len(senders)
@@ -506,83 +509,106 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
         return None
     slot_s = mac.slot_ms / 1000.0
     cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
-    # per sender: its track's knots and coordinates as lists, for _interp_at
+    # per sender: its track's knots and coordinates as lists, for _track_at
     tracks = [(tr.times.tolist(), tr.x.tolist(), tr.y.tolist(), tr.z.tolist())
               for tr in (trace.trajectories[s] for s in senders)]
     wins = [windows[s] for s in senders]
 
-    # airborne[k][si]: sender si is airborne at the start of period k
+    # airborne[k, si]: sender si is airborne at the start of period k. In a
+    # sure period the first and last slot instants lie in one window, and
+    # then so does every slot's: t + x * slot_s is monotone in x.
     n_periods = _n_periods(trace, period_s)
     t_period = np.arange(n_periods) * period_s
+    t_last = t_period + (mac.n_slots - 1) * slot_s
     airborne = np.zeros((n_periods, n_senders), bool)
+    sure = np.zeros((n_periods, n_senders), bool)
     for si, ws in enumerate(wins):
         for lo, hi in ws:
-            airborne[:, si] |= (lo <= t_period) & (t_period < hi)
+            inside = (lo <= t_period) & (t_period < hi)
+            airborne[:, si] |= inside
+            sure[:, si] |= inside & (lo <= t_last) & (t_last < hi)
+    flips, unsure = {}, {}
+    for events, mask in ((flips, np.diff(airborne, axis=0, prepend=False)),
+                         (unsure, airborne & ~sure)):
+        for k, si in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+            events.setdefault(k, []).append(si)  # in sender order
+    visits = sorted(flips.keys() | unsure.keys()) + [n_periods]
+    t_period_l = t_period.tolist()
 
     slot = [-1] * n_senders
-    keep = [0] * n_senders
+    due = [n_periods] * n_senders     # the period of a holder's keep expiry
+    first = [0] * n_senders           # the first period of a holder's open run
+    runs = []                         # (sender, slot, first period, end period)
 
     def select_slot(si, t):
         """A slot that no other holder within carrier-sense range of sender
         si holds at t; any slot when all are held. The squared distance
         dx * dx + dy * dy + dz * dz adds in np.sum's order over three terms."""
-        ts, xs, ys, zs = tracks[si]
-        x, y, z = _interp_at(ts, xs, t), _interp_at(ts, ys, t), _interp_at(ts, zs, t)
+        x, y, z = _track_at(tracks[si], t)
         occupied = set()
-        for sj in range(n_senders):
-            sl = slot[sj]
+        for sj, sl in enumerate(slot):
             if sl < 0 or sj == si:
                 continue
-            tj, xj, yj, zj = tracks[sj]
-            dx = _interp_at(tj, xj, t) - x
-            dy = _interp_at(tj, yj, t) - y
-            dz = _interp_at(tj, zj, t) - z
+            xj, yj, zj = _track_at(tracks[sj], t)
+            dx, dy, dz = xj - x, yj - y, zj - z
             if dx * dx + dy * dy + dz * dz <= cs2:
                 occupied.add(sl)
-        if occupied:
-            free = [sl for sl in range(mac.n_slots) if sl not in occupied]
-            if free:
-                return free[int(rng.integers(0, len(free)))]
-        return int(rng.integers(0, mac.n_slots))
+        n_free = mac.n_slots - len(occupied)
+        r = int(rng.integers(0, n_free or mac.n_slots))
+        if n_free:
+            for sl in sorted(occupied):  # r becomes the r-th free slot
+                if sl > r:
+                    break
+                r += 1
+        return r
 
-    # Sequential by design: slot choices and lifetimes draw from one stream in
-    # (period, sender) order, and that order fixes every slot.
-    msg_t, msg_sidx, msg_slot, msg_period = [], [], [], []
-    for k, (t_p, row) in enumerate(zip(t_period.tolist(), airborne.tolist())):
-        for si in range(n_senders):
+    def keep():
+        return max(int(rng.integers(mac.keep_min, mac.keep_max + 1)), 1)
+
+    i = 0
+    while (k := min(visits[i], *due)) < n_periods:
+        if visits[i] == k:
+            i += 1
+        t_p = t_period_l[k]
+        for si in flips.get(k, ()):
             if slot[si] < 0:
-                if row[si]:
-                    slot[si] = select_slot(si, t_p)
-                    keep[si] = int(rng.integers(mac.keep_min, mac.keep_max + 1))
-            elif not row[si]:
-                slot[si] = -1  # landed: reservation released
-        for si in range(n_senders):
-            if slot[si] < 0:
+                slot[si], due[si], first[si] = select_slot(si, t_p), k + keep() - 1, k
+            else:  # landed: reservation released
+                runs.append((si, slot[si], first[si], k))
+                slot[si], due[si] = -1, n_periods
+        check = unsure.get(k, ())
+        for si, sl in enumerate(slot):
+            if sl < 0 or (due[si] != k and si not in check):
                 continue
-            t_tx = t_p + slot[si] * slot_s
-            if not _in_window(wins[si], t_tx):
-                continue
-            msg_t.append(t_tx)
-            msg_sidx.append(si)
-            msg_slot.append(slot[si])
-            msg_period.append(k)
-            keep[si] -= 1
-            if keep[si] <= 0:
+            t_tx = t_p + sl * slot_s
+            if si in check and not _in_window(wins[si], t_tx):
+                runs.append((si, sl, first[si], k))
+                first[si] = k + 1
+                due[si] += 1  # keep counts only the periods it emits in
+            elif due[si] == k:
                 if rng.random() < mac.reselect_prob:
                     slot[si] = select_slot(si, t_tx)
-                keep[si] = int(rng.integers(mac.keep_min, mac.keep_max + 1))
+                due[si] = k + keep()
+                if slot[si] != sl:
+                    runs.append((si, sl, first[si], k + 1))
+                    first[si] = k + 1
+    runs += [(si, sl, first[si], n_periods) for si, sl in enumerate(slot) if sl >= 0]
 
-    if not msg_t:
+    run_sidx, run_slot, run_first, run_end = np.array(runs, np.int64).reshape(-1, 4).T
+    length = run_end - run_first
+    n = int(length.sum())
+    if n == 0:
         return None
-    gen = np.array(msg_t)
-    sidx = np.array(msg_sidx, np.int64)
-    period = np.array(msg_period, np.int64)
+    sidx = np.repeat(run_sidx, length)
+    msg_slot = np.repeat(run_slot, length)
+    period = np.repeat(run_first - (np.cumsum(length) - length), length) + np.arange(n)
+    gen = t_period[period] + msg_slot * slot_s
     spos = _sender_positions(trace, senders, sidx, gen)
     rxpos = _interp_positions(trace, "truck", gen)
     in_rx = _in_range(spos, rxpos, cs2)
 
     # two or more in-range senders on one (period, slot) all lose the message
-    key = (period * mac.n_slots + np.array(msg_slot, np.int64))[in_rx]
+    key = (period * mac.n_slots + msg_slot)[in_rx]
     _, group, size = np.unique(key, return_inverse=True, return_counts=True)
     collided = np.zeros(gen.size, bool)
     collided[in_rx] = size[group] >= 2

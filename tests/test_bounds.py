@@ -1,8 +1,9 @@
 """The sweep config and the layers it feeds agree on every shared bound.
 
 Each bound has one owner, the check of the layer that uses the value:
-``scenario.check_grid``, ``jobs.check_set_sizes``, ``hybrid.check_drone_count``
-and ``routing.check_exact_size``. For values on both sides of each bound,
+``scenario.check_grid``, ``jobs.check_buildings`` (of the generated world),
+``jobs.check_set_sizes``, ``hybrid.check_drone_count`` and
+``routing.check_exact_size``. For values on both sides of each bound,
 ``ExperimentConfig.validate`` must raise ConfigError exactly when the owner
 raises ParameterError, and the sweep must exit 0 or 2.
 """
@@ -15,7 +16,7 @@ from hybridfleet import experiment
 from hybridfleet.cli import main
 from hybridfleet.errors import ConfigError, ParameterError
 from hybridfleet.hybrid import _MAX_DRONES, check_drone_count
-from hybridfleet.jobs import check_set_sizes
+from hybridfleet.jobs import check_buildings, check_set_sizes
 from hybridfleet.routing import EXACT_TSP_LIMIT, check_exact_size, largest_tour
 from hybridfleet.scenario import CELL_MARGIN_M, MAX_BUILDINGS, MAX_NODES, check_grid
 
@@ -54,6 +55,8 @@ def _owner_rejects(cfg: dict) -> bool:
     try:
         check_grid(cfg["grid_rows"], cfg["grid_cols"], cfg["grid_spacing"],
                    cfg["buildings_per_cell"])
+        check_buildings((cfg["grid_rows"] - 1) * (cfg["grid_cols"] - 1)
+                        * cfg["buildings_per_cell"])
         check_set_sizes(cfg["per_set"], cfg["medical_per_set"])
         for count in [*cfg["drone_counts"], cfg.get("net_trace_drones", 0)]:
             check_drone_count(count, "count")

@@ -198,6 +198,11 @@ _ONE_SMALL_SET = {"n_sets": 1, "per_set": 4, "medical_per_set": 1, "drone_counts
                   "buildings_per_cell": MAX_BUILDINGS + 1},
                  f"exceeds {MAX_NODES} nodes or {MAX_BUILDINGS} buildings",
                  id="grid-above-the-building-bound"),
+    # a generated world without buildings has nothing to deliver to: rejected
+    # before the world is built
+    pytest.param({**_ONE_SMALL_SET, "buildings_per_cell": 0},
+                 "jobs need at least one building to deliver to, got 0",
+                 id="generated-world-without-buildings"),
 ])
 def test_bad_config_values_exit_2(workdir, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

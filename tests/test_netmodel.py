@@ -17,7 +17,8 @@ from hybridfleet.netmodel import (Centralized, ChannelConfig, Csma,
                                   write_net_results_csv, write_net_summary_csv)
 from hybridfleet.rng import generator
 from hybridfleet.scenario import los_blocked_many
-from hybridfleet.simcore import simulate
+from hybridfleet.simcore import (KIND_DRONE_LAUNCH, KIND_DRONE_RENDEZVOUS, KIND_TOUR_COMPLETE,
+                                 DeliveryTrace, SimEvent, Trajectory, simulate)
 
 from conftest import fly, job_at, line_scenario, line_timetable, random_world, sortie_plan
 
@@ -163,7 +164,6 @@ def test_sps_slot_grid_must_span_period():
 
 
 def test_empty_trace_rejected():
-    from hybridfleet.simcore import DeliveryTrace
     with pytest.raises(ParameterError):
         run_cam_traffic(DeliveryTrace([], {}, {}), None, Sps())
 
@@ -545,7 +545,7 @@ _sps_macs = st.builds(
     lambda n_slots, keep_min, spread, reselect_prob: Sps(
         n_slots=n_slots, slot_ms=100.0 / n_slots, keep_min=keep_min,
         keep_max=keep_min + spread, reselect_prob=reselect_prob),
-    st.sampled_from([1, 2, 4, 10, 100]), st.integers(1, 5), st.integers(0, 10),
+    st.sampled_from([1, 2, 4, 10, 100]), st.integers(0, 5), st.integers(0, 10),
     st.sampled_from([0.0, 0.5, 1.0]))
 _centralized_macs = st.builds(Centralized, grant_period_ms=st.sampled_from([0.0, 10.0]))
 
@@ -588,24 +588,89 @@ def test_planned_worlds_match_oracle(tmp_path, case):
         assert stats.sent > 0
 
 
-def test_dense_sps_matches_oracle(tmp_path):
-    """netsim-dense's first pool trace (10x10 grid, 9 jobs of which 3
-    medical, 8 drones, priority on, base seed 7), planned as its set-up plans
-    it: slot selections weigh up to seven holders, each placed by the
-    scalar evaluator, against the oracle's np.interp positions."""
+@pytest.fixture(scope="module")
+def dense_pool():
+    """netsim-dense's pool (10x10 grid, 9 jobs of which 3 medical, 8 drones,
+    priority on, base seed 7): the world and its four traces, planned as its
+    set-up plans them."""
     cfg = experiment.ExperimentConfig(grid_rows=10, grid_cols=10, n_sets=4, per_set=9,
                                       medical_per_set=3, drone_counts=[8], base_seed=7,
                                       workers=1)
     cfg.validate()
     sc = experiment.build_scenario(cfg)
-    _, trace, _ = experiment.run_one(cfg, sc, experiment.build_sets(cfg, sc)[0], 8, True)
+    return sc, [experiment.run_one(cfg, sc, dset, 8, True)[1]
+                for dset in experiment.build_sets(cfg, sc)]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("instance,n_senders", [(0, 8), (1, 7), (2, 8), (3, 7)])
+def test_dense_sps_matches_oracle(tmp_path, dense_pool, instance, n_senders, seed):
+    """Each of netsim-dense's pool traces (its instance i runs trace i mod 4):
+    slot selections weigh up to seven holders, each placed by the scalar
+    evaluator, against the oracle's np.interp positions."""
+    sc, traces = dense_pool
+    trace = traces[instance]
     windows = trace.airborne_windows()
-    assert len(windows) == 8
-    # all eight airborne at once, so a selection can see seven holders
+    assert len(windows) == n_senders
+    # all airborne at once, so a selection can see every other sender holding a slot
     assert max(sum(nm._in_window(ws, lo) for ws in windows.values())
-               for w in windows.values() for lo, _ in w) == 8
-    stats = _assert_matches_oracle(trace, sc, Sps(), ChannelConfig(), 100.0, 3, tmp_path)
+               for w in windows.values() for lo, _ in w) == len(windows)
+    stats = _assert_matches_oracle(trace, sc, Sps(), ChannelConfig(), 100.0, seed, tmp_path)
     assert stats.sent > 5000
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mac", [
+    Sps(keep_min=0, keep_max=0),
+    # every reselection returns the one slot, so a sender keeps it throughout
+    Sps(n_slots=1, slot_ms=100.0, reselect_prob=1.0),
+], ids=["keep-0", "one-slot-always-reselect"])
+def test_sps_keep_edge_cases_match_oracle(tmp_path, mac, seed):
+    sc, trace = make_trace(3, service=20.0, stagger=1)
+    assert _assert_matches_oracle(trace, sc, mac, ChannelConfig(), 100.0, seed,
+                                  tmp_path).sent > 0
+
+
+def _hover_trace(windows, n_drones):
+    """A truck on a straight road and n_drones drones, each airborne in the
+    given (launch, rendezvous) windows on a slow track of its own."""
+    line = np.array([0.0, 10.0])
+    trajectories = {"truck": Trajectory(line, line * 10.0, np.zeros(2), np.zeros(2))}
+    events = []
+    for d in range(n_drones):
+        name = f"drone{d}"
+        trajectories[name] = Trajectory(line, line + 10.0 * d, np.full(2, 20.0),
+                                        np.full(2, 30.0))
+        for lo, hi in windows:
+            events += [SimEvent(lo, KIND_DRONE_LAUNCH, name, None, None, 0.0, 0.0, 0.0),
+                       SimEvent(hi, KIND_DRONE_RENDEZVOUS, name, None, None, 0.0, 0.0, 0.0)]
+    events.sort(key=lambda ev: ev.time)
+    events.append(SimEvent(3.0, KIND_TOUR_COMPLETE, "truck", None, None, 0.0, 0.0, 0.0))
+    return DeliveryTrace(events, {}, trajectories)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("windows,period,allowed", [
+    # ends 50 ms into period 25: only slots 0 to 2 emit in it
+    ([(0.05, 2.55)], 25, {0, 1, 2}),
+    # 40 ms apart inside period 12, whose start stays airborne: slot 0 emits
+    # in the first window, slots 1 and 2 fall in the gap, and slots 3 and 4
+    # emit in the second window
+    ([(0.05, 1.21), (1.25, 2.55)], 12, {0, 3, 4}),
+], ids=["window-ends-mid-period", "windows-under-a-period-apart"])
+def test_sps_window_edges_match_oracle(tmp_path, seed, windows, period, allowed):
+    """Four drones in range of each other hold four of a period's five
+    slots, so in the given period some holder is silent and at least two of
+    the allowed slots emit."""
+    trace = _hover_trace(windows, 4)
+    stats = _assert_matches_oracle(trace, line_scenario(5, 100.0, 10.0),
+                                   Sps(n_slots=5, slot_ms=20.0), ChannelConfig(), 100.0, seed,
+                                   tmp_path)
+    t_p = period * 0.1
+    gen = stats.msg_gen_s[(stats.msg_gen_s >= t_p) & (stats.msg_gen_s < (period + 1) * 0.1)]
+    slots = {round((g - t_p) / 0.02) for g in gen.tolist()}
+    assert slots <= allowed
+    assert 2 <= len(slots) < 4
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +687,7 @@ def _ulps(x, n):
 @st.composite
 def _knots(draw):
     """Strictly increasing finite knots, 1 to 25, some gaps a few ulps wide,
-    with one finite value per knot."""
+    with three finite coordinates per knot."""
     t = draw(st.floats(-1e4, 1e4))
     ts = [t]
     for _ in range(draw(st.integers(0, 24))):
@@ -631,22 +696,25 @@ def _knots(draw):
         else:
             t = t + draw(st.floats(1e-3, 1e3))
         ts.append(t)
-    xs = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ts), max_size=len(ts)))
-    return ts, xs
+    coords = [draw(st.lists(st.floats(-1e6, 1e6), min_size=len(ts), max_size=len(ts)))
+              for _ in range(3)]
+    return ts, coords
 
 
 @settings(max_examples=300, deadline=None)
 @given(_knots(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
-def test_interp_at_equals_np_interp_bit_for_bit(knots, fractions):
-    ts, xs = knots
+def test_track_at_equals_np_interp_bit_for_bit(knots, fractions):
+    ts, coords = knots
     queries = [ts[0] - 1e3, ts[-1] + 1e3]
     for t in ts:
         queries += [_ulps(t, -1), t, _ulps(t, 1)]
     for a, b in zip(ts, ts[1:]):
         queries += [a + f * (b - a) for f in fractions]
-    t_arr, x_arr = np.array(ts), np.array(xs)
-    array = np.interp(np.array(queries), t_arr, x_arr).tolist()
-    for q, from_array in zip(queries, array):
-        got = nm._interp_at(ts, xs, q)
-        assert type(got) is float
-        assert got.hex() == float(np.interp(q, t_arr, x_arr)).hex() == from_array.hex(), q
+    t_arr = np.array(ts)
+    arrays = [np.interp(np.array(queries), t_arr, np.array(c)).tolist() for c in coords]
+    for i, q in enumerate(queries):
+        got = nm._track_at((ts, *coords), q)
+        assert len(got) == 3
+        for c, g, from_array in zip(coords, got, (a[i] for a in arrays)):
+            assert type(g) is float
+            assert g.hex() == float(np.interp(q, t_arr, np.array(c))).hex() == from_array.hex(), q
