@@ -411,26 +411,31 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
     commits is the winning candidate plus its one new flight
     (``_PlanContext.commit``), so the plan is built from the depot once.
 
-    A scan for a drone free at time f is skipped when its bound
-    ``total - (partial + (f + drone_service))`` is at most the best reduction
-    found so far in the step (or the 1e-9 threshold before any). The kernel
-    launches only at departures at or after f and flies a non-negative time,
-    and float rounding is monotone, so the scan's completion is at least
-    ``f + drone_service`` and its reduction at most the bound. A skipped
-    scan could therefore not have won, ties included, and the plans are
-    bit-identical to those of the exhaustive loop.
+    The floor is the best reduction found so far in the step (the 1e-9
+    threshold before any). A scan for a drone free at time f cannot reduce
+    by more than its bound ``total - (partial + (f + drone_service))``: the
+    kernel launches only at departures at or after f and flies a
+    non-negative time, and float rounding is monotone, so the scan's
+    completion is at least ``f + drone_service``. The bound cannot rise as
+    f rises, so no scan of a candidate beats its bound at its earliest
+    drone free time. That test is made without building the candidate:
+    ``_candidate_bounds`` gives each candidate lower bounds on its truck
+    sum, its drone sum and its earliest drone free time from the current
+    state alone, and each makes the candidate's bound ``total - (truck +
+    drone + (free + drone_service))`` at least the one the build would give
+    (the truck's float error is covered by a margin).
 
-    The bound cannot rise as f rises, so when the bound at a candidate's
-    earliest drone free time is at most the floor, every scan of it is
-    skipped. Most candidates are like that, so the test is made without
-    building the candidate: ``_candidate_bounds`` gives each candidate lower
-    bounds on its truck sum, its drone sum and its earliest drone free time
-    from the current state alone, and a candidate whose bound
-    ``total - (truck + drone + (free + drone_service))`` is at most the
-    floor is not built. Each lower bound makes the bound at least the one
-    the build would give (the truck's float error is covered by a margin),
-    so a candidate skipped unbuilt would have had all its scans skipped once
-    built, and the plans stay bit-identical.
+    The step builds its candidates in order of that bound, highest first
+    and the lower job id first on equal bounds, so the floor rises early,
+    and it ends at the first candidate whose bound is below the floor: no
+    later one can reach it. A scan whose bound is below the floor is
+    skipped. As a candidate may come after a higher job id's, the tie rule
+    is explicit: a candidate whose bound equals the floor is built, a scan
+    whose bound equals it is run, and a reduction equal to it wins, only
+    when the job id is below the best's. Nothing skipped could have won,
+    ties included, so the winner is still the best (reduction, lowest job
+    id, lowest drone id) and the plans are bit-identical to those of the
+    exhaustive loop in job-id order.
     """
     plan = plan_hybrid_counts(scenario, dset, fleet, [fleet.drone_count], prioritize,
                               solver)[fleet.drone_count]
@@ -512,20 +517,27 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
     final state. For each count c keyed in snapshots, the step that gives
     drone c-1 its first sortie stores c's snapshot there."""
     fleet = ctx.fleet
+    service = fleet.drone_service
     drones = range(len(assignments))
     while True:
         best = None  # (job, drone, launch_node, candidate state)
         floor = _EPS  # a candidate must reduce by more than this to win
         total = current.total
         bounds = _candidate_bounds(ctx, current, truck_jobs)
-        for j in sorted(truck_jobs):
-            # the tour without stop k: splice stop k-1 to stop k+1
-            k = truck_jobs.index(j)
-            # no scan of the built candidate could beat the floor when this
-            # bound, from lower bounds at its earliest free time, cannot
-            truck_lb, drone_lb, free_lb = bounds[k]
-            if total - (truck_lb + drone_lb + (free_lb + fleet.drone_service)) <= floor:
+        # per candidate, the bound from lower bounds at its earliest free
+        # time, which no scan of it can beat: best first, then lowest job id
+        candidates = sorted(
+            ((total - (truck_lb + drone_lb + (free_lb + service)), j, k)
+             for k, (j, (truck_lb, drone_lb, free_lb)) in enumerate(zip(truck_jobs, bounds))),
+            key=lambda c: (-c[0], c[1]))
+        for bound, j, k in candidates:
+            if bound < floor:
+                break  # so is every later candidate's
+            # a reduction equal to the floor wins only for a lower job id
+            ties = best is not None and j < best[0]
+            if bound == floor and not ties:
                 continue
+            # the tour without stop k: splice stop k-1 to stop k+1
             after = truck_jobs[k + 1:k + 2]
             built = ctx.assemble(assignments, after, current, k,
                                  k + 1 if after else None)
@@ -542,19 +554,20 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
                 scanned.add(built.free[d])
                 # best_sortie's completion is at least free + service, so no
                 # reduction of this scan can exceed the bound
-                bound = total - (partial + (built.free[d] + fleet.drone_service))
-                if bound <= floor:
+                scan_bound = total - (partial + (built.free[d] + service))
+                if scan_bound < floor or (scan_bound == floor and not ties):
                     continue
                 li, comp = kernels.best_sortie(
                     built.path_x, built.path_y, built.path, built.arrive, built.depart,
                     built.free[d], tx, ty,
-                    fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+                    fleet.drone_speed, service, fleet.drone_endurance)
                 if li < 0:
                     continue
                 reduction = total - (partial + comp)
-                if reduction > floor:
+                if reduction > floor or (reduction == floor and ties):
                     floor = reduction
                     best = (j, d, built.path[li], built)
+                    ties = False  # a higher drone id of job j does not take a tie
         if best is None:
             return current
         j, d, lnode, built = best

@@ -143,11 +143,22 @@ class _Geometry:
 # the largest shipped workload's world (256 nodes, 450 buildings)
 MAX_NODES = 100_000
 MAX_BUILDINGS = 100_000
+# The generated coordinates must hold the world validate_scenario checks.
+# Within 2**22 m (about 4,200 km) a coordinate's ulp is at most 2**-30 m, so
+# a street's endpoint distance, a difference of two rounded products, stays
+# within the 1e-9 m of its length that the edge test allows. A building too
+# narrow for its coordinates rounds away against its corners or moves its
+# centroid off its access point; a side of 2**-23 of the extent keeps clear.
+MAX_GRID_EXTENT_M = 2.0 ** 22
+MIN_SIDE_OF_EXTENT = 2.0 ** -23
+CELL_FILL = 0.8  # a building spans at most this share of its cell's interior
 
 
 def check_grid(rows: int, cols: int, spacing: float, buildings_per_cell: int) -> None:
     """Raise ParameterError unless generate_grid_scenario can build the grid, whose
-    buildings keep CELL_MARGIN_M from the roads on every side."""
+    buildings keep CELL_MARGIN_M from the roads on every side, at most
+    MAX_GRID_EXTENT_M across and with building sides at least
+    MIN_SIDE_OF_EXTENT of that extent."""
     if rows < 2 or cols < 2:
         raise ParameterError(f"grid needs rows >= 2 and cols >= 2, got {rows}x{cols}")
     if buildings_per_cell < 0:
@@ -161,6 +172,15 @@ def check_grid(rows: int, cols: int, spacing: float, buildings_per_cell: int) ->
     if buildings_per_cell > 0 and not spacing > least:
         raise ParameterError(f"spacing must be above {least} m (twice the {CELL_MARGIN_M} m "
                              f"building margin) when cells hold buildings, got {spacing}")
+    extent = (max(rows, cols) - 1) * spacing
+    if not extent <= MAX_GRID_EXTENT_M:
+        raise ParameterError(f"spacing must keep the {rows}x{cols} grid within "
+                             f"{MAX_GRID_EXTENT_M:.0f} m across, got {spacing}")
+    narrowest = min(BUILDING_SIDE_RANGE[0], CELL_FILL * (spacing - least))
+    if buildings_per_cell > 0 and not narrowest >= MIN_SIDE_OF_EXTENT * extent:
+        raise ParameterError(f"spacing must leave buildings at least "
+                             f"{MIN_SIDE_OF_EXTENT * extent:.3g} m wide (2**-23 of the "
+                             f"{rows}x{cols} grid's extent), got {spacing}")
 
 
 def generate_grid_scenario(rows: int, cols: int, spacing: float,
@@ -200,8 +220,8 @@ def generate_grid_scenario(rows: int, cols: int, spacing: float,
             x0 = c * spacing
             y0 = r * spacing
             for _ in range(buildings_per_cell):
-                w = min(rng.uniform(side_lo, side_hi), 0.8 * avail)
-                d = min(rng.uniform(side_lo, side_hi), 0.8 * avail)
+                w = min(rng.uniform(side_lo, side_hi), CELL_FILL * avail)
+                d = min(rng.uniform(side_lo, side_hi), CELL_FILL * avail)
                 cx = x0 + rng.uniform(CELL_MARGIN_M + w / 2, spacing - CELL_MARGIN_M - w / 2)
                 cy = y0 + rng.uniform(CELL_MARGIN_M + d / 2, spacing - CELL_MARGIN_M - d / 2)
                 height = rng.uniform(h_lo, h_hi)

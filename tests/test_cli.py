@@ -172,6 +172,17 @@ _ONE_SMALL_SET = {"n_sets": 1, "per_set": 4, "medical_per_set": 1, "drone_counts
                  "error: spacing must be above 10.0 m (twice the 5.0 m building margin) "
                  "when cells hold buildings, got 10.0",
                  id="grid_spacing-at-the-building-margins"),
+    # spacings whose world the coordinates cannot hold: rejected before it is built
+    pytest.param({"grid_spacing": 10.000000000000002},
+                 "error: spacing must leave buildings at least 8.34e-06 m wide (2**-23 of the "
+                 "8x8 grid's extent), got 10.000000000000002",
+                 id="grid_spacing-buildings-too-narrow-for-the-coordinates"),
+    pytest.param({"grid_spacing": 1e300},
+                 "error: spacing must keep the 8x8 grid within 4194304 m across, got 1e+300",
+                 id="grid_spacing-1e300"),
+    pytest.param({"grid_spacing": 1e308},
+                 "error: spacing must keep the 8x8 grid within 4194304 m across, got 1e+308",
+                 id="grid_spacing-1e308"),
     pytest.param({"solver": "exact", "n_sets": 2, "per_set": 15, "net_models": []},
                  "exact solver limited to 12 stops, got 16", id="exact-solver-unprioritized"),
     pytest.param({"solver": "exact", "per_set": 25, "medical_per_set": 5,
@@ -663,6 +674,17 @@ def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
                  "spacing must be above 10.0 m", id="scenario-spacing-below-the-building-margins"),
     pytest.param(["scenario", "gen", "--spacing", 10, "--out", "{t}/scen.json"],
                  "spacing must be above 10.0 m", id="scenario-spacing-at-the-building-margins"),
+    # spacings whose world the coordinates cannot hold: rejected before it is built
+    pytest.param(["scenario", "gen", "--spacing", 10.000000000000002, "--out", "{t}/scen.json"],
+                 "spacing must leave buildings at least 8.34e-06 m wide (2**-23 of the 8x8 "
+                 "grid's extent), got 10.000000000000002",
+                 id="scenario-spacing-buildings-too-narrow-for-the-coordinates"),
+    pytest.param(["scenario", "gen", "--spacing", 1e300, "--out", "{t}/scen.json"],
+                 "spacing must keep the 8x8 grid within 4194304 m across, got 1e+300",
+                 id="scenario-spacing-1e300"),
+    pytest.param(["scenario", "gen", "--spacing", 1e308, "--out", "{t}/scen.json"],
+                 "spacing must keep the 8x8 grid within 4194304 m across, got 1e+308",
+                 id="scenario-spacing-1e308"),
     pytest.param(["plan", "--scenario", "{d}/scen.json", "--jobs", "{d}/no_sets.json",
                   "--out", "{t}/plan.json"],
                  "error: the jobs file holds no sets", id="plan-jobs-file-without-sets"),

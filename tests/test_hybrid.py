@@ -659,6 +659,168 @@ def test_candidate_splices_match_full_builds(case):
     _splices_match_full_builds(sc, dset, fleet, prioritize)
 
 
+def _full_step(ctx, current, truck_jobs):
+    """A greedy step's winner by full evaluation: every candidate built from
+    the depot and every drone scanned, the best of (reduction, -job id,
+    -drone id) over reductions above 1e-9. Returns (job, drone, launch
+    node, reduction), or None when no candidate reduces the total."""
+    fleet = ctx.fleet
+    assignments = {d: [] for d in current.free}
+    for s in current.sorties:
+        assignments[s.drone_id].append((s.job_id, s.launch_node))
+    best = None
+    for j in truck_jobs:
+        built = ctx.assemble(assignments, [x for x in truck_jobs if x != j])
+        if built is None:
+            continue
+        tx, ty = ctx.target_xy[j]
+        for d in sorted(built.free):
+            li, comp = kernels.best_sortie(
+                built.path_x, built.path_y, built.path, built.arrive, built.depart,
+                built.free[d], tx, ty,
+                fleet.drone_speed, fleet.drone_service, fleet.drone_endurance)
+            if li < 0:
+                continue
+            reduction = current.total - (built.truck_sum + built.drone_sum + comp)
+            if reduction > 1e-9 and (best is None or (reduction, -j, -d) > best[0]):
+                best = ((reduction, -j, -d), built.path[li])
+    if best is None:
+        return None
+    (reduction, j, d), lnode = best
+    return -j, -d, lnode, reduction
+
+
+def _recorded_steps(sc, dset, fleet, prioritize, bounds=_candidate_bounds):
+    """plan_hybrid with each greedy step recorded: the context, the state and
+    truck jobs it starts from, its pre-build candidate bounds (from
+    ``bounds``, which stands in for _candidate_bounds), the jobs of the
+    candidates it builds, in build order, and its commit (job, drone,
+    launch node), None for the last step."""
+    steps = []
+    assemble, commit = _PlanContext.assemble, _PlanContext.commit
+
+    def recorded_bounds(ctx, current, truck_jobs):
+        out = bounds(ctx, current, truck_jobs)
+        steps.append(dict(ctx=ctx, current=current, truck_jobs=list(truck_jobs),
+                          bounds=out, built=[], commit=None))
+        return out
+
+    def recorded_assemble(self, assignments, route, base=None, keep=0, resume=None):
+        if base is not None:
+            steps[-1]["built"].append(steps[-1]["truck_jobs"][keep])
+        return assemble(self, assignments, route, base, keep, resume)
+
+    def recorded_commit(self, built, drone, job, lnode):
+        steps[-1]["commit"] = (job, drone, lnode)
+        return commit(self, built, drone, job, lnode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hybridfleet.hybrid._candidate_bounds", recorded_bounds)
+        mp.setattr(_PlanContext, "assemble", recorded_assemble)
+        mp.setattr(_PlanContext, "commit", recorded_commit)
+        plan = plan_hybrid(sc, dset, fleet, prioritize)
+    return plan, steps
+
+
+def _assert_steps_match_full_evaluation(sc, dset, fleet, prioritize, bounds=_candidate_bounds):
+    """Every step commits the full evaluation's (job, drone, launch node),
+    and the last step, which commits nothing, has no reducing candidate.
+    Returns the recorded steps, each with its full evaluation added."""
+    plan, steps = _recorded_steps(sc, dset, fleet, prioritize, bounds)
+    assert steps and steps[-1]["commit"] is None
+    for step in steps:
+        full = step["full"] = _full_step(step["ctx"], step["current"], step["truck_jobs"])
+        assert (None if full is None else full[:3]) == step["commit"]
+    assert len(plan.sorties) == len(steps) - 1
+    return steps
+
+
+def _assert_built_in_bound_order(steps, service):
+    """Each step builds candidates best pre-build bound first, lowest job id
+    on equal bounds, and only ones whose bound reaches the step's winning
+    reduction (1e-9 in the last step); a bound equal to it only for a job id
+    below the winner's."""
+    for step in steps:
+        total = step["current"].total
+        bound_of = {j: total - (truck + drone + (free + service)) for j, (truck, drone, free)
+                    in zip(step["truck_jobs"], step["bounds"])}
+        built = [(-bound_of[j], j) for j in step["built"]]
+        assert built == sorted(built)
+        # with no winner, no job id is below -1
+        winner, floor = (step["full"][0], step["full"][3]) if step["full"] else (-1, 1e-9)
+        for j in step["built"]:
+            if j != winner:
+                assert bound_of[j] > floor or (bound_of[j] == floor and j < winner), (j, winner)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_greedy_steps_match_full_evaluation(block):
+    for case in range(100 * block, 100 * block + 100):
+        sc, dset, fleet, prioritize = random_world(case, max_drones=4)
+        fleet.drone_count = max(fleet.drone_count, 1)
+        _assert_steps_match_full_evaluation(sc, dset, fleet, prioritize)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_greedy_steps_match_full_evaluation_with_many_jobs_and_drones(case):
+    sc, dset, fleet, prioritize = random_world(case, max_jobs=41, max_drones=8)
+    fleet.drone_count = max(fleet.drone_count, 1)
+    _assert_steps_match_full_evaluation(sc, dset, fleet, prioritize)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_candidates_are_built_in_bound_order_down_to_the_winner(block):
+    for case in range(50 * block, 50 * block + 50):
+        sc, dset, fleet, prioritize = random_world(case, max_jobs=41, max_drones=8)
+        fleet.drone_count = max(fleet.drone_count, 1)
+        steps = _assert_steps_match_full_evaluation(sc, dset, fleet, prioritize)
+        _assert_built_in_bound_order(steps, fleet.drone_service)
+
+
+def _tie_bounds(variant):
+    """_candidate_bounds for the exact-tie world below. "natural" leaves it
+    as it is. "higher first" lowers job 1's truck bound by 1 s, so job 1's
+    candidate comes first. "lower at the floor" also gives job 0's
+    candidate its exact truck and drone sums and earliest free time, which
+    makes its bound equal its reduction. All stay lower bounds."""
+    def bounds(ctx, current, truck_jobs):
+        out = _candidate_bounds(ctx, current, truck_jobs)
+        if variant == "natural" or not {0, 1} <= set(truck_jobs):
+            return out
+        k1, k0 = truck_jobs.index(1), truck_jobs.index(0)
+        truck, drone, free = out[k1]
+        out[k1] = (truck - 1.0, drone, free)
+        if variant == "lower at the floor":
+            assignments = {d: [] for d in current.free}
+            built = ctx.assemble(assignments, [j for j in truck_jobs if j != 0])
+            out[k0] = (built.truck_sum, built.drone_sum, min(built.free.values()))
+        return out
+    return bounds
+
+
+@pytest.mark.parametrize("variant", ["natural", "higher first", "lower at the floor"])
+def test_exact_tie_goes_to_the_lower_job_id(variant):
+    # jobs 0 and 1 deliver to one building at the depot: removing either
+    # leaves the same tour, and the drone, free at 0, delivers at the
+    # depot's departure at 0, so both candidates reduce the total by the
+    # same float, and so does each scan's bound
+    sc = _road(4)
+    dset = _jobs((0.0, 0.0, S), (0.0, 0.0, S))
+    fleet = FleetConfig(drone_count=1, truck_speed=10.0)
+    steps = _assert_steps_match_full_evaluation(sc, dset, fleet, False, _tie_bounds(variant))
+    first = steps[0]
+    ctx, current = first["ctx"], first["current"]
+    candidates = {j: ctx.assemble({0: []}, [x for x in first["truck_jobs"] if x != j])
+                  for j in (0, 1)}
+    _assert_same_state(candidates[0], candidates[1])
+    reduction = current.total - (candidates[0].total + fleet.drone_service)
+    assert first["full"] == (0, 0, sc.depot, reduction)
+    # the scans' bound equals the reduction: the tie reaches every comparison
+    assert reduction == current.total - (candidates[0].total + (0.0 + fleet.drone_service))
+    assert first["built"] == ([0, 1] if variant == "natural" else [1, 0])
+    _assert_built_in_bound_order(steps, fleet.drone_service)
+
+
 def test_repeated_job_id_rejected():
     sc = _road(4)
     dset = DeliverySet(0, [DeliveryJob(1, 0, Point(100.0, 10.0), S),

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
 from hybridfleet.routing import routing_cache
-from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario,
+from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario, check_grid,
                                   generate_grid_scenario, load_scenario, los_blocked_many,
                                   nearest_nodes, save_scenario, scenario_from_dict,
                                   scenario_to_dict, validate_scenario)
@@ -55,6 +56,50 @@ def test_grid_spacing_must_leave_room_for_buildings():
     # without buildings a cell needs no room; just above the margins it has some
     assert generate_grid_scenario(3, 3, 5.0, 0, seed=1).buildings == []
     assert len(generate_grid_scenario(3, 3, 10.5, 2, seed=1).buildings) == 8
+
+
+@pytest.mark.parametrize("spacing", [10.000000000000002, 1e300, 1e308])
+def test_grid_spacing_the_coordinates_cannot_hold(spacing):
+    # each built a world that validate_scenario rejects, naming a building
+    # or the coordinates, not the spacing
+    for buildings in (0, 1):
+        if spacing < 11 and not buildings:
+            continue  # without buildings the narrow cells are fine
+        with pytest.raises(ParameterError, match=f"^spacing must .*, got {re.escape(str(spacing))}$"):
+            generate_grid_scenario(3, 3, spacing, buildings, seed=1)
+
+
+def _last_accepted(rows, cols, buildings, accepted, rejected):
+    """The spacing check_grid accepts next to the one it rejects, between
+    an accepted and a rejected spacing."""
+    def accepts(spacing):
+        try:
+            check_grid(rows, cols, spacing, buildings)
+        except ParameterError:
+            return False
+        return True
+
+    assert accepts(accepted) and not accepts(rejected)
+    while math.nextafter(accepted, rejected) != rejected:
+        mid = accepted + (rejected - accepted) / 2
+        if mid in (accepted, rejected):
+            mid = math.nextafter(accepted, rejected)
+        if accepts(mid):
+            accepted = mid
+        else:
+            rejected = mid
+    return accepted
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 3), (2, 9), (9, 9), (30, 30)])
+@pytest.mark.parametrize("buildings", [0, 1, 3])
+def test_grid_spacings_at_the_bounds_build_valid_worlds(rows, cols, buildings):
+    spacings = [_last_accepted(rows, cols, buildings, 100.0, 1e300)]
+    if buildings:
+        spacings.append(_last_accepted(rows, cols, buildings, 100.0, 10.0))
+    for spacing in spacings:
+        for seed in range(3):
+            validate_scenario(generate_grid_scenario(rows, cols, spacing, buildings, seed))
 
 
 @pytest.mark.parametrize("seed", range(8))
