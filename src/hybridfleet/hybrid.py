@@ -614,14 +614,14 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     positions distinct and inside the path, sorties with a fleet drone and
     nodes on the path) is returned alone, so no later check follows a bad
     index. A ``dset`` of None skips the per-job checks (coverage, sortie
-    targets, truck-stop nodes, medical stops first). The timetable must be
-    bit-equal to the planner's fold of the road's edge times and the truck
-    service at the stops, and each completion must be its stop's departure
-    or its sortie's delivery plus drone service. Each drone's sorties, in
-    launch order, must equal field for field what the planner's ``_fly``
-    gives on that timetable for their launch nodes and targets, the drone
-    free at 0 and then one turnaround after each rendezvous. ``simulate``
-    executes only plans that pass.
+    targets, truck-stop nodes, medical stops first along the path). The
+    timetable must be bit-equal to the planner's fold of the road's edge
+    times and the truck service at the stops, and each completion must be
+    its stop's departure or its sortie's delivery plus drone service. Each
+    drone's sorties, in launch order, must equal field for field what the
+    planner's ``_fly`` gives on that timetable for their launch nodes and
+    targets, the drone free at 0 and then one turnaround after each
+    rendezvous. ``simulate`` executes only plans that pass.
     """
     validate_fleet(fleet)
     g = scenario.graph
@@ -679,7 +679,7 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
         if plan.prioritized:
             medical = {j.id for j in dset.jobs if j.category == Category.MEDICAL}
             seen_standard = False
-            for j in plan.truck_stops:
+            for _, j in sorted(stop_at.items()):  # in path order
                 if j in medical and seen_standard:
                     problems.append("medical truck stop after a standard one")
                     break

@@ -273,14 +273,17 @@ def nearest_neighbor_order(matrix):
 
 
 def two_opt(matrix, order, closed):
-    """First-improvement 2-opt sweeps until no move improves.
+    """First-improvement 2-opt sweeps until no move improves, or until a
+    sweep's moves leave the tour's cost no lower.
 
     order[0] stays fixed; order is reversed in place. Works on both open
-    paths and closed tours; requires a symmetric cost matrix.
+    paths and closed tours; requires a symmetric cost matrix. The second
+    stop rule ends the loop on large costs, where a move's delta carries
+    more rounding than eps and tied moves would otherwise repeat forever:
+    every further sweep strictly lowers the cost, so no order comes twice.
     """
     n = len(order)
-    if n < 3:
-        return tour_cost(matrix, order, closed)
+    cost = tour_cost(matrix, order, closed)
     eps = 1e-9
     improved = True
     while improved:
@@ -302,7 +305,10 @@ def two_opt(matrix, order, closed):
                 if delta < -eps:
                     order[i + 1:j + 1] = order[j:i:-1]
                     improved = True
-    return tour_cost(matrix, order, closed)
+        if improved:
+            last, cost = cost, tour_cost(matrix, order, closed)
+            improved = cost < last
+    return cost
 
 
 def held_karp(matrix, closed):
@@ -315,8 +321,6 @@ def held_karp(matrix, closed):
     """
     n = len(matrix)
     order = [0]
-    if n == 1:
-        return order, 0.0
     m = n - 1
     size = 1 << m
     g = [[matrix[j + 1][0] if closed else 0.0 for j in range(m)]]

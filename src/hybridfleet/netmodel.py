@@ -191,7 +191,9 @@ def run_cam_traffic(trace: DeliveryTrace, scenario: Scenario, mac: MacModel,
     instants; stowed drones do not transmit. Deterministic for a fixed seed.
     Each MAC model supplies its schedule and collision rule (see MODELS),
     drawing from its own generator; the channel stage and the result columns
-    are shared.
+    are shared: LOS, success probability and the (sender, period) channel
+    draw of every hop, hop h on channel stream h. A trace whose senders
+    send no beacon takes the same path and gives empty columns.
     """
     if not trace.events:
         raise ParameterError("trace is empty")
@@ -204,10 +206,16 @@ def run_cam_traffic(trace: DeliveryTrace, scenario: Scenario, mac: MacModel,
     period_s = period_ms / 1000.0
     sched = spec.schedule(trace, scenario, mac, cfg, seed, generator(seed, spec.tag),
                           windows, senders, period_s)
-    if sched is None:
-        return _empty_stats(mac.name, size_bytes)
-    return _evaluate(mac.name, trace, scenario, cfg, seed, senders, period_s,
-                     size_bytes, sched)
+    n_periods = _n_periods(trace, period_s)
+    k = np.clip(sched.period, 0, n_periods - 1)
+    los = [~los_blocked_many(scenario, a, b) for a, b in sched.hops]
+    delivered = sched.ok
+    for stream, (a, b), hop_los in zip((_STREAM_CHANNEL, _STREAM_CHANNEL2), sched.hops,
+                                       los):
+        u = _channel_uniforms(seed, stream, len(senders), n_periods)
+        delivered = delivered & (u[sched.sidx, k] <= _success_probs(cfg, a, b, hop_los))
+    return _collect(mac.name, senders, sched.sidx, sched.gen, delivered,
+                    sched.latency_ms, los[0], size_bytes)
 
 
 class _Schedule(NamedTuple):
@@ -218,22 +226,6 @@ class _Schedule(NamedTuple):
     hops: list[tuple[np.ndarray, np.ndarray]]   # (tx, rx) positions per radio hop
     ok: np.ndarray                   # survived medium access
     latency_ms: np.ndarray
-
-
-def _evaluate(name, trace, scenario, cfg, seed, senders, period_s, size_bytes,
-              sched: _Schedule) -> NetStats:
-    """Shared tail: LOS, success probability and the (sender, period) channel
-    draw of every hop, then the result columns. Hop h uses channel stream h."""
-    n_periods = _n_periods(trace, period_s)
-    k = np.clip(sched.period, 0, n_periods - 1)
-    los = [~los_blocked_many(scenario, a, b) for a, b in sched.hops]
-    delivered = sched.ok
-    for stream, (a, b), hop_los in zip((_STREAM_CHANNEL, _STREAM_CHANNEL2), sched.hops,
-                                       los):
-        u = _channel_uniforms(seed, stream, len(senders), n_periods)
-        delivered = delivered & (u[sched.sidx, k] <= _success_probs(cfg, a, b, hop_los))
-    return _collect(name, senders, sched.sidx, sched.gen, delivered,
-                    sched.latency_ms, los[0], size_bytes)
 
 
 def _interp_positions(trace: DeliveryTrace, vehicle: str, times: np.ndarray) -> np.ndarray:
@@ -310,20 +302,18 @@ def _phase_gen_times(windows, phase: float, period_s: float) -> np.ndarray:
 
 def _phase_beacons(trace: DeliveryTrace, windows, senders, seed: int,
                    period_s: float):
-    """Beacons generated at each sender's phase: (gen, sidx, spos) or None.
+    """Beacons generated at each sender's phase: (gen, sidx, spos).
 
     gen holds the generation instants inside each sender's airborne windows,
     sidx the sender index of each, spos the sender position at that instant;
-    all are ordered by (time, sender). None when no beacon is generated.
+    all are ordered by (time, sender), and empty when no beacon is generated.
     """
     phases = _sender_phases(seed, len(senders), period_s)
-    gen, sidx = [], []
+    gen, sidx = [np.empty(0)], [np.empty(0, np.int64)]
     for i, s in enumerate(senders):
         ts = _phase_gen_times(windows[s], phases[i], period_s)
         gen.append(ts)
         sidx.append(np.full(ts.size, i, np.int64))
-    if sum(t.size for t in gen) == 0:
-        return None
     gen = np.concatenate(gen)
     sidx = np.concatenate(sidx)
     order = np.lexsort((sidx, gen))
@@ -349,19 +339,10 @@ def _collect(model_name, senders, sidx, gen, delivered, latency_ms, los,
                     latency_ms[order], los[order], size_bytes)
 
 
-def _empty_stats(name: str, size_bytes: int) -> NetStats:
-    return NetStats(name, [], np.empty(0, np.int64), np.empty(0, np.int64),
-                    np.empty(0), np.empty(0, bool), np.empty(0), np.empty(0, bool),
-                    size_bytes)
-
-
 def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, rng, windows,
-                          senders, period_s) -> _Schedule | None:
+                          senders, period_s) -> _Schedule:
     """Granted uplink: no contention; sender -> base station -> truck."""
-    beacons = _phase_beacons(trace, windows, senders, seed, period_s)
-    if beacons is None:
-        return None
-    gen, sidx, spos = beacons
+    gen, sidx, spos = _phase_beacons(trace, windows, senders, seed, period_s)
     n = gen.size
     rxpos = _interp_positions(trace, "truck", gen)
     bs = scenario.base_station
@@ -373,11 +354,8 @@ def _centralized_schedule(trace, scenario, mac: Centralized, cfg, seed, rng, win
 
 
 def _csma_schedule(trace, scenario, mac: Csma, cfg, seed, rng, windows, senders,
-                   period_s) -> _Schedule | None:
-    beacons = _phase_beacons(trace, windows, senders, seed, period_s)
-    if beacons is None:
-        return None
-    gen, sidx, spos = beacons
+                   period_s) -> _Schedule:
+    gen, sidx, spos = _phase_beacons(trace, windows, senders, seed, period_s)
     air_s = mac.airtime_ms * 1e-3
     cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
     backoffs = rng.integers(0, mac.cw_slots + 1, gen.size)
@@ -493,7 +471,7 @@ def _defer(gen: float, aifs_s: float, slots: float, slot_s: float,
 
 
 def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
-                  period_s) -> _Schedule | None:
+                  period_s) -> _Schedule:
     """Slot choices and lifetimes draw from one stream in (period, phase,
     sender) order, which fixes every slot. The loop keeps that order but
     visits only the periods where something is decided: where a sender's
@@ -505,8 +483,6 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
     if abs(mac.n_slots * mac.slot_ms - period_s * 1000.0) > 1e-9:
         raise ParameterError("Sps slot grid must span exactly one CAM period")
     n_senders = len(senders)
-    if n_senders == 0:
-        return None
     slot_s = mac.slot_ms / 1000.0
     cs2 = cfg.carrier_sense_m * cfg.carrier_sense_m  # inf where ** 2 raises OverflowError
     # per sender: its track's knots and coordinates as lists, for _track_at
@@ -566,7 +542,7 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
         return max(int(rng.integers(mac.keep_min, mac.keep_max + 1)), 1)
 
     i = 0
-    while (k := min(visits[i], *due)) < n_periods:
+    while (k := min([visits[i], *due])) < n_periods:
         if visits[i] == k:
             i += 1
         t_p = t_period_l[k]
@@ -597,8 +573,6 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
     run_sidx, run_slot, run_first, run_end = np.array(runs, np.int64).reshape(-1, 4).T
     length = run_end - run_first
     n = int(length.sum())
-    if n == 0:
-        return None
     sidx = np.repeat(run_sidx, length)
     msg_slot = np.repeat(run_slot, length)
     period = np.repeat(run_first - (np.cumsum(length) - length), length) + np.arange(n)
@@ -623,7 +597,7 @@ def _sps_schedule(trace, scenario, mac: Sps, cfg, seed, rng, windows, senders,
 class _ModelSpec(NamedTuple):
     params: type                     # the model's parameter dataclass
     tag: int                         # its random stream, in a run and in model_seed
-    schedule: Callable[..., _Schedule | None]   # called by run_cam_traffic
+    schedule: Callable[..., _Schedule]   # called by run_cam_traffic
 
 
 # The one list of MAC models: every lookup by name, each model's random

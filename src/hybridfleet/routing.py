@@ -169,8 +169,6 @@ def tsp_exact(matrix: list[list[float]], closed: bool = True) -> tuple[list[int]
 def tsp_heuristic(matrix: list[list[float]], closed: bool = True) -> tuple[list[int], float]:
     """Nearest-neighbor construction from stop 0 plus 2-opt to a local
     optimum, over the cost matrix (a list of rows)."""
-    if len(matrix) == 1:
-        return [0], 0.0
     order = kernels.nearest_neighbor_order(matrix)
     return order, kernels.two_opt(matrix, order, closed)
 
@@ -220,8 +218,6 @@ def plain_schedule(scenario: Scenario, dset: DeliverySet, nodes_of: dict[int, in
     depot, ignoring categories; nodes_of and truck_speed as for
     ``priority_schedule``."""
     jobs = [j.id for j in dset.jobs]
-    if not jobs:
-        return []
     mat = travel_time_matrix(scenario, [scenario.depot] + [nodes_of[j] for j in jobs],
                              truck_speed)
     order, _ = _solve(mat, True, solver)

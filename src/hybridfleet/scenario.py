@@ -70,23 +70,13 @@ class Building:
 
     def centroid(self) -> Point:
         # area centroid of the simple polygon
-        a = 0.0
-        cx = 0.0
-        cy = 0.0
         pts = self.footprint
-        for i in range(len(pts)):
-            p = pts[i]
-            q = pts[(i + 1) % len(pts)]
-            cross = p.x * q.y - q.x * p.y
-            a += cross
-            cx += (p.x + q.x) * cross
-            cy += (p.y + q.y) * cross
-        if a == 0.0:
+        a2, cx, cy = _shoelace(pts)
+        if a2 == 0.0:
             xs = [p.x for p in pts]
             ys = [p.y for p in pts]
             return Point(sum(xs) / len(xs), sum(ys) / len(ys))
-        a *= 0.5
-        return Point(cx / (6.0 * a), cy / (6.0 * a))
+        return Point(pts[0].x + cx / (3.0 * a2), pts[0].y + cy / (3.0 * a2))
 
 
 @dataclass
@@ -314,12 +304,24 @@ def _footprint_checks(buildings: list[Building], depot: Point
     return simple, holds
 
 
+def _shoelace(pts: list[Point]) -> tuple[float, float, float]:
+    """Twice the polygon's signed area and its first moments times six, all
+    relative to its first vertex, so coordinates far from the origin keep
+    their precision: the centroid is that vertex plus the moments over
+    three times the first value."""
+    a2 = cx = cy = 0.0
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        px, py = p.x - pts[0].x, p.y - pts[0].y
+        qx, qy = q.x - pts[0].x, q.y - pts[0].y
+        cross = px * qy - qx * py
+        a2 += cross
+        cx += (px + qx) * cross
+        cy += (py + qy) * cross
+    return a2, cx, cy
+
+
 def _signed_area(pts: list[Point]) -> float:
-    s = 0.0
-    for i in range(len(pts)):
-        p, q = pts[i], pts[(i + 1) % len(pts)]
-        s += p.x * q.y - q.x * p.y
-    return 0.5 * s
+    return 0.5 * _shoelace(pts)[0]
 
 
 def validate_scenario(sc: Scenario) -> None:

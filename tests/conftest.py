@@ -1,4 +1,6 @@
 import heapq
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -6,6 +8,34 @@ from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.rng import generator
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
+
+
+class _DeadlineExceeded(BaseException):
+    """Not an Exception, so the per-run ``except Exception`` of a sweep does
+    not swallow it."""
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the test once the enclosed block has run for seconds of wall
+    time, so a hang fails its test instead of stalling the suite. Uses
+    SIGALRM, so it works only in the main thread and on POSIX."""
+    def expire(signum, frame):
+        raise _DeadlineExceeded
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _DeadlineExceeded:
+        pass  # failed below, outside this handler: the interrupted frame
+        # may carry no line number, which pytest cannot format
+    else:
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    pytest.fail(f"did not finish within {seconds} s", pytrace=False)
 
 
 def line_scenario(n_nodes=11, spacing=100.0, speed=10.0) -> Scenario:

@@ -9,6 +9,8 @@ from hybridfleet import cli, experiment
 from hybridfleet.cli import main
 from hybridfleet.scenario import MAX_BUILDINGS, MAX_NODES
 
+from conftest import deadline
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -251,6 +253,28 @@ def test_slow_truck_sweep_exit_2_before_the_capacity_curve(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_truck_at_3e_6_mps_sweep_ends_and_exits_2(tmp_path, capsys):
+    # travel times near 1e8 s: 2-opt's move deltas carry more rounding than
+    # its eps, and moves that tie kept it sweeping forever
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fleet": {"truck_speed": 3e-6}}))
+    with deadline(30):
+        assert run("sweep", "--config", cfg, "--sets", 1, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "past the capacity curve's horizon of 604800.0 s" in err
+    assert "Traceback" not in err
+
+
+def test_plan_on_roads_at_3e_6_mps_ends(workdir, tmp_path):
+    data = json.loads((workdir / "scen.json").read_text())
+    for edge in data["edges"]:
+        edge["speed_mps"] = 3e-6
+    (tmp_path / "slow.json").write_text(json.dumps(data))
+    with deadline(30):
+        assert run("plan", "--scenario", tmp_path / "slow.json", "--jobs",
+                   workdir / "jobs15.json", "--out", tmp_path / "plan.json") == 0
+
+
 @pytest.mark.parametrize("out", ["f", "f/o"])
 def test_sweep_out_under_a_regular_file_exits_2_before_the_sweep(tmp_path, capsys,
                                                                   monkeypatch, out):
@@ -457,6 +481,47 @@ def test_simulate_with_another_set_exit_2(chain, tmp_path, capsys):
     assert "chain_plan.json does not fit set 1 of" in err
     assert ": job 0: " in err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def _medical_ids(workdir):
+    return {j["id"] for j in json.loads((workdir / "jobs.json").read_text())[0]["jobs"]
+            if j["category"] == "medical"}
+
+
+def test_prioritized_plan_serving_a_standard_stop_first_exit_2(workdir, tmp_path, capsys):
+    """A plain plan, relabelled prioritized with its medical stops listed
+    first: the check follows the path, not the listing."""
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--no-prioritize", "--out", tmp_path / "plan.json") == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    medical = _medical_ids(workdir)
+    stops = plan["truck"]["stops"]
+    on_path = [s["job"] in medical for s in sorted(stops, key=lambda s: s["path_index"])]
+    assert on_path != sorted(on_path, reverse=True)  # a standard stop comes first
+    plan["truck"]["stops"] = sorted(stops, key=lambda s: s["job"] not in medical)
+    plan["prioritized"] = True
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run("simulate", "--scenario", workdir / "scen.json", "--plan", tmp_path / "plan.json",
+               "--jobs", workdir / "jobs.json", "--out", tmp_path / "trace.csv") == 2
+    assert "medical truck stop after a standard one" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_prioritized_plan_listed_out_of_path_order_passes(workdir, tmp_path):
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--prioritize", "--drones", 1, "--out", tmp_path / "plan.json") == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert plan["prioritized"] and len(plan["truck"]["stops"]) > 1
+    plan["truck"]["stops"].reverse()
+    (tmp_path / "reversed.json").write_text(json.dumps(plan))
+    for name in ("plan", "reversed"):
+        assert run("simulate", "--scenario", workdir / "scen.json", "--plan",
+                   tmp_path / f"{name}.json", "--jobs", workdir / "jobs.json",
+                   "--out", tmp_path / f"{name}.csv") == 0
+    for suffix in (".csv", ".csv.traj.json"):
+        assert (tmp_path / f"reversed{suffix}").read_bytes() == \
+            (tmp_path / f"plan{suffix}").read_bytes()
 
 
 def test_plan_breaking_an_invariant_exit_1(workdir, tmp_path, monkeypatch, capsys):

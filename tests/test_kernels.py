@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hybridfleet import kernels, netmodel
@@ -27,6 +27,8 @@ from hybridfleet.jobs import generate_delivery_sets
 from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_grid_scenario,
                                  los_blocked_many, scenario_from_dict, scenario_to_dict)
 from hybridfleet.simcore import simulate
+
+from conftest import deadline
 
 
 def random_matrix(rng, n):
@@ -58,6 +60,54 @@ def test_two_opt_not_worse_than_nearest_neighbor():
         order = kernels.nearest_neighbor_order(m)
         nn_cost = kernels.tour_cost(m, order.copy(), True)
         assert kernels.two_opt(m, order, True) <= nn_cost + 1e-9
+
+
+# Travel times of about 5e8 s (roads at 3e-6 m/s): every move's delta is 0 in
+# exact arithmetic, but (x + y) - x - y rounds below -eps, so the tied moves
+# kept setting the improved flag and 2-opt never ended.
+_ROUNDING_TIES = [[0.0, 580285491.5, 406117996.6],
+                  [580285491.5, 0.0, 405089172.2],
+                  [406117996.6, 405089172.2, 0.0]]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_two_opt_ends_when_rounding_makes_moves_look_improving(closed):
+    order = [0, 1, 2]
+    with deadline(5):
+        cost = kernels.two_opt(_ROUNDING_TIES, order, closed)
+    assert sorted(order) == [0, 1, 2] and order[0] == 0
+    assert cost == kernels.tour_cost(_ROUNDING_TIES, order, closed)
+
+
+# no shrink phase: each shrink step of a hanging example would wait out the deadline
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+           st.floats(0.0, 1.0), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+       .map(lambda upper: (n, upper))),
+       st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12]), st.booleans())
+def test_two_opt_ends_on_symmetric_matrices_of_any_scale(shape, scale, closed):
+    """2-opt from the nearest-neighbour tour ends, on a permutation from city 0,
+    with its cost; it is no worse than where it started, up to the rounding
+    of the moves it made."""
+    n, upper = shape
+    m = [[0.0] * n for _ in range(n)]
+    for (i, j), v in zip(itertools.combinations(range(n), 2), upper):
+        m[i][j] = m[j][i] = v * scale
+    order = kernels.nearest_neighbor_order(m)
+    start = kernels.tour_cost(m, order, closed)
+    with deadline(2):
+        cost = kernels.two_opt(m, order, closed)
+    assert sorted(order) == list(range(n)) and order[0] == 0
+    assert cost == kernels.tour_cost(m, order, closed)
+    assert cost <= start + n * 1e-12 * scale
+
+
+def test_single_city_tours_take_the_general_path():
+    assert kernels.nearest_neighbor_order([[0.0]]) == [0]
+    for closed in (True, False):
+        assert kernels.two_opt([[0.0]], [0], closed) == 0.0
+        assert kernels.held_karp([[0.0]], closed) == ([0], 0.0)
 
 
 def test_held_karp_vs_enumeration():

@@ -673,6 +673,24 @@ def test_sps_window_edges_match_oracle(tmp_path, seed, windows, period, allowed)
     assert 2 <= len(slots) < 4
 
 
+@pytest.mark.parametrize("mac", [Centralized(), Csma(), Sps()], ids=lambda mac: mac.name)
+def test_senders_that_send_nothing_take_the_general_path(tmp_path, mac):
+    """One drone airborne for 50 ms between two period starts. SPS never
+    gives it a slot, as a sender holds one only while airborne at a period
+    start; the phase models send one beacon when the drone's phase falls in
+    the window and none otherwise. Either way the run equals the oracle."""
+    trace = _hover_trace([(0.12, 0.17)], 1)
+    sc = line_scenario(5, 100.0, 10.0)
+    runs = [_assert_matches_oracle(trace, sc, mac, ChannelConfig(), 100.0, seed, tmp_path)
+            for seed in range(8)]
+    assert all(stats.senders == ["drone0"] for stats in runs)
+    sent = {stats.sent for stats in runs}
+    assert sent == ({0} if mac.name == "sps" else {0, 1})
+    for stats in runs:
+        if stats.sent == 0:
+            assert (stats.delivered, stats.pdr, stats.latencies_ms.size) == (0, 1.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # the scalar track evaluator of SPS slot selection
 

@@ -18,7 +18,7 @@ from hybridfleet.routing import (RoutingCache, job_nodes, largest_tour,
 from hybridfleet.scenario import (DEFAULT_SPEED_MPS, Edge, Point, RoadGraph, Scenario,
                                   generate_grid_scenario, validate_scenario)
 
-from conftest import job_at, truck_dijkstra
+from conftest import job_at, line_scenario, truck_dijkstra
 
 
 def brute_force_tsp(matrix, closed):
@@ -316,6 +316,15 @@ def test_tsp_exact_single_city():
     order, cost = tsp_exact(np.zeros((1, 1)), closed=True)
     assert order == [0]
     assert cost == 0.0
+
+
+@pytest.mark.parametrize("solver", ["exact", "heuristic"])
+def test_single_stop_and_empty_set_take_the_general_path(solver):
+    solve = tsp_exact if solver == "exact" else tsp_heuristic
+    for closed in (True, False):
+        assert solve([[0.0]], closed) == ([0], 0.0)
+    sc = line_scenario(3, 100.0, 10.0)
+    assert plain_schedule(sc, DeliverySet(0, []), {}, 10.0, solver) == []
 
 
 @pytest.mark.parametrize("closed", [True, False])

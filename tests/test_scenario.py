@@ -8,10 +8,10 @@ import pytest
 
 from hybridfleet.errors import InvariantViolation, ParameterError, ParseError
 from hybridfleet.routing import routing_cache
-from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario, check_grid,
-                                  generate_grid_scenario, load_scenario, los_blocked_many,
-                                  nearest_nodes, save_scenario, scenario_from_dict,
-                                  scenario_to_dict, validate_scenario)
+from hybridfleet.scenario import (Edge, Point, RoadGraph, Scenario, _signed_area,
+                                  check_grid, generate_grid_scenario, load_scenario,
+                                  los_blocked_many, nearest_nodes, save_scenario,
+                                  scenario_from_dict, scenario_to_dict, validate_scenario)
 
 
 def test_grid_2x2_no_buildings():
@@ -217,6 +217,33 @@ def test_load_concave_footprint_accepted(tmp_path):
     path = tmp_path / "l.json"
     path.write_text(json.dumps(data))
     assert len(load_scenario(path).buildings) == 1
+
+
+def test_load_small_buildings_far_from_the_origin(tmp_path):
+    """4 m x 4 m buildings at UTM-like coordinates (x ~ 5e5 m, y ~ 5e6 m).
+    A shoelace over absolute coordinates put the first centroid 51 m off
+    centre, past the access-point limit; relative to the first vertex the
+    centroids are exact. The second footprint is listed clockwise."""
+    ox, oy = 5e5, 5e6
+    data = scenario_to_dict(generate_grid_scenario(2, 2, 100.0, 0, seed=1))
+    for node in data["nodes"]:
+        node["x"] += ox
+        node["y"] += oy
+    data["base_station"][0] += ox
+    data["base_station"][1] += oy
+    corners = [(500037.94, 5000066.11), (500060.25, 5000020.5)]
+    squares = [[[x, y], [x + 4.0, y], [x + 4.0, y + 4.0], [x, y + 4.0]] for x, y in corners]
+    squares[1].reverse()
+    data["buildings"] = [{"id": k, "footprint": square, "height_m": 10.0,
+                          "access": [x + 2.0, y + 2.0]}
+                         for k, (square, (x, y)) in enumerate(zip(squares, corners))]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    sc = load_scenario(path)
+    for b, (x, y) in zip(sc.buildings, corners):
+        assert _signed_area(b.footprint) == pytest.approx(16.0)  # counter-clockwise
+        c = b.centroid()
+        assert (c.x, c.y) == pytest.approx((x + 2.0, y + 2.0), rel=0, abs=1e-6)
 
 
 def test_save_load_round_trip(tmp_path):
