@@ -18,8 +18,8 @@ from .experiment import ExperimentConfig, run_experiment
 from .hybrid import (FleetConfig, check_new_plan, check_plan, first_problem, load_plan,
                      plan_hybrid, save_plan)
 from .jobs import generate_delivery_sets, load_sets, save_sets
-from .metrics import waiting_stats
-from .netmodel import MODELS, ChannelConfig, evaluate_links
+from .metrics import SUMMARY_COLUMNS, waiting_stats
+from .netmodel import MODELS, NET_SUMMARY_COLUMNS, ChannelConfig, evaluate_links
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import load_trace, save_trace, simulate
 
@@ -135,7 +135,7 @@ def _dispatch(args) -> int:
         plan = plan_hybrid(sc, dset, fleet, args.prioritize, args.solver)
         check_new_plan(plan, sc, dset, fleet)
         save_plan(plan, args.out, fleet)
-        print(f"wrote {args.out}: {len(plan.truck_stops)} truck stops, "
+        print(f"wrote {args.out}: {len(plan.stop_positions)} truck stops, "
               f"{len(plan.sorties)} sorties, objective {plan.objective:.1f} s")
         return 0
 
@@ -216,8 +216,7 @@ def _sweep_config(args) -> ExperimentConfig:
 
 def _report(in_dir: str) -> int:
     summary_path = os.path.join(in_dir, "summary.csv")
-    rows = fields.read_csv(summary_path, ["drones", "prioritized", "category", "mean_s",
-                                          "median_s", "capacity_20min"])
+    rows = fields.read_csv(summary_path, SUMMARY_COLUMNS)
     print(f"{'drones':>6} {'prio':>5} {'category':>9} {'mean_s':>9} "
           f"{'median_s':>9} {'cap@20min':>9}")
     for i, r in enumerate(rows, 1):
@@ -228,8 +227,7 @@ def _report(in_dir: str) -> int:
     net_path = os.path.join(in_dir, "net_summary.csv")
     if os.path.exists(net_path):
         print()
-        for i, r in enumerate(fields.read_csv(net_path, ["model", "sent", "pdr", "lat_p50_ms",
-                                                         "lat_p95_ms"]), 1):
+        for i, r in enumerate(fields.read_csv(net_path, NET_SUMMARY_COLUMNS), 1):
             pdr = fields.csv_number(net_path, i, r, "pdr")
             # the latency cells are empty when no beacon arrived
             p50, p95 = (f"{fields.csv_number(net_path, i, r, c):.3f}" if r[c] else "-"

@@ -25,7 +25,7 @@ from .metrics import (summarize_sweep, waiting_stats, write_capacity_curves_csv,
                       write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
-from .routing import check_exact_size, largest_tour
+from .routing import check_exact_size, largest_tour, routing_cache
 from .scenario import check_grid, generate_grid_scenario, load_scenario, save_scenario
 from .simcore import completion_times, save_trace, simulate
 
@@ -263,6 +263,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # the sweep's own runs (workers=1) and the net phase share this world and
     # its routing cache
     _, scenario, dsets = _world(_config_json(cfg))
+    # a road whose truck times overflow would fail every run, so it fails here, with exit 2
+    routing_cache(scenario, cfg.fleet_for(0).truck_speed)
     sweep, failures = run_sweep(cfg)
     summary = summarize_sweep(sweep) if sweep else None
 

@@ -1,4 +1,7 @@
-"""Typed readers for the package's input files.
+"""The package's file encodings, and typed readers for its input files.
+
+Only this module opens files: JSON by read_json and write_json, CSV by read_csv and
+write_csv, all as UTF-8.
 
 A reader takes a decoded JSON value and ``where``, its JSON path (``scenario.nodes[3].id``),
 and returns the value or raises ``ParseError("<where>: must be <kind>, got <value>")``. It
@@ -35,6 +38,14 @@ def write_json(data, path, **dump_kwargs) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f, **dump_kwargs)
         f.write("\n")
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write the header columns, then rows of cells, to path (csv writes a float as its repr)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
 
 
 def read_csv(path, columns) -> list[dict]:

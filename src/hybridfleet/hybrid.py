@@ -86,14 +86,22 @@ class TruckTimetable:
 
 @dataclass
 class HybridPlan:
-    truck_stops: list[int]             # job ids in truck service order
-    stop_positions: dict[int, int]     # job id -> path position
+    stop_positions: dict[int, int]     # job id -> path position, in truck service order
     timetable: TruckTimetable
     sorties: list[Sortie]
     completion: dict[int, float]       # job id -> predicted completion (s)
     prioritized: bool
-    objective: float                   # sum of completions
+    objective: float                   # sum of completions, as plan_objective adds them
     makespan: float                    # truck's depot-return time
+
+
+def plan_objective(completion: dict[int, float], stops, sorties: list[Sortie]) -> float:
+    """The stops' and sorties' jobs' completions (NaN where missing), summed as the planner
+    sums them: the stops' by math.fsum, then the sorties' in (drone, launch time) order."""
+    drone_sum = 0.0
+    for s in sorted(sorties, key=lambda s: (s.drone_id, s.launch_time)):
+        drone_sum += completion.get(s.job_id, math.nan)
+    return math.fsum([completion.get(j, math.nan) for j in stops]) + drone_sum
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +597,6 @@ def _plan_of(current: _Built, truck_jobs: list[int], prioritize: bool,
     # the plan owns its lists and sorties: states and other plans share them
     sorties = sorted(map(replace, current.sorties), key=lambda s: (s.drone_id, s.launch_time))
     return HybridPlan(
-        truck_stops=list(truck_jobs),
         stop_positions=dict(zip(truck_jobs, current.stop_pos)),
         timetable=TruckTimetable(list(current.path), list(current.arrive),
                                  list(current.depart)),
@@ -621,7 +628,9 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     drone's sorties, in launch order, must equal field for field what the
     planner's ``_fly`` gives on that timetable for their launch nodes and
     targets, the drone free at 0 and then one turnaround after each
-    rendezvous. ``simulate`` executes only plans that pass.
+    rendezvous. The objective must be ``plan_objective`` of the completions,
+    bit for bit, and the makespan the last arrival. A job served twice is a
+    problem with or without ``dset``. ``simulate`` executes only plans that pass.
     """
     validate_fleet(fleet)
     g = scenario.graph
@@ -656,13 +665,13 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
     if problems:
         return problems
 
+    served = [*plan.stop_positions, *(s.job_id for s in plan.sorties)]
+    if len(set(served)) < len(served):
+        problems.append("a job is served more than once")
     if dset is not None:
-        served = set(plan.truck_stops) | {s.job_id for s in plan.sorties}
         all_jobs = {j.id for j in dset.jobs}
-        if served != all_jobs:
-            problems.append(f"served jobs {sorted(served)} != set jobs {sorted(all_jobs)}")
-        if len(plan.truck_stops) + len(plan.sorties) != len(all_jobs):
-            problems.append("a job is served more than once")
+        if set(served) != all_jobs:
+            problems.append(f"served jobs {sorted(set(served))} != set jobs {sorted(all_jobs)}")
         sortie_of = {s.job_id: s for s in plan.sorties}
         node_of = job_nodes(scenario, dset)
         for j in dset.jobs:
@@ -717,6 +726,12 @@ def check_plan(plan: HybridPlan, scenario: Scenario, dset: DeliverySet | None,
             problems.append(f"job {s.job_id}: sortie is not the planner's flight from its "
                             f"launch node to its target: {why}")
         free[s.drone_id] = s.rendezvous_time + fleet.turnaround
+    # the plan-wide figures last: a wrong time above may break them too
+    objective = plan_objective(want, plan.stop_positions, plan.sorties)
+    if plan.objective != objective:
+        problems.append(f"objective {plan.objective} is not {objective}, the completions' sum")
+    if plan.makespan != arrive[-1]:
+        problems.append(f"makespan {plan.makespan} is not {arrive[-1]}, the last arrival")
     return problems
 
 
@@ -743,8 +758,7 @@ def plan_to_dict(plan: HybridPlan, fleet: FleetConfig) -> dict:
     tt = plan.timetable
     return {
         "truck": {
-            "stops": [{"job": j, "path_index": plan.stop_positions[j]}
-                      for j in plan.truck_stops],
+            "stops": [{"job": j, "path_index": pos} for j, pos in plan.stop_positions.items()],
             "node_path": list(tt.nodes),
             "timetable": [[a, d] for a, d in zip(tt.arrive, tt.depart)],
         },
@@ -779,12 +793,16 @@ def plan_from_dict(data) -> tuple[HybridPlan, FleetConfig | None]:
         raise ParseError(f"plan.truck: timetable has {len(rows)} rows for a node_path of "
                          f"{len(nodes)} nodes (at least 1)")
     arrive, depart = (list(column) for column in zip(*rows))
+    stop_positions = {}
+    for i, (j, pos) in enumerate(stops):
+        if j in stop_positions:
+            raise ParseError(f"plan.truck.stops[{i}].job: job {j} is already a stop")
+        stop_positions[j] = pos
     sorties = fields.get(data, "sorties", "plan", fields.list_of(_sortie), [])
-    plan = HybridPlan([j for j, _ in stops], dict(stops), TruckTimetable(nodes, arrive, depart),
-                      sorties, completion,
+    plan = HybridPlan(stop_positions, TruckTimetable(nodes, arrive, depart), sorties, completion,
                       fields.get(data, "prioritized", "plan", fields.boolean, False),
                       fields.get(data, "objective", "plan", fields.finite,
-                                 float(sum(completion.values()))),
+                                 plan_objective(completion, stop_positions, sorties)),
                       fields.get(data, "makespan", "plan", fields.finite, arrive[-1]))
     return plan, fields.get(data, "fleet", "plan", read_fleet, None)
 

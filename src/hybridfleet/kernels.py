@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Always False: the kernels run as plain Python. perfbench's machine stamp reads it.
 JIT_ENABLED = False
 
@@ -131,9 +133,10 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
                       bb_minx, bb_maxx, bb_miny, bb_maxy):
     """True per segment iff it pierces any extruded building footprint.
 
-    First clips every segment's parameter range once to altitudes [0, top],
-    top the tallest roof; a segment whose range comes out empty is blocked
-    by no building, and the rest (the live segments) go on. Then loops over
+    The coordinates must be finite, or it raises ParameterError. First clips
+    every segment's parameter range once to altitudes [0, top], top the
+    tallest roof; a segment whose range comes out empty is blocked by no
+    building, and the rest (the live segments) go on. Then loops over
     buildings and tests the live segments at once. Against building b, only
     candidates are tested: live segments that are not yet blocked, whose
     bounding box overlaps b's and does not pass wholly above b's roof. A
@@ -153,6 +156,8 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     the first clip and the narrowed box drop only segments that the altitude
     clip or the slab would drop at every building.
     """
+    if not all(np.isfinite(c).all() for c in (ax, ay, az, bx, by, bz)):
+        raise ParameterError("segment coordinates must be finite")
     out = np.zeros(ax.shape[0], np.bool_)
     if offsets.shape[0] < 2:
         return out
@@ -160,12 +165,10 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
     # few ulps of the largest coordinate M in play (about 1e-15 * M), and
     # underflow by less than 1e-300. The pad 1e-6 * (1 + M) exceeds both by
     # orders of magnitude, so the slab cannot reject a segment the footprint
-    # tests would block; on a 1-km world it is 1 mm. fmax skips NaN (such a
-    # segment's slab bounds are NaN, which keeps it); an infinite coordinate
-    # makes the pad infinite, and then the slab rejects nothing.
-    pad = 1e-6 * (1.0 + max(np.fmax.reduce(np.abs(c), initial=0.0)
+    # tests would block; on a 1-km world it is 1 mm.
+    pad = 1e-6 * (1.0 + max(np.max(np.abs(c), initial=0.0)
                             for c in (ax, bx, ay, by, bb_minx, bb_maxx, bb_miny, bb_maxy)))
-    # the slab divides by e == 0, and an infinite coordinate gives inf - inf and inf * 0
+    # the slab divides by e == 0, and clip bounds that overflow give inf - inf and inf * 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t0, t1, empty = _altitude_clip(az, bz - az, np.fmax.reduce(heights))
         live = np.flatnonzero(~empty)

@@ -5,13 +5,13 @@ service time included.
 """
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import ParameterError, PlanConsistencyError
 from .jobs import Category, DeliverySet
 
@@ -122,21 +122,17 @@ def summarize_sweep(result: dict[tuple[int, bool, int], dict[str, list[float]]]
     return SweepSummary(out_rows, curves)
 
 
+SUMMARY_COLUMNS = ["drones", "prioritized", "category", "mean_s", "median_s", "capacity_20min"]
+
+
 def write_summary_csv(summary: SweepSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["drones", "prioritized", "category", "mean_s", "median_s",
-                    "capacity_20min"])
-        for row in summary.rows:
-            w.writerow([row["drones"], int(row["prioritized"]), row["category"],
-                        repr(row["mean_s"]), repr(row["median_s"]),
-                        repr(row["capacity_20min"])])
+    fields.write_csv(path, SUMMARY_COLUMNS, (
+        [row["drones"], int(row["prioritized"]), row["category"],
+         row["mean_s"], row["median_s"], row["capacity_20min"]] for row in summary.rows))
 
 
 def write_capacity_curves_csv(summary: SweepSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["drones", "prioritized", "minute", "fraction"])
-        for (drones, prio) in sorted(summary.capacity_curves):
-            for minute, frac in enumerate(summary.capacity_curves[(drones, prio)]):
-                w.writerow([drones, int(prio), minute, repr(frac)])
+    fields.write_csv(path, ["drones", "prioritized", "minute", "fraction"], (
+        [drones, int(prio), minute, frac]
+        for (drones, prio), curve in sorted(summary.capacity_curves.items())
+        for minute, frac in enumerate(curve)))

@@ -16,17 +16,17 @@ collision rules. No retransmissions are modeled in any scheme.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from . import fields
 from .errors import ConfigError, ParameterError
 from .rng import generator, mix
 from .scenario import Scenario, los_blocked_many
@@ -631,32 +631,29 @@ def check_model_names(names) -> None:
 # CSV outputs
 
 
+NET_SUMMARY_COLUMNS = ["model", "sent", "delivered", "pdr", "lat_p50_ms", "lat_p95_ms"]
+
+
 def write_net_results_csv(stats_list: list[NetStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "sender", "seq", "gen_time_s", "delivered",
-                    "latency_ms", "los"])
-        for st in stats_list:
-            # tolist() yields Python floats, which csv writes as their repr()
-            delivered = st.msg_delivered.tolist()
-            latency = [x if d else "" for x, d in
-                       zip(st.msg_latency_ms.tolist(), delivered)]
-            w.writerows(zip(repeat(st.model),
-                            [st.senders[i] for i in st.msg_sender.tolist()],
-                            st.msg_seq.tolist(), st.msg_gen_s.tolist(),
-                            st.msg_delivered.view(np.uint8).tolist(), latency,
-                            st.msg_los.view(np.uint8).tolist()))
+    def rows(st: NetStats):
+        # tolist() yields Python floats, which csv writes as their repr()
+        delivered = st.msg_delivered.tolist()
+        latency = [x if d else "" for x, d in zip(st.msg_latency_ms.tolist(), delivered)]
+        return zip(repeat(st.model), [st.senders[i] for i in st.msg_sender.tolist()],
+                   st.msg_seq.tolist(), st.msg_gen_s.tolist(),
+                   st.msg_delivered.view(np.uint8).tolist(), latency,
+                   st.msg_los.view(np.uint8).tolist())
+    fields.write_csv(path, ["model", "sender", "seq", "gen_time_s", "delivered", "latency_ms",
+                            "los"], chain.from_iterable(map(rows, stats_list)))
 
 
 def write_net_summary_csv(stats_list: list[NetStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "sent", "delivered", "pdr", "lat_p50_ms", "lat_p95_ms"])
-        for st in stats_list:
-            has = st.latencies_ms.size > 0
-            w.writerow([st.model, st.sent, st.delivered, repr(st.pdr),
-                        repr(st.latency_percentile(50)) if has else "",
-                        repr(st.latency_percentile(95)) if has else ""])
+    def row(st: NetStats) -> list:
+        # the latency cells are empty when no beacon arrived
+        has = st.latencies_ms.size > 0
+        return [st.model, st.sent, st.delivered, st.pdr,
+                st.latency_percentile(50) if has else "", st.latency_percentile(95) if has else ""]
+    fields.write_csv(path, NET_SUMMARY_COLUMNS, map(row, stats_list))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,16 @@ from array import array
 from typing import Literal
 
 from . import kernels
-from .errors import RoutingError, TspSizeError
+from .errors import ParameterError, RoutingError, TspSizeError
 from .jobs import DeliverySet
 from .scenario import RoadGraph, Scenario, nearest_nodes
 
 EXACT_TSP_LIMIT = 12
+# The bound on the sum of a road's edge times for the truck, which no shortest path
+# exceeds. A departure adds a path (and a service) per stop, and the planner's, check_plan's
+# and the sweep's sums add a departure per job and set: as no list holds 2**64 of them,
+# each sum stays below 2**192 (6.3e57) times the bound plus the services, so finite.
+MAX_ROAD_TIME_S = 1e250
 Solver = Literal["exact", "heuristic"]
 
 
@@ -59,8 +64,9 @@ class RoutingCache:
 
     ``adj`` maps each compact node index (sorted node ids) to its neighbours'
     compact indices, in order, and the truck's time over each edge: the one
-    place that time is computed. The cache fills in the ``dijkstra_times``
-    array of each node on its first query and walks the lexicographically
+    place that time is computed, and checked: each non-negative, their sum at
+    most MAX_ROAD_TIME_S. The cache fills in the ``dijkstra_times`` array of
+    each node on its first query and walks the lexicographically
     smallest shortest path over them. The road graph must stay unchanged:
     nothing is ever invalidated. Memory, per truck speed on a scenario, is
     (distinct nodes queried) x nodes x 8 B; planning queries only job nodes
@@ -70,10 +76,17 @@ class RoutingCache:
         self.nodes = sorted(graph.nodes)
         self.index = index = {nid: i for i, nid in enumerate(self.nodes)}
         arcs: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        total = 0.0
         for e in graph.edges:
             t = e.length / min(truck_speed, e.speed_limit)
+            if t < 0.0:  # validate_scenario lets coincident nodes' edges fall 1e-9 m below 0
+                raise ParameterError(f"edge {e.a}-{e.b}: length {e.length} m is negative")
+            total += t
             arcs[index[e.a]].append((index[e.b], t))
             arcs[index[e.b]].append((index[e.a], t))
+        if not total <= MAX_ROAD_TIME_S:
+            raise ParameterError(f"the road's edge times for a truck at {truck_speed} m/s "
+                                 f"sum to {total} s, above the bound of {MAX_ROAD_TIME_S} s")
         self.adj = [dict(sorted(vs)) for vs in arcs]
         self._times: dict[int, array] = {}
 

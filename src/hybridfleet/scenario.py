@@ -248,9 +248,9 @@ def nearest_nodes(scenario: Scenario, points: list[Point]) -> list[int]:
 def los_blocked_many(scenario: Scenario, a_xyz: np.ndarray, b_xyz: np.ndarray) -> np.ndarray:
     """Per segment: True iff the 3D segment intersects a building volume.
 
-    a_xyz and b_xyz are the N x 3 endpoint arrays. Footprints are extruded
-    from the ground to their height; an endpoint inside a volume counts as
-    blocked.
+    a_xyz and b_xyz are the N x 3 endpoint arrays, of finite coordinates
+    (ParameterError otherwise). Footprints are extruded from the ground to
+    their height; an endpoint inside a volume counts as blocked.
     """
     geom = scenario.geometry()
     return kernels.los_blocked_batch(

@@ -15,7 +15,6 @@ sequential; separate runs share only immutable inputs.
 """
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -102,26 +101,23 @@ def _executed(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig):
     arithmetic.
 
     A truck job completes at its stop's departure. A sortie launches at the
-    first pass over its launch node that departs once its drone is free (at
-    0, then one turnaround after each rendezvous), delivers its outbound
-    leg's ``math.hypot`` meters later at drone speed, and completes drone
-    service after delivering.
+    first pass over its launch node that departs at or after its
+    ``launch_time`` (the planner's pass, as ``check_plan`` proves), delivers
+    its outbound leg's ``math.hypot`` meters later at drone speed, and
+    completes drone service after delivering.
     """
     npos = scenario.graph.nodes
     nodes = plan.timetable.nodes
     depart = plan.timetable.depart
     completion = {j: depart[pos] for j, pos in plan.stop_positions.items()}
     flights: list[tuple[Sortie, int, float]] = []
-    free: dict[int, float] = {}
     for s in sorted(plan.sorties, key=lambda s: (s.drone_id, s.launch_time)):
-        li = first_pass(nodes, depart, s.launch_node, free.get(s.drone_id, 0.0),
-                        0, len(nodes) - 1)
+        li = first_pass(nodes, depart, s.launch_node, s.launch_time, 0, len(nodes) - 1)
         p = npos[s.launch_node]
         out_d = math.hypot(p.x - s.target_x, p.y - s.target_y)
         t_deliver = depart[li] + out_d / fleet.drone_speed
         completion[s.job_id] = t_deliver + fleet.drone_service
         flights.append((s, li, t_deliver))
-        free[s.drone_id] = s.rendezvous_time + fleet.turnaround
     return completion, flights
 
 
@@ -264,14 +260,9 @@ def trace_sidecar_path(csv_path) -> str:
 
 
 def save_trace(trace: DeliveryTrace, csv_path) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_TRACE_COLUMNS)
-        for ev in trace.events:
-            w.writerow([repr(ev.time), ev.kind, ev.vehicle,
-                        "" if ev.job is None else ev.job,
-                        "" if ev.node is None else ev.node,
-                        repr(ev.x), repr(ev.y), repr(ev.z)])
+    fields.write_csv(csv_path, _TRACE_COLUMNS, (
+        [ev.time, ev.kind, ev.vehicle, "" if ev.job is None else ev.job,
+         "" if ev.node is None else ev.node, ev.x, ev.y, ev.z] for ev in trace.events))
     sidecar = {
         "completion": {str(k): v for k, v in sorted(trace.completion.items())},
         "trajectories": {

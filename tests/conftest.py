@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly
+from hybridfleet.hybrid import FleetConfig, HybridPlan, TruckTimetable, _fly, plan_objective
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.rng import generator
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
@@ -96,9 +96,9 @@ def sortie_plan(scenario, timetable, sorties, fleet) -> HybridPlan:
     """Plan with no truck stops and the given sorties on the line road."""
     completion = {s.job_id: s.deliver_time + fleet.drone_service for s in sorties}
     return HybridPlan(
-        truck_stops=[], stop_positions={}, timetable=timetable, sorties=sorties,
+        stop_positions={}, timetable=timetable, sorties=sorties,
         completion=completion, prioritized=False,
-        objective=sum(completion.values()),
+        objective=plan_objective(completion, [], sorties),
         makespan=timetable.arrive[-1])
 
 

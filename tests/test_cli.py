@@ -358,6 +358,97 @@ def test_simulate_bad_plan_file_exit_2(workdir, tmp_path, capsys, edit, message)
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda p: p["truck"]["stops"].append(p["truck"]["stops"][0]),
+                 "error: plan.truck.stops[4].job: job 5 is already a stop",
+                 id="stop-listed-twice"),
+    pytest.param(lambda p: p.update(objective=-5), "objective -5.0 is not ", id="objective"),
+    pytest.param(lambda p: p.update(makespan=1e9), "makespan 1000000000.0 is not ",
+                 id="makespan"),
+])
+@pytest.mark.parametrize("with_jobs", [False, True], ids=["alone", "with-jobs"])
+def test_simulate_plan_with_a_wrong_record_exit_2(workdir, tmp_path, capsys, edit, message,
+                                                   with_jobs):
+    """A job listed twice among the stops, and an objective or makespan other
+    than the one the plan's times give, are rejected with or without the set."""
+    assert run("plan", "--scenario", workdir / "scen.json", "--jobs", workdir / "jobs.json",
+               "--drones", 1, "--out", tmp_path / "plan.json") == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    edit(plan)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    jobs = ["--jobs", workdir / "jobs.json"] if with_jobs else []
+    capsys.readouterr()
+    assert run("simulate", "--scenario", workdir / "scen.json", "--plan", tmp_path / "plan.json",
+               *jobs, "--out", tmp_path / "trace.csv") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def world3(tmp_path_factory):
+    """A 3x3 world with one building per cell and two sets of 15 jobs."""
+    d = tmp_path_factory.mktemp("world3")
+    assert run("scenario", "gen", "--rows", 3, "--cols", 3, "--buildings-per-cell", 1,
+               "--seed", 5, "--out", d / "scen.json") == 0
+    assert run("jobs", "gen", "--scenario", d / "scen.json", "--sets", 2, "--seed", 2,
+               "--out", d / "jobs.json") == 0
+    return d
+
+
+def _every_edge(key, value):
+    def edit(scenario):
+        for edge in scenario["edges"]:
+            edge[key] = value
+    return edit
+
+
+def _coincident_node_at_negative_length(scenario):
+    node = scenario["nodes"][0]
+    scenario["nodes"].append(dict(node, id=99))
+    scenario["edges"].append({"a": node["id"], "b": 99, "length_m": -5e-10,
+                              "speed_mps": scenario["edges"][0]["speed_mps"]})
+
+
+_OVERFLOW = "the road's edge times for a truck at "
+
+
+@pytest.mark.parametrize("command,edit,config,message", [
+    pytest.param("plan", _every_edge("length_m", 1e308), {},
+                 _OVERFLOW + "8.33 m/s sum to 1.4405762304921972e+308 s, above the bound of "
+                 "1e+250 s", id="plan-edges-1e308-m"),
+    pytest.param("sweep", _every_edge("length_m", 1e308), {}, _OVERFLOW + "8.33 m/s sum to ",
+                 id="sweep-edges-1e308-m"),
+    pytest.param("plan", _every_edge("speed_mps", 1e-306), {}, _OVERFLOW + "8.33 m/s sum to inf",
+                 id="plan-roads-at-1e-306-mps"),
+    pytest.param("sweep", None, {"fleet": {"truck_speed": 1e-306}, "n_sets": 1, "net_models": []},
+                 _OVERFLOW + "1e-306 m/s sum to inf", id="sweep-truck-at-1e-306-mps"),
+    pytest.param("plan", _coincident_node_at_negative_length, {},
+                 "edge 0-99: length -5e-10 m is negative", id="plan-edge-of-negative-length"),
+])
+def test_truck_times_that_overflow_or_run_back_exit_2(world3, tmp_path, capsys, command, edit,
+                                                       config, message):
+    scen = world3 / "scen.json"
+    if edit is not None:
+        data = json.loads(scen.read_text())
+        edit(data)
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(data))
+    if command == "plan":
+        argv = ["plan", "--scenario", scen, "--jobs", world3 / "jobs.json", "--drones", 2,
+                "--out", tmp_path / "plan.json"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["sweep", "--config", tmp_path / "cfg.json", "--sets", 2, "--out", tmp_path / "o",
+                *(["--scenario", scen] if edit is not None else [])]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    # the sweep checks the road before any run, and writes nothing
+    assert not (tmp_path / "plan.json").exists() and not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def chain(workdir):
     """A one-drone plan of set 0 and its trace, next to the workdir's inputs."""
@@ -529,7 +620,7 @@ def test_plan_breaking_an_invariant_exit_1(workdir, tmp_path, monkeypatch, capsy
 
     def drop_a_stop(*args):
         plan = real(*args)
-        plan.truck_stops.pop()
+        plan.stop_positions.popitem()
         return plan
 
     monkeypatch.setattr(cli, "plan_hybrid", drop_a_stop)

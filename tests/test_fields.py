@@ -124,8 +124,8 @@ def test_a_plan_check_plan_passes_simulates_every_served_job(path, value):
     assert isinstance(problems, list)
     if not problems:
         trace = simulate(_WORLD, plan, fleet)
-        assert trace.completion.keys() == set(plan.truck_stops) | {s.job_id for s in plan.sorties}
-        for j in plan.truck_stops:
+        assert trace.completion.keys() == {*plan.stop_positions, *(s.job_id for s in plan.sorties)}
+        for j in plan.stop_positions:
             assert trace.completion[j] == plan.completion[j]
 
 

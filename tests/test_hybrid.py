@@ -10,7 +10,8 @@ from hybridfleet import experiment, hybrid, kernels
 from hybridfleet.errors import ParameterError
 from hybridfleet.hybrid import (_NO_LAUNCH, FleetConfig, HybridPlan, Sortie, TruckTimetable,
                                 _candidate_bounds, _PlanContext, check_plan, load_plan,
-                                plan_hybrid, plan_hybrid_counts, plan_to_dict, save_plan)
+                                plan_from_dict, plan_hybrid, plan_hybrid_counts, plan_to_dict,
+                                save_plan)
 from hybridfleet.jobs import Category, DeliveryJob, DeliverySet, generate_delivery_sets
 from hybridfleet.routing import job_nodes, plain_schedule, priority_schedule
 from hybridfleet.scenario import Edge, Point, RoadGraph, Scenario, generate_grid_scenario
@@ -91,7 +92,8 @@ def test_plan_zero_drones_is_pure_truck_tour():
     fleet = FleetConfig(drone_count=0)
     plan = plan_hybrid(sc, dset, fleet, prioritize=False)
     assert plan.sorties == []
-    assert plan.truck_stops == plain_schedule(sc, dset, job_nodes(sc, dset), fleet.truck_speed)
+    assert list(plan.stop_positions) == plain_schedule(sc, dset, job_nodes(sc, dset),
+                                                       fleet.truck_speed)
     tt = plan.timetable
     for j, pos in plan.stop_positions.items():
         assert plan.completion[j] == pytest.approx(tt.depart[pos])
@@ -129,7 +131,7 @@ def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
     plan = plan_hybrid(grid8, grid8_set, fleet, True)
     sortie = plan.sorties[0]
     sortie.target_x += 1.0
-    stop = plan.truck_stops[0]
+    stop = next(iter(plan.stop_positions))
     nodes = plan.timetable.nodes
     plan.stop_positions[stop] = next(i for i, n in enumerate(nodes)
                                      if n != nodes[plan.stop_positions[stop]])
@@ -144,9 +146,11 @@ def test_check_plan_names_jobs_served_away_from_their_target(grid8, grid8_set):
                and "deliver_time " in p for p in problems)
     assert any("is not the job's delivery node" in p for p in problems)
     assert any(p.startswith(f"job {stop}: completion ") for p in problems)
-    assert [p for p in problems if not p.startswith("job ")] == [
-        p for p in problems if p.startswith("truck timetable at path position ")]
-    assert len(problems) == 5
+    # and the moved stop's departure changes the completions' sum
+    timetable, objective = [p for p in problems if not p.startswith("job ")]
+    assert timetable.startswith("truck timetable at path position ")
+    assert objective.startswith("objective ")
+    assert len(problems) == 6
 
 
 def test_check_plan_rejects_inconsistent_plan():
@@ -180,7 +184,7 @@ def test_prioritized_truck_stops_keep_medical_first():
     medical = {j.id for j in dset.medical()}
     for k in (0, 2, 4):
         plan = plan_hybrid(sc, dset, FleetConfig(drone_count=k), prioritize=True)
-        stops = plan.truck_stops
+        stops = list(plan.stop_positions)
         med_pos = [i for i, j in enumerate(stops) if j in medical]
         std_pos = [i for i, j in enumerate(stops) if j not in medical]
         if med_pos and std_pos:
@@ -190,7 +194,7 @@ def test_prioritized_truck_stops_keep_medical_first():
 def test_plan_timeline_matches_completion():
     sc, dset, fleet, prioritize = random_world(7)
     plan = plan_hybrid(sc, dset, fleet, prioritize)
-    for j in plan.truck_stops:
+    for j in plan.stop_positions:
         assert plan.completion[j] == plan.timetable.depart[plan.stop_positions[j]]
     for s in plan.sorties:
         assert plan.completion[s.job_id] == pytest.approx(
@@ -201,7 +205,7 @@ def test_every_job_served_exactly_once():
     sc, dset, fleet, _ = random_world(12, max_drones=3)
     fleet.drone_count = 3
     plan = plan_hybrid(sc, dset, fleet, True)
-    served = plan.truck_stops + [s.job_id for s in plan.sorties]
+    served = [*plan.stop_positions] + [s.job_id for s in plan.sorties]
     assert sorted(served) == sorted(j.id for j in dset.jobs)
 
 
@@ -214,6 +218,26 @@ def test_plan_file_round_trip(tmp_path):
     loaded, loaded_fleet = load_plan(path)
     assert loaded_fleet == fleet
     assert plan_to_dict(loaded, loaded_fleet) == plan_to_dict(plan, fleet)
+
+
+def test_objective_and_makespan_are_derived_and_proven():
+    """A plan file without objective or makespan reads the planner's, bit for
+    bit, and check_plan rejects either moved by one ulp."""
+    naive_differs = 0
+    for case in range(60):
+        sc, dset, fleet, prioritize = random_world(case)
+        plan = plan_hybrid(sc, dset, fleet, prioritize)
+        data = plan_to_dict(plan, fleet)
+        del data["objective"], data["makespan"]
+        loaded, _ = plan_from_dict(data)
+        assert (loaded.objective, loaded.makespan) == (plan.objective, plan.makespan), case
+        naive_differs += sum(plan.completion.values()) != plan.objective
+        for name in ("objective", "makespan"):
+            moved = replace(plan, **{name: math.nextafter(getattr(plan, name), math.inf)})
+            problems = check_plan(moved, sc, dset, fleet)
+            assert len(problems) == 1 and problems[0].startswith(f"{name} "), (case, problems)
+    # the plain sum of the completions is not the planner's objective
+    assert naive_differs > 0
 
 
 def test_fleet_validation():
@@ -371,7 +395,7 @@ def _oracle_plan(scenario, dset, fleet, prioritize, solver="heuristic"):
             assignments[d].append((j, lnode))
             current = ctx.build(truck_jobs, assignments)
     return HybridPlan(
-        truck_stops=list(truck_jobs), stop_positions=dict(current["stop_pos"]),
+        stop_positions=dict(current["stop_pos"]),
         timetable=TruckTimetable(list(current["path"]), current["arrive"], current["depart"]),
         sorties=sorted(current["sorties"], key=lambda s: (s.drone_id, s.launch_time)),
         completion=dict(current["completion"]), prioritized=prioritize,
@@ -411,7 +435,7 @@ def _plan_checking_commits(sc, dset, fleet, prioritize, solver="heuristic"):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_PlanContext, "commit", checked)
         plan = plan_hybrid(sc, dset, fleet, prioritize, solver)
-    assert plan.truck_stops == truck_jobs  # the commits took exactly the sortie jobs
+    assert list(plan.stop_positions) == truck_jobs  # the commits took exactly the sortie jobs
     return plan
 
 
@@ -570,7 +594,7 @@ def _splices_match_full_builds(sc, dset, fleet, prioritize):
     assignments = {d: [] for d in range(fleet.drone_count)}
     for s in plan.sorties:
         assignments[s.drone_id].append((s.job_id, s.launch_node))
-    stops = plan.truck_stops
+    stops = list(plan.stop_positions)
     current = ctx.assemble(assignments, stops)
     for k in range(len(stops)):
         after = stops[k + 1:k + 2]

@@ -14,7 +14,6 @@ bound the planner prunes its scans with.
 """
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hybridfleet import kernels, netmodel
+from hybridfleet.errors import ParameterError
 from hybridfleet.hybrid import FleetConfig, plan_hybrid
 from hybridfleet.jobs import generate_delivery_sets
 from hybridfleet.scenario import (Building, Point, _footprint_checks, generate_grid_scenario,
@@ -487,9 +487,20 @@ def _geometry_args(sc):
             g.bb_minx, g.bb_maxx, g.bb_miny, g.bb_maxy)
 
 
-def _assert_matches_oracle(sc, a_xyz, b_xyz):
+def _columns(a_xyz, b_xyz):
     cols = (a_xyz[:, 0], a_xyz[:, 1], a_xyz[:, 2], b_xyz[:, 0], b_xyz[:, 1], b_xyz[:, 2])
-    cols = tuple(np.ascontiguousarray(c) for c in cols)
+    return tuple(np.ascontiguousarray(c) for c in cols)
+
+
+def _assert_matches_oracle(sc, a_xyz, b_xyz):
+    """The kernel's result on the segments equals the oracle's. A batch with a
+    non-finite coordinate raises, and its finite segments are compared alone."""
+    finite = np.isfinite(a_xyz).all(axis=1) & np.isfinite(b_xyz).all(axis=1)
+    if not finite.all():
+        with pytest.raises(ParameterError, match="coordinates must be finite"):
+            kernels.los_blocked_batch(*_columns(a_xyz, b_xyz), *_geometry_args(sc))
+        a_xyz, b_xyz = a_xyz[finite], b_xyz[finite]
+    cols = _columns(a_xyz, b_xyz)
     got = kernels.los_blocked_batch(*cols, *_geometry_args(sc))
     with np.errstate(over="ignore"):  # a tiny dz overflows the clip bounds to inf
         want = _oracle_los_blocked_batch(*cols, *_geometry_args(sc))
@@ -690,21 +701,24 @@ def test_los_batch_matches_oracle_across_the_tallest_roof(world, data):
     segs = data.draw(st.lists(_tallest_roof_segment(_boxes(world)), min_size=1, max_size=30))
     a = np.array([s[0] for s in segs], np.float64)
     b = np.array([s[1] for s in segs], np.float64)
-    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on infinite coordinates
-        _assert_matches_oracle(world, a, b)
+    _assert_matches_oracle(world, a, b)
 
 
-def test_los_batch_on_infinite_coordinates_does_not_warn():
+@pytest.mark.parametrize("dx,dy", [(-1, 0), (0, -1), (1, 0)], ids=["-x", "-y", "+x"])
+def test_los_batch_rejects_infinite_coordinates(dx, dy):
+    # a segment at z 1 from infinitely far along (dx, dy) to building 0's
+    # centroid, inside its volume: its infinite end would clip to NaN
+    # endpoints, which no footprint test blocks
     sc = generate_grid_scenario(3, 3, 100.0, 1, 5)
     c = sc.buildings[0].centroid()
-    a = np.array([[-math.inf, c.y, 1.0], [c.x, -math.inf, 1.0], [math.inf, c.y, 1.0]])
-    b = np.array([[c.x, c.y, 1.0]] * 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = los_blocked_many(sc, a, b)
-    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
-        want = _oracle_los_blocked_batch(*a.T, *b.T, *_geometry_args(sc))
-    np.testing.assert_array_equal(got, want)
+
+    def segment(d):  # from d meters along (dx, dy) to the centroid
+        return (np.array([[c.x + dx * d if dx else c.x, c.y + dy * d if dy else c.y, 1.0]]),
+                np.array([[c.x, c.y, 1.0]]))
+
+    with pytest.raises(ParameterError, match="segment coordinates must be finite"):
+        los_blocked_many(sc, *segment(math.inf))
+    assert los_blocked_many(sc, *segment(1000.0)).tolist() == [True]
 
 
 def test_los_batch_above_the_tallest_roof_is_clear():

@@ -295,6 +295,28 @@ def test_completion_pass_equals_the_simulators_completions():
     assert repeat_flights > 10 and hovers > 10
 
 
+def test_executed_launches_where_the_planner_launches():
+    """Each executed flight launches at the planner's pass: the first over its
+    launch node, short of the path's end, that departs once the drone is free
+    (at 0, then one turnaround after each rendezvous), computed here without
+    the planner's or the simulator's code."""
+    later_pass = 0
+    for case in range(150):
+        sc, dset, fleet, prioritize = random_world(case, max_jobs=15, max_drones=4)
+        plan = plan_hybrid(sc, dset, fleet, prioritize)
+        assert check_plan(plan, sc, dset, fleet) == [], case
+        nodes, depart = plan.timetable.nodes, plan.timetable.depart
+        free = {}
+        for s, li, _ in _executed(sc, plan, fleet)[1]:  # in (drone, launch time) order
+            t_free = free.get(s.drone_id, 0.0)
+            passes = [i for i in range(len(nodes) - 1) if nodes[i] == s.launch_node]
+            assert li == next(i for i in passes if depart[i] >= t_free), case
+            # an earlier pass over the node departs before the drone is free
+            later_pass += passes[0] < li
+            free[s.drone_id] = s.rendezvous_time + fleet.turnaround
+    assert later_pass > 0
+
+
 def _position_loop_simulate(scenario, plan, fleet):
     """The simulator as one pass over the truck's path positions, which
     emitted every vehicle's events at the positions where they happen: kept

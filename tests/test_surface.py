@@ -12,7 +12,8 @@ attribute load, or as a string constant, which ``getattr`` and dict keys use.
 A field that is only written shows up here as an unread name.
 
 And no module of ``src/hybridfleet`` imports another's private name: what two
-modules share is public, with one owner.
+modules share is public, with one owner. Only ``fields`` opens files or imports
+``csv``, so each file encoding is written out once.
 """
 import ast
 from pathlib import Path
@@ -122,3 +123,18 @@ def test_no_module_imports_a_private_name():
                 imported += [f"{path.stem}: {alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert imported == [], f"private names imported across modules: {imported}"
+
+
+def test_only_fields_opens_files_or_imports_csv():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "fields":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                found.append(f"{path.stem}:{node.lineno}: calls open")
+            elif (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                found.append(f"{path.stem}:{node.lineno}: imports csv")
+    assert found == [], f"file access outside fields: {found}"
