@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import get_args
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .hybrid import (FleetConfig, check_new_plan, check_plan, first_problem, loa
 from .jobs import generate_delivery_sets, load_sets, save_sets
 from .metrics import SUMMARY_COLUMNS, waiting_stats
 from .netmodel import MODELS, NET_SUMMARY_COLUMNS, ChannelConfig, evaluate_links
+from .routing import Solver
 from .scenario import generate_grid_scenario, load_scenario, save_scenario
 from .simcore import load_trace, save_trace, simulate
 
@@ -28,15 +30,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hybridfleet",
                                 description="hybrid truck-drone delivery toolkit")
     p.add_argument("--version", action="version", version=__version__)
+    defaults = ExperimentConfig()  # the world and set sizes a sweep uses
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scenario", help="generate or validate scenario files")
     scsub = sc.add_subparsers(dest="subcommand", required=True)
     gen = scsub.add_parser("gen", help="generate a grid scenario")
-    gen.add_argument("--rows", type=int, default=8)
-    gen.add_argument("--cols", type=int, default=8)
-    gen.add_argument("--spacing", type=float, default=100.0, help="meters")
-    gen.add_argument("--buildings-per-cell", type=int, default=2)
+    gen.add_argument("--rows", type=int, default=defaults.grid_rows)
+    gen.add_argument("--cols", type=int, default=defaults.grid_cols)
+    gen.add_argument("--spacing", type=float, default=defaults.grid_spacing, help="meters")
+    gen.add_argument("--buildings-per-cell", type=int, default=defaults.buildings_per_cell)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     val = scsub.add_parser("validate", help="check a scenario file's invariants")
@@ -46,9 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     jbsub = jb.add_subparsers(dest="subcommand", required=True)
     jgen = jbsub.add_parser("gen")
     jgen.add_argument("--scenario", required=True)
-    jgen.add_argument("--sets", type=int, default=50)
-    jgen.add_argument("--per-set", type=int, default=15)
-    jgen.add_argument("--medical", type=int, default=5)
+    jgen.add_argument("--sets", type=int, default=defaults.n_sets)
+    jgen.add_argument("--per-set", type=int, default=defaults.per_set)
+    jgen.add_argument("--medical", type=int, default=defaults.medical_per_set)
     jgen.add_argument("--seed", type=int, default=0)
     jgen.add_argument("--out", required=True)
 
@@ -58,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--set-index", type=int, default=0)
     pl.add_argument("--drones", type=int, default=0)
     pl.add_argument("--prioritize", action=argparse.BooleanOptionalAction, default=True)
-    pl.add_argument("--solver", choices=["exact", "heuristic"], default="heuristic")
+    pl.add_argument("--solver", choices=get_args(Solver), default=defaults.solver)
     pl.add_argument("--out", required=True)
 
     sim = sub.add_parser("simulate", help="execute a plan into an event trace")

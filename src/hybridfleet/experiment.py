@@ -15,6 +15,7 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import get_args
 
 from . import __version__, fields
 from .errors import ConfigError, ParameterError, ParseError
@@ -25,7 +26,7 @@ from .metrics import (summarize_sweep, waiting_stats, write_capacity_curves_csv,
                       write_summary_csv)
 from .netmodel import MODELS, ChannelConfig, check_model_names, evaluate_links
 from .rng import mix
-from .routing import check_exact_size, largest_tour, routing_cache
+from .routing import Solver, check_exact_size, largest_tour, routing_cache
 from .scenario import check_grid, generate_grid_scenario, load_scenario, save_scenario
 from .simcore import completion_times, save_trace, simulate
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be non-empty and must not repeat a value, "
                                       f"got {values}")
             check_model_names(self.net_models)
-            if self.solver not in ("exact", "heuristic"):
+            if self.solver not in get_args(Solver):
                 raise ConfigError(f"unknown solver {self.solver!r}")
             if self.workers < 1:
                 raise ConfigError("workers must be >= 1")
@@ -93,7 +94,7 @@ class ExperimentConfig:
             if not self.scenario_path:  # build_scenario generates the world
                 check_buildings((self.grid_rows - 1) * (self.grid_cols - 1)
                                 * self.buildings_per_cell)
-            check_set_sizes(self.per_set, self.medical_per_set)
+            check_set_sizes(self.n_sets, self.per_set, self.medical_per_set)
             for i, count in enumerate(self.drone_counts):
                 check_drone_count(count, f"drone_counts[{i}]")
             if self.net_trace_drones is not None:

@@ -413,37 +413,35 @@ def plan_hybrid(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig,
 
     Each improvement step evaluates, for every truck job, removing it from
     the tour (remaining order kept, path re-spliced) and flying it with every
-    drone from its best launch node; the step committing the largest
-    reduction of summed completion times wins, smallest job id then drone id
-    on ties. Stops when no candidate reduces the objective. The state a step
-    commits is the winning candidate plus its one new flight
-    (``_PlanContext.commit``), so the plan is built from the depot once.
+    drone from its best launch node. The step's record is the (reduction of
+    summed completion times, -job id, -drone id) of its best result so far,
+    from (1e-9, inf, inf), and a result wins when it is above the record: the
+    largest reduction above 1e-9, the smallest job id then drone id on ties.
+    Stops when no candidate wins. The state a step commits is the winning
+    candidate plus its one new flight (``_PlanContext.commit``), so the plan
+    is built from the depot once.
 
-    The floor is the best reduction found so far in the step (the 1e-9
-    threshold before any). A scan for a drone free at time f cannot reduce
-    by more than its bound ``total - (partial + (f + drone_service))``: the
-    kernel launches only at departures at or after f and flies a
-    non-negative time, and float rounding is monotone, so the scan's
-    completion is at least ``f + drone_service``. The bound cannot rise as
-    f rises, so no scan of a candidate beats its bound at its earliest
-    drone free time. That test is made without building the candidate:
-    ``_candidate_bounds`` gives each candidate lower bounds on its truck
-    sum, its drone sum and its earliest drone free time from the current
-    state alone, and each makes the candidate's bound ``total - (truck +
-    drone + (free + drone_service))`` at least the one the build would give
-    (the truck's float error is covered by a margin).
+    A scan for a drone free at time f cannot reduce by more than its bound
+    ``total - (partial + (f + drone_service))``: the kernel launches only at
+    departures at or after f and flies a non-negative time, and float
+    rounding is monotone, so the scan's completion is at least ``f +
+    drone_service``. The bound cannot rise as f rises, so no scan of a
+    candidate beats its bound at its earliest drone free time. That test is
+    made without building the candidate: ``_candidate_bounds`` gives each
+    candidate lower bounds on its truck sum, its drone sum and its earliest
+    drone free time from the current state alone, and each makes the
+    candidate's bound ``total - (truck + drone + (free + drone_service))`` at
+    least the one the build would give (the truck's float error is covered
+    by a margin).
 
-    The step builds its candidates in order of that bound, highest first
-    and the lower job id first on equal bounds, so the floor rises early,
-    and it ends at the first candidate whose bound is below the floor: no
-    later one can reach it. A scan whose bound is below the floor is
-    skipped. As a candidate may come after a higher job id's, the tie rule
-    is explicit: a candidate whose bound equals the floor is built, a scan
-    whose bound equals it is run, and a reduction equal to it wins, only
-    when the job id is below the best's. Nothing skipped could have won,
-    ties included, so the winner is still the best (reduction, lowest job
-    id, lowest drone id) and the plans are bit-identical to those of the
-    exhaustive loop in job-id order.
+    The step builds its candidates in descending order of (bound, -job id),
+    so the record rises early, and it ends at the first candidate whose
+    (bound, -job id) is at most the record's: no result of it or of a later
+    one can beat the record. A scan whose (bound, -job id, -drone id) is at
+    most the record is skipped. Nothing skipped could have won, so the
+    winner is the largest (reduction, -job id, -drone id) of the step, and
+    the plans are bit-identical to those of the exhaustive loop in job-id
+    order.
     """
     plan = plan_hybrid_counts(scenario, dset, fleet, [fleet.drone_count], prioritize,
                               solver)[fleet.drone_count]
@@ -463,7 +461,7 @@ def plan_hybrid_counts(scenario: Scenario, dset: DeliverySet, fleet: FleetConfig
     id order. While a plan for c drones still has an idle drone, the plan
     for more drones has one too, at the same free time, and every other
     drone flies the same flights: both plans build the same candidates, with
-    the same bounds, floor and winner. So the c-drone plan takes the larger
+    the same bounds, record and winner. So the c-drone plan takes the larger
     plan's steps up to the one that gives drone c-1 its first sortie.
     Counting on that, one greedy run plans the largest count, and right
     after that step takes a snapshot for c: the state with its free times
@@ -528,23 +526,21 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
     service = fleet.drone_service
     drones = range(len(assignments))
     while True:
-        best = None  # (job, drone, launch_node, candidate state)
-        floor = _EPS  # a candidate must reduce by more than this to win
+        best = None  # (launch_node, candidate state) of the record
+        # (reduction, -job, -drone) of the best so far: a larger one wins, so a
+        # reduction must exceed 1e-9, and ties go to the lower job, then drone id
+        record = (_EPS, math.inf, math.inf)
         total = current.total
         bounds = _candidate_bounds(ctx, current, truck_jobs)
         # per candidate, the bound from lower bounds at its earliest free
         # time, which no scan of it can beat: best first, then lowest job id
         candidates = sorted(
-            ((total - (truck_lb + drone_lb + (free_lb + service)), j, k)
+            ((total - (truck_lb + drone_lb + (free_lb + service)), -j, k)
              for k, (j, (truck_lb, drone_lb, free_lb)) in enumerate(zip(truck_jobs, bounds))),
-            key=lambda c: (-c[0], c[1]))
-        for bound, j, k in candidates:
-            if bound < floor:
+            reverse=True)
+        for bound, neg_j, k in candidates:
+            if (bound, neg_j) <= record[:2]:
                 break  # so is every later candidate's
-            # a reduction equal to the floor wins only for a lower job id
-            ties = best is not None and j < best[0]
-            if bound == floor and not ties:
-                continue
             # the tour without stop k: splice stop k-1 to stop k+1
             after = truck_jobs[k + 1:k + 2]
             built = ctx.assemble(assignments, after, current, k,
@@ -552,7 +548,7 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
             if built is None:
                 continue
             partial = built.truck_sum + built.drone_sum
-            tx, ty = ctx.target_xy[j]
+            tx, ty = ctx.target_xy[truck_jobs[k]]
             # Drones free at the same time get the same best sortie, and
             # the lower drone id keeps a tie, so one scan serves them all.
             scanned = set()
@@ -562,8 +558,7 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
                 scanned.add(built.free[d])
                 # best_sortie's completion is at least free + service, so no
                 # reduction of this scan can exceed the bound
-                scan_bound = total - (partial + (built.free[d] + service))
-                if scan_bound < floor or (scan_bound == floor and not ties):
+                if (total - (partial + (built.free[d] + service)), neg_j, -d) <= record:
                     continue
                 li, comp = kernels.best_sortie(
                     built.path_x, built.path_y, built.path, built.arrive, built.depart,
@@ -571,14 +566,14 @@ def _improve(ctx: _PlanContext, current: _Built, truck_jobs: list[int],
                     fleet.drone_speed, service, fleet.drone_endurance)
                 if li < 0:
                     continue
-                reduction = total - (partial + comp)
-                if reduction > floor or (reduction == floor and ties):
-                    floor = reduction
-                    best = (j, d, built.path[li], built)
-                    ties = False  # a higher drone id of job j does not take a tie
+                result = (total - (partial + comp), neg_j, -d)
+                if result > record:
+                    record = result
+                    best = (built.path[li], built)
         if best is None:
             return current
-        j, d, lnode, built = best
+        lnode, built = best
+        j, d = -record[1], -record[2]
         first_sortie = not assignments[d]
         truck_jobs.remove(j)
         assignments[d].append((j, lnode))
@@ -594,13 +589,13 @@ def _plan_of(current: _Built, truck_jobs: list[int], prioritize: bool,
     completion = {j: current.depart[pos] for j, pos in zip(truck_jobs, current.stop_pos)}
     for s in current.sorties:
         completion[s.job_id] = s.deliver_time + fleet.drone_service
+    # in (drone, launch time) order, as assemble and commit keep the flights;
     # the plan owns its lists and sorties: states and other plans share them
-    sorties = sorted(map(replace, current.sorties), key=lambda s: (s.drone_id, s.launch_time))
     return HybridPlan(
         stop_positions=dict(zip(truck_jobs, current.stop_pos)),
         timetable=TruckTimetable(list(current.path), list(current.arrive),
                                  list(current.depart)),
-        sorties=sorties,
+        sorties=[replace(s) for s in current.sorties],
         completion=completion,
         prioritized=prioritize,
         objective=current.total,

@@ -49,7 +49,7 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-def _ray_crossings(px, py, x1, y1, x2, y2):
+def ray_crossings(px, py, x1, y1, x2, y2):
     """Edge (x1, y1)-(x2, y2) crosses the ray from p towards +x (even-odd rule)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         # the crossing is used only where the edge straddles py, so y2 != y1
@@ -65,8 +65,8 @@ def _point_in_poly(px, py, vx, vy, ux, uy):
     over that axis, so a point's result is its own whatever the others.
     (ux, uy) are each vertex's predecessor, ``np.roll(v, 1)``.
     """
-    crossings = _ray_crossings(np.asarray(px)[..., None], np.asarray(py)[..., None],
-                               vx, vy, ux, uy)
+    crossings = ray_crossings(np.asarray(px)[..., None], np.asarray(py)[..., None],
+                              vx, vy, ux, uy)
     return np.logical_xor.reduce(crossings, axis=-1)
 
 
@@ -82,7 +82,7 @@ def _on_segment(ax, ay, bx, by, px, py):
             & (_min(ay, by) <= py) & (py <= _max(ay, by)))
 
 
-def _segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+def segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
     """Closed segments a-b and c-d share a point (touching counts)."""
     o1 = _orient(ax, ay, bx, by, cx, cy)
     o2 = _orient(ax, ay, bx, by, dx, dy)
@@ -234,8 +234,8 @@ def los_blocked_batch(ax, ay, az, bx, by, bz,
             # over the footprint's edges, edge i from vertex i-1 to i
             inside = _point_in_poly(np.concatenate((p0x, p1x)), np.concatenate((p0y, p1y)),
                                     vx, vy, ux, uy)
-            crosses = _segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
-                                          p1y[:, None], ux, uy, vx, vy).any(axis=1)
+            crosses = segments_intersect(p0x[:, None], p0y[:, None], p1x[:, None],
+                                         p1y[:, None], ux, uy, vx, vy).any(axis=1)
             hit[k] = inside[:k.size] | inside[k.size:] | crosses
         out[live] = hit
         return out

@@ -147,9 +147,9 @@ class RoutingCache:
 
 def routing_cache(scenario: Scenario, truck_speed: float) -> RoutingCache:
     """The scenario's routing cache for truck_speed, built on first use and kept on it."""
-    routes = scenario._routes.get(truck_speed)
+    routes = scenario.routing_caches.get(truck_speed)
     if routes is None:
-        routes = scenario._routes[truck_speed] = RoutingCache(scenario.graph, truck_speed)
+        routes = scenario.routing_caches[truck_speed] = RoutingCache(scenario.graph, truck_speed)
     return routes
 
 

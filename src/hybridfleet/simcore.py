@@ -137,18 +137,17 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
     job_at_pos = {pos: j for j, pos in plan.stop_positions.items()}
     completion, flights = _executed(scenario, plan, fleet)
 
-    raw_events: list[tuple] = []
+    events: list[SimEvent] = []
     truck_frames: list[tuple[float, float, float, float]] = []  # (t, x, y, z)
     sortie_frames: dict[int, list[list[tuple]]] = {d: [] for d in range(fleet.drone_count)}
 
-    def emit(time, kind, vehicle, job, node, x, y, z):
-        raw_events.append((time, _KIND_RANK[kind], vehicle, len(raw_events),
-                           kind, job, node, x, y, z))
+    def emit(*values):
+        events.append(SimEvent(*values))
 
-    # The final sort by (time, kind rank, vehicle, emission index) orders the
-    # events; the index only decides between one vehicle's events of one time
-    # and rank. The truck emits in path order, and a drone's launches,
-    # deliveries and rendezvous each rise strictly in time (turnaround > 0).
+    # The final sort by (time, kind rank, vehicle) is stable, so one vehicle's
+    # events of one time and rank keep their emission order. The truck emits
+    # in path order, and a drone's launches, deliveries and rendezvous each
+    # rise strictly in time (turnaround > 0).
     for pos, node in enumerate(nodes):
         p = npos[node]
         truck_frames.append((arrive[pos], p.x, p.y, 0.0))
@@ -176,8 +175,7 @@ def simulate(scenario: Scenario, plan: HybridPlan, fleet: FleetConfig) -> Delive
             (t, lp.x, lp.y), (t_deliver, s.target_x, s.target_y),
             (t_complete, s.target_x, s.target_y), (t_arr, rp.x, rp.y), (t_rdv, rp.x, rp.y)])
 
-    events = [SimEvent(e[0], e[4], e[2], e[5], e[6], e[7], e[8], e[9])
-              for e in sorted(raw_events)]
+    events.sort(key=lambda ev: (ev.time, _KIND_RANK[ev.kind], ev.vehicle))
     if not (plan.stop_positions or plan.sorties):
         events = [ev for ev in events if ev.kind == KIND_TOUR_COMPLETE]
 

@@ -16,7 +16,7 @@ from hybridfleet import experiment
 from hybridfleet.cli import main
 from hybridfleet.errors import ConfigError, ParameterError
 from hybridfleet.hybrid import _MAX_DRONES, check_drone_count
-from hybridfleet.jobs import check_buildings, check_set_sizes
+from hybridfleet.jobs import MAX_JOBS, MAX_JOBS_PER_SET, check_buildings, check_set_sizes
 from hybridfleet.routing import EXACT_TSP_LIMIT, check_exact_size, largest_tour
 from hybridfleet.scenario import CELL_MARGIN_M, MAX_BUILDINGS, MAX_NODES, check_grid
 
@@ -42,6 +42,11 @@ _CASES = (
     + [{"grid_spacing": v, "buildings_per_cell": 0} for v in _NUMBERS]
     + [{"buildings_per_cell": v} for v in _ints(0, MAX_BUILDINGS // 4)]
     + [{"per_set": v} for v in _ints(1)]
+    + [{"per_set": v, "medical_per_set": 0} for v in _ints(MAX_JOBS_PER_SET)]
+    # the sweep's own bound is n_sets >= 1, so 0 is left out
+    + [{"n_sets": v} for v in _ints(MAX_JOBS // _TINY["per_set"]) if v != 0]
+    + [{"n_sets": v, "per_set": MAX_JOBS_PER_SET, "medical_per_set": 0}
+       for v in _ints(MAX_JOBS // MAX_JOBS_PER_SET) if v != 0]
     + [{"medical_per_set": v} for v in _ints(0, _TINY["per_set"])]
     + [{"drone_counts": [v]} for v in _ints(0, _MAX_DRONES)]
     + [{"net_trace_drones": v} for v in _ints(0, _MAX_DRONES)]
@@ -57,7 +62,7 @@ def _owner_rejects(cfg: dict) -> bool:
                    cfg["buildings_per_cell"])
         check_buildings((cfg["grid_rows"] - 1) * (cfg["grid_cols"] - 1)
                         * cfg["buildings_per_cell"])
-        check_set_sizes(cfg["per_set"], cfg["medical_per_set"])
+        check_set_sizes(cfg["n_sets"], cfg["per_set"], cfg["medical_per_set"])
         for count in [*cfg["drone_counts"], cfg.get("net_trace_drones", 0)]:
             check_drone_count(count, "count")
         if cfg.get("solver") == "exact":
@@ -77,11 +82,22 @@ def test_config_rejects_exactly_what_the_owning_check_rejects(tmp_path, change):
         assert rejects
     else:
         assert not rejects
-    # no world above 4 x 4 nodes or 10 buildings per cell is built: larger
-    # ones only go through validate
-    small = max(cfg["grid_rows"], cfg["grid_cols"]) <= 4 and cfg["buildings_per_cell"] <= 10
+    # no world above 4 x 4 nodes or 10 buildings per cell is built, and no sets
+    # of more than 16 jobs in all are planned: larger ones only go through validate
+    small = (max(cfg["grid_rows"], cfg["grid_cols"]) <= 4 and cfg["buildings_per_cell"] <= 10
+             and cfg["n_sets"] * cfg["per_set"] <= 16)
     if rejects or small:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code in ((2,) if rejects else (0, 2))
+
+
+def test_set_size_bounds_admit_their_value_and_reject_the_next():
+    check_set_sizes(1, MAX_JOBS_PER_SET, 0)
+    check_set_sizes(MAX_JOBS // MAX_JOBS_PER_SET, MAX_JOBS_PER_SET, 0)
+    for n_sets, per_set in ((1, MAX_JOBS_PER_SET + 1),
+                            (MAX_JOBS // MAX_JOBS_PER_SET + 1, MAX_JOBS_PER_SET),
+                            (MAX_JOBS, 2)):
+        with pytest.raises(ParameterError, match="exceed"):
+            check_set_sizes(n_sets, per_set, 0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ import pytest
 
 from hybridfleet import cli, experiment
 from hybridfleet.cli import main
-from hybridfleet.scenario import MAX_BUILDINGS, MAX_NODES
+from hybridfleet.jobs import MAX_JOBS, MAX_JOBS_PER_SET
+from hybridfleet.scenario import MAX_BUILDINGS, MAX_EDGE_PAIRS, MAX_NODES
 
 from conftest import deadline
 
@@ -211,6 +213,13 @@ _ONE_SMALL_SET = {"n_sets": 1, "per_set": 4, "medical_per_set": 1, "drone_counts
                   "buildings_per_cell": MAX_BUILDINGS + 1},
                  f"exceeds {MAX_NODES} nodes or {MAX_BUILDINGS} buildings",
                  id="grid-above-the-building-bound"),
+    # the set-size bounds, far above them: rejected before anything is generated
+    pytest.param({"per_set": 10**12, "medical_per_set": 0, "n_sets": 1, "net_models": []},
+                 f"a set of {10**12} jobs exceeds the bound of {MAX_JOBS_PER_SET} jobs per set",
+                 id="per_set-above-the-per-set-bound"),
+    pytest.param({"n_sets": 10**12, "net_models": []},
+                 f"{15 * 10**12} jobs in all exceed the bound of {MAX_JOBS} jobs",
+                 id="n_sets-above-the-total-bound"),
     # a generated world without buildings has nothing to deliver to: rejected
     # before the world is built
     pytest.param({**_ONE_SMALL_SET, "buildings_per_cell": 0},
@@ -447,6 +456,64 @@ def test_truck_times_that_overflow_or_run_back_exit_2(world3, tmp_path, capsys, 
     assert message in err and "Traceback" not in err
     # the sweep checks the road before any run, and writes nothing
     assert not (tmp_path / "plan.json").exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,sizes,message", [
+    pytest.param("plan", [MAX_JOBS_PER_SET + 1],
+                 f"sets[0].jobs: a set of {MAX_JOBS_PER_SET + 1} jobs exceeds the bound of "
+                 f"{MAX_JOBS_PER_SET} jobs per set", id="plan-set-above-the-per-set-bound"),
+    pytest.param("simulate", [MAX_JOBS_PER_SET] * (MAX_JOBS // MAX_JOBS_PER_SET) + [1],
+                 f"sets[{MAX_JOBS // MAX_JOBS_PER_SET}].jobs: {MAX_JOBS + 1} jobs in all "
+                 f"exceed the bound of {MAX_JOBS} jobs", id="simulate-sets-above-the-total-bound"),
+])
+def test_oversized_jobs_file_exit_2(world3, tmp_path, capsys, command, sizes, message):
+    jobs = tmp_path / "in" / "jobs.json"
+    jobs.parent.mkdir()
+    jobs.write_text(json.dumps([{"id": i, "jobs": [{"building": 0}] * n}
+                                for i, n in enumerate(sizes)]))
+    if command == "plan":
+        argv = ["plan", "--scenario", world3 / "scen.json", "--jobs", jobs,
+                "--out", tmp_path / "plan.json"]
+    else:
+        plan = tmp_path / "in" / "plan.json"
+        assert run("plan", "--scenario", world3 / "scen.json", "--jobs", world3 / "jobs.json",
+                   "--out", plan) == 0
+        argv = ["simulate", "--scenario", world3 / "scen.json", "--plan", plan, "--jobs", jobs,
+                "--out", tmp_path / "trace.csv"]
+    capsys.readouterr()
+    with deadline(30):
+        assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+def _circle_footprint(scenario, vertices):
+    """Building 0's footprint as a circle of radius 3 m around its centre."""
+    building = scenario["buildings"][0]
+    xs, ys = zip(*building["footprint"])
+    cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+    building["footprint"] = [[cx + 3 * math.cos(2 * math.pi * i / vertices),
+                              cy + 3 * math.sin(2 * math.pi * i / vertices)]
+                             for i in range(vertices)]
+
+
+@pytest.mark.parametrize("vertices,code", [(1001, 0), (1002, 2), (6000, 2)])
+def test_footprint_edge_pairs_are_bounded(world3, tmp_path, capsys, vertices, code):
+    # an n-vertex footprint has n(n - 3)/2 pairs of non-adjacent edges, the world's
+    # three others 2 each: 499,505 pairs in all at 1,001 vertices, 500,506 at 1,002
+    data = json.loads((world3 / "scen.json").read_text())
+    _circle_footprint(data, vertices)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    with deadline(10):
+        assert run("scenario", "validate", path) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert (f"footprints have more than {MAX_EDGE_PAIRS} pairs of non-adjacent edges to "
+                f"test: building 0 ({vertices} vertices)") in err
 
 
 @pytest.fixture(scope="module")
@@ -854,6 +921,15 @@ def test_report_bad_input_exit_2(tmp_path, capsys, files, message):
     pytest.param(["scenario", "gen", "--rows", 2, "--cols", 2,
                   "--buildings-per-cell", MAX_BUILDINGS + 1, "--out", "{t}/scen.json"],
                  f"{MAX_BUILDINGS} buildings", id="scenario-above-the-building-bound"),
+    # the set-size bounds, far above them: rejected before anything is generated
+    pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--per-set", 10**12,
+                  "--medical", 0, "--sets", 1, "--out", "{t}/jobs.json"],
+                 f"a set of {10**12} jobs exceeds the bound of {MAX_JOBS_PER_SET} jobs per set",
+                 id="jobs-above-the-per-set-bound"),
+    pytest.param(["jobs", "gen", "--scenario", "{d}/scen.json", "--sets", 10**12,
+                  "--out", "{t}/jobs.json"],
+                 f"{15 * 10**12} jobs in all exceed the bound of {MAX_JOBS} jobs",
+                 id="jobs-above-the-total-bound"),
 ])
 def test_flag_precondition_exit_2(workdir, tmp_path, capsys, argv, message):
     argv = [str(a).format(d=workdir, t=tmp_path) for a in argv]

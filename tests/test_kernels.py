@@ -565,11 +565,11 @@ def test_geometric_predicates_match_scalar_oracle(pairs):
     for c, d in _EDGES:
         want = [_oracle_segments_intersect(a[0], a[1], e[0], e[1], c.x, c.y, d.x, d.y)
                 for a, e in zip(p, q)]
-        got = kernels._segments_intersect(p[:, 0], p[:, 1], q[:, 0], q[:, 1],
-                                          c.x, c.y, d.x, d.y)
+        got = kernels.segments_intersect(p[:, 0], p[:, 1], q[:, 0], q[:, 1],
+                                         c.x, c.y, d.x, d.y)
         assert got.tolist() == want
-        assert bool(kernels._segments_intersect(*map(float, (*p[0], *q[0])),
-                                                c.x, c.y, d.x, d.y)) == want[0]
+        assert bool(kernels.segments_intersect(*map(float, (*p[0], *q[0])),
+                                               c.x, c.y, d.x, d.y)) == want[0]
 
 
 def test_los_batch_oracle_cases_are_reached():
@@ -787,8 +787,8 @@ def test_segments_intersect_matches_oracle_with_and_without_zero_turns():
             want = [_oracle_segments_intersect(*map(float, (*p, *q, *c, *d)))
                     for p, q, c, d, _ in rows]
             assert want == [row[4] for row in rows]
-            assert kernels._segments_intersect(*cols).tolist() == want
-            assert [bool(kernels._segments_intersect(*map(float, (*p, *q, *c, *d))))
+            assert kernels.segments_intersect(*cols).tolist() == want
+            assert [bool(kernels.segments_intersect(*map(float, (*p, *q, *c, *d))))
                     for p, q, c, d, _ in rows] == want
 
 

@@ -11,9 +11,11 @@ by name in ``src/`` or ``perfbench/`` outside its own declaration: as an
 attribute load, or as a string constant, which ``getattr`` and dict keys use.
 A field that is only written shows up here as an unread name.
 
-And no module of ``src/hybridfleet`` imports another's private name: what two
-modules share is public, with one owner. Only ``fields`` opens files or imports
-``csv``, so each file encoding is written out once.
+And no module of ``src/hybridfleet`` reads another's private name, by import,
+as an attribute of the other module, or as a field, method or attribute that
+only other modules define: what two modules share is public, with one owner.
+Only ``fields`` opens files or imports ``csv``, so each file encoding is
+written out once.
 """
 import ast
 from pathlib import Path
@@ -114,15 +116,47 @@ def test_every_field_has_a_reader():
     assert set(FIELDS_ALLOWED) <= {q.split(".")[-1] for q in unread}
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")  # dunders are public
+
+
+def _private_definitions(tree) -> set[str]:
+    """The private names a module defines: its functions, classes and assigned
+    names, and the attributes its methods set on ``self``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return {name for name in names if _private(name)}
+
+
 def test_no_module_imports_a_private_name():
-    imported = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    """No `from .x import _y`, no `x._y` of a sibling module x, and no `obj._y`
+    where only other modules define `_y`."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {module: _private_definitions(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        others = set().union(*(names for other, names in defined.items() if other != module))
+        # the sibling modules it imports as modules, as in `from . import kernels`
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0 and not node.module
+                    for alias in node.names}
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
-                # dunders such as __version__ are public
-                imported += [f"{path.stem}: {alias.name}" for alias in node.names
-                             if alias.name.startswith("_") and not alias.name.endswith("__")]
-    assert imported == [], f"private names imported across modules: {imported}"
+                found.update(f"{module}: imports {alias.name}" for alias in node.names
+                             if _private(alias.name))
+            elif isinstance(node, ast.Attribute) and _private(node.attr) and (
+                    isinstance(node.value, ast.Name) and node.value.id in siblings
+                    or node.attr in others - defined[module]):
+                found.add(f"{module}: {ast.unparse(node)}")
+    assert sorted(found) == [], f"private names read across modules: {sorted(found)}"
 
 
 def test_only_fields_opens_files_or_imports_csv():
